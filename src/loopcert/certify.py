@@ -10,6 +10,7 @@ seed and log resampling events instead of hiding them.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -25,13 +26,13 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        gamma_label, gaudin_generators, soa_generators,
                        soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, preset
-from .linalg import (EpsFamily, Subspace, bigraded_block, degree_multisets,
+from .linalg import (EpsFamily, Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generated_subalgebra_component,
-                     limit_subspace)
+                     generator_products, limit_subspace)
 from .scalars import SymPoly, parse_rational, ratstr
 from .yangian import (bethe_generators, f1_monomial_count,
                       f1_monomial_count_enumerated, rtt_relation_checks,
-                      serialize_element, yangian)
+                      yangian)
 
 
 @dataclass
@@ -97,26 +98,6 @@ def parse_entries(spec: Sequence) -> List[Fraction]:
         raise ValidationError(str(exc)) from exc
 
 
-def _filtered_products(gens: Sequence[Tuple[object, int]], dmax: int, one,
-                       ) -> List[Tuple[object, int]]:
-    """All products of generators (with multiplicity) of total degree <= dmax,
-    including the empty product at degree 0."""
-    out = [(one, 0)]
-
-    def rec(i: int, rem: int, acc, deg: int):
-        if i >= len(gens):
-            return
-        rec(i + 1, rem, acc, deg)
-        e, dg = gens[i]
-        if 0 < dg <= rem:
-            p = acc * e
-            out.append((p, deg + dg))
-            rec(i, rem - dg, p, deg + dg)
-
-    rec(0, dmax, one, 0)
-    return out
-
-
 # -- 1. RTT relation oracle -------------------------------------------------------------
 
 
@@ -154,7 +135,7 @@ def verify_bethe(n: int, entries: Sequence, smax: int,
         for (ka, kb) in pairs:
             comm = taus[ka].commutator(taus[kb])
             results.append((ka, kb, comm.is_zero(),
-                            None if comm.is_zero() else serialize_element(ctx, comm)))
+                            None if comm.is_zero() else comm.render()))
     checks = []
     nonzero = [(ka, kb, w) for ka, kb, ok, w in results if not ok]
     pair_listing = [
@@ -188,7 +169,7 @@ def _pair_worker(args):
     taus = _WORKER_STATE["taus"]
     comm = taus[ka].commutator(taus[kb])
     ok = comm.is_zero()
-    return (ka, kb, ok, None if ok else serialize_element(ctx, comm))
+    return (ka, kb, ok, None if ok else comm.render())
 
 
 def _run_pairs_parallel(n, entries, smax, pairs, workers):
@@ -216,10 +197,9 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     gl = preset(f"gl{n}")
     sigma = classical_bethe(n, C, cutoff)
     loop = LoopAlgebra(gl, max(cutoff, 1))
-    dims = [1]
-    for d in range(1, cutoff + 1):
-        polys = bethe_component_polys(sigma, d)
-        dims.append(Subspace.span_of(polys, loop.component_monomials(d)).dim)
+    buckets = bethe_component_polys(sigma, cutoff)
+    dims = [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
+                  for d in range(1, cutoff + 1)]
     z = centralizer(gl, C)
     exact_degrees = [m + 1 + k for m in z.exponents for k in range(cutoff)]
     exact_degrees = [d for d in exact_degrees if d <= cutoff]
@@ -326,32 +306,6 @@ def _bideg(m) -> Tuple[int, int]:
     return (mono_deg1(m), mono_deg2(m))
 
 
-def _bigraded_products(gens: Sequence[Tuple[CommPoly, int, int]],
-                       target: Tuple[int, int]) -> List[CommPoly]:
-    """Products of bigraded generators with total bidegree == target."""
-    d, j = target
-    out: List[CommPoly] = []
-
-    def rec(i: int, d1: int, d2: int, acc: List[CommPoly]):
-        if d1 == 0 and d2 == 0:
-            p = CommPoly.const(1)
-            for g in acc:
-                p = p * g
-            out.append(p)
-            return
-        if i >= len(gens) or d1 <= 0 or d2 < 0:
-            return
-        rec(i + 1, d1, d2, acc)
-        g, g1, g2 = gens[i]
-        if g1 <= d1 and g2 <= d2:
-            acc.append(g)
-            rec(i, d1 - g1, d2 - g2, acc)
-            acc.pop()
-
-    rec(0, d, j, [])
-    return [p for p in out if not p.is_zero()]
-
-
 def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     """Leading-term spans of the classical Bethe family equal the Gaudin
     family of the centralizer, per bidegree, through deg1 = rmax."""
@@ -360,17 +314,21 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     C = TorusElement.diagonal(entries)
     sigma = classical_bethe(n, C, rmax)
     z = centralizer(gl, C)
-    zgens = [(embed_subalgebra_poly(z, g.poly), g.deg1, g.deg2)
+    zgens = [(embed_subalgebra_poly(z, g.poly), g.deg1)
              for g in gaudin_generators(z, rmax - 1, rmax) if g.deg1 <= rmax]
+    # the generators are bihomogeneous, so any monomial gives a product's bidegree
+    zprods: Dict[Tuple[int, int], List[CommPoly]] = {}
+    for p, _ in generator_products(zgens, rmax, CommPoly.const(1)):
+        zprods.setdefault(_bideg(next(iter(p.terms))), []).append(p)
+    buckets = bethe_component_polys(sigma, rmax)
     loop = LoopAlgebra(gl, rmax)
     checks = []
     for d in range(1, rmax + 1):
         ambient = loop.component_monomials(d)
-        elems = bethe_component_polys(sigma, d)
         for j in range(d):
-            B = bigraded_block(elems, ambient, _bideg, (d, j))
+            B = bigraded_block(buckets[d], ambient, _bideg, (d, j))
             eqamb = [m for m in ambient if _bideg(m) == (d, j)]
-            prods = _bigraded_products(zgens, (d, j))
+            prods = zprods.get((d, j))
             A = Subspace.span_of(prods, eqamb) if prods else Subspace.zero(eqamb)
             eq = B == A
             checks.append(Check(
@@ -411,9 +369,9 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
     ctx = yangian(n, dmax)
     taus = bethe_generators(ctx, TorusElement.identity(n), dmax)
     tau_list = [(p, s) for (k, s), p in sorted(taus.items()) if not p.is_zero()]
-    Bprods = _filtered_products(tau_list, dmax, ctx.one())
+    Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
-    Tprods = _filtered_products(tal_list, dmax, cur.one())
+    Tprods = list(generator_products(tal_list, dmax, cur.one()))
     ywords = enumerate_pbw_words(len(ctx.gens), lambda g: ctx.gens[g][0], dmax)
     cwords = enumerate_pbw_words(len(cur.gens), lambda g: cur.gens[g][0] + 1, dmax)
 
@@ -486,8 +444,10 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
         details={"z": zs, "generators": [g.label for g in gens]},
         witness=None if bad is None else f"[ev {bad[0]}, ev {bad[1]}] = {bad[2]}")]
 
+    # D^k Phi_i has deg1 - deg2 = deg Phi_i: keep the family of the quadratic
+    # invariants (the centre of a gl_n preset adds a degree-1 invariant)
     quad = [img for img, g in zip(images, gens)
-            if g.deg1 - g.deg2 == min(m + 1 for m in alg.exponents)]
+            if g.deg1 - g.deg2 == 2]
     hams = []
     for i in range(n):
         h = tctx.zero()
@@ -560,13 +520,8 @@ def eps_exp_entries(c0: Sequence[Fraction], chi: Sequence[Fraction],
     """Entries of C0 exp(eps chi) as eps-polynomials truncated at eps^order."""
     out = []
     for c, x in zip(c0, chi):
-        coeffs = []
-        fact = 1
-        for m in range(order + 1):
-            if m > 0:
-                fact *= m
-            coeffs.append(Fraction(c) * Fraction(x) ** m / fact)
-        out.append(SymPoly("eps", coeffs))
+        out.append(SymPoly("eps", [Fraction(c) * Fraction(x) ** m / math.factorial(m)
+                                   for m in range(order + 1)]))
     return out
 
 
@@ -575,12 +530,9 @@ def _limit_components(n: int, c0, chi_diag, dmax: int, order: int,
     Ceps = TorusElement(entries=eps_exp_entries(c0, chi_diag, order))
     if not Ceps.is_regular():
         raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
-    sigma = classical_bethe(n, Ceps, dmax)
-    out = {}
-    for d in range(1, dmax + 1):
-        ambient = loop.component_monomials(d)
-        out[d] = limit_subspace(EpsFamily(ambient, bethe_component_polys(sigma, d)))
-    return out
+    buckets = bethe_component_polys(classical_bethe(n, Ceps, dmax), dmax)
+    return {d: limit_subspace(EpsFamily(loop.component_monomials(d), buckets[d]))
+            for d in range(1, dmax + 1)}
 
 
 def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3,
@@ -612,18 +564,17 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3,
     sigma0 = classical_bethe(n, C0, dmax)
     z = centralizer(gl, C0)
     chi_z = diag_to_basis(z, chi_diag)
-    soa = [(embed_subalgebra_poly(z, g.poly), g.deg1)
-           for g in soa_generators(z, chi_z)]
+    soa = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
+                          for g in soa_generators(z, chi_z)], dmax)
+    bethe0 = bethe_component_polys(sigma0, dmax)
     checks = [Check(name=f"eps-limit stabilized at exp order {order}",
                     passed=True, details={"eps_order": order})]
     for d in range(1, dmax + 1):
         ambient = loop.component_monomials(d)
         vecs = []
         for a in range(d + 1):
-            Bs = bethe_component_polys(sigma0, a, include_scalars=True)
-            As = _products_of_exact_degree(soa, d - a)
-            for pb in Bs:
-                for pa in As:
+            for pb in bethe0[a]:
+                for pa in soa[d - a]:
                     q = pb * pa
                     if not q.is_zero():
                         vecs.append(q)
@@ -635,23 +586,6 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3,
             details={"limit_dim": limits[d].dim, "product_dim": prod.dim},
             witness=None if eq else f"dims {limits[d].dim} vs {prod.dim}"))
     return Report("limit", {"n": n, "C0": c0, "chi": chi_diag, "dmax": dmax}, checks)
-
-
-def _products_of_exact_degree(gens: Sequence[Tuple[CommPoly, int]], b: int
-                              ) -> List[CommPoly]:
-    if b == 0:
-        return [CommPoly.const(1)]
-    degs = [dg for (_, dg) in gens]
-    out = []
-    for idxs in degree_multisets(degs, b):
-        if not idxs:
-            continue
-        p = CommPoly.const(1)
-        for i in idxs:
-            p = p * gens[i][0]
-        if not p.is_zero():
-            out.append(p)
-    return out
 
 
 # -- generator dumps --------------------------------------------------------------------------
@@ -666,7 +600,7 @@ def dump_generators(family: str, **kw) -> Report:
         smax = kw.get("smax", 3)
         ctx = yangian(n, smax)
         taus = bethe_generators(ctx, TorusElement.diagonal(entries), smax)
-        listing = {f"tau_{k}^({s})": serialize_element(ctx, p)
+        listing = {f"tau_{k}^({s})": p.render()
                    for (k, s), p in sorted(taus.items())}
         params = {"n": n, "C": entries, "smax": smax}
     elif family == "classical-bethe":

@@ -177,9 +177,6 @@ class CommPoly:
             out.setdefault((mono_deg1(m), mono_deg2(m)), {})[m] = c
         return {k: CommPoly(v) for k, v in out.items()}
 
-    def deg1_part(self, d: int) -> "CommPoly":
-        return CommPoly({m: c for m, c in self.terms.items() if mono_deg1(m) == d})
-
     def min_length_part(self) -> "CommPoly":
         """Terms with the fewest variable factors (top class for the F2 filtration
         among terms of one Fourier degree)."""
@@ -187,9 +184,6 @@ class CommPoly:
             return CommPoly()
         k = min(len(m) for m in self.terms)
         return CommPoly({m: c for m, c in self.terms.items() if len(m) == k})
-
-    def min_length(self) -> int:
-        return min((len(m) for m in self.terms), default=0)
 
     def partial(self, v: Var) -> "CommPoly":
         """Partial derivative with respect to one variable."""

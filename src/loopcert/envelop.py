@@ -12,12 +12,14 @@ inversions) well-order.  Normal forms are cached per context.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from .commpoly import CommPoly
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, RootDatum, root_pairing
+from .scalars import leibniz_det, ratstr
 
 Word = Tuple[int, ...]
 Terms = Dict[Word, Fraction]
@@ -142,15 +144,9 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def map_words(self, ctx2: PBWContext, f: Callable[[int], int]) -> "NCPoly":
-        """Relabel generators; the image must already be normal in ctx2."""
-        t = {tuple(f(i) for i in w): c for w, c in self.terms.items()}
-        return NCPoly(ctx2, t)
-
     def render(self) -> str:
         if not self.terms:
             return "0"
-        from .scalars import ratstr
         keys = sorted(self.terms, key=lambda w: (len(w), w))
         parts = []
         for w in keys:
@@ -230,16 +226,6 @@ def current_context(alg: LieAlgebraData, R: int) -> PBWContext:
     return ctx
 
 
-def current_word_bidegree(ctx: PBWContext, w: Word) -> Tuple[int, int]:
-    """(sum of r+1, sum of r) over the letters of a current-algebra word."""
-    d1 = w2 = 0
-    for i in w:
-        r, _ = ctx.gens[i]
-        d1 += r + 1
-        w2 += r
-    return d1, w2
-
-
 def enumerate_pbw_words(ngens: int, weight_fn: Callable[[int], int],
                         dmax: int) -> List[Word]:
     """All nondecreasing generator-index words of total weight <= dmax,
@@ -272,17 +258,10 @@ def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:
         if k == 0:
             raw[()] = raw.get((), Fraction(0)) + Fraction(c)
             continue
-        share = Fraction(c) / Fraction(_factorial(k))
+        share = Fraction(c) / math.factorial(k)
         for perm in itertools.permutations(idxs):
             raw[perm] = raw.get(perm, Fraction(0)) + share
     return NCPoly(ctx, raw)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # -- Gaudin evaluation -------------------------------------------------------------
@@ -342,26 +321,28 @@ class _OpSeries:
         self.ctx = ctx
         self.data = {k: dict(v) for k, v in data.items() if v}
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
-
-    def add(self, other: "_OpSeries") -> "_OpSeries":
+    def _add(self, other: "_OpSeries", sign: int) -> "_OpSeries":
         data = {k: dict(v) for k, v in self.data.items()}
         for key, terms in other.data.items():
             tgt = data.setdefault(key, {})
             for w, c in terms.items():
-                tgt[w] = tgt.get(w, Fraction(0)) + c
+                tgt[w] = tgt.get(w, Fraction(0)) + c * sign
         return _OpSeries(self.ctx, {k: {w: c for w, c in v.items() if c != 0}
                                     for k, v in data.items()})
 
-    def mul(self, other: "_OpSeries") -> "_OpSeries":
+    def __add__(self, other: "_OpSeries") -> "_OpSeries":
+        return self._add(other, 1)
+
+    def __sub__(self, other: "_OpSeries") -> "_OpSeries":
+        return self._add(other, -1)
+
+    def __mul__(self, other: "_OpSeries") -> "_OpSeries":
         out: Dict[Tuple[int, int], Terms] = {}
         for (s1, k1), t1 in self.data.items():
             for (s2, k2), t2 in other.data.items():
                 # move d^k1 across z^(-s2): d^k z^-s = sum_j C(k,j) (-1)^j s(s+1)..(s+j-1) z^(-s-j) d^(k-j)
                 for j in range(k1 + 1):
-                    c = Fraction(_binom(k1, j))
+                    c = Fraction(math.comb(k1, j))
                     for t in range(j):
                         c *= -(s2 + t)
                     if c == 0:
@@ -374,15 +355,6 @@ class _OpSeries:
                             tgt[w] = tgt.get(w, Fraction(0)) + c * c1 * c2
         return _OpSeries(self.ctx, {k: {w: c for w, c in v.items() if c != 0}
                                     for k, v in out.items()})
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def talalaev_generators(n: int, R: int, Nmax: int | None = None,
@@ -413,16 +385,7 @@ def talalaev_generators(n: int, R: int, Nmax: int | None = None,
             data.setdefault((r + 1, 0), {})[(gidx,)] = Fraction(-1)
         return _OpSeries(ctx, data)
 
-    total = _OpSeries.zero(ctx)
-    for perm in itertools.permutations(range(n)):
-        sgn = _perm_sign(perm)
-        prod = None
-        for col in range(n):
-            e = entry(perm[col], col)
-            prod = e if prod is None else prod.mul(e)
-        scaled = _OpSeries(ctx, {k: {w: c * sgn for w, c in v.items()}
-                                 for k, v in prod.data.items()})
-        total = total.add(scaled)
+    total = leibniz_det(n, entry)
 
     out = []
     for (s, k), terms in sorted(total.data.items()):
@@ -434,15 +397,6 @@ def talalaev_generators(n: int, R: int, Nmax: int | None = None,
         if not p.is_zero():
             out.append((n - k, s, p))
     return out
-
-
-def _perm_sign(perm) -> int:
-    sgn = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sgn = -sgn
-    return sgn
 
 
 # -- quadratic shift-of-argument elements ----------------------------------------------

@@ -12,6 +12,7 @@ gamma_ij^(s) -> x_ij[s-1] the identity on variable indices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -19,8 +20,8 @@ from typing import Dict, List, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
-from .linalg import Subspace, nullspace
-from .scalars import Scalar
+from .linalg import Subspace, degree_buckets, nullspace
+from .scalars import Scalar, leibniz_det
 
 
 @dataclass(frozen=True)
@@ -144,46 +145,54 @@ def gamma_label(n: int):
     return fmt
 
 
-def _group_entry_series(n: int, i: int, j: int, Rmax: int) -> Dict[int, CommPoly]:
+class _PolySeries:
+    """Finite u^(-r) expansion, r = 0..Rmax, with CommPoly coefficients."""
+
+    def __init__(self, data: Dict[int, CommPoly], Rmax: int) -> None:
+        self.data = data
+        self.Rmax = Rmax
+
+    def __getitem__(self, r: int) -> CommPoly:
+        return self.data.get(r, CommPoly())
+
+    def __mul__(self, other: "_PolySeries") -> "_PolySeries":
+        out: Dict[int, CommPoly] = {}
+        for r1, p1 in self.data.items():
+            for r2, p2 in other.data.items():
+                if r1 + r2 > self.Rmax:
+                    continue
+                prod = p1 * p2
+                if prod.is_zero():
+                    continue
+                out[r1 + r2] = out.get(r1 + r2, CommPoly()) + prod
+        return _PolySeries(out, self.Rmax)
+
+    def __add__(self, other: "_PolySeries") -> "_PolySeries":
+        out = dict(self.data)
+        for r, p in other.data.items():
+            out[r] = out[r] + p if r in out else p
+        return _PolySeries(out, self.Rmax)
+
+    def __sub__(self, other: "_PolySeries") -> "_PolySeries":
+        out = dict(self.data)
+        for r, p in other.data.items():
+            out[r] = out[r] - p if r in out else -p
+        return _PolySeries(out, self.Rmax)
+
+
+def _group_entry_series(n: int, i: int, j: int, Rmax: int) -> _PolySeries:
     out: Dict[int, CommPoly] = {}
     if i == j:
         out[0] = CommPoly.const(1)
     for r in range(1, Rmax + 1):
         out[r] = gamma_var(n, i, j, r)
-    return out
+    return _PolySeries(out, Rmax)
 
 
-def _series_mul(a: Dict[int, CommPoly], b: Dict[int, CommPoly],
-                Rmax: int) -> Dict[int, CommPoly]:
-    out: Dict[int, CommPoly] = {}
-    for r1, p1 in a.items():
-        for r2, p2 in b.items():
-            if r1 + r2 > Rmax:
-                continue
-            prod = p1 * p2
-            if prod.is_zero():
-                continue
-            out[r1 + r2] = out.get(r1 + r2, CommPoly()) + prod
-    return out
-
-
-def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> Dict[int, CommPoly]:
+def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> _PolySeries:
     """u-expansion of det of the (subset x subset) block of g(u)."""
-    total: Dict[int, CommPoly] = {}
-    k = len(subset)
-    for perm in itertools.permutations(range(k)):
-        sgn = 1
-        for x in range(k):
-            for y in range(x + 1, k):
-                if perm[x] > perm[y]:
-                    sgn = -sgn
-        prod: Dict[int, CommPoly] = {0: CommPoly.const(1)}
-        for col in range(k):
-            prod = _series_mul(prod, _group_entry_series(
-                n, subset[perm[col]], subset[col], Rmax), Rmax)
-        for r, p in prod.items():
-            total[r] = total.get(r, CommPoly()) + p.scale(sgn)
-    return total
+    return leibniz_det(len(subset), lambda a, c: _group_entry_series(
+        n, subset[a], subset[c], Rmax))
 
 
 def classical_bethe(n: int, C: TorusElement, Rmax: int
@@ -202,32 +211,19 @@ def classical_bethe(n: int, C: TorusElement, Rmax: int
             weight: Scalar = Fraction(1)
             for i in subset:
                 weight = weight * C.entries[i - 1]
-            for r, p in _minor_series(n, subset, Rmax).items():
+            for r, p in _minor_series(n, subset, Rmax).data.items():
                 series[r] = series.get(r, CommPoly()) + p.scale(weight)
         for r in range(1, Rmax + 1):
             out[(k, r)] = series.get(r, CommPoly())
     return out
 
 
-def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly], d: int,
-                          include_scalars: bool = False) -> List[CommPoly]:
-    """Degree-d graded component spanning set: products of sigma_k^(r) with
-    total Fourier degree d (each sigma_k^(r) is deg1-homogeneous of degree r)."""
-    keys = sorted(sigma)
-    degs = [r for (_, r) in keys]
-    from .linalg import degree_multisets
-    out = []
-    if include_scalars and d == 0:
-        out.append(CommPoly.const(1))
-    for idxs in degree_multisets(degs, d):
-        if not idxs:
-            continue
-        p = CommPoly.const(1)
-        for i in idxs:
-            p = p * sigma[keys[i]]
-        if not p.is_zero():
-            out.append(p)
-    return out
+def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly], dmax: int
+                          ) -> List[List[CommPoly]]:
+    """Spanning sets of the graded components of degree 0..dmax: the nonzero
+    products of sigma_k^(r) by total Fourier degree (each sigma_k^(r) is
+    deg1-homogeneous of degree r), with 1 in degree 0."""
+    return degree_buckets([(sigma[key], key[1]) for key in sorted(sigma)], dmax)
 
 
 # -- leading terms (gr2 of Fourier coefficients) -----------------------------------------
@@ -280,10 +276,7 @@ def gr2_from_taylor(alg: LieAlgebraData, f_k: CommPoly, k: int, r: int,
         raise ValidationError("r < k has zero Fourier coefficient")
     loop = LoopAlgebra(alg, R)
     p = loop.derivation_Dk(f_k, r - k)
-    denom = 1
-    for i in range(1, r - k + 1):
-        denom *= i
-    return p.scale(Fraction(1, denom))
+    return p.scale(Fraction(1, math.factorial(r - k)))
 
 
 def bethe_taylor_data(n: int, C: TorusElement, kmax_degree: int | None = None
@@ -298,21 +291,13 @@ def bethe_taylor_data(n: int, C: TorusElement, kmax_degree: int | None = None
             weight: Scalar = Fraction(1)
             for i in subset:
                 weight = weight * C.entries[i - 1]
-            det = CommPoly()
-            for perm in itertools.permutations(range(k)):
-                sgn = 1
-                for x in range(k):
-                    for y in range(x + 1, k):
-                        if perm[x] > perm[y]:
-                            sgn = -sgn
-                prod = CommPoly.const(sgn)
-                for col in range(k):
-                    i, j = subset[perm[col]], subset[col]
-                    entry = CommPoly.variable((i - 1) * n + (j - 1), 0)
-                    if i == j:
-                        entry = entry + CommPoly.const(1)
-                    prod = prod * entry
-                det = det + prod
+
+            def entry(a: int, c: int) -> CommPoly:
+                i, j = subset[a], subset[c]
+                x = CommPoly.variable((i - 1) * n + (j - 1), 0)
+                return x + CommPoly.const(1) if i == j else x
+
+            det = leibniz_det(k, entry)
             poly = poly + det.scale(weight)
         by_deg: Dict[int, CommPoly] = {}
         for m, c in poly.terms.items():

@@ -11,11 +11,13 @@ is pluggable: the same elimination code runs over ``Fraction`` and over
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, List, Sequence, Tuple
+from typing import Callable, Hashable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .commpoly import CommPoly, Monomial
 from .errors import BoundsError, TruncationError
 from .scalars import RatFunc, SymPoly, sc_is_zero
+
+T = TypeVar("T")
 
 
 def rref(rows: List[List]) -> List[List]:
@@ -133,10 +135,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.rows))
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        assert self.ambient == other.ambient
-        return all(other.contains_vector(r) for r in self.rows)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         assert self.ambient == other.ambient
         return Subspace(self.ambient, [list(r) for r in self.rows + other.rows])
@@ -180,52 +178,45 @@ class Subspace:
 # -- generated subalgebra components --------------------------------------------
 
 
-def degree_multisets(degrees: List[int], total: int) -> List[Tuple[int, ...]]:
-    """Index multisets I with sum(degrees[i] for i in I) == total."""
-    out: List[Tuple[int, ...]] = []
+def generator_products(gens: Sequence[Tuple[T, int]], dmax: int, one: T
+                       ) -> Iterator[Tuple[T, int]]:
+    """Every nonzero product of generators, with multiplicity, of total
+    degree <= dmax, as (product, degree); the empty product (one, 0) first.
 
-    def rec(i: int, rem: int, acc: List[int]):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if i >= len(degrees):
-            return
-        rec(i + 1, rem, acc)
-        if degrees[i] <= rem:
-            acc.append(i)
-            rec(i, rem - degrees[i], acc)
-            acc.pop()
-
-    rec(0, total, [])
-    return out
-
-
-def products_of_degree(gens: Sequence[Tuple[CommPoly, int]], d: int,
-                       include_scalars: bool = True) -> List[CommPoly]:
-    """All products of generators with total declared degree d.
-
-    Generators must be homogeneous of their declared degrees for the result
-    to span the degree-d component of the generated subalgebra.  d = 0 gives
-    the scalars when ``include_scalars``.
+    Products grow by right multiplication along nondecreasing generator
+    indices, depth first with the later generators first; a zero product
+    ends its branch (every extension of it is zero).  Degrees must be
+    positive.
     """
-    if d == 0:
-        return [CommPoly.const(1)] if include_scalars else []
-    degs = [g[1] for g in gens]
-    out = []
-    for idxs in degree_multisets(degs, d):
-        if not idxs:
-            continue
-        p = CommPoly.const(1)
-        for i in idxs:
-            p = p * gens[i][0]
-        out.append(p)
+    if any(dg <= 0 for _, dg in gens):
+        raise BoundsError("generator degrees must be positive")
+
+    def rec(start: int, acc: T, deg: int) -> Iterator[Tuple[T, int]]:
+        for i in range(len(gens) - 1, start - 1, -1):
+            e, dg = gens[i]
+            if deg + dg <= dmax:
+                p = acc * e
+                if p:
+                    yield p, deg + dg
+                    yield from rec(i, p, deg + dg)
+
+    yield one, 0
+    yield from rec(0, one, 0)
+
+
+def degree_buckets(gens: Sequence[Tuple[CommPoly, int]], dmax: int
+                   ) -> List[List[CommPoly]]:
+    """The nonzero products of commuting generators, listed by degree 0..dmax."""
+    out: List[List[CommPoly]] = [[] for _ in range(dmax + 1)]
+    for p, d in generator_products(gens, dmax, CommPoly.const(1)):
+        out[d].append(p)
     return out
 
 
 def generated_subalgebra_component(gens: Sequence[Tuple[CommPoly, int]], d: int,
                                    ambient: Sequence[Monomial]) -> Subspace:
     """Degree-d component of the subalgebra generated by graded generators."""
-    elems = [p for p in products_of_degree(gens, d) if not p.is_zero()]
+    elems = degree_buckets(gens, d)[d]
     if not elems:
         return Subspace.zero(ambient)
     return Subspace.span_of(elems, ambient)
@@ -324,10 +315,6 @@ class EpsFamily:
                     raise BoundsError(f"element has monomial outside the component: {m}")
                 v[index[m]] = c if isinstance(c, SymPoly) else SymPoly.const(symbol, c)
             self.rows.append(v)
-
-    def generic_rank(self) -> int:
-        field_rows = [[RatFunc.from_scalar(x, self.symbol) for x in r] for r in self.rows]
-        return len(rref(field_rows))
 
 
 def limit_subspace(family: EpsFamily, expected_rank: int | None = None) -> Subspace:

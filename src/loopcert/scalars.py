@@ -1,4 +1,6 @@
-"""Exact scalar rings: rationals, Q[s] for a formal symbol s, and its fraction field.
+"""Exact scalar rings: rationals, Q[s] for a formal symbol s, and its fraction
+field; plus the Leibniz determinant that every minor and column determinant
+in the package expands through.
 
 Every coefficient in the package is either a ``fractions.Fraction`` or a
 ``SymPoly`` (polynomial in one formal symbol, e.g. ``eps`` or ``v``, with
@@ -9,10 +11,12 @@ reduction over the field Q(eps) is needed.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 Q = Fraction
+T = TypeVar("T")
 
 
 def ratstr(x: Fraction) -> str:
@@ -214,6 +218,29 @@ def sc_str(c: Scalar) -> str:
     if isinstance(c, SymPoly):
         return f"({c!r})" if not c.is_constant() else ratstr(c.constant_term())
     return ratstr(c)
+
+
+def leibniz_det(k: int, entry: Callable[[int, int], T]) -> T:
+    """sum over permutations s of sgn(s) entry(s(0), 0) * ... * entry(s(k-1), k-1).
+
+    ``entry(i, j)`` is the (row i, column j) entry, 0-based; entries need
+    ``*``, ``+`` and ``-``.  Factors multiply in column order, so
+    noncommuting entries give the column determinant.
+    """
+    if k < 1:
+        raise ValueError("leibniz_det needs k >= 1")
+    cells = {(i, j): entry(i, j) for i in range(k) for j in range(k)}
+    total = None
+    for perm in itertools.permutations(range(k)):
+        term = cells[perm[0], 0]
+        for col in range(1, k):
+            term = term * cells[perm[col], col]
+        odd = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k)) % 2
+        if total is None:
+            total = term  # the identity permutation comes first
+        else:
+            total = total - term if odd else total + term
+    return total
 
 
 def _poly_gcd(a: SymPoly, b: SymPoly) -> SymPoly:

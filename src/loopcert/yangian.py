@@ -21,6 +21,7 @@ never overflow mid-computation.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -29,7 +30,7 @@ from .envelop import NCPoly, PBWContext, Terms, current_context
 from .errors import TruncationError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, gl_algebra
 from .linalg import free_series_coeffs
-from .scalars import ratstr
+from .scalars import leibniz_det
 
 GenKey = Tuple[int, int, int]  # (r, i, j), r >= 1, 1-based matrix indices
 
@@ -143,13 +144,13 @@ class USeries:
             else:
                 # (u-m)^(-r) = sum_c C(r-1+c, c) m^c u^(-r-c)
                 for c in range(0, Nmax - r + 1):
-                    coeff = Fraction(_binom(r - 1 + c, c)) * Fraction(shift) ** c
+                    coeff = Fraction(math.comb(r - 1 + c, c)) * Fraction(shift) ** c
                     if coeff != 0:
                         tgt = data.setdefault(r + c, {})
                         tgt[(gi,)] = tgt.get((gi,), Fraction(0)) + coeff
         return cls(ctx, Nmax, data)
 
-    def mul(self, other: "USeries") -> "USeries":
+    def __mul__(self, other: "USeries") -> "USeries":
         out: Dict[int, Terms] = {}
         for s1, t1 in self.data.items():
             for s2, t2 in other.data.items():
@@ -171,17 +172,14 @@ class USeries:
                 tgt[w] = tgt.get(w, Fraction(0)) + c * co
         return USeries(self.ctx, self.Nmax, out)
 
+    def __add__(self, other: "USeries") -> "USeries":
+        return self.add_scaled(other, Fraction(1))
+
+    def __sub__(self, other: "USeries") -> "USeries":
+        return self.add_scaled(other, Fraction(-1))
+
     def coefficient(self, s: int) -> NCPoly:
         return NCPoly(self.ctx, self.data.get(s, {}))
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def quantum_minor(ctx: YangianContext, rows: Sequence[int], cols: Sequence[int],
@@ -192,24 +190,8 @@ def quantum_minor(ctx: YangianContext, rows: Sequence[int], cols: Sequence[int],
     k = len(rows)
     if k != len(cols) or k > ctx.n:
         raise ValidationError("minor shape mismatch")
-    total = USeries(ctx, Nmax)
-    for perm in itertools.permutations(range(k)):
-        sgn = _perm_sign(perm)
-        prod = None
-        for col in range(k):
-            e = USeries.t_entry(ctx, rows[perm[col]], cols[col], Nmax, shift=col)
-            prod = e if prod is None else prod.mul(e)
-        total = total.add_scaled(prod, Fraction(sgn))
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sgn = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sgn = -sgn
-    return sgn
+    return leibniz_det(k, lambda a, c: USeries.t_entry(ctx, rows[a], cols[c], Nmax,
+                                                       shift=c))
 
 
 def qdet(ctx: YangianContext, Nmax: int) -> USeries:
@@ -364,14 +346,3 @@ def f1_monomial_count_enumerated(ctx: YangianContext, d: int) -> int:
             if r <= rem:
                 stack.append((g, rem - r))
     return count
-
-
-def serialize_element(ctx: YangianContext, p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    keys = sorted(p.terms, key=lambda w: (len(w), w))
-    parts = []
-    for w in keys:
-        mono = "*".join(ctx.labels[g] for g in w) if w else "1"
-        parts.append(f"{ratstr(p.terms[w])}*{mono}")
-    return " + ".join(parts)

@@ -61,8 +61,9 @@ class TestSuites:
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=3)
         loop = LoopAlgebra(preset("gl2"), 3)
         sig0 = classical_bethe(2, TorusElement.diagonal([1, 1]), 3)
+        buckets = bethe_component_polys(sig0, 3)
         for d in (1, 2, 3):
-            at_zero = Subspace.span_of(bethe_component_polys(sig0, d),
+            at_zero = Subspace.span_of(buckets[d],
                                        loop.component_monomials(d)).dim
             limit_dim = rep.checks[d].details["limit_dim"]
             assert limit_dim >= at_zero
@@ -71,6 +72,14 @@ class TestSuites:
         # chi = 0 keeps C(eps) = C0 irregular for all eps
         with pytest.raises(RegularityError):
             certify.verify_theorem_B(2, ["1", "1"], ["0", "0"], dmax=2)
+
+    @pytest.mark.parametrize("alg,zs,kmax", [("gl2", ["0", "1", "3"], 5),
+                                             ("gl3", ["0", "2"], 2)])
+    def test_eval_gaudin_gl_quadratic_span(self, alg, zs, kmax):
+        # the centre of gl_n gives a degree-1 invariant; the Hamiltonians lie
+        # in the span of the quadratic-invariant family, not the trace family
+        rep = certify.verify_eval_gaudin(alg, zs, kmax=kmax)
+        assert rep.passed, rep.summary_lines()
 
     def test_soa_details_record_seed(self):
         rep = certify.verify_soa("sl2", ["1", "-1"], seed=5)

@@ -109,7 +109,7 @@ class TestClassicalBethe:
 
     def test_component_spanning_sets(self):
         sig = classical_bethe(2, TorusElement.diagonal([1, 2]), 2)
-        polys = bethe_component_polys(sig, 2)
+        polys = bethe_component_polys(sig, 2)[2]
         # sigma_1^(2), sigma_2^(2), and the three quadratic products
         assert len(polys) == 5
         assert all(p.deg1() == 2 and p.is_homogeneous_deg1() for p in polys)

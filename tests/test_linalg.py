@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +8,11 @@ from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
+from loopcert.envelop import enveloping_context
 from loopcert.linalg import (EpsFamily, Subspace, bigraded_block,
                              free_series_coeffs,
-                             generated_subalgebra_component, limit_subspace,
+                             generated_subalgebra_component,
+                             generator_products, limit_subspace,
                              poincare_series, product_span, rref)
 from loopcert.scalars import SymPoly
 from loopcert.yangian import f1_monomial_count
@@ -186,3 +189,76 @@ def test_rref_canonical():
     rows = [[F(2), F(4), F(0)], [F(1), F(2), F(1)]]
     out = rref(rows)
     assert out == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
+
+
+class Mat2:
+    """2 x 2 integer matrices: noncommutative, with zero divisors."""
+
+    def __init__(self, a, b, c, d):
+        self.m = (a, b, c, d)
+
+    def __mul__(self, o):
+        a, b, c, d = self.m
+        e, f, g, h = o.m
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def __bool__(self):
+        return any(self.m)
+
+    def __eq__(self, o):
+        return self.m == o.m
+
+    def __repr__(self):
+        return f"Mat2{self.m}"
+
+
+def _brute_force_products(gens, dmax, one):
+    """Nonzero left-to-right products over nondecreasing index tuples, in the
+    enumerator's order: a prefix before its extensions, later indices first."""
+    found = []
+    for length in range(dmax + 1):
+        for idxs in itertools.combinations_with_replacement(range(len(gens)), length):
+            deg = sum(gens[i][1] for i in idxs)
+            if deg > dmax:
+                continue
+            p = one
+            for i in idxs:
+                p = p * gens[i][0]
+            if p:
+                found.append((tuple(-i for i in idxs), p, deg))
+    found.sort(key=lambda t: t[0])
+    return [(p, deg) for _, p, deg in found]
+
+
+mat2 = st.builds(Mat2, *[st.integers(-1, 1)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(mat2, st.integers(1, 3)), max_size=4), st.integers(0, 5))
+def test_generator_products_match_brute_force(gens, dmax):
+    one = Mat2(1, 0, 0, 1)
+    got = list(generator_products(gens, dmax, one))
+    assert got == _brute_force_products(gens, dmax, one)
+    assert all(p for p, _ in got)
+
+
+def test_generator_products_drop_zero_products():
+    nil = Mat2(0, 1, 0, 0)   # nil * nil = 0
+    got = list(generator_products([(nil, 1)], 3, Mat2(1, 0, 0, 1)))
+    assert got == [(Mat2(1, 0, 0, 1), 0), (nil, 1)]
+
+
+def test_generator_products_noncommuting_ncpoly():
+    ctx = enveloping_context(preset("sl2"))
+    e, h, f = (ctx.gen(a) for a in range(3))
+    gens = [(e, 1), (f + h, 1), (h, 2)]
+    got = list(generator_products(gens, 3, ctx.one()))
+    assert got == _brute_force_products(gens, 3, ctx.one())
+    # the order of the factors follows the generator indices
+    assert (e * (f + h), 2) in got and ((f + h) * e, 2) not in got
+
+
+@pytest.mark.parametrize("deg", [0, -1])
+def test_generator_products_reject_nonpositive_degree(deg):
+    with pytest.raises(BoundsError):
+        list(generator_products([(F(2), 1), (F(3), deg)], 2, F(1)))

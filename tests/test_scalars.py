@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from loopcert.scalars import RatFunc, SymPoly, parse_rational, ratstr
+from loopcert.envelop import enveloping_context
+from loopcert.liealg import preset
+from loopcert.scalars import RatFunc, SymPoly, leibniz_det, parse_rational, ratstr
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.builds(lambda cs: SymPoly("eps", cs),
@@ -63,3 +65,39 @@ def test_ratfunc_reduction():
     assert q == RatFunc.from_scalar(eps + 1, "eps")
     with pytest.raises(ZeroDivisionError):
         RatFunc(eps, SymPoly("eps", []))
+
+
+def _cofactor_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = F(0)
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * _cofactor_det(minor)
+    return total
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(rationals, min_size=k, max_size=k),
+                       min_size=k, max_size=k))
+
+
+@given(square_matrices)
+def test_leibniz_det_matches_cofactor_expansion(m):
+    assert leibniz_det(len(m), lambda i, j: m[i][j]) == _cofactor_det(m)
+
+
+def test_leibniz_det_multiplies_in_column_order():
+    # noncommuting entries: the column determinant a00 a11 - a10 a01
+    ctx = enveloping_context(preset("sl2"))
+    e, h, f = (ctx.gen(a) for a in range(3))
+    a = [[e, h], [f, e + h]]
+    got = leibniz_det(2, lambda i, j: a[i][j])
+    assert got == a[0][0] * a[1][1] - a[1][0] * a[0][1]
+    assert got != a[1][1] * a[0][0] - a[0][1] * a[1][0]
+
+
+def test_leibniz_det_rejects_empty():
+    with pytest.raises(ValueError):
+        leibniz_det(0, lambda i, j: F(1))
