@@ -27,8 +27,7 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, preset
 from .linalg import (EpsFamily, Subspace, bigraded_block, degree_buckets,
-                     free_series_coeffs, generated_subalgebra_component,
-                     generator_products, limit_subspace)
+                     free_series_coeffs, generator_products, limit_subspace)
 from .scalars import SymPoly, parse_rational, ratstr
 from .yangian import (bethe_generators, f1_monomial_count,
                       f1_monomial_count_enumerated, rtt_relation_checks,
@@ -281,10 +280,11 @@ def verify_centralizer(alg_name: str = "sl2", dmax: int = 5) -> Report:
     gens = [(g.poly, g.deg1) for g in
             gaudin_generators(alg, max(0, dmax - mindeg), dmax + 2)
             if g.deg1 <= dmax]
+    buckets = degree_buckets(gens, dmax)
     checks = []
     for d in range(dmax + 1):
         cent = centralizer_subalgebra(loop, Om, d, bracket=0, invariant=True)
-        A = generated_subalgebra_component(gens, d, loop.component_monomials(d))
+        A = Subspace.span_of(buckets[d], loop.component_monomials(d))
         eq = cent == A
         wit = None
         if not eq:
@@ -427,6 +427,11 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
     alg = preset(alg_name)
     zs = parse_entries(zs)
     n = len(zs)
+    # H_i is in the quadratic span only if some P has P(0) = 0, P'(z_j) = 0 and
+    # P(z_i) - P(z_j) = 1 (j != i): Hermite interpolation, needing kmax >= 2(n-1)
+    if kmax < 2 * (n - 1):
+        raise BoundsError(f"eval-gaudin with {n} points needs kmax >= 2(n-1) = "
+                          f"{2 * (n - 1)} for the Gaudin Hamiltonians; got {kmax}")
     gens = gaudin_generators(alg, kmax, kmax + 1)
     tctx = tensor_context(alg, n)
     images = [gaudin_evaluation(alg, g.poly, zs, tctx) for g in gens]
@@ -515,50 +520,50 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int = 0) -> Report:
 # -- 10. limits (Theorem B) -----------------------------------------------------------------------
 
 
-def eps_exp_entries(c0: Sequence[Fraction], chi: Sequence[Fraction],
-                    order: int) -> List[SymPoly]:
-    """Entries of C0 exp(eps chi) as eps-polynomials truncated at eps^order."""
-    out = []
-    for c, x in zip(c0, chi):
-        out.append(SymPoly("eps", [Fraction(c) * Fraction(x) ** m / math.factorial(m)
-                                   for m in range(order + 1)]))
-    return out
+def _curve_exponents(chi: Sequence[Fraction]) -> Tuple[List[int], Fraction]:
+    """(p - min p, g/m) for chi = (g/m) p, m the lcm of the denominators of chi,
+    p integral with gcd(p) = 1; chi = 0 gives p = 0, g = 0."""
+    m = math.lcm(*(x.denominator for x in chi))
+    ints = [int(x * m) for x in chi]
+    g = math.gcd(*ints)
+    p = [a // g for a in ints] if g else ints
+    return [a - min(p) for a in p], Fraction(g, m)
 
 
-def _limit_components(n: int, c0, chi_diag, dmax: int, order: int,
-                      loop: LoopAlgebra) -> Dict[int, Subspace]:
-    Ceps = TorusElement(entries=eps_exp_entries(c0, chi_diag, order))
-    if not Ceps.is_regular():
-        raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
-    buckets = bethe_component_polys(classical_bethe(n, Ceps, dmax), dmax)
-    return {d: limit_subspace(EpsFamily(loop.component_monomials(d), buckets[d]))
-            for d in range(1, dmax + 1)}
-
-
-def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3,
-                     eps_order_cap: int = 8) -> Report:
+def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3) -> Report:
     """The eps -> 0 limit of the classical Bethe family along C0 exp(eps chi)
     equals the product of the C0 family and the embedded shift-of-argument
     family of z(C0), per graded component.
 
-    The eps-truncation order of exp is raised until the limit stabilizes.
+    The curve is exact: with chi = (g/m) p (``_curve_exponents``) and
+    h = exp(eps g/m) - 1, C0 exp(eps chi) = C0 diag((1+h)^p); rescaling by
+    (1+h)^(-min p) keeps every span, as sigma_k^(r) has degree k in C.  Since
+    h = (g/m) eps + O(eps^2), Q[[h]] = Q[[eps]] and the limits at 0 agree.
     """
     c0 = parse_entries(c0)
     chi_diag = parse_entries(chi_diag)
+    if len(c0) != n or len(chi_diag) != n:
+        raise ValidationError(f"C0 and chi need {n} diagonal entries each")
     gl = preset(f"gl{n}")
     loop = LoopAlgebra(gl, max(dmax, 1))
-    order = 3
-    limits = _limit_components(n, c0, chi_diag, dmax, order, loop)
-    stabilized = False
-    while order < eps_order_cap:
-        nxt = _limit_components(n, c0, chi_diag, dmax, order + 1, loop)
-        if all(limits[d] == nxt[d] for d in limits):
-            stabilized = True
-            break
-        limits = nxt
-        order += 1
-    if not stabilized:
-        raise BoundsError(f"eps-limit did not stabilize below order {eps_order_cap}")
+    exponents, g_over_m = _curve_exponents(chi_diag)
+    Ch = TorusElement(entries=[c * SymPoly("h", [1, 1]) ** e
+                               for c, e in zip(c0, exponents)])
+    if not Ch.is_regular():
+        raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
+    curve = bethe_component_polys(classical_bethe(n, Ch, dmax), dmax)
+    limits = {d: limit_subspace(EpsFamily(loop.component_monomials(d), curve[d], "h"))
+              for d in range(1, dmax + 1)}
+
+    # the generic member of the curve is regular: n generators in each degree
+    dims = [1] + [limits[d].dim for d in range(1, dmax + 1)]
+    expected = free_series_coeffs(list(range(1, dmax + 1)) * n, dmax)
+    checks = [Check(
+        name=f"limit dims == free series on {n} generators of each degree 1..{dmax}",
+        passed=dims == expected,
+        details={"exponents": exponents, "g_over_m": g_over_m,
+                 "dims": dims, "expected": expected},
+        witness=None if dims == expected else f"dims {dims} != expected {expected}")]
 
     C0 = TorusElement.diagonal(c0)
     sigma0 = classical_bethe(n, C0, dmax)
@@ -567,8 +572,6 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3,
     soa = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
                           for g in soa_generators(z, chi_z)], dmax)
     bethe0 = bethe_component_polys(sigma0, dmax)
-    checks = [Check(name=f"eps-limit stabilized at exp order {order}",
-                    passed=True, details={"eps_order": order})]
     for d in range(1, dmax + 1):
         ambient = loop.component_monomials(d)
         vecs = []

@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C0", required=True)
     p.add_argument("--chi", required=True)
     p.add_argument("--deg", type=int, default=3)
-    p.add_argument("--compare", choices=["product"], default="product")
-    p.add_argument("--eps-cap", type=int, default=8)
 
     p = add("eval-gaudin", "Gaudin evaluation into U(g)^{x n}")
     p.add_argument("--algebra", default="sl2")
@@ -154,8 +152,7 @@ def run(args: argparse.Namespace) -> certify.Report:
     if cmd == "limit":
         n = _gl_size(args.algebra)
         return certify.verify_theorem_B(n, _parse_list(args.C0), _parse_list(args.chi),
-                                        _bounded(args.deg, 1, 4, "deg"),
-                                        eps_order_cap=args.eps_cap)
+                                        _bounded(args.deg, 1, 4, "deg"))
     if cmd == "eval-gaudin":
         return certify.verify_eval_gaudin(args.algebra, _parse_list(args.z),
                                           _bounded(args.kmax, 1, 8, "kmax"))

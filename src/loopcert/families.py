@@ -279,8 +279,7 @@ def gr2_from_taylor(alg: LieAlgebraData, f_k: CommPoly, k: int, r: int,
     return p.scale(Fraction(1, math.factorial(r - k)))
 
 
-def bethe_taylor_data(n: int, C: TorusElement, kmax_degree: int | None = None
-                      ) -> Dict[int, Dict[int, CommPoly]]:
+def bethe_taylor_data(n: int, C: TorusElement) -> Dict[int, Dict[int, CommPoly]]:
     """Taylor polynomials at the identity of the C-twisted trace functions:
     tr Lambda^k(C (1 + X)) as polynomials in the entry variables x_ij[0],
     split by homogeneous degree (the constant term is dropped)."""

@@ -216,10 +216,7 @@ def degree_buckets(gens: Sequence[Tuple[CommPoly, int]], dmax: int
 def generated_subalgebra_component(gens: Sequence[Tuple[CommPoly, int]], d: int,
                                    ambient: Sequence[Monomial]) -> Subspace:
     """Degree-d component of the subalgebra generated by graded generators."""
-    elems = degree_buckets(gens, d)[d]
-    if not elems:
-        return Subspace.zero(ambient)
-    return Subspace.span_of(elems, ambient)
+    return Subspace.span_of(degree_buckets(gens, d)[d], ambient)
 
 
 def poincare_series(gens: Sequence[Tuple[CommPoly, int]], cutoff: int,
@@ -317,20 +314,22 @@ class EpsFamily:
             self.rows.append(v)
 
 
-def limit_subspace(family: EpsFamily, expected_rank: int | None = None) -> Subspace:
+def limit_subspace(family: EpsFamily) -> Subspace:
     """Grassmannian limit at eps = 0 of the span of an eps-family.
 
     Reduces to a basis over Q(eps), clears denominators, scales each row by
     eps^(-valuation), and iterates elimination until the specialization at
     eps = 0 attains the generic rank.  The result does not depend on the
     spanning set.
+
+    At most k * D passes run, D the largest eps-degree of the cleared rows:
+    each divides the wedge of the k rows, a nonzero polynomial vector of
+    degree <= k * D, by eps^v with v >= 1.
     """
     sym = family.symbol
     field_rows = [[RatFunc.from_scalar(x, sym) for x in r] for r in family.rows]
     reduced = rref(field_rows)
     k = len(reduced)
-    if expected_rank is not None and k != expected_rank:
-        raise BoundsError(f"generic rank {k} != expected {expected_rank}")
     if k == 0:
         return Subspace.zero(family.ambient)
 
@@ -344,8 +343,9 @@ def limit_subspace(family: EpsFamily, expected_rank: int | None = None) -> Subsp
         return _strip_eps(cleared, sym)
 
     rows = [clear_row(r) for r in reduced]
+    D = max(x.degree() for r in rows for x in r)
 
-    for _ in range(10000):
+    for _ in range(k * D + 1):
         spec = [[x.at_zero() for x in r] for r in rows]
         red0 = rref([list(r) for r in spec])
         if len(red0) == k:
@@ -360,7 +360,7 @@ def limit_subspace(family: EpsFamily, expected_rank: int | None = None) -> Subsp
             if ci != 0:
                 newrow = [a + ci * b for a, b in zip(newrow, rows[i])]
         rows[tgt] = _strip_eps(newrow, sym)
-    raise TruncationError("limit_subspace did not stabilize")
+    raise TruncationError(f"limit_subspace ran past its bound of {k * D} passes")
 
 
 def _poly_div_exact(a: SymPoly, b: SymPoly) -> SymPoly:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from loopcert import certify
-from loopcert.errors import RegularityError, ValidationError
+from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.liealg import TorusElement
 
 
@@ -46,10 +46,50 @@ class TestSuites:
         assert rep.passed
         assert rep.checks[0].details["dims"] == [1, 3, 9, 22]
 
-    def test_theorem_B_reports_eps_order(self):
+    def test_theorem_B_generic_dims_check(self):
+        # chi = (1, -1) = 1 * (1, -1): C(h) = diag((1+h)^2, 1), h = exp(eps) - 1
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
         assert rep.passed
-        assert rep.checks[0].details["eps_order"] >= 3
+        assert len(rep.checks) == 3
+        doc = rep.to_dict()["checks"][0]
+        assert doc["details"] == {"exponents": [2, 0], "g_over_m": "1",
+                                  "dims": [1, 2, 5], "expected": [1, 2, 5]}
+
+    @pytest.mark.parametrize("chi,exponents,g_over_m", [
+        (["1", "-1"], [2, 0], F(1)),
+        (["2", "-2"], [2, 0], F(2)),
+        (["1/2", "-1/3", "0"], [5, 0, 2], F(1, 6)),
+        (["-3", "6", "3"], [0, 3, 2], F(3)),
+        (["0", "0"], [0, 0], F(0)),
+    ])
+    def test_curve_exponents(self, chi, exponents, g_over_m):
+        got = certify._curve_exponents(certify.parse_entries(chi))
+        assert got == (exponents, g_over_m)
+
+    def test_theorem_B_product_check_can_fail(self, monkeypatch):
+        # negative control: drop one shift-of-argument generator
+        real = certify.soa_generators
+        monkeypatch.setattr(certify, "soa_generators",
+                            lambda alg, chi: real(alg, chi)[:-1])
+        rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
+        assert rep.checks[0].passed
+        failed = [c for c in rep.checks[1:] if not c.passed]
+        assert failed and all(c.witness for c in failed)
+
+    def test_theorem_B_generic_dims_check_can_fail(self, monkeypatch):
+        # negative control: drop sigma_n^(1) from every Bethe family
+        real = certify.classical_bethe
+
+        def drop_one(n, C, Rmax):
+            sigma = real(n, C, Rmax)
+            del sigma[(n, 1)]
+            return sigma
+
+        monkeypatch.setattr(certify, "classical_bethe", drop_one)
+        rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.witness == "dims [1, 1, 3] != expected [1, 2, 5]"
 
     def test_limit_dims_dominate_irregular_member(self):
         # filtered-limit dimensions are never below those of the family
@@ -73,12 +113,34 @@ class TestSuites:
         with pytest.raises(RegularityError):
             certify.verify_theorem_B(2, ["1", "1"], ["0", "0"], dmax=2)
 
+    @pytest.mark.parametrize("c0,chi", [(["1", "1"], []), (["1", "1"], ["1"]),
+                                        (["1"], ["1", "-1"])])
+    def test_theorem_B_entry_count_checked(self, c0, chi):
+        with pytest.raises(ValidationError):
+            certify.verify_theorem_B(2, c0, chi, dmax=1)
+
     @pytest.mark.parametrize("alg,zs,kmax", [("gl2", ["0", "1", "3"], 5),
                                              ("gl3", ["0", "2"], 2)])
     def test_eval_gaudin_gl_quadratic_span(self, alg, zs, kmax):
         # the centre of gl_n gives a degree-1 invariant; the Hamiltonians lie
         # in the span of the quadratic-invariant family, not the trace family
         rep = certify.verify_eval_gaudin(alg, zs, kmax=kmax)
+        assert rep.passed, rep.summary_lines()
+
+    @pytest.mark.parametrize("alg,zs,kmax", [("sl2", ["0", "1", "4"], 3),
+                                             ("gl2", ["0", "1", "3"], 3),
+                                             ("gl3", ["0", "2"], 1)])
+    def test_eval_gaudin_kmax_below_hermite_bound(self, alg, zs, kmax):
+        # below kmax = 2(n-1) the quadratic span misses H_i on correct
+        # mathematics, so the job is refused instead of reported as FAIL
+        with pytest.raises(BoundsError, match=r"kmax >= 2\(n-1\)"):
+            certify.verify_eval_gaudin(alg, zs, kmax=kmax)
+
+    @pytest.mark.parametrize("alg,zs", [("sl2", ["0", "1"]),
+                                        ("gl2", ["0", "1", "3"]),
+                                        ("sl2", ["0", "1", "3", "7"])])
+    def test_eval_gaudin_passes_at_hermite_bound(self, alg, zs):
+        rep = certify.verify_eval_gaudin(alg, zs, kmax=2 * (len(zs) - 1))
         assert rep.passed, rep.summary_lines()
 
     def test_soa_details_record_seed(self):

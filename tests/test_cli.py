@@ -1,6 +1,8 @@
 import json
+import shlex
+from pathlib import Path
 
-from loopcert.cli import main
+from loopcert.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -70,7 +72,7 @@ def test_poincare_table(capsys):
 
 def test_limit_cli(capsys):
     code, out = run(["limit", "--algebra", "gl2", "--C0", "1,1",
-                     "--chi", "1,-1", "--deg", "2", "--compare", "product"], capsys)
+                     "--chi", "1,-1", "--deg", "2"], capsys)
     assert code == 0
     assert "all checks passed" in out
 
@@ -79,6 +81,24 @@ def test_eval_gaudin_cli(capsys):
     code, _ = run(["eval-gaudin", "--algebra", "sl2", "--z", "0,1,4",
                    "--kmax", "4"], capsys)
     assert code == 0
+
+
+def test_eval_gaudin_kmax_below_bound_exit_two(capsys):
+    code = main(["eval-gaudin", "--algebra", "sl2", "--z", "0,1,4", "--kmax", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and "kmax >= 2(n-1) = 4" in err
+
+
+def test_readme_cli_lines_parse():
+    # every documented command line names only options the parser has
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("loopcert ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_gr_centralizer_cli(capsys):

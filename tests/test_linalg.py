@@ -140,11 +140,6 @@ class TestLimits:
         lim = limit_subspace(EpsFamily(AMB, [v]))
         assert lim == Subspace.span_of([vec((M1, 2), (M3, -3))], AMB)
 
-    def test_expected_rank_check(self):
-        v = CommPoly({M1: EPS})
-        with pytest.raises(BoundsError):
-            limit_subspace(EpsFamily(AMB, [v]), expected_rank=2)
-
     def test_dimension_preserved(self):
         v1 = CommPoly({M1: eps_const(1), M2: EPS})
         v2 = CommPoly({M2: eps_const(1), M3: EPS ** 2})
