@@ -325,11 +325,8 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     checks = []
     for d in range(1, rmax + 1):
         ambient = loop.component_monomials(d)
-        for j in range(d):
-            B = bigraded_block(buckets[d], ambient, _bideg, (d, j))
-            eqamb = [m for m in ambient if _bideg(m) == (d, j)]
-            prods = zprods.get((d, j))
-            A = Subspace.span_of(prods, eqamb) if prods else Subspace.zero(eqamb)
+        for j, B in enumerate(bigraded_block(buckets[d], ambient, _bideg, d)):
+            A = Subspace.span_of(zprods.get((d, j), []), B.ambient)
             eq = B == A
             checks.append(Check(
                 name=f"gr2 Bethe == Gaudin(z(C)) at bidegree ({d},{j})",
@@ -394,9 +391,9 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
     for d in range(1, dmax + 1):
         Bvecs = [p for (p, dg) in Bprods if dg <= d]
         Tvecs = [p for (p, dg) in Tprods if dg <= d]
-        for j in range(d):
-            Bblock = bigraded_block(Bvecs, ywords, ybideg, (d, j))
-            Tblock = bigraded_block(Tvecs, cwords, cbideg, (d, j))
+        Bblocks = bigraded_block(Bvecs, ywords, ybideg, d)
+        Tblocks = bigraded_block(Tvecs, cwords, cbideg, d)
+        for j, (Bblock, Tblock) in enumerate(zip(Bblocks, Tblocks)):
             ceq = list(Tblock.ambient)
             cindex = {m: k for k, m in enumerate(ceq)}
             rows = []

@@ -154,7 +154,10 @@ def run(args: argparse.Namespace) -> certify.Report:
         return certify.verify_theorem_B(n, _parse_list(args.C0), _parse_list(args.chi),
                                         _bounded(args.deg, 1, 4, "deg"))
     if cmd == "eval-gaudin":
-        return certify.verify_eval_gaudin(args.algebra, _parse_list(args.z),
+        # n points need kmax >= 2(n-1), and kmax <= 8 admits at most 5
+        z = _parse_list(args.z)
+        _bounded(len(z), 1, 5, "number of --z points")
+        return certify.verify_eval_gaudin(args.algebra, z,
                                           _bounded(args.kmax, 1, 8, "kmax"))
     if cmd == "gens":
         kw = {}

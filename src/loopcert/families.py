@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
-from .linalg import Subspace, degree_buckets, nullspace
+from .linalg import Subspace, degree_buckets, relations, rref, rref_tail
 from .scalars import Scalar, leibniz_det
 
 
@@ -124,7 +124,6 @@ def soa_jacobian_rank(alg: LieAlgebraData, gens: List[FamilyElement],
     for g in gens:
         rows.append([Fraction(g.poly.partial((a, 0)).evaluate(point))
                      for a in range(alg.dim)])
-    from .linalg import rref
     return len(rref(rows))
 
 
@@ -321,27 +320,16 @@ def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
     monos = loop.component_monomials(d)
     if d == 0:
         return [CommPoly.const(1)]
-    target = monos
-    tindex = {m: i for i, m in enumerate(target)}
-    rows_per_a = []
+    index = {m: i for i, m in enumerate(monos)}
+    # the images of each monomial under every p -> {x_a[0], p}_0, concatenated
+    images = [[Fraction(0)] * (alg.dim * len(monos)) for _ in monos]
     for a in range(alg.dim):
         xa = CommPoly.variable(a, 0)
-        cols = []
-        for m in monos:
-            img = loop.poisson0(xa, CommPoly({m: Fraction(1)}))
-            vec = [Fraction(0)] * len(target)
-            for mm, c in img.terms.items():
-                vec[tindex[mm]] = Fraction(c)
-            cols.append(vec)
-        rows_per_a.append(cols)
-    # solve: for all a, sum_i v_i * cols[i] = 0
-    mat = []
-    for a in range(alg.dim):
-        for t in range(len(target)):
-            mat.append([rows_per_a[a][i][t] for i in range(len(monos))])
-    combos = nullspace(mat, len(monos))
+        for i, m in enumerate(monos):
+            for mm, c in loop.poisson0(xa, CommPoly({m: Fraction(1)})).terms.items():
+                images[i][a * len(monos) + index[mm]] = Fraction(c)
     return [CommPoly({monos[i]: v[i] for i in range(len(monos)) if v[i] != 0})
-            for v in combos]
+            for v in relations(images)]
 
 
 def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int,
@@ -355,25 +343,14 @@ def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int,
         basis = invariant_component(loop, d)
     else:
         basis = [CommPoly({m: Fraction(1)}) for m in monos]
-    if not basis:
-        return Subspace.zero(monos)
     op = loop.poisson0 if bracket == 0 else loop.poisson1
     images = [op(seed, p) for p in basis]
     tmonos = sorted({m for img in images for m in img.terms})
-    tindex = {m: i for i, m in enumerate(tmonos)}
-    mat = []
-    for t in range(len(tmonos)):
-        mat.append([Fraction(img.terms.get(tmonos[t], 0)) for img in images])
-    combos = nullspace(mat, len(basis)) if tmonos else \
-        [[Fraction(int(i == k)) for i in range(len(basis))] for k in range(len(basis))]
-    vecs = []
-    for cvec in combos:
-        p = CommPoly()
-        for i, c in enumerate(cvec):
-            if c != 0:
-                p = p + basis[i].scale(c)
-        vecs.append(p)
-    return Subspace.span_of(vecs, monos)
+    # rows [image | element]: the rows with zero image span the kernel
+    rows = [[Fraction(img.terms.get(t, 0)) for t in tmonos]
+            + [Fraction(p.terms.get(m, 0)) for m in monos]
+            for img, p in zip(images, basis)]
+    return Subspace(monos, rref_tail(rows, len(tmonos)), already_reduced=True)
 
 
 def embed_subalgebra_poly(sub: LieAlgebraData, p: CommPoly) -> CommPoly:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
+from .linalg import rref
 from .scalars import Scalar, parse_rational, ratstr, sc_is_zero
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -38,21 +39,14 @@ def mat_trace(A: Matrix) -> Fraction:
 
 
 def mat_inverse(A: Sequence[Sequence[Fraction]]) -> Matrix:
+    """A^-1, read off rref([A | I]); A is invertible iff the left half
+    reduces to the identity."""
     n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix (form is degenerate)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    R = rref([[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+              for i, row in enumerate(A)])
+    if any(R[i][j] != int(i == j) for i in range(n) for j in range(n)):
+        raise ValidationError("singular matrix (form is degenerate)")
+    return tuple(tuple(row[n:]) for row in R)
 
 
 @dataclass(frozen=True)

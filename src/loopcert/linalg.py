@@ -1,11 +1,14 @@
 """Exact linear algebra over Q and over Q(eps): canonical subspaces,
-generated-subalgebra components, Poincare series, and Grassmannian limits
-of parametrized subspace families as eps -> 0.
+associated-bigraded blocks of doubly filtered spans, products of
+generators, and Grassmannian limits of parametrized subspace families as
+eps -> 0.
 
 A ``Subspace`` is a reduced row echelon basis over an explicit ambient
 monomial list, so equality of subspaces is equality of matrices.  The field
 is pluggable: the same elimination code runs over ``Fraction`` and over
-``RatFunc`` (rational functions of the formal parameter).
+``RatFunc`` (rational functions of the formal parameter).  ``rref`` is the
+one elimination; ``rref_tail`` (intersection with a coordinate subspace)
+and ``relations`` (linear relations among vectors) are read off it.
 """
 
 from __future__ import annotations
@@ -57,20 +60,25 @@ def rref(rows: List[List]) -> List[List]:
     return out
 
 
-def nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of {x : M x = 0} for M given by rows."""
-    R = rref(rows)
-    pivots = []
-    for r in R:
-        c = next(j for j in range(ncols) if r[j] != 0)
-        pivots.append(c)
-    free = [j for j in range(ncols) if j not in pivots]
+def rref_tail(rows: List[List], k: int) -> List[List]:
+    """Canonical basis of the vectors of span(rows) with x[:k] = 0, cut to
+    columns k on: the rows of rref(rows) whose pivot is at column >= k."""
+    return [r[k:] for r in rref(rows)
+            if all(sc_is_zero(x) for x in r[:k])]
+
+
+def relations(vectors: Sequence[Sequence]) -> List[List]:
+    """Basis of {c : sum_i c_i vectors[i] = 0}, one vector per free column
+    of the rref of the matrix whose columns are ``vectors``."""
+    n = len(vectors)
+    R = rref([list(col) for col in zip(*vectors)])
+    pivots = [next(j for j in range(n) if not sc_is_zero(r[j])) for r in R]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
+        for r, c in zip(R, pivots):
+            v[c] = -r[f]
         basis.append(v)
     return basis
 
@@ -101,10 +109,6 @@ class Subspace:
             rows.append(v)
         return cls(ambient, rows)
 
-    @classmethod
-    def zero(cls, ambient: Sequence[Hashable]) -> "Subspace":
-        return cls(ambient, [], already_reduced=True)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -134,38 +138,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient, self.rows))
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        assert self.ambient == other.ambient
-        return Subspace(self.ambient, [list(r) for r in self.rows + other.rows])
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Standard kernel construction on stacked bases."""
-        assert self.ambient == other.ambient
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.ambient)
-        k1, k2 = len(self.rows), len(other.rows)
-        n = len(self.ambient)
-        # solve a*rows1 - b*rows2 = 0 columnwise
-        mat = [[(self.rows[i][col] if i < k1 else -other.rows[i - k1][col])
-                for i in range(k1 + k2)] for col in range(n)]
-        combos = nullspace(mat, k1 + k2)
-        vecs = []
-        for c in combos:
-            v = [Fraction(0)] * n
-            for i in range(k1):
-                if c[i] != 0:
-                    for j in range(n):
-                        v[j] += c[i] * self.rows[i][j]
-            vecs.append(v)
-        return Subspace(self.ambient, vecs)
-
-    def basis_polys(self) -> List[CommPoly]:
-        out = []
-        for r in self.rows:
-            out.append(CommPoly({self.ambient[j]: r[j]
-                                 for j in range(len(r)) if r[j] != 0}))
-        return out
 
     def witness_missing_from(self, other: "Subspace") -> List[Fraction] | None:
         """A basis vector of self not contained in other, if any."""
@@ -213,19 +185,6 @@ def degree_buckets(gens: Sequence[Tuple[CommPoly, int]], dmax: int
     return out
 
 
-def generated_subalgebra_component(gens: Sequence[Tuple[CommPoly, int]], d: int,
-                                   ambient: Sequence[Monomial]) -> Subspace:
-    """Degree-d component of the subalgebra generated by graded generators."""
-    return Subspace.span_of(degree_buckets(gens, d)[d], ambient)
-
-
-def poincare_series(gens: Sequence[Tuple[CommPoly, int]], cutoff: int,
-                    ambient_fn: Callable[[int], Sequence[Monomial]]) -> List[int]:
-    """Component dimensions of the generated subalgebra for degrees 0..cutoff."""
-    return [generated_subalgebra_component(gens, d, ambient_fn(d)).dim
-            for d in range(cutoff + 1)]
-
-
 def free_series_coeffs(degree_multiset: Sequence[int], cutoff: int) -> List[int]:
     """Coefficients of prod_d (1 - q^d)^(-1) over the generator degree multiset."""
     coeffs = [1] + [0] * cutoff
@@ -237,32 +196,30 @@ def free_series_coeffs(degree_multiset: Sequence[int], cutoff: int) -> List[int]
     return coeffs
 
 
-def product_span(A: Subspace, B: Subspace, ambient: Sequence[Monomial]) -> Subspace:
-    """Span of elementwise products of two polynomial components."""
-    pa = A.basis_polys()
-    pb = B.basis_polys()
-    prods = [x * y for x in pa for y in pb]
-    if not prods:
-        return Subspace.zero(ambient)
-    return Subspace.span_of(prods, ambient)
-
-
 # -- filtered splitting ------------------------------------------------------------
 
 
 def bigraded_block(vectors, ambient: Sequence[Hashable],
                    bideg_fn: Callable[[Hashable], Tuple[int, int]],
-                   target: Tuple[int, int]) -> Subspace:
-    """Associated-bigraded component of a doubly filtered span.
+                   d: int) -> List[Subspace]:
+    """Associated-bigraded components (d, j), j = 0..d-1, of a doubly
+    filtered span, from one elimination.
 
     For the two filtrations whose level-(i, j) space is spanned by basis
-    labels with bidegree <= (i, j) componentwise, the (i, j) component of
-    span(vectors) is the projection onto the bidegree-(i, j) block of the
-    intersection with the level space.  ``vectors`` may be CommPoly or
-    NCPoly (anything with a ``.terms`` dict over ambient labels).
+    labels with bidegree <= (i, j) componentwise, the (d, j) component of
+    span(vectors) is the projection onto the bidegree-(d, j) block of the
+    intersection with the level space.  The columns are ordered deg1 > d
+    first, then deg2 descending, then deg1 descending (stable in ambient
+    order), so each level space is the set of vectors vanishing on a column
+    prefix, and the (d, j) labels lead its columns: the rows of the rref whose
+    pivot is at a (d, j) label, cut to those labels, are that block's
+    canonical basis.  ``vectors`` may be CommPoly or NCPoly (anything with a
+    ``.terms`` dict over ambient labels).
     """
-    i0, j0 = target
-    index = {m: k for k, m in enumerate(ambient)}
+    bidegs = [bideg_fn(m) for m in ambient]
+    order = sorted(range(len(ambient)),
+                   key=lambda k: (bidegs[k][0] <= d, -bidegs[k][1], -bidegs[k][0]))
+    index = {ambient[k]: c for c, k in enumerate(order)}
     rows = []
     for p in vectors:
         v = [Fraction(0)] * len(ambient)
@@ -270,26 +227,15 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
             v[index[m]] = Fraction(c)
         rows.append(v)
     base = rref(rows)
-    eq = [k for k, m in enumerate(ambient) if bideg_fn(m) == (i0, j0)]
-    if not base:
-        return Subspace.zero([ambient[k] for k in eq])
-    hi = [k for k, m in enumerate(ambient)
-          if not (bideg_fn(m)[0] <= i0 and bideg_fn(m)[1] <= j0)]
-    if hi:
-        mat = [[base[r][c] for r in range(len(base))] for c in hi]
-        combos = nullspace(mat, len(base))
-    else:
-        combos = [[Fraction(int(a == b)) for a in range(len(base))]
-                  for b in range(len(base))]
-    vecs = []
-    for cvec in combos:
-        v = [Fraction(0)] * len(eq)
-        for r, cr in enumerate(cvec):
-            if cr != 0:
-                for idx, c in enumerate(eq):
-                    v[idx] += cr * base[r][c]
-        vecs.append(v)
-    return Subspace([ambient[k] for k in eq], vecs)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in base]
+    blocks = []
+    for j in range(d):
+        eq = [c for c, k in enumerate(order) if bidegs[k] == (d, j)]
+        lo, hi = (eq[0], eq[-1] + 1) if eq else (0, 0)
+        blocks.append(Subspace([ambient[order[c]] for c in eq],
+                               [r[lo:hi] for r, p in zip(base, pivots) if lo <= p < hi],
+                               already_reduced=True))
+    return blocks
 
 
 # -- eps -> 0 limits -----------------------------------------------------------------
@@ -331,7 +277,7 @@ def limit_subspace(family: EpsFamily) -> Subspace:
     reduced = rref(field_rows)
     k = len(reduced)
     if k == 0:
-        return Subspace.zero(family.ambient)
+        return Subspace(family.ambient, [], already_reduced=True)
 
     def clear_row(row: List[RatFunc]) -> List[SymPoly]:
         den = SymPoly.const(sym, 1)
@@ -351,9 +297,7 @@ def limit_subspace(family: EpsFamily) -> Subspace:
         if len(red0) == k:
             return Subspace(family.ambient, red0, already_reduced=True)
         # a rational combination of rows vanishing at eps = 0
-        mat = [[spec[i][col] for i in range(k)] for col in range(len(family.ambient))]
-        combos = nullspace(mat, k)
-        c = combos[0]
+        c = relations(spec)[0]
         tgt = max(i for i in range(k) if c[i] != 0)
         newrow = [SymPoly(sym, [])] * len(family.ambient)
         for i, ci in enumerate(c):

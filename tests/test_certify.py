@@ -91,6 +91,34 @@ class TestSuites:
         assert not check.passed
         assert check.witness == "dims [1, 1, 3] != expected [1, 2, 5]"
 
+    def test_theorem_A_check_can_fail(self, monkeypatch):
+        # negative control: drop one Gaudin generator of z(C)
+        real = certify.gaudin_generators
+        monkeypatch.setattr(certify, "gaudin_generators",
+                            lambda *args: real(*args)[:-1])
+        rep = certify.verify_theorem_A(2, ["1", "2"], 3)
+        failed = [c for c in rep.checks if not c.passed]
+        assert failed and all(c.witness for c in failed)
+
+    def test_talalaev_span_check_can_fail(self, monkeypatch):
+        # negative control: drop one cdet generator
+        real = certify.talalaev_generators
+        monkeypatch.setattr(certify, "talalaev_generators",
+                            lambda *args, **kw: real(*args, **kw)[1:])
+        rep = certify.verify_talalaev(2, 2, 3)
+        assert rep.checks[0].passed
+        failed = [c for c in rep.checks[1:] if not c.passed]
+        assert failed and all(c.witness for c in failed)
+
+    def test_centralizer_check_can_fail(self, monkeypatch):
+        # negative control: drop one Gaudin generator
+        real = certify.gaudin_generators
+        monkeypatch.setattr(certify, "gaudin_generators",
+                            lambda *args: real(*args)[:-1])
+        rep = certify.verify_centralizer("sl2", 4)
+        failed = [c for c in rep.checks if not c.passed]
+        assert failed and all(c.witness for c in failed)
+
     def test_limit_dims_dominate_irregular_member(self):
         # filtered-limit dimensions are never below those of the family
         # member at eps = 0 (the smaller, irregular subalgebra)

@@ -90,6 +90,14 @@ def test_eval_gaudin_kmax_below_bound_exit_two(capsys):
     assert "BoundsError" in err and "kmax >= 2(n-1) = 4" in err
 
 
+def test_eval_gaudin_too_many_points_exit_two(capsys):
+    # six points would need kmax >= 10, past the kmax bound of 8
+    code = main(["eval-gaudin", "--algebra", "sl2", "--z", "0,1,2,3,4,5", "--kmax", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "number of --z points = 6 outside documented bounds [1, 5]" in err
+
+
 def test_readme_cli_lines_parse():
     # every documented command line names only options the parser has
     readme = Path(__file__).resolve().parents[1] / "README.md"
