@@ -25,7 +25,7 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis, embed_subalgebra_poly,
                        gamma_label, gaudin_generators, soa_generators,
                        soa_jacobian_rank)
-from .liealg import TorusElement, centralizer, preset
+from .liealg import TorusElement, centralizer, preset, resolve_algebra
 from .linalg import (EpsFamily, Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import SymPoly, parse_rational, ratstr
@@ -242,7 +242,7 @@ def poincare_gr1_count(n: int, cutoff: int) -> Report:
 
 def verify_gaudin(alg_name: str, kmax: int) -> Report:
     """D^k Phi_i pairwise commute under both brackets (and hence the pencil)."""
-    alg = preset(alg_name)
+    alg = resolve_algebra(alg_name)
     maxdeg = max(m + 1 for m in alg.exponents) + kmax
     R = 2 * maxdeg  # brackets of two generators stay below this t-degree
     loop = LoopAlgebra(alg, R)
@@ -273,7 +273,7 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
 def verify_centralizer(alg_name: str = "sl2", dmax: int = 5) -> Report:
     """The invariant centralizer of Omega under {,}_0 per deg1-component
     equals the Gaudin component."""
-    alg = preset(alg_name)
+    alg = resolve_algebra(alg_name)
     loop = LoopAlgebra(alg, dmax + 2)
     Om = loop.Omega()
     mindeg = min(m + 1 for m in alg.exponents)
@@ -391,8 +391,9 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
     for d in range(1, dmax + 1):
         Bvecs = [p for (p, dg) in Bprods if dg <= d]
         Tvecs = [p for (p, dg) in Tprods if dg <= d]
-        Bblocks = bigraded_block(Bvecs, ywords, ybideg, d)
-        Tblocks = bigraded_block(Tvecs, cwords, cbideg, d)
+        # vectors of filtration degree <= d have no word of deg1 > d
+        Bblocks = bigraded_block(Bvecs, [w for w in ywords if ybideg(w)[0] <= d], ybideg, d)
+        Tblocks = bigraded_block(Tvecs, [w for w in cwords if cbideg(w)[0] <= d], cbideg, d)
         for j, (Bblock, Tblock) in enumerate(zip(Bblocks, Tblocks)):
             ceq = list(Tblock.ambient)
             cindex = {m: k for k, m in enumerate(ceq)}
@@ -421,7 +422,7 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
 def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
     """Images of the Gaudin generators commute in U(g)^{ox n}; the quadratic
     span contains the Gaudin Hamiltonians H_i = sum_j Omega_ij/(z_i - z_j)."""
-    alg = preset(alg_name)
+    alg = resolve_algebra(alg_name)
     zs = parse_entries(zs)
     n = len(zs)
     # H_i is in the quadratic span only if some P has P(0) = 0, P'(z_j) = 0 and
@@ -475,7 +476,7 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
 def verify_soa(alg_name: str, chi_diag: Sequence, seed: int = 0) -> Report:
     """The (dim+rk)/2 derivative generators Poisson-commute and are
     algebraically independent (Jacobian rank at a random rational point)."""
-    alg = preset(alg_name)
+    alg = resolve_algebra(alg_name)
     chi = diag_to_basis(alg, parse_entries(chi_diag))
     gens = soa_generators(alg, chi)
     loop = LoopAlgebra(alg, 1)
@@ -613,14 +614,14 @@ def dump_generators(family: str, **kw) -> Report:
                    for (k, s), p in sorted(sigma.items())}
         params = {"n": n, "C": entries, "smax": smax}
     elif family == "gaudin":
-        alg = preset(kw["algebra"])
+        alg = resolve_algebra(kw["algebra"])
         kmax = kw.get("kmax", 2)
         gens = gaudin_generators(alg, kmax, kmax + 1 + max(alg.exponents))
         lbl = (lambda v: f"{alg.labels[v[0]]}[{v[1]}]")
         listing = {g.label: g.poly.render(lbl) for g in gens}
         params = {"algebra": kw["algebra"], "kmax": kmax}
     elif family == "soa":
-        alg = preset(kw["algebra"])
+        alg = resolve_algebra(kw["algebra"])
         chi = diag_to_basis(alg, parse_entries(kw["chi"]))
         gens = soa_generators(alg, chi)
         lbl = (lambda v: f"{alg.labels[v[0]]}[{v[1]}]")

@@ -9,23 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from . import certify
 from .errors import LoopcertError
-from .liealg import LieAlgebraData, load_config, preset
 
 
 def _parse_list(spec: str) -> List[str]:
     return [s for s in spec.split(",") if s]
-
-
-def _resolve_algebra(spec: str) -> LieAlgebraData:
-    if spec.endswith(".json") or os.path.sep in spec:
-        return load_config(spec)
-    return preset(spec)
 
 
 def _bounded(value: int, lo: int, hi: int, what: str) -> int:

@@ -303,33 +303,27 @@ class LoopAlgebra:
 
     # -- Poisson brackets --------------------------------------------------
 
-    def _bracket_vars(self, v1: Var, v2: Var, shift: int) -> CommPoly:
-        a, r = v1
-        b, s = v2
-        tdeg = r + s + shift
-        cs = self.alg.bracket_coeffs(a, b)
-        if not cs:
-            return CommPoly()
-        if tdeg >= self.R:
-            raise TruncationError(
-                f"bracket output t-degree {tdeg} exceeds truncation R={self.R}")
-        return CommPoly({((d, tdeg),): c for d, c in cs.items()})
-
     def _poisson(self, p: CommPoly, q: CommPoly, shift: int) -> CommPoly:
-        out = CommPoly()
+        """Leibniz extension of {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
+        out: Dict[Monomial, Scalar] = {}
         for m1, c1 in p.terms.items():
             for m2, c2 in q.terms.items():
                 c = c1 * c2
-                for i, v1 in enumerate(m1):
+                for i, (a, r) in enumerate(m1):
                     rest1 = m1[:i] + m1[i + 1:]
-                    for j, v2 in enumerate(m2):
-                        rest2 = m2[:j] + m2[j + 1:]
-                        br = self._bracket_vars(v1, v2, shift)
-                        if br.is_zero():
+                    for j, (b, s) in enumerate(m2):
+                        cs = self.alg.bracket_coeffs(a, b)
+                        if not cs:
                             continue
-                        mono = mono_mul(rest1, rest2)
-                        out = out + br.scale(c) * CommPoly({mono: Fraction(1)})
-        return out
+                        tdeg = r + s + shift
+                        if tdeg >= self.R:
+                            raise TruncationError(
+                                f"bracket output t-degree {tdeg} exceeds truncation R={self.R}")
+                        rest = rest1 + m2[:j] + m2[j + 1:]
+                        for d, cd in cs.items():
+                            mono = mono_mul(rest, ((d, tdeg),))
+                            out[mono] = out.get(mono, 0) + c * cd
+        return CommPoly(out)
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""
@@ -404,13 +398,14 @@ class LoopAlgebra:
     def _casimir_element(self, r: int) -> CommPoly:
         ginv = self.alg.gram_inverse()
         n = self.alg.dim
-        out = CommPoly()
+        out: Dict[Monomial, Scalar] = {}
         for a in range(n):
             for b in range(n):
                 c = ginv[b][a]
                 if c:
-                    out = out + CommPoly({mono_mul(((a, 0),), ((b, r),)): c})
-        return out
+                    mono = mono_mul(((a, 0),), ((b, r),))
+                    out[mono] = out.get(mono, 0) + c
+        return CommPoly(out)
 
     # -- ambient component bases ---------------------------------------------
 

@@ -5,13 +5,17 @@ Presets sl2, sl3, gl2, gl3, gl4 carry the trace form of their defining
 matrix realization.  The paper-level assumption of an orthonormal basis is
 relaxed to an arbitrary nondegenerate invariant form with dual bases, so all
 arithmetic stays rational.  Arbitrary algebras are accepted from config
-files and validated (antisymmetry, Jacobi, form invariance) at construction.
+files and validated (indices, antisymmetry, Jacobi, form invariance) at
+construction.  The sparse table ``bracket_coeffs`` is the one way structure
+constants are applied: by the validation, the Poisson brackets and the PBW
+rewriting.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,7 +90,6 @@ class LieAlgebraData:
         gl_size: Optional[int] = None,
         ambient_indices: Optional[List[int]] = None,
         invariants: Optional[List[InvariantPolynomial]] = None,
-        validate: bool = True,
     ) -> None:
         self.dim = dim
         self.labels = list(labels)
@@ -103,8 +106,7 @@ class LieAlgebraData:
         self.ambient_indices = ambient_indices  # embedding into a parent algebra
         self._gram_inv: Optional[Matrix] = None
         self._invariants = invariants
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure access ----------------------------------------------------
 
@@ -120,33 +122,10 @@ class LieAlgebraData:
             return {d: -x for d, x in c.items()}
         return {}
 
-    def bracket_vec(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValidationError("vector length does not match algebra dimension")
-        out: List[Scalar] = [Fraction(0)] * self.dim
-        for a, xa in enumerate(x):
-            if sc_is_zero(xa):
-                continue
-            for b, yb in enumerate(y):
-                if sc_is_zero(yb):
-                    continue
-                for d, c in self.bracket_coeffs(a, b).items():
-                    out[d] = out[d] + xa * yb * c
-        return out
-
     def gram_inverse(self) -> Matrix:
         if self._gram_inv is None:
             self._gram_inv = mat_inverse(self.gram)
         return self._gram_inv
-
-    def form(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return sum((x[a] * self.gram[a][b] * y[b]
-                    for a in range(self.dim) for b in range(self.dim)), Fraction(0))
-
-    def dual_vector(self, a: int) -> List[Fraction]:
-        """Coordinates of x^a (dual basis) in the basis x_b."""
-        ginv = self.gram_inverse()
-        return [ginv[b][a] for b in range(self.dim)]
 
     # -- validation ------------------------------------------------------------
 
@@ -162,6 +141,8 @@ class LieAlgebraData:
                     raise ValidationError("form is not symmetric")
         self.gram_inverse()  # raises if degenerate
         for (a, b), cs in self._brackets.items():
+            if not all(0 <= i < n for i in (a, b, *cs)):
+                raise ValidationError(f"bracket index outside 0..{n - 1} at ({a},{b})")
             if a == b and cs:
                 raise ValidationError(f"nonzero bracket [{a},{a}]")
             rev = self._brackets.get((b, a))
@@ -169,22 +150,26 @@ class LieAlgebraData:
                 for d in set(cs) | set(rev):
                     if cs.get(d, Fraction(0)) != -rev.get(d, Fraction(0)):
                         raise ValidationError(f"bracket not antisymmetric at ({a},{b})")
-        basis = [[Fraction(int(i == a)) for i in range(n)] for a in range(n)]
+        bc = self.bracket_coeffs
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
-                    acc = self.bracket_vec(self.bracket_vec(basis[a], basis[b]), basis[c])
-                    for x, y, z in ((b, c, a), (c, a, b)):
-                        term = self.bracket_vec(self.bracket_vec(basis[x], basis[y]), basis[z])
-                        acc = [u + v for u, v in zip(acc, term)]
-                    if any(u != 0 for u in acc):
+                    # [[a,b],c] + [[b,c],a] + [[c,a],b], expanded in the basis
+                    acc: Dict[int, Fraction] = {}
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        for d, cd in bc(x, y).items():
+                            for e, ce in bc(d, z).items():
+                                acc[e] = acc.get(e, 0) + cd * ce
+                    if any(acc.values()):
                         raise ValidationError(f"Jacobi identity fails on triple ({a},{b},{c})")
         # ad-invariance of the form: <[x,y],z> + <y,[x,z]> = 0
+        g = self.gram
         for a in range(n):
             for b in range(n):
+                ab = bc(a, b).items()
                 for c in range(n):
-                    s = self.form(self.bracket_vec(basis[a], basis[b]), basis[c]) + \
-                        self.form(basis[b], self.bracket_vec(basis[a], basis[c]))
+                    s = sum(cd * g[d][c] for d, cd in ab) + \
+                        sum(cd * g[b][d] for d, cd in bc(a, c).items())
                     if s != 0:
                         raise ValidationError(f"form is not ad-invariant at ({a},{b},{c})")
         if len(self.exponents) != self.rank:
@@ -196,7 +181,9 @@ class LieAlgebraData:
         """Free generators of S(g)^g; built in for gl_n/sl_n, else user-supplied."""
         if self._invariants is None:
             if self.gl_size is not None:
-                self._invariants = _gl_trace_invariants(self.gl_size)
+                n = self.gl_size  # tr X^k, k = 1..n: the one-block case
+                self._invariants = _blockwise_trace_invariants(
+                    n, [list(range(n))], {i: i for i in range(n * n)})
             elif self.matrices is not None and self.name.startswith("sl"):
                 self._invariants = _trace_invariants_from_matrices(
                     self, range(2, len(self.matrices[0]) + 1))
@@ -262,20 +249,6 @@ def _sparse_brackets_from_matrices(mats: List[Matrix], gram: Matrix) -> Dict:
                     coeffs[d] = c
             if coeffs:
                 out[(a, b)] = coeffs
-    return out
-
-
-def _gl_trace_invariants(n: int) -> List[InvariantPolynomial]:
-    """tr X^k for k = 1..n as cycle sums in the matrix-entry variables."""
-    out = []
-    for k in range(1, n + 1):
-        terms: Dict[tuple, Fraction] = {}
-        for cyc in itertools.product(range(n), repeat=k):
-            mono = tuple(sorted(
-                ((cyc[i] * n + cyc[(i + 1) % k], 0) for i in range(k)),
-                key=lambda v: (v[1], v[0])))
-            terms[mono] = terms.get(mono, Fraction(0)) + 1
-        out.append(InvariantPolynomial(CommPoly(terms), k))
     return out
 
 
@@ -414,7 +387,7 @@ def _gl_subalgebra(alg: LieAlgebraData, C: TorusElement, keep: List[int]) -> Lie
         gram=gram, rank=alg.rank, exponents=exponents, cartan_indices=cartan,
         root_data=roots, matrices=mats,
         name=f"z_{alg.name}(" + ",".join(str(e) for e in C.entries) + ")",
-        ambient_indices=keep, invariants=invs, validate=True)
+        ambient_indices=keep, invariants=invs)
 
 
 def _blockwise_trace_invariants(n: int, blocks: List[List[int]],
@@ -526,9 +499,20 @@ def gl_algebra(n: int) -> LieAlgebraData:
 
 def load_config(path: str) -> LieAlgebraData:
     """Load a user algebra from a JSON config (see README for the schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read algebra config {path!r}: {exc}") from exc
     return algebra_from_dict(data)
+
+
+def resolve_algebra(spec: str) -> LieAlgebraData:
+    """A preset name, or the path of a JSON config (ends in .json or holds a
+    path separator)."""
+    if spec.endswith(".json") or os.path.sep in spec:
+        return load_config(spec)
+    return preset(spec)
 
 
 def algebra_from_dict(data: dict) -> LieAlgebraData:

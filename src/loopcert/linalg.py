@@ -293,11 +293,11 @@ def limit_subspace(family: EpsFamily) -> Subspace:
 
     for _ in range(k * D + 1):
         spec = [[x.at_zero() for x in r] for r in rows]
-        red0 = rref([list(r) for r in spec])
-        if len(red0) == k:
-            return Subspace(family.ambient, red0, already_reduced=True)
-        # a rational combination of rows vanishing at eps = 0
-        c = relations(spec)[0]
+        # the rational combinations of rows vanishing at eps = 0
+        rel = relations(spec)
+        if not rel:
+            return Subspace(family.ambient, rref(spec), already_reduced=True)
+        c = rel[0]
         tgt = max(i for i in range(k) if c[i] != 0)
         newrow = [SymPoly(sym, [])] * len(family.ambient)
         for i, ci in enumerate(c):

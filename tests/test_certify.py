@@ -119,6 +119,32 @@ class TestSuites:
         failed = [c for c in rep.checks if not c.passed]
         assert failed and all(c.witness for c in failed)
 
+    def test_gaudin_check_can_fail(self, monkeypatch):
+        # negative control: add x_e[1], which brackets nontrivially with omega
+        from loopcert.commpoly import CommPoly
+        from loopcert.families import FamilyElement
+        real = certify.gaudin_generators
+        extra = FamilyElement(CommPoly.variable(0, 1), "x_e[1]", 2, 1)
+        monkeypatch.setattr(certify, "gaudin_generators",
+                            lambda *args: real(*args) + [extra])
+        rep = certify.verify_gaudin("sl2", 1)
+        check = rep.checks[0]
+        assert not check.passed
+        assert "x_e[1]" in check.witness and check.witness.split(" = ")[1] != "0"
+
+    def test_soa_commutation_check_can_fail(self, monkeypatch):
+        # negative control: add x_e[0], which is not invariant under ad(chi)
+        from loopcert.commpoly import CommPoly
+        from loopcert.families import FamilyElement
+        real = certify.soa_generators
+        extra = FamilyElement(CommPoly.variable(0, 0), "x_e[0]", 1, 0)
+        monkeypatch.setattr(certify, "soa_generators",
+                            lambda alg, chi: real(alg, chi) + [extra])
+        rep = certify.verify_soa("sl3", ["1", "2", "-3"])
+        check = rep.checks[0]
+        assert not check.passed
+        assert "x_e[0]" in check.witness and check.witness.split(" = ")[1] != "0"
+
     def test_limit_dims_dominate_irregular_member(self):
         # filtered-limit dimensions are never below those of the family
         # member at eps = 0 (the smaller, irregular subalgebra)

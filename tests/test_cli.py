@@ -113,3 +113,36 @@ def test_gr_centralizer_cli(capsys):
     code, _ = run(["gr", "--comparison", "centralizer", "--algebra", "sl2",
                    "--max-deg", "3"], capsys)
     assert code == 0
+
+
+def _readme_algebra(tmp_path):
+    """The README's "Custom algebras" JSON block, written to a file."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "sl2r.json"
+    path.write_text(block, encoding="utf-8")
+    return str(path)
+
+
+def test_config_algebra_suites(tmp_path, capsys):
+    path = _readme_algebra(tmp_path)
+    code, out = run(["verify-gaudin", "--algebra", path, "--kmax", "2"], capsys)
+    assert code == 0 and "all checks passed" in out
+    code, out = run(["gr", "--comparison", "centralizer", "--algebra", path,
+                     "--max-deg", "3"], capsys)
+    assert code == 0 and "all checks passed" in out
+
+
+def test_config_algebra_without_matrices_soa_exit_two(tmp_path, capsys):
+    code = main(["verify-soa", "--algebra", _readme_algebra(tmp_path), "--chi", "1,-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ValidationError" in err and "matrix realization" in err
+
+
+def test_missing_config_exit_two(tmp_path, capsys):
+    code = main(["verify-gaudin", "--algebra", str(tmp_path / "absent.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot read algebra config" in err

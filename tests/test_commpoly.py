@@ -57,6 +57,15 @@ class TestPoissonBrackets:
         with pytest.raises(TruncationError):
             tight.poisson1(var(E, 0), var(FF, 1))
 
+    def test_truncation_only_on_nonzero_brackets(self):
+        # [h, h] = 0 and [e11, e22] = 0: no output term, so nothing to truncate
+        tight = LoopAlgebra(sl2, R=2)
+        assert tight.poisson1(var(H, 1), var(H, 1)).is_zero()
+        gl2 = LoopAlgebra(preset("gl2"), R=2)
+        assert gl2.poisson1(var(0, 1), var(3, 1)).is_zero()
+        with pytest.raises(TruncationError):
+            gl2.poisson1(var(0, 1), var(1, 0))
+
     def test_bracket_bihomogeneous(self, loop):
         p = var(E, 1) * var(H, 0)  # bidegree (3, 1)
         q = var(FF, 2)             # bidegree (3, 2)
@@ -102,6 +111,44 @@ def test_jacobi_exhaustive_sl2_generators():
 def test_leibniz_random(p, q, r):
     loop = LoopAlgebra(sl2, R=12)
     assert loop.poisson0(p, q * r) == loop.poisson0(p, q) * r + q * loop.poisson0(p, r)
+
+
+def _monomial_polys(dim):
+    """Sums of up to three terms c * x_a[r] x_b[s] ..., monomials of length 0..3."""
+    term = st.tuples(
+        st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, 2)), max_size=3),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda spec: sum((_product(m).scale(c) for m, c in spec), CommPoly()))
+
+
+def _product(m):
+    out = CommPoly.const(1)
+    for a, r in m:
+        out = out * CommPoly.variable(a, r)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2"])
+@pytest.mark.parametrize("shift", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_poisson_matches_partial_derivative_formula(name, shift, data):
+    """{p, q}_k = sum_{u, v} dp/du * dq/dv * {u, v}_k, with the generator
+    brackets {x_a[r], x_b[s]}_k = [x_a, x_b][r + s + k] built from
+    bracket_coeffs directly."""
+    alg = preset(name)
+    p = data.draw(_monomial_polys(alg.dim))
+    q = data.draw(_monomial_polys(alg.dim))
+    loop = LoopAlgebra(alg, R=6)
+    expected = CommPoly()
+    for a, r in p.variables():
+        for b, s in q.variables():
+            uv = CommPoly({((d, r + s + shift),): c
+                           for d, c in alg.bracket_coeffs(a, b).items()})
+            expected = expected + p.partial((a, r)) * q.partial((b, s)) * uv
+    got = (loop.poisson0, loop.poisson1)[shift](p, q)
+    assert got == expected
 
 
 class TestDerivation:

@@ -9,36 +9,33 @@ from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict,
                              centralizer, load_config, preset, root_pairing)
 
 
-def basis_vec(alg, a):
-    return [F(int(i == a)) for i in range(alg.dim)]
-
-
 class TestBracket:
     def test_sl2_relations(self):
         sl2 = preset("sl2")
         e, h, f = 0, 1, 2
-        # bracket(h, e) = 2e
-        out = sl2.bracket_vec(basis_vec(sl2, h), basis_vec(sl2, e))
-        assert out == [F(2), F(0), F(0)]
+        assert sl2.bracket_coeffs(h, e) == {e: F(2)}
         assert sl2.bracket_coeffs(e, f) == {h: F(1)}
 
     def test_antisymmetry_on_vectors(self):
+        # [x, x] = sum_{a,b} x_a x_b [x_a, x_b] vanishes for a generic x
         gl3 = preset("gl3")
         x = [F(i + 1) for i in range(9)]
-        assert gl3.bracket_vec(x, x) == [F(0)] * 9
+        out = {}
+        for a in range(9):
+            for b in range(9):
+                for d, c in gl3.bracket_coeffs(a, b).items():
+                    out[d] = out.get(d, 0) + x[a] * x[b] * c
+        assert not any(out.values())
+        assert all(gl3.bracket_coeffs(b, a) == {d: -c for d, c in
+                                                gl3.bracket_coeffs(a, b).items()}
+                   for a in range(9) for b in range(9))
 
     def test_gl3_matrix_units(self):
         gl3 = preset("gl3")
         e12 = 0 * 3 + 1
         e23 = 1 * 3 + 2
         e13 = 0 * 3 + 2
-        out = gl3.bracket_vec(basis_vec(gl3, e12), basis_vec(gl3, e23))
-        assert out[e13] == 1 and sum(1 for v in out if v != 0) == 1
-
-    def test_dimension_mismatch(self):
-        sl2 = preset("sl2")
-        with pytest.raises(ValidationError):
-            sl2.bracket_vec([F(1)], [F(0), F(0), F(0)])
+        assert gl3.bracket_coeffs(e12, e23) == {e13: F(1)}
 
 
 class TestValidation:
@@ -55,6 +52,44 @@ class TestValidation:
                 brackets={(0, 1): {2: F(1)}, (0, 2): {1: F(1)}, (1, 2): {0: F(1)}},
                 gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
                 rank=1, exponents=[1], cartan_indices=[0])
+
+    def test_jacobi_rejected_with_invariant_form(self):
+        # f_012 = f_034 = 1 is totally antisymmetric, so the identity form is
+        # ad-invariant, but [[x1,x2],x3] + [[x2,x3],x1] + [[x3,x1],x2] = x4
+        with pytest.raises(ValidationError, match=r"Jacobi identity fails on triple \(1,2,3\)"):
+            LieAlgebraData(
+                dim=5, labels=list("abcde"),
+                brackets={(0, 1): {2: F(1)}, (0, 2): {1: F(-1)}, (1, 2): {0: F(1)},
+                          (0, 3): {4: F(1)}, (0, 4): {3: F(-1)}, (3, 4): {0: F(1)}},
+                gram=[[F(int(i == j)) for j in range(5)] for i in range(5)],
+                rank=1, exponents=[1], cartan_indices=[0])
+
+    def test_form_not_ad_invariant_rejected(self):
+        # sl2 with [e,h] = -2e, [e,f] = h, [h,f] = -2f and the identity form:
+        # <[e,e],h> + <e,[e,h]> = -2 <e,e> != 0
+        with pytest.raises(ValidationError, match=r"not ad-invariant at \(0,0,1\)"):
+            LieAlgebraData(
+                dim=3, labels=["e", "h", "f"],
+                brackets={(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}},
+                gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
+                rank=1, exponents=[1], cartan_indices=[1])
+
+    def test_perturbed_structure_constant_rejected(self):
+        cfg = preset("sl3").to_config()
+        assert algebra_from_dict(cfg).dim == 8  # the unperturbed table validates
+        for k in range(len(cfg["brackets"])):
+            bad = json.loads(json.dumps(cfg))
+            a, b, d, c = bad["brackets"][k]
+            bad["brackets"][k] = [a, b, d, str(F(c) + 1)]
+            with pytest.raises(ValidationError, match="Jacobi|ad-invariant"):
+                algebra_from_dict(bad)
+
+    def test_bracket_index_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="outside 0..1"):
+            LieAlgebraData(
+                dim=2, labels=["a", "b"], brackets={(0, 1): {2: F(1)}},
+                gram=[[F(1), F(0)], [F(0), F(1)]],
+                rank=2, exponents=[0, 0], cartan_indices=[0, 1])
 
     def test_degenerate_form_rejected(self):
         with pytest.raises(ValidationError):
