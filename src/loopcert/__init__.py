@@ -11,17 +11,15 @@ truncation, all over exact rationals.
 
 from .commpoly import CommPoly, LoopAlgebra
 from .envelop import (NCPoly, PBWContext, current_context, enveloping_context,
-                      gaudin_evaluation, quadratic_soa_element,
-                      talalaev_generators, tensor_context)
+                      gaudin_evaluation, talalaev_generators, tensor_context)
 from .errors import (BoundsError, LoopcertError, RegularityError,
                      TruncationError, ValidationError)
-from .families import (classical_bethe, gaudin_generators, gr2_leading,
-                       soa_generators)
+from .families import classical_bethe, gaudin_generators, soa_generators
 from .liealg import (InvariantPolynomial, LieAlgebraData, TorusElement,
                      centralizer, load_config, preset)
 from .linalg import EpsFamily, Subspace, limit_subspace
 from .yangian import (YangianContext, bethe_generators, gr1, gr2,
-                      quantum_minor, qdet, yangian)
+                      quantum_minor, yangian)
 
 __version__ = "0.1.0"
 
@@ -31,8 +29,7 @@ __all__ = [
     "RegularityError", "Subspace", "TorusElement", "TruncationError",
     "ValidationError", "YangianContext", "bethe_generators", "centralizer",
     "classical_bethe", "current_context", "enveloping_context",
-    "gaudin_evaluation", "gaudin_generators", "gr1", "gr2", "gr2_leading",
-    "limit_subspace", "load_config", "preset", "qdet", "quadratic_soa_element",
-    "quantum_minor", "soa_generators", "talalaev_generators", "tensor_context",
-    "yangian",
+    "gaudin_evaluation", "gaudin_generators", "gr1", "gr2", "limit_subspace",
+    "load_config", "preset", "quantum_minor", "soa_generators",
+    "talalaev_generators", "tensor_context", "yangian",
 ]

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
 from . import certify
 from .errors import LoopcertError
+
+
+# verify-bethe forks all of its worker processes at once, so their number is capped
+MAX_WORKERS = 64
 
 
 def _parse_list(spec: str) -> List[str]:
@@ -24,6 +29,17 @@ def _bounded(value: int, lo: int, hi: int, what: str) -> int:
     if not (lo <= value <= hi):
         raise LoopcertError(f"{what} = {value} outside documented bounds [{lo}, {hi}]")
     return value
+
+
+def _workers(flag: Optional[int]) -> int:
+    """--workers, else LOOPCERT_WORKERS, else 1; bounded to [1, MAX_WORKERS]."""
+    if flag is None:
+        env = os.environ.get("LOOPCERT_WORKERS", "1")
+        try:
+            flag = int(env)
+        except ValueError:
+            raise LoopcertError(f"LOOPCERT_WORKERS = {env!r} is not an integer") from None
+    return _bounded(flag, 1, MAX_WORKERS, "workers")
 
 
 def _gl_size(name: str) -> int:
@@ -53,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", default="gl2")
     p.add_argument("--C", required=True, help="diagonal entries, e.g. 1,2")
     p.add_argument("--max-deg", type=int, default=4)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"processes, 1..{MAX_WORKERS} (default: LOOPCERT_WORKERS, else 1)")
 
     p = add("verify-gaudin", "bihamiltonian commutativity of D^k Phi_i")
     p.add_argument("--algebra", default="sl2")
@@ -114,7 +131,7 @@ def run(args: argparse.Namespace) -> certify.Report:
         n = _gl_size(args.algebra)
         return certify.verify_bethe(_bounded(n, 1, 4, "n"), _parse_list(args.C),
                                     _bounded(args.max_deg, 1, 8, "max-deg"),
-                                    workers=args.workers)
+                                    workers=_workers(args.workers))
     if cmd == "verify-gaudin":
         return certify.verify_gaudin(args.algebra, _bounded(args.kmax, 0, 6, "kmax"))
     if cmd == "verify-soa":

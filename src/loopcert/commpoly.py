@@ -9,8 +9,8 @@ additive on monomials.  Monomials are stored as ascending tuples of
 variables ordered by ``(r, a)``; the global monomial order is graded-lex on
 (deg1, variable tuple), fixed once so echelon bases are canonical.
 
-``CommPoly`` itself is ring-agnostic; the Poisson brackets, the derivation D
-and the pencil automorphism live on ``LoopAlgebra``, which couples a
+``CommPoly`` itself is ring-agnostic; the two Poisson brackets and the
+derivation D live on ``LoopAlgebra``, which couples a
 structure-constant table with a truncation level R (max t-degree,
 exclusive).  Operations that would create a t-degree >= R raise
 ``TruncationError`` instead of silently dropping terms.
@@ -65,10 +65,6 @@ class CommPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "CommPoly":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "CommPoly":
         c = c if isinstance(c, SymPoly) else Fraction(c)
         return cls({(): c})
@@ -85,22 +81,12 @@ class CommPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def coeff(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, Fraction(0))
-
     def deg1(self) -> int:
         """Max deg1 over monomials (-1 for the zero polynomial)."""
         return max((mono_deg1(m) for m in self.terms), default=-1)
 
-    def deg2(self) -> int:
-        return max((mono_deg2(m) for m in self.terms), default=-1)
-
     def max_tdeg(self) -> int:
         return max((r for m in self.terms for _, r in m), default=-1)
-
-    def is_homogeneous_deg1(self) -> bool:
-        degs = {mono_deg1(m) for m in self.terms}
-        return len(degs) <= 1
 
     def variables(self) -> set:
         return {v for m in self.terms for v in m}
@@ -170,21 +156,6 @@ class CommPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def bigrade(self) -> Dict[Tuple[int, int], "CommPoly"]:
-        """Split into bihomogeneous parts keyed by (deg1, deg2)."""
-        out: Dict[Tuple[int, int], Dict[Monomial, Scalar]] = {}
-        for m, c in self.terms.items():
-            out.setdefault((mono_deg1(m), mono_deg2(m)), {})[m] = c
-        return {k: CommPoly(v) for k, v in out.items()}
-
-    def min_length_part(self) -> "CommPoly":
-        """Terms with the fewest variable factors (top class for the F2 filtration
-        among terms of one Fourier degree)."""
-        if not self.terms:
-            return CommPoly()
-        k = min(len(m) for m in self.terms)
-        return CommPoly({m: c for m, c in self.terms.items() if len(m) == k})
-
     def partial(self, v: Var) -> "CommPoly":
         """Partial derivative with respect to one variable."""
         t: Dict[Monomial, Scalar] = {}
@@ -202,16 +173,6 @@ class CommPoly:
                 t[mm] = nc
         return CommPoly(t)
 
-    def subst_vars(self, f: Callable[[Var], "CommPoly"]) -> "CommPoly":
-        """Algebra-homomorphism substitution on variables."""
-        out = CommPoly()
-        for m, c in self.terms.items():
-            p = CommPoly.const(c)
-            for v in m:
-                p = p * f(v)
-            out = out + p
-        return out
-
     def evaluate(self, point: Dict[Var, Fraction]) -> Scalar:
         acc: Scalar = Fraction(0)
         for m, c in self.terms.items():
@@ -220,9 +181,6 @@ class CommPoly:
                 val = val * point.get(v, Fraction(0))
             acc = acc + val
         return acc
-
-    def map_coeffs(self, f) -> "CommPoly":
-        return CommPoly({m: f(c) for m, c in self.terms.items()})
 
     # -- serialization ---------------------------------------------------------
 
@@ -251,15 +209,10 @@ class CommPoly:
         return self.render()
 
 
-def enumerate_monomials(variables: Iterable[Var], d: int,
-                        weight: Callable[[Var], int] | None = None) -> List[Monomial]:
-    """All monomials in the given variables of total weight exactly d.
-
-    Default weight is deg1 (r+1 per variable).  Returned in the global
-    monomial order; d = 0 yields the empty monomial.
+def enumerate_monomials(variables: Iterable[Var], d: int) -> List[Monomial]:
+    """All monomials in the given variables of deg1 exactly d (r + 1 per
+    variable), in the global monomial order; d = 0 yields the empty monomial.
     """
-    if weight is None:
-        weight = lambda v: v[1] + 1
     vs = sorted(set(variables), key=var_key)
     out: List[Monomial] = []
 
@@ -270,7 +223,7 @@ def enumerate_monomials(variables: Iterable[Var], d: int,
         if i >= len(vs):
             return
         v = vs[i]
-        w = weight(v)
+        w = v[1] + 1
         rec(i + 1, rem, acc)
         if w <= rem:
             acc.append(v)
@@ -293,13 +246,6 @@ class LoopAlgebra:
             raise ValueError("truncation level R must be >= 1")
         self.alg = alg
         self.R = R
-
-    def var(self, a: int, r: int) -> CommPoly:
-        if not (0 <= r < self.R):
-            raise TruncationError(f"t-degree {r} outside [0, {self.R})")
-        if not (0 <= a < self.alg.dim):
-            raise ValueError(f"basis index {a} out of range")
-        return CommPoly.variable(a, r)
 
     # -- Poisson brackets --------------------------------------------------
 
@@ -333,10 +279,7 @@ class LoopAlgebra:
         """{x[n], y[m]}_1 = [x,y][n+m+1], extended by Leibniz."""
         return self._poisson(p, q, 1)
 
-    def poisson_pencil(self, u, v, p: CommPoly, q: CommPoly) -> CommPoly:
-        return self.poisson0(p, q).scale(u) + self.poisson1(p, q).scale(v)
-
-    # -- derivation and pencil automorphism ---------------------------------
+    # -- derivation ----------------------------------------------------------
 
     def derivation_D(self, p: CommPoly) -> CommPoly:
         """D(x[n]) = (n+1) x[n+1], extended as a derivation."""
@@ -353,35 +296,6 @@ class LoopAlgebra:
                 else:
                     out[mono] = nc
         return CommPoly(out)
-
-    def derivation_Dk(self, p: CommPoly, k: int) -> CommPoly:
-        for _ in range(k):
-            p = self.derivation_D(p)
-        return p
-
-    def phi_1v(self, p: CommPoly, cutoff: int, symbol: str = "v") -> CommPoly:
-        """Pencil automorphism x[m] -> x[m] + sum_k (-v)^k x[m+k], k <= cutoff.
-
-        Returns a polynomial with SymPoly(v) coefficients, truncated at
-        v^cutoff (truncation in v is part of the contract; truncation in t is
-        an error).
-        """
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        if p.max_tdeg() + cutoff >= self.R:
-            raise TruncationError(
-                f"phi_1v with cutoff {cutoff} exceeds truncation R={self.R}")
-        v = SymPoly.gen(symbol)
-
-        def image(var: Var) -> CommPoly:
-            a, m = var
-            t: Dict[Monomial, Scalar] = {}
-            for k in range(cutoff + 1):
-                t[((a, m + k),)] = (-v) ** k if k else SymPoly.const(symbol, 1)
-            return CommPoly(t)
-
-        q = p.map_coeffs(lambda c: c * SymPoly.const(symbol, 1)).subst_vars(image)
-        return q.map_coeffs(lambda c: c.truncate(cutoff))
 
     # -- canonical quadratic invariants --------------------------------------
 

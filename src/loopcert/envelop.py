@@ -1,6 +1,5 @@
-"""PBW normal ordering for enveloping algebras, Gaudin evaluation, the
-column-determinant generators of the commutative family in U(gl_n[t]/t^R),
-and quadratic shift-of-argument elements.
+"""PBW normal ordering for enveloping algebras, Gaudin evaluation, and the
+column-determinant generators of the commutative family in U(gl_n[t]/t^R).
 
 The rewriting engine is generic: a context supplies an ordered generator
 list and a bracket callback returning [x_i, x_j] as a word combination.
@@ -17,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from .commpoly import CommPoly
-from .errors import RegularityError, ValidationError
-from .liealg import LieAlgebraData, RootDatum, root_pairing
+from .errors import ValidationError
+from .liealg import LieAlgebraData, preset
 from .scalars import leibniz_det, ratstr
 
 Word = Tuple[int, ...]
@@ -357,24 +356,14 @@ class _OpSeries:
                                     for k, v in out.items()})
 
 
-def talalaev_generators(n: int, R: int, Nmax: int | None = None,
-                        alg: LieAlgebraData | None = None,
-                        ctx: PBWContext | None = None):
+def talalaev_generators(n: int, R: int):
     """Coefficients of cdet(d_z - L(z)), L(z)_ij = sum_{r<R} e_ij[r] z^(-r-1).
 
     Returns records (family index i, z-power s, NCPoly) for the z^(-s)
     coefficient of the d_z^(n-i) part, normal-ordered in U(gl_n ox C[t]/t^R).
-    The expansion is exact in z; Nmax, when given, caps the returned s.
+    The expansion is exact in z.
     """
-    from .liealg import preset
-    if alg is None:
-        alg = preset(f"gl{n}")
-    if alg.gl_size != n:
-        raise ValidationError("talalaev_generators needs gl_n data")
-    if ctx is None:
-        ctx = current_context(alg, R)
-    if Nmax is not None and Nmax < 1:
-        raise ValidationError("Nmax must be >= 1")
+    ctx = current_context(preset(f"gl{n}"), R)
 
     def entry(i: int, j: int) -> _OpSeries:
         data: Dict[Tuple[int, int], Terms] = {}
@@ -391,42 +380,7 @@ def talalaev_generators(n: int, R: int, Nmax: int | None = None,
     for (s, k), terms in sorted(total.data.items()):
         if s == 0:
             continue  # the pure d^n term
-        if Nmax is not None and s > Nmax:
-            continue
         p = NCPoly(ctx, terms)
         if not p.is_zero():
             out.append((n - k, s, p))
     return out
-
-
-# -- quadratic shift-of-argument elements ----------------------------------------------
-
-
-def positive_roots(alg: LieAlgebraData) -> List[RootDatum]:
-    return [r for r in alg.root_data if r.e_idx < r.f_idx]
-
-
-def quadratic_soa_element(alg: LieAlgebraData, chi: Sequence[Fraction],
-                          h: Sequence[Fraction], ctx: PBWContext | None = None) -> NCPoly:
-    """sum over positive roots of (alpha,h)/(alpha,chi) e_alpha e_{-alpha} in U(g).
-
-    chi and h are Cartan vectors given in Cartan-basis coordinates; chi must
-    be regular.
-    """
-    if not alg.root_data:
-        raise ValidationError("root data required for quadratic elements")
-    chi = [Fraction(x) for x in chi]
-    h = [Fraction(x) for x in h]
-    if ctx is None:
-        ctx = enveloping_context(alg)
-    raw: Terms = {}
-    for root in positive_roots(alg):
-        denom = root_pairing(root, chi)
-        if denom == 0:
-            raise RegularityError("chi lies on a root hyperplane")
-        c = root_pairing(root, h) / denom
-        if c == 0:
-            continue
-        w = (ctx.index[root.e_idx], ctx.index[root.f_idx])
-        raw[w] = raw.get(w, Fraction(0)) + c
-    return NCPoly(ctx, raw)

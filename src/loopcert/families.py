@@ -1,7 +1,7 @@
 """Named commutative families in the commutative settings: the universal
 Gaudin family D^k Phi_i in S(g[t]), shift-of-argument families in S(g),
 classical Bethe coefficients on the congruence-subgroup coordinates, and
-the leading-term map into S(gl_n[t]).
+the invariant components of S(g[t]) centralizing a seed.
 
 Congruence coordinates gamma_ij^(r), r >= 1 (entries of g(u) = 1 + sum
 g_r u^(-r)) are stored as CommPoly variables ((i*n + j), r - 1), which makes
@@ -12,7 +12,6 @@ gamma_ij^(s) -> x_ij[s-1] the identity on variable indices.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -201,7 +200,7 @@ def classical_bethe(n: int, C: TorusElement, Rmax: int
     C may carry a formal parameter; coefficients follow the scalar ring of
     its entries.
     """
-    if C.entries is None or len(C.entries) != n:
+    if len(C.entries) != n:
         raise ValidationError("C must be diagonal with n entries")
     out: Dict[Tuple[int, int], CommPoly] = {}
     for k in range(1, n + 1):
@@ -223,88 +222,6 @@ def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly], dmax: int
     products of sigma_k^(r) by total Fourier degree (each sigma_k^(r) is
     deg1-homogeneous of degree r), with 1 in degree 0."""
     return degree_buckets([(sigma[key], key[1]) for key in sorted(sigma)], dmax)
-
-
-# -- leading terms (gr2 of Fourier coefficients) -----------------------------------------
-
-
-def gr2_leading(fourier_coeff: CommPoly, r: int) -> CommPoly:
-    """Top F2 class of a u^(-r) Fourier coefficient: the terms with the
-    fewest variable factors, reread in the x_ij[s-1] variables (the variable
-    indexing makes that substitution the identity)."""
-    if fourier_coeff.is_zero():
-        raise ValidationError("Fourier coefficient is identically zero")
-    for m in fourier_coeff.terms:
-        if sum(rr + 1 for (_, rr) in m) != r:
-            raise ValidationError("polynomial is not a u^(-r) coefficient")
-    return fourier_coeff.min_length_part()
-
-
-def taylor_fourier(taylor: Dict[int, CommPoly], r: int, n_vars: int) -> CommPoly:
-    """f^(r) from Taylor data: substitute each degree-0 variable by its
-    congruence-coordinate series and take the u^(-r) coefficient."""
-    total = CommPoly()
-    for k, fk in taylor.items():
-        if fk.is_zero() or k > r:
-            continue
-        for m, c in fk.terms.items():
-            # m is a product of k degree-0 variables; distribute Fourier
-            # degrees r_1 + ... + r_k = r with r_i >= 1
-            vars_ = [a for (a, _) in m]
-            for comp in _compositions(r, len(vars_)):
-                mono = tuple(sorted(((a, ri - 1) for a, ri in zip(vars_, comp)),
-                                    key=lambda v: (v[1], v[0])))
-                total = total + CommPoly({mono: c})
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def gr2_from_taylor(alg: LieAlgebraData, f_k: CommPoly, k: int, r: int,
-                    R: int) -> CommPoly:
-    """The closed formula D^(r-k) f_k / (r-k)! for the top F2 class."""
-    if r < k:
-        raise ValidationError("r < k has zero Fourier coefficient")
-    loop = LoopAlgebra(alg, R)
-    p = loop.derivation_Dk(f_k, r - k)
-    return p.scale(Fraction(1, math.factorial(r - k)))
-
-
-def bethe_taylor_data(n: int, C: TorusElement) -> Dict[int, Dict[int, CommPoly]]:
-    """Taylor polynomials at the identity of the C-twisted trace functions:
-    tr Lambda^k(C (1 + X)) as polynomials in the entry variables x_ij[0],
-    split by homogeneous degree (the constant term is dropped)."""
-    out: Dict[int, Dict[int, CommPoly]] = {}
-    for k in range(1, n + 1):
-        poly = CommPoly()
-        for subset in itertools.combinations(range(1, n + 1), k):
-            weight: Scalar = Fraction(1)
-            for i in subset:
-                weight = weight * C.entries[i - 1]
-
-            def entry(a: int, c: int) -> CommPoly:
-                i, j = subset[a], subset[c]
-                x = CommPoly.variable((i - 1) * n + (j - 1), 0)
-                return x + CommPoly.const(1) if i == j else x
-
-            det = leibniz_det(k, entry)
-            poly = poly + det.scale(weight)
-        by_deg: Dict[int, CommPoly] = {}
-        for m, c in poly.terms.items():
-            if len(m) == 0:
-                continue
-            by_deg.setdefault(len(m), CommPoly())
-            by_deg[len(m)] = by_deg[len(m)] + CommPoly({m: c})
-        out[k] = by_deg
-    return out
 
 
 # -- centralizer components ---------------------------------------------------------------
@@ -332,19 +249,12 @@ def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
             for v in relations(images)]
 
 
-def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int,
-                           bracket: int, invariant: bool) -> Subspace:
-    """Kernel of p -> {seed, p} on the deg1 = d component (optionally within
-    the g-invariant subspace), as a canonical subspace."""
-    if bracket not in (0, 1):
-        raise ValidationError("bracket selector must be 0 or 1")
+def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> Subspace:
+    """Kernel of p -> {seed, p}_0 on the g-invariant part of the deg1 = d
+    component, as a canonical subspace."""
     monos = loop.component_monomials(d)
-    if invariant:
-        basis = invariant_component(loop, d)
-    else:
-        basis = [CommPoly({m: Fraction(1)}) for m in monos]
-    op = loop.poisson0 if bracket == 0 else loop.poisson1
-    images = [op(seed, p) for p in basis]
+    basis = invariant_component(loop, d)
+    images = [loop.poisson0(seed, p) for p in basis]
     tmonos = sorted({m for img in images for m in img.terms})
     # rows [image | element]: the rows with zero image span the kernel
     rows = [[Fraction(img.terms.get(t, 0)) for t in tmonos]

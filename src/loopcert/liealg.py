@@ -292,42 +292,29 @@ def _trace_invariants_from_matrices(alg: "LieAlgebraData", degrees) -> List[Inva
 
 
 class TorusElement:
-    """A semisimple torus element.
+    """A diagonal torus element of gl_n, stored by its diagonal entries
+    (rationals, or rationals with a formal parameter)."""
 
-    For type A presets it is stored by its diagonal entries (rationals, or
-    rationals with a formal parameter); for other algebras by the eigenvalue
-    of Ad(C) on each root vector, keyed by root index.
-    """
-
-    def __init__(self, entries: Optional[Sequence[Scalar]] = None,
-                 root_eigenvalues: Optional[Dict[int, Scalar]] = None) -> None:
-        if (entries is None) == (root_eigenvalues is None):
-            raise ValidationError("give either diagonal entries or root eigenvalues")
-        self.entries = None if entries is None else [
-            e if not isinstance(e, (int, str)) else Fraction(e) for e in entries]
-        self.root_eigenvalues = root_eigenvalues
-        if self.entries is not None and any(sc_is_zero(e) for e in self.entries):
+    def __init__(self, entries: Sequence[Scalar]) -> None:
+        self.entries = [e if not isinstance(e, (int, str)) else Fraction(e)
+                        for e in entries]
+        if any(sc_is_zero(e) for e in self.entries):
             raise ValidationError("torus entries must be invertible (nonzero)")
 
     @classmethod
     def diagonal(cls, entries) -> "TorusElement":
-        return cls(entries=[Fraction(e) if isinstance(e, (int, str)) else e
-                            for e in entries])
+        return cls(entries=entries)
 
     @classmethod
     def identity(cls, n: int) -> "TorusElement":
         return cls(entries=[Fraction(1)] * n)
 
-    def is_regular(self, alg: Optional[LieAlgebraData] = None) -> bool:
-        """True iff no root eigenvalue equals 1 (type A: entries pairwise distinct)."""
-        if self.entries is not None:
-            n = len(self.entries)
-            if alg is not None and alg.rank < 2 and not alg.root_data:
-                return True
-            return all(not sc_is_zero(self.entries[i] - self.entries[j])
-                       for i in range(n) for j in range(i + 1, n))
-        assert self.root_eigenvalues is not None
-        return all(not sc_is_zero(ev - 1) for ev in self.root_eigenvalues.values())
+    def is_regular(self) -> bool:
+        """True iff no root eigenvalue c_i / c_j equals 1: the entries are
+        pairwise distinct."""
+        n = len(self.entries)
+        return all(not sc_is_zero(self.entries[i] - self.entries[j])
+                   for i in range(n) for j in range(i + 1, n))
 
 
 def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
@@ -337,7 +324,7 @@ def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
     Conventions for the reductive output: rank equals rank of the ambient
     algebra; exponents are those of the derived subalgebra padded with zeros.
     """
-    if alg.gl_size is None or C.entries is None:
+    if alg.gl_size is None:
         raise ValidationError("centralizer is implemented for gl_n presets with diagonal C")
     n = alg.gl_size
     if len(C.entries) != n:
@@ -417,8 +404,22 @@ def _gl_preset(n: int) -> LieAlgebraData:
             mats.append(tuple(
                 tuple(Fraction(int(r == i and c == j)) for c in range(n))
                 for r in range(n)))
-    gram = [[mat_trace(mat_mul(ma, mb)) for mb in mats] for ma in mats]
-    brackets = _sparse_brackets_from_matrices(mats, tuple(map(tuple, gram)))
+    # closed forms in the matrix-unit basis E_ij = index i*n + j:
+    # tr(E_ij E_kl) = d_jk d_il and [E_ij, E_kl] = d_jk E_il - d_li E_kj
+    gram = [[Fraction(int(j == k and i == l)) for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for a in range(n * n):
+        i, j = divmod(a, n)
+        for b in range(a + 1, n * n):
+            k, l = divmod(b, n)
+            coeffs = {}
+            if j == k:
+                coeffs[i * n + l] = Fraction(1)
+            if l == i:
+                coeffs[k * n + j] = Fraction(-1)
+            if coeffs:
+                brackets[(a, b)] = dict(sorted(coeffs.items()))
     roots = [RootDatum(
         alpha=tuple(Fraction(int(d == i)) - Fraction(int(d == j)) for d in range(n)),
         e_idx=i * n + j, f_idx=j * n + i)

@@ -169,16 +169,6 @@ class SymPoly:
             raise ValueError("not divisible by the requested symbol power")
         return SymPoly(self.symbol, self.coeffs[k:])
 
-    def truncate(self, order: int) -> "SymPoly":
-        """Drop terms of degree > order."""
-        return SymPoly(self.symbol, self.coeffs[: order + 1])
-
-    def eval_at(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def at_zero(self) -> Fraction:
         return self.constant_term()
 
@@ -205,13 +195,6 @@ def sc_is_zero(c: Scalar) -> bool:
     if isinstance(c, SymPoly):
         return c.is_zero()
     return c == 0
-
-
-def sc_at_zero(c: Scalar) -> Fraction:
-    """Specialize the formal symbol to 0 (identity on plain rationals)."""
-    if isinstance(c, SymPoly):
-        return c.at_zero()
-    return Fraction(c)
 
 
 def sc_str(c: Scalar) -> str:

@@ -107,13 +107,6 @@ def f2_degree(ctx: YangianContext, p: NCPoly) -> int:
     return max((ctx.word_weight(w) - len(w) for w in p.terms), default=0)
 
 
-def yangian_commutator(ctx: YangianContext, a: GenKey, b: GenKey) -> NCPoly:
-    """[t_a, t_b] as a normal-ordered element."""
-    if a[0] + b[0] - 1 > ctx.max_weight:
-        raise TruncationError("commutator exceeds the truncation weight")
-    return NCPoly(ctx, ctx._yangian_bracket(ctx.index[a], ctx.index[b]))
-
-
 # -- series in u^{-1} with Yangian coefficients ----------------------------------
 
 
@@ -194,11 +187,6 @@ def quantum_minor(ctx: YangianContext, rows: Sequence[int], cols: Sequence[int],
                                                        shift=c))
 
 
-def qdet(ctx: YangianContext, Nmax: int) -> USeries:
-    idx = list(range(1, ctx.n + 1))
-    return quantum_minor(ctx, idx, idx, Nmax)
-
-
 def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
                      ) -> Dict[Tuple[int, int], NCPoly]:
     """tau_k^(s) for 1 <= k <= n, 1 <= s <= Nmax.
@@ -206,7 +194,7 @@ def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
     tau_k(u, C) = sum over k-subsets S of (prod_{i in S} c_i) qminor_{S,S}(u);
     all pairwise commutators vanish within the truncation weight.
     """
-    if C.entries is None or len(C.entries) != ctx.n:
+    if len(C.entries) != ctx.n:
         raise ValidationError("C must be diagonal with n entries")
     cs = [Fraction(c) for c in C.entries]
     out: Dict[Tuple[int, int], NCPoly] = {}
@@ -245,26 +233,23 @@ def gr1(ctx: YangianContext, p: NCPoly) -> CommPoly:
 
 def gr2(ctx: YangianContext, p: NCPoly, R: int,
         alg: LieAlgebraData | None = None) -> NCPoly:
-    """Top-F2 part with t_ij^(r) -> e_ij[r-1], normal-ordered in
-    U(gl_n ox C[t]/t^R); requires R > max superscript - 1."""
+    """Top-F2 part with t_ij^(r) -> e_ij[r-1] in U(gl_n ox C[t]/t^R).
+
+    A word holding some t^(r) with r > R maps to 0, as e[r-1] = 0 there.
+    The letter map preserves generator order, so normal words stay normal.
+    """
     if alg is None:
         alg = gl_algebra(ctx.n)
     tgt = current_context(alg, R)
-    if p.is_zero():
-        return tgt.zero()
-    max_r = max((ctx.gens[g][0] for w in p.terms for g in w), default=1)
-    if R < max_r:
-        raise TruncationError(f"gr2 needs R >= {max_r}")
     top = f2_degree(ctx, p)
     n = ctx.n
     terms: Terms = {}
     for w, c in p.terms.items():
-        if ctx.word_weight(w) - len(w) != top:
+        keys = [ctx.gens[g] for g in w]
+        if ctx.word_weight(w) - len(w) != top or any(r > R for r, _, _ in keys):
             continue
-        word = tuple(tgt.index[(r - 1, (i - 1) * n + (j - 1))]
-                     for (r, i, j) in (ctx.gens[g] for g in w))
-        terms[word] = terms.get(word, Fraction(0)) + c
-    return NCPoly(tgt, terms)  # letter order is preserved, already normal
+        terms[tuple(tgt.index[(r - 1, (i - 1) * n + (j - 1))] for r, i, j in keys)] = c
+    return NCPoly(tgt, terms, normalized=True)
 
 
 # -- the RTT relation oracle ---------------------------------------------------------

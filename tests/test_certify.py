@@ -202,17 +202,3 @@ class TestSuites:
         assert rep.passed
         assert rep.checks[1].details["seed"] == 5
         assert rep.checks[1].details["resampled"] == 0
-
-
-class TestTorusGenericForm:
-    def test_root_eigenvalue_regularity(self):
-        C = TorusElement(root_eigenvalues={0: F(2), 1: F(1, 2)})
-        assert C.is_regular()
-        C2 = TorusElement(root_eigenvalues={0: F(1), 1: F(3)})
-        assert not C2.is_regular()
-
-    def test_exactly_one_presentation(self):
-        with pytest.raises(ValidationError):
-            TorusElement(entries=[F(1)], root_eigenvalues={0: F(1)})
-        with pytest.raises(ValidationError):
-            TorusElement()

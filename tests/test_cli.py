@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import shlex
 from pathlib import Path
+
+import pytest
 
 from loopcert.cli import build_parser, main
 
@@ -146,3 +149,20 @@ def test_missing_config_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot read algebra config" in err
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("100000", None), (None, "abc")])
+def test_workers_out_of_bounds_exit_two(monkeypatch, capsys, flag, env):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    if env is None:
+        monkeypatch.delenv("LOOPCERT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("LOOPCERT_WORKERS", env)
+    argv = ["verify-bethe", "--algebra", "gl2", "--C", "1,2", "--max-deg", "2"]
+    code = main(argv + (["--workers", flag] if flag else []))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "workers" in err or "LOOPCERT_WORKERS" in err

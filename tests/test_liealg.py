@@ -5,8 +5,9 @@ import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import ValidationError
-from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict,
-                             centralizer, load_config, preset, root_pairing)
+from loopcert.liealg import (LieAlgebraData, TorusElement, _sparse_brackets_from_matrices,
+                             algebra_from_dict, centralizer, load_config, mat_mul,
+                             mat_trace, preset, root_pairing)
 
 
 class TestBracket:
@@ -36,6 +37,18 @@ class TestBracket:
         e23 = 1 * 3 + 2
         e13 = 0 * 3 + 2
         assert gl3.bracket_coeffs(e12, e23) == {e13: F(1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gl_closed_form_matches_matrices(n):
+    """The closed-form gl_n brackets and trace form equal those expanded from
+    the matrix units, down to the key order of the sparse table."""
+    gl = preset(f"gl{n}")
+    expanded = _sparse_brackets_from_matrices(gl.matrices, gl.gram)
+    assert [(k, list(v.items())) for k, v in gl._brackets.items()] == \
+        [(k, list(v.items())) for k, v in expanded.items()]
+    assert gl.gram == tuple(tuple(mat_trace(mat_mul(a, b)) for b in gl.matrices)
+                            for a in gl.matrices)
 
 
 class TestValidation:

@@ -137,8 +137,8 @@ def test_limit_invariant_under_unimodular_change(a, b, c):
     base = limit_subspace(EpsFamily(AMB, [v1, v2]))
     # transform matrix [[1, a+b*eps], [c*eps, 1]]: determinant is 1 at eps = 0
     coeff = eps_const(a) + EPS * b
-    w1 = v1 + v2.map_coeffs(lambda x: x * coeff)
-    w2 = v2 + v1.map_coeffs(lambda x: x * (EPS * c))
+    w1 = v1 + v2.scale(coeff)
+    w2 = v2 + v1.scale(EPS * c)
     got = limit_subspace(EpsFamily(AMB, [w1, w2]))
     assert got == base
 

@@ -35,13 +35,6 @@ def test_sympoly_mixed_symbols_rejected():
         SymPoly.gen("eps") + SymPoly.gen("v")
 
 
-def test_sympoly_truncate_and_eval():
-    eps = SymPoly.gen("eps")
-    p = 1 + 2 * eps + 3 * eps ** 2
-    assert p.truncate(1) == 1 + 2 * eps
-    assert p.eval_at(F(1, 2)) == F(1) + F(1) + F(3, 4)
-
-
 @given(polys, polys, polys)
 def test_sympoly_ring_axioms(a, b, c):
     assert a + b == b + a

@@ -10,8 +10,7 @@ from loopcert.errors import TruncationError
 from loopcert.liealg import TorusElement, preset
 from loopcert.yangian import (bethe_generators, f1_degree, f1_monomial_count,
                               f1_monomial_count_enumerated, f2_degree, gr1, gr2,
-                              qdet, quantum_minor, rtt_relation_checks,
-                              yangian, yangian_commutator)
+                              quantum_minor, rtt_relation_checks, yangian)
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +18,22 @@ def Y2():
     return yangian(2, 8)
 
 
+def commutator(Y, a, b):
+    """[t_a, t_b] for generator keys a = (r, i, j), normal-ordered."""
+    return Y.gen(a).commutator(Y.gen(b))
+
+
+def quantum_determinant(Y, N):
+    idx = list(range(1, Y.n + 1))
+    return quantum_minor(Y, idx, idx, N)
+
+
 class TestCommutator:
     def test_spec_examples(self, Y2):
-        assert yangian_commutator(Y2, (1, 1, 1), (2, 1, 2)) == Y2.t(1, 2, 2)
+        assert commutator(Y2, (1, 1, 1), (2, 1, 2)) == Y2.t(1, 2, 2)
         # [t_ij^(1), t_kl^(1)] = delta_kj t_il^(1) - delta_il t_kj^(1)
         for i, j, k, l in itertools.product((1, 2), repeat=4):
-            got = yangian_commutator(Y2, (1, i, j), (1, k, l))
+            got = commutator(Y2, (1, i, j), (1, k, l))
             expected = Y2.zero()
             if k == j:
                 expected = expected + Y2.t(i, l, 1)
@@ -33,12 +42,12 @@ class TestCommutator:
             assert got == expected
 
     def test_self_commutator_zero(self, Y2):
-        assert yangian_commutator(Y2, (2, 1, 2), (2, 1, 2)).is_zero()
+        assert commutator(Y2, (2, 1, 2), (2, 1, 2)).is_zero()
 
     def test_truncation_overflow(self):
         tight = yangian(2, 2)
         with pytest.raises(TruncationError):
-            yangian_commutator(tight, (2, 1, 1), (2, 2, 2))
+            commutator(tight, (2, 1, 1), (2, 2, 2))
 
 
 class TestNormalOrder:
@@ -81,7 +90,7 @@ class TestQuantumMinor:
             assert m.coefficient(s) == Y2.t(1, 2, s)
 
     def test_qdet_u1_coefficient(self, Y2):
-        assert qdet(Y2, 3).coefficient(1) == Y2.t(1, 1, 1) + Y2.t(2, 2, 1)
+        assert quantum_determinant(Y2, 3).coefficient(1) == Y2.t(1, 1, 1) + Y2.t(2, 2, 1)
 
     def test_row_swap_antisymmetry(self):
         Y3 = yangian(3, 6)
@@ -91,8 +100,9 @@ class TestQuantumMinor:
             assert m12.coefficient(s) == -m21.coefficient(s)
 
     def test_qdet_central(self, Y2):
-        # qdet coefficients commute with every generator within truncation
-        qd = qdet(Y2, 3)
+        # quantum determinant coefficients commute with every generator
+        # within truncation
+        qd = quantum_determinant(Y2, 3)
         for s in range(1, 4):
             c = qd.coefficient(s)
             for (r, i, j) in [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)]:
@@ -107,7 +117,7 @@ class TestBethe:
 
     def test_tau_n_is_qdet_at_identity(self, Y2):
         taus = bethe_generators(Y2, TorusElement.identity(2), 3)
-        qd = qdet(Y2, 3)
+        qd = quantum_determinant(Y2, 3)
         for s in range(1, 4):
             assert taus[(2, s)] == qd.coefficient(s)
 
@@ -145,7 +155,7 @@ class TestGradedMaps:
         gl2 = preset("gl2")
         cur = current_context(gl2, 2)
         for i, j, k, l in itertools.product((1, 2), repeat=4):
-            comm = yangian_commutator(Y2, (1, i, j), (1, k, l))
+            comm = commutator(Y2, (1, i, j), (1, k, l))
             lie = cur.gen((0, (i - 1) * 2 + (j - 1))).commutator(
                 cur.gen((0, (k - 1) * 2 + (l - 1))))
             if comm.is_zero():
@@ -153,18 +163,32 @@ class TestGradedMaps:
             else:
                 assert gr2(Y2, comm, 2) == lie
 
+    def test_gr2_beyond_truncation_is_zero(self, Y2):
+        # e[r-1] = 0 in U(gl_n[t]/t^R) once r > R
+        R = 2
+        cur = current_context(preset("gl2"), R)
+        assert gr2(Y2, Y2.t(1, 2, R + 1), R).is_zero()
+        assert gr2(Y2, Y2.t(1, 1, 1) * Y2.t(2, 1, R + 1), R).is_zero()
+        assert gr2(Y2, Y2.t(1, 1, 1) * Y2.t(2, 1, R), R) == \
+            cur.gen((0, 0)) * cur.gen((R - 1, 2))
+
     def test_gr2_mixed_degrees_top_only(self, Y2):
         p = Y2.t(1, 1, 2) + Y2.t(1, 1, 1)  # F2-degrees 1 and 0
         cur = current_context(preset("gl2"), 2)
         assert gr2(Y2, p, 2) == cur.gen((1, 0))
 
-    def test_gr1_of_bethe_is_classical(self, Y2):
+    def test_gr1_of_bethe_is_classical(self):
+        # the quantum minors and the minors of g(u) are independent expansions
         from loopcert.families import classical_bethe
-        for entries in ([1, 2], [1, 1]):
-            taus = bethe_generators(Y2, TorusElement.diagonal(entries), 3)
-            sigma = classical_bethe(2, TorusElement.diagonal(entries), 3)
+        for entries, smax in ([1, 2], 4), ([1, 1], 4), ([1, 1, 2], 3):
+            n = len(entries)
+            Y = yangian(n, smax)
+            C = TorusElement.diagonal(entries)
+            taus = bethe_generators(Y, C, smax)
+            sigma = classical_bethe(n, C, smax)
+            assert set(taus) == set(sigma)
             for (k, s), tau in taus.items():
-                assert gr1(Y2, tau) == sigma[(k, s)]
+                assert gr1(Y, tau) == sigma[(k, s)]
 
     def test_filtration_degrees(self, Y2):
         p = Y2.t(1, 1, 3) * Y2.t(1, 2, 2)
