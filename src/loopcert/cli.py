@@ -20,6 +20,11 @@ from .errors import LoopcertError
 # verify-bethe forks all of its worker processes at once, so their number is capped
 MAX_WORKERS = 64
 
+# verify-bethe --max-deg per n: the largest that finished within 150 s.  Time
+# and memory grow 6-10x per degree: gl3 took 31 s and 1.9 GB at deg 7, gl4
+# 25 s and 1.1 GB at deg 5 (README, "Time at the CLI bounds")
+BETHE_MAX_DEG = {1: 8, 2: 8, 3: 7, 4: 5}
+
 
 def _parse_list(spec: str) -> List[str]:
     return [s for s in spec.split(",") if s]
@@ -128,9 +133,10 @@ def run(args: argparse.Namespace) -> certify.Report:
         return certify.verify_rtt(_bounded(args.n, 1, 3, "n"),
                                   _bounded(args.order, 1, 6, "order"))
     if cmd == "verify-bethe":
-        n = _gl_size(args.algebra)
-        return certify.verify_bethe(_bounded(n, 1, 4, "n"), _parse_list(args.C),
-                                    _bounded(args.max_deg, 1, 8, "max-deg"),
+        n = _bounded(_gl_size(args.algebra), 1, 4, "n")
+        return certify.verify_bethe(n, _parse_list(args.C),
+                                    _bounded(args.max_deg, 1, BETHE_MAX_DEG[n],
+                                             f"max-deg for gl{n}"),
                                     workers=_workers(args.workers))
     if cmd == "verify-gaudin":
         return certify.verify_gaudin(args.algebra, _bounded(args.kmax, 0, 6, "kmax"))

@@ -6,6 +6,16 @@ list and a bracket callback returning [x_i, x_j] as a word combination.
 Out-of-order adjacent pairs rewrite as  x_i x_j -> x_j x_i + [x_i, x_j],
 which terminates because every bracket term lowers the (weight, length,
 inversions) well-order.  Normal forms are cached per context.
+
+Rewriting runs in integers: a bracket coefficient with denominator 1 is
+stored as ``int``, so for integral structure constants (every preset and
+the Yangian) a word's normal form is integral; other algebras mix ``int``
+and ``Fraction``.  ``normalize_terms`` clears the input's denominators with
+their lcm, accumulates normal forms, and divides once at the end.  A
+product or commutator builds its raw words with integer coefficients over
+the two operands' common denominators and is normalized once; a
+commutator never normalizes u*v and v*u separately.  ``NCPoly.terms``
+always holds nonzero ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ class PBWContext:
     def _bracket(self, i: int, j: int) -> Terms:
         key = (i, j)
         if key not in self._br_cache:
-            self._br_cache[key] = self.bracket_fn(i, j)
+            self._br_cache[key] = {w: c.numerator if c.denominator == 1 else c
+                                   for w, c in self.bracket_fn(i, j).items()}
         return self._br_cache[key]
 
     def normal_form(self, word: Word) -> Terms:
@@ -58,27 +69,37 @@ class PBWContext:
             return cached
         pos = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
         if pos is None:
-            out = {word: Fraction(1)}
+            out = {word: 1}
         else:
             out = {}
             swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
-            _acc(out, self.normal_form(swapped), Fraction(1))
+            _acc(out, self.normal_form(swapped), 1)
             for bw, c in self._bracket(word[pos], word[pos + 1]).items():
                 _acc(out, self.normal_form(word[:pos] + bw + word[pos + 2:]), c)
             out = {w: c for w, c in out.items() if c != 0}
         self._nf_cache[word] = out
         return out
 
-    def normalize_terms(self, terms: Terms) -> Terms:
+    def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
+        """The normal form of (sum of terms) / den, as nonzero Fractions."""
+        nums, lcm = _over_common_denominator(terms)
         out: Terms = {}
-        for w, c in terms.items():
+        for w, c in nums.items():
             _acc(out, self.normal_form(w), c)
-        return {w: c for w, c in out.items() if c != 0}
+        den *= lcm
+        return {w: Fraction(c, den) for w, c in out.items() if c != 0}
 
 
-def _acc(target: Terms, source: Terms, scale: Fraction) -> None:
+def _acc(target: Terms, source: Terms, scale) -> None:
     for w, c in source.items():
-        target[w] = target.get(w, Fraction(0)) + scale * c
+        target[w] = target.get(w, 0) + scale * c
+
+
+def _over_common_denominator(terms: Terms) -> Tuple[Dict[Word, int], int]:
+    """(integer numerators, L) with terms = numerators / L, L the lcm of the
+    denominators."""
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (lcm // c.denominator) for w, c in terms.items()}, lcm
 
 
 class NCPoly:
@@ -119,21 +140,31 @@ class NCPoly:
             return NCPoly(self.ctx, {}, normalized=True)
         return NCPoly(self.ctx, {w: x * c for w, x in self.terms.items()}, normalized=True)
 
+    def _product(self, other: "NCPoly", commute: bool) -> "NCPoly":
+        """self*other, or self*other - other*self, normalized once."""
+        assert self.ctx is other.ctx
+        a, da = _over_common_denominator(self.terms)
+        b, db = _over_common_denominator(other.terms)
+        raw: Dict[Word, int] = {}
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                c = c1 * c2
+                w = w1 + w2
+                raw[w] = raw.get(w, 0) + c
+                if commute:
+                    w = w2 + w1
+                    raw[w] = raw.get(w, 0) - c
+        return NCPoly(self.ctx, self.ctx.normalize_terms(raw, da * db), normalized=True)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        assert self.ctx is other.ctx
-        raw: Terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                raw[w] = raw.get(w, Fraction(0)) + c1 * c2
-        return NCPoly(self.ctx, raw)
+        return self._product(other, False)
 
     __rmul__ = __mul__
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
-        return self * other - other * self
+        return self._product(other, True)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

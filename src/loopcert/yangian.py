@@ -76,13 +76,13 @@ class YangianContext(PBWContext):
     def word_weight(self, w: Tuple[int, ...]) -> int:
         return sum(self.gens[i][0] for i in w)
 
-    def normalize_terms(self, terms: Terms) -> Terms:
+    def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
         for w in terms:
             wt = self.word_weight(w)
             if wt > self.max_weight:
                 raise TruncationError(
                     f"word of F1-weight {wt} exceeds truncation N={self.max_weight}")
-        return super().normalize_terms(terms)
+        return super().normalize_terms(terms, den)
 
     def t(self, i: int, j: int, r: int) -> NCPoly:
         return self.gen((r, i, j))

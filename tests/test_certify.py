@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction as F
 
@@ -5,7 +6,11 @@ import pytest
 
 from loopcert import certify
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import TorusElement
+from loopcert.liealg import TorusElement, preset
+from loopcert.scalars import leibniz_det
+
+# the module, which the package's ``yangian`` function shadows as an attribute
+ymod = importlib.import_module("loopcert.yangian")
 
 
 class TestReportPlumbing:
@@ -202,3 +207,68 @@ class TestSuites:
         assert rep.passed
         assert rep.checks[1].details["seed"] == 5
         assert rep.checks[1].details["resampled"] == 0
+
+
+class TestPBWNegativeControls:
+    """Faults injected into the PBW suites must give FAIL with a witness.
+
+    Each test starts from empty context caches, so no normal form cached by
+    another test hides the fault, and monkeypatch restores the real caches
+    afterwards, so no normal form computed under the fault outlives the test.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_contexts(self, monkeypatch):
+        monkeypatch.setattr(ymod, "_CTX_CACHE", {})
+        monkeypatch.setattr(preset("sl2"), "_pbw_contexts", {}, raising=False)
+
+    def test_rtt_check_can_fail(self, monkeypatch):
+        # flip the sign of one term of [t_21^(1), t_12^(1)] = t_22^(1) - t_11^(1)
+        real = ymod.YangianContext._yangian_bracket
+
+        def flipped(self, gi, gj):
+            out = real(self, gi, gj)
+            if self.gens[gi] == (1, 2, 1) and self.gens[gj] == (1, 1, 2):
+                w = min(out)
+                out = {**out, w: -out[w]}
+            return out
+
+        monkeypatch.setattr(ymod.YangianContext, "_yangian_bracket", flipped)
+        rep = certify.verify_rtt(2, 2)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.details["failures"] > 0
+        assert check.witness.startswith("first failing (i,j,k,l,a,b) = ")
+
+    def test_bethe_check_can_fail(self, monkeypatch):
+        # quantum minors with column c at u + c instead of u - c
+        def wrong_shift(ctx, rows, cols, Nmax):
+            rows, cols = list(rows), list(cols)
+            return leibniz_det(len(rows), lambda a, c: ymod.USeries.t_entry(
+                ctx, rows[a], cols[c], Nmax, shift=-c))
+
+        monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)
+        rep = certify.verify_bethe(2, ["1", "2"], 3)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.details["nonzero_pairs"] > 0
+        assert check.witness.startswith("[tau") and check.witness.split(" = ")[1] != "0"
+
+    def test_eval_gaudin_span_check_can_fail(self, monkeypatch):
+        # build H_1 at z_1 + 1/2: Omega_1j / (z_1 - z_j) becomes
+        # Omega_1j / (z_1 + 1/2 - z_j); the images are untouched
+        zs = [F(0), F(1), F(4)]
+        real = certify.casimir_tensor
+
+        def perturbed(alg, tctx, i, j):
+            omega = real(alg, tctx, i, j)
+            if i != 0:
+                return omega
+            return omega.scale((zs[0] - zs[j]) / (zs[0] + F(1, 2) - zs[j]))
+
+        monkeypatch.setattr(certify, "casimir_tensor", perturbed)
+        rep = certify.verify_eval_gaudin("sl2", ["0", "1", "4"], 4)
+        assert rep.checks[0].passed
+        check = rep.checks[1]
+        assert not check.passed
+        assert check.witness == "H_1 not in span"

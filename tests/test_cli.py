@@ -49,6 +49,22 @@ def test_bounds_violation_exit_two(capsys):
     assert "bounds" in err
 
 
+@pytest.mark.parametrize("n,bound", [(2, 8), (3, 7), (4, 5)])
+def test_bethe_degree_bound_per_n_exit_two(monkeypatch, capsys, n, bound):
+    # one degree past the bound would run for minutes and gigabytes: refused
+    # before any generator is built
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_bethe ran")
+
+    monkeypatch.setattr("loopcert.certify.verify_bethe", no_run)
+    C = ",".join(str(i) for i in range(1, n + 1))
+    code = main(["verify-bethe", "--algebra", f"gl{n}", "--C", C,
+                 "--max-deg", str(bound + 1)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"max-deg for gl{n} = {bound + 1} outside documented bounds [1, {bound}]" in err
+
+
 def test_bad_rational_exit_two(capsys):
     code = main(["verify-bethe", "--algebra", "gl2", "--C", "1,zebra",
                  "--max-deg", "2"])

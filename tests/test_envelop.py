@@ -8,7 +8,7 @@ from loopcert.envelop import (NCPoly, current_context, enveloping_context,
                               gaudin_evaluation, symmetrize, talalaev_generators,
                               tensor_context)
 from loopcert.errors import ValidationError
-from loopcert.liealg import preset
+from loopcert.liealg import algebra_from_dict, preset
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -65,6 +65,57 @@ def test_pbw_commutator_antisymmetry(wa, wb):
     U = enveloping_context(sl2)
     a, b = NCPoly(U, {wa: F(1)}), NCPoly(U, {wb: F(1)})
     assert a.commutator(b) == -(b.commutator(a))
+
+
+# sl2 in the basis (x, h, f) with x = e/2: [x, f] = h/2 and (x, f) = 1/2,
+# the only structure constants with a denominator that any test reaches
+sl2_half = algebra_from_dict({
+    "name": "sl2-half", "dim": 3, "labels": ["x", "h", "f"],
+    "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1/2"], [1, 2, 2, "-2"]],
+    "form": [[0, 2, "1/2"], [1, 1, "2"]],
+    "rank": 1, "exponents": [1], "cartan": [1]})
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+tensor_terms = st.dictionaries(
+    st.lists(st.integers(0, 5), max_size=4).map(tuple), coeffs, max_size=4)
+
+
+def _is_fraction_form(p: NCPoly) -> bool:
+    return all(type(c) is F and c != 0 for c in p.terms.values())
+
+
+def _x_to_half_e(p: NCPoly, ctx) -> NCPoly:
+    """The basis change x -> e/2 from sl2_half to sl2, letter by letter.  It
+    keeps generator order, so normal words stay normal."""
+    return NCPoly(ctx, {w: c * F(1, 2) ** sum(1 for g in w if g % 3 == 0)
+                        for w, c in p.terms.items()}, normalized=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_terms, tensor_terms)
+def test_non_integral_brackets_match_integral_sl2(tu, tv):
+    half, whole = tensor_context(sl2_half, 2), tensor_context(sl2, 2)
+    u, v = NCPoly(half, tu), NCPoly(half, tv)
+    assert all(_is_fraction_form(p) for p in (u, v, u * v, u.commutator(v)))
+    hu, hv = _x_to_half_e(u, whole), _x_to_half_e(v, whole)
+    assert _x_to_half_e(u * v, whole) == hu * hv
+    assert _x_to_half_e(u.commutator(v), whole) == hu.commutator(hv)
+
+
+def test_non_integral_bracket_reached():
+    half = tensor_context(sl2_half, 2)
+    fx = NCPoly(half, {(2, 0): F(1)})
+    assert fx.terms == {(0, 2): F(1), (1,): F(-1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_terms, tensor_terms)
+def test_commutator_is_difference_of_products(tu, tv):
+    ctx = tensor_context(sl2, 2)
+    u, v = NCPoly(ctx, tu), NCPoly(ctx, tv)
+    comm = u.commutator(v)
+    assert comm == u * v - v * u
+    assert all(_is_fraction_form(p) for p in (u, v, u * v, comm))
 
 
 class TestSymmetrize:
