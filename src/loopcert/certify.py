@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2
-from .envelop import (NCPoly, casimir_tensor, current_context, enumerate_pbw_words,
-                      gaudin_evaluation, talalaev_generators, tensor_context)
+from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, weighted_words
+from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation,
+                      talalaev_generators, tensor_context)
 from .errors import BoundsError, RegularityError, ValidationError
 from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis, embed_subalgebra_poly,
@@ -368,8 +368,8 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
     Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
     Tprods = list(generator_products(tal_list, dmax, cur.one()))
-    ywords = enumerate_pbw_words(len(ctx.gens), lambda g: ctx.gens[g][0], dmax)
-    cwords = enumerate_pbw_words(len(cur.gens), lambda g: cur.gens[g][0] + 1, dmax)
+    ywords = list(weighted_words([r for r, _, _ in ctx.gens], dmax))
+    cwords = list(weighted_words([r + 1 for r, _ in cur.gens], dmax))
 
     def ybideg(w):
         d1 = sum(ctx.gens[g][0] for g in w)

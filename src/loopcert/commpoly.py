@@ -19,7 +19,7 @@ exclusive).  Operations that would create a t-degree >= R raise
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import TruncationError
 from .scalars import Scalar, SymPoly, sc_is_zero, sc_str
@@ -209,29 +209,17 @@ class CommPoly:
         return self.render()
 
 
-def enumerate_monomials(variables: Iterable[Var], d: int) -> List[Monomial]:
-    """All monomials in the given variables of deg1 exactly d (r + 1 per
-    variable), in the global monomial order; d = 0 yields the empty monomial.
-    """
-    vs = sorted(set(variables), key=var_key)
-    out: List[Monomial] = []
+def weighted_words(weights: Sequence[int], dmax: int) -> Iterator[Tuple[int, ...]]:
+    """Nondecreasing index words i1 <= i2 <= ... with total weight
+    weights[i1] + weights[i2] + ... <= dmax, depth first, the empty word
+    first.  Every weight must be positive."""
+    def rec(start: int, rem: int, word: Tuple[int, ...]):
+        yield word
+        for i in range(start, len(weights)):
+            if weights[i] <= rem:
+                yield from rec(i, rem - weights[i], word + (i,))
 
-    def rec(i: int, rem: int, acc: List[Var]):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if i >= len(vs):
-            return
-        v = vs[i]
-        w = v[1] + 1
-        rec(i + 1, rem, acc)
-        if w <= rem:
-            acc.append(v)
-            rec(i, rem - w, acc)
-            acc.pop()
-
-    rec(0, d, [])
-    return sorted(out, key=mono_order_key)
+    return rec(0, dmax, ())
 
 
 class LoopAlgebra:
@@ -324,6 +312,8 @@ class LoopAlgebra:
     # -- ambient component bases ---------------------------------------------
 
     def component_monomials(self, d: int) -> List[Monomial]:
-        """Monomial basis of the deg1 = d component within truncation R."""
-        vs = [(a, r) for a in range(self.alg.dim) for r in range(min(self.R, d))]
-        return enumerate_monomials(vs, d)
+        """Monomial basis of the deg1 = d component within truncation R, in
+        the global monomial order."""
+        vs = [(a, r) for r in range(min(self.R, d)) for a in range(self.alg.dim)]  # var_key order
+        monos = (tuple(vs[i] for i in w) for w in weighted_words([r + 1 for _, r in vs], d))
+        return sorted((m for m in monos if mono_deg1(m) == d), key=mono_order_key)

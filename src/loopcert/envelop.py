@@ -10,12 +10,17 @@ inversions) well-order.  Normal forms are cached per context.
 Rewriting runs in integers: a bracket coefficient with denominator 1 is
 stored as ``int``, so for integral structure constants (every preset and
 the Yangian) a word's normal form is integral; other algebras mix ``int``
-and ``Fraction``.  ``normalize_terms`` clears the input's denominators with
-their lcm, accumulates normal forms, and divides once at the end.  A
-product or commutator builds its raw words with integer coefficients over
-the two operands' common denominators and is normalized once; a
-commutator never normalizes u*v and v*u separately.  ``NCPoly.terms``
-always holds nonzero ``Fraction``s.
+and ``Fraction``.  ``normalize_terms`` takes integer numerators over one
+denominator, accumulates normal forms, and divides once at the end.  An
+``NCPoly`` built from raw ``Fraction`` terms clears their denominators once,
+with their lcm.  A product or commutator builds its raw words with integer
+coefficients over the two operands' common denominators and is normalized
+once; a commutator never normalizes u*v and v*u separately.
+``NCPoly.terms`` always holds nonzero ``Fraction``s.
+
+Talalaev's cdet(d_z - L(z)) is ``scalars.leibniz_det`` over ``Series``
+entries with keys (s, k, word) for z^(-s) d_z^k word, multiplied by the
+Weyl rule for d_z past z^(-s); the expansion is exact in z.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Sequence, Tuple
 
 from .commpoly import CommPoly
 from .errors import ValidationError
 from .liealg import LieAlgebraData, preset
-from .scalars import leibniz_det, ratstr
+from .scalars import Series, leibniz_det, ratstr
 
 Word = Tuple[int, ...]
 Terms = Dict[Word, Fraction]
@@ -80,13 +85,12 @@ class PBWContext:
         self._nf_cache[word] = out
         return out
 
-    def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
-        """The normal form of (sum of terms) / den, as nonzero Fractions."""
-        nums, lcm = _over_common_denominator(terms)
+    def normalize_terms(self, terms: Dict[Word, int], den: int = 1) -> Terms:
+        """The normal form of (sum of terms) / den for integer numerators
+        ``terms``, as nonzero Fractions."""
         out: Terms = {}
-        for w, c in nums.items():
+        for w, c in terms.items():
             _acc(out, self.normal_form(w), c)
-        den *= lcm
         return {w: Fraction(c, den) for w, c in out.items() if c != 0}
 
 
@@ -109,7 +113,8 @@ class NCPoly:
 
     def __init__(self, ctx: PBWContext, terms: Terms, normalized: bool = False) -> None:
         self.ctx = ctx
-        self.terms = terms if normalized else ctx.normalize_terms(terms)
+        self.terms = terms if normalized else ctx.normalize_terms(
+            *_over_common_denominator(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -256,25 +261,6 @@ def current_context(alg: LieAlgebraData, R: int) -> PBWContext:
     return ctx
 
 
-def enumerate_pbw_words(ngens: int, weight_fn: Callable[[int], int],
-                        dmax: int) -> List[Word]:
-    """All nondecreasing generator-index words of total weight <= dmax,
-    including the empty word."""
-    out: List[Word] = []
-
-    def rec(start: int, rem: int, acc: List[int]):
-        out.append(tuple(acc))
-        for g in range(start, ngens):
-            w = weight_fn(g)
-            if w <= rem:
-                acc.append(g)
-                rec(g, rem - w, acc)
-                acc.pop()
-
-    rec(0, dmax, [])
-    return out
-
-
 def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:
     """PBW symmetrization CommPoly -> NCPoly.
 
@@ -344,47 +330,16 @@ def casimir_tensor(alg: LieAlgebraData, tctx: PBWContext, i: int, j: int) -> NCP
 # -- column-determinant generators ---------------------------------------------------
 
 
-class _OpSeries:
-    """Finite sums  sum coeff * z^(-s) * d^k  with coefficients in U(g[t]/t^R)."""
-
-    def __init__(self, ctx: PBWContext, data: Dict[Tuple[int, int], Terms]) -> None:
-        self.ctx = ctx
-        self.data = {k: dict(v) for k, v in data.items() if v}
-
-    def _add(self, other: "_OpSeries", sign: int) -> "_OpSeries":
-        data = {k: dict(v) for k, v in self.data.items()}
-        for key, terms in other.data.items():
-            tgt = data.setdefault(key, {})
-            for w, c in terms.items():
-                tgt[w] = tgt.get(w, Fraction(0)) + c * sign
-        return _OpSeries(self.ctx, {k: {w: c for w, c in v.items() if c != 0}
-                                    for k, v in data.items()})
-
-    def __add__(self, other: "_OpSeries") -> "_OpSeries":
-        return self._add(other, 1)
-
-    def __sub__(self, other: "_OpSeries") -> "_OpSeries":
-        return self._add(other, -1)
-
-    def __mul__(self, other: "_OpSeries") -> "_OpSeries":
-        out: Dict[Tuple[int, int], Terms] = {}
-        for (s1, k1), t1 in self.data.items():
-            for (s2, k2), t2 in other.data.items():
-                # move d^k1 across z^(-s2): d^k z^-s = sum_j C(k,j) (-1)^j s(s+1)..(s+j-1) z^(-s-j) d^(k-j)
-                for j in range(k1 + 1):
-                    c = Fraction(math.comb(k1, j))
-                    for t in range(j):
-                        c *= -(s2 + t)
-                    if c == 0:
-                        continue
-                    key = (s1 + s2 + j, k1 - j + k2)
-                    tgt = out.setdefault(key, {})
-                    for w1, c1 in t1.items():
-                        for w2, c2 in t2.items():
-                            w = w1 + w2
-                            tgt[w] = tgt.get(w, Fraction(0)) + c * c1 * c2
-        return _OpSeries(self.ctx, {k: {w: c for w, c in v.items() if c != 0}
-                                    for k, v in out.items()})
+def _weyl_join(k1, k2):
+    """Basis product of z^(-s) d^k w, keys (s, k, w): the words w commute with z
+    and d, and d^k z^(-s) = sum_j C(k,j) (-1)^j s(s+1)..(s+j-1) z^(-s-j) d^(k-j)."""
+    (s1, d1, w1), (s2, d2, w2) = k1, k2
+    for j in range(d1 + 1):
+        c = math.comb(d1, j)
+        for t in range(j):
+            c *= -(s2 + t)
+        if c:
+            yield (s1 + s2 + j, d1 - j + d2, w1 + w2), c
 
 
 def talalaev_generators(n: int, R: int):
@@ -396,19 +351,17 @@ def talalaev_generators(n: int, R: int):
     """
     ctx = current_context(preset(f"gl{n}"), R)
 
-    def entry(i: int, j: int) -> _OpSeries:
-        data: Dict[Tuple[int, int], Terms] = {}
-        if i == j:
-            data[(0, 1)] = {(): Fraction(1)}
+    def entry(i: int, j: int) -> Series:
+        terms = {(0, 1, ()): Fraction(1)} if i == j else {}
         for r in range(R):
-            gidx = ctx.index[(r, i * n + j)]
-            data.setdefault((r + 1, 0), {})[(gidx,)] = Fraction(-1)
-        return _OpSeries(ctx, data)
+            terms[(r + 1, 0, (ctx.index[(r, i * n + j)],))] = Fraction(-1)
+        return Series(terms, _weyl_join)
 
-    total = leibniz_det(n, entry)
-
+    coeffs: Dict[Tuple[int, int], Terms] = {}
+    for (s, k, w), c in leibniz_det(n, entry).terms.items():
+        coeffs.setdefault((s, k), {})[w] = c
     out = []
-    for (s, k), terms in sorted(total.data.items()):
+    for (s, k), terms in sorted(coeffs.items()):
         if s == 0:
             continue  # the pure d^n term
         p = NCPoly(ctx, terms)

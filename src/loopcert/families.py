@@ -6,7 +6,9 @@ the invariant components of S(g[t]) centralizing a seed.
 Congruence coordinates gamma_ij^(r), r >= 1 (entries of g(u) = 1 + sum
 g_r u^(-r)) are stored as CommPoly variables ((i*n + j), r - 1), which makes
 deg1/deg2 bookkeeping and the leading-term substitution
-gamma_ij^(s) -> x_ij[s-1] the identity on variable indices.
+gamma_ij^(s) -> x_ij[s-1] the identity on variable indices.  The minors of
+g(u) are ``scalars.leibniz_det`` over ``Series`` entries with keys
+(r, monomial) for u^(-r) times a monomial, multiplied with ``mono_mul``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra
+from .commpoly import CommPoly, LoopAlgebra, mono_mul
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
 from .linalg import Subspace, degree_buckets, relations, rref, rref_tail
-from .scalars import Scalar, leibniz_det
+from .scalars import Scalar, Series, leibniz_det, truncated_join
 
 
 @dataclass(frozen=True)
@@ -143,54 +145,19 @@ def gamma_label(n: int):
     return fmt
 
 
-class _PolySeries:
-    """Finite u^(-r) expansion, r = 0..Rmax, with CommPoly coefficients."""
+def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> Series:
+    """u-expansion of det of the (subset x subset) block of g(u), through u^(-Rmax)."""
+    join = truncated_join(Rmax, mono_mul)
 
-    def __init__(self, data: Dict[int, CommPoly], Rmax: int) -> None:
-        self.data = data
-        self.Rmax = Rmax
+    def entry(a: int, c: int) -> Series:
+        i, j = subset[a], subset[c]
+        terms = {(0, ()): Fraction(1)} if i == j else {}
+        for r in range(1, Rmax + 1):
+            (m,) = gamma_var(n, i, j, r).terms
+            terms[(r, m)] = Fraction(1)
+        return Series(terms, join)
 
-    def __getitem__(self, r: int) -> CommPoly:
-        return self.data.get(r, CommPoly())
-
-    def __mul__(self, other: "_PolySeries") -> "_PolySeries":
-        out: Dict[int, CommPoly] = {}
-        for r1, p1 in self.data.items():
-            for r2, p2 in other.data.items():
-                if r1 + r2 > self.Rmax:
-                    continue
-                prod = p1 * p2
-                if prod.is_zero():
-                    continue
-                out[r1 + r2] = out.get(r1 + r2, CommPoly()) + prod
-        return _PolySeries(out, self.Rmax)
-
-    def __add__(self, other: "_PolySeries") -> "_PolySeries":
-        out = dict(self.data)
-        for r, p in other.data.items():
-            out[r] = out[r] + p if r in out else p
-        return _PolySeries(out, self.Rmax)
-
-    def __sub__(self, other: "_PolySeries") -> "_PolySeries":
-        out = dict(self.data)
-        for r, p in other.data.items():
-            out[r] = out[r] - p if r in out else -p
-        return _PolySeries(out, self.Rmax)
-
-
-def _group_entry_series(n: int, i: int, j: int, Rmax: int) -> _PolySeries:
-    out: Dict[int, CommPoly] = {}
-    if i == j:
-        out[0] = CommPoly.const(1)
-    for r in range(1, Rmax + 1):
-        out[r] = gamma_var(n, i, j, r)
-    return _PolySeries(out, Rmax)
-
-
-def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> _PolySeries:
-    """u-expansion of det of the (subset x subset) block of g(u)."""
-    return leibniz_det(len(subset), lambda a, c: _group_entry_series(
-        n, subset[a], subset[c], Rmax))
+    return leibniz_det(len(subset), entry)
 
 
 def classical_bethe(n: int, C: TorusElement, Rmax: int
@@ -204,15 +171,17 @@ def classical_bethe(n: int, C: TorusElement, Rmax: int
         raise ValidationError("C must be diagonal with n entries")
     out: Dict[Tuple[int, int], CommPoly] = {}
     for k in range(1, n + 1):
-        series: Dict[int, CommPoly] = {}
+        series = Series({}, truncated_join(Rmax, mono_mul))
         for subset in itertools.combinations(range(1, n + 1), k):
             weight: Scalar = Fraction(1)
             for i in subset:
                 weight = weight * C.entries[i - 1]
-            for r, p in _minor_series(n, subset, Rmax).data.items():
-                series[r] = series.get(r, CommPoly()) + p.scale(weight)
+            series = series + _minor_series(n, subset, Rmax).scale(weight)
+        coeffs: Dict[int, Dict] = {}
+        for (r, m), c in series.terms.items():
+            coeffs.setdefault(r, {})[m] = c
         for r in range(1, Rmax + 1):
-            out[(k, r)] = series.get(r, CommPoly())
+            out[(k, r)] = CommPoly(coeffs.get(r))
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
 from .linalg import rref
-from .scalars import Scalar, parse_rational, ratstr, sc_is_zero
+from .scalars import Scalar, SymPoly, parse_rational, ratstr, sc_is_zero
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -296,8 +296,14 @@ class TorusElement:
     (rationals, or rationals with a formal parameter)."""
 
     def __init__(self, entries: Sequence[Scalar]) -> None:
-        self.entries = [e if not isinstance(e, (int, str)) else Fraction(e)
-                        for e in entries]
+        # a float would carry its binary expansion into every coefficient
+        if not all(isinstance(e, (int, str, Fraction, SymPoly)) for e in entries):
+            raise ValidationError(f"torus entries {list(entries)!r} must be exact: "
+                                  "int, str, Fraction or SymPoly")
+        try:
+            self.entries = [e if isinstance(e, SymPoly) else Fraction(e) for e in entries]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"torus entry is not a rational: {exc}") from exc
         if any(sc_is_zero(e) for e in self.entries):
             raise ValidationError("torus entries must be invertible (nonzero)")
 

@@ -1,6 +1,10 @@
 """Exact scalar rings: rationals, Q[s] for a formal symbol s, and its fraction
-field; plus the Leibniz determinant that every minor and column determinant
-in the package expands through.
+field; plus the one series kernel: ``Series``, a sparse combination of basis
+keys multiplied through a basis product, and ``leibniz_det``, the Leibniz
+expansion that every minor and column determinant in the package runs
+through.  The quantum minors of T(u), the minors of g(u) and Talalaev's
+cdet(d_z - L(z)) are all ``leibniz_det`` over ``Series`` entries; they differ
+only in the basis product they pass.
 
 Every coefficient in the package is either a ``fractions.Fraction`` or a
 ``SymPoly`` (polynomial in one formal symbol, e.g. ``eps`` or ``v``, with
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, TypeVar, Union
+from typing import Callable, Dict, Hashable, Iterable, Tuple, TypeVar, Union
 
 Q = Fraction
 T = TypeVar("T")
@@ -201,6 +205,63 @@ def sc_str(c: Scalar) -> str:
     if isinstance(c, SymPoly):
         return f"({c!r})" if not c.is_constant() else ratstr(c.constant_term())
     return ratstr(c)
+
+
+Join = Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, Scalar]]]
+
+
+class Series:
+    """Sparse combination of basis keys with nonzero scalar coefficients.
+
+    ``join(k1, k2)`` yields the (key, scalar) terms of the product of the
+    basis elements k1 and k2, and yields nothing past a truncation; ``*``
+    extends it bilinearly.  Both operands of an operation must use the same
+    basis product; the result keeps the left operand's ``join``.
+    """
+
+    __slots__ = ("terms", "join")
+
+    def __init__(self, terms: Dict[Hashable, Scalar], join: Join) -> None:
+        self.terms = terms
+        self.join = join
+
+    def __add__(self, other: "Series") -> "Series":
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            nc = t.get(k, 0) + c
+            if nc:
+                t[k] = nc
+            else:
+                t.pop(k, None)
+        return Series(t, self.join)
+
+    def __sub__(self, other: "Series") -> "Series":
+        return self + other.scale(-1)
+
+    def scale(self, c: Scalar) -> "Series":
+        if not c:
+            return Series({}, self.join)
+        return Series({k: x * c for k, x in self.terms.items()}, self.join)
+
+    def __mul__(self, other: "Series") -> "Series":
+        join = self.join
+        out: Dict[Hashable, Scalar] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c = c1 * c2
+                for k, x in join(k1, k2):
+                    out[k] = out.get(k, 0) + c * x
+        return Series({k: c for k, c in out.items() if c}, join)
+
+
+def truncated_join(nmax: int, mul: Callable) -> Join:
+    """Basis product of keys (s, x) for u^(-s) x: exponents add, the x
+    multiply by ``mul``, and nothing past u^(-nmax) survives."""
+    def join(k1, k2):
+        s = k1[0] + k2[0]
+        if s <= nmax:
+            yield (s, mul(k1[1], k2[1])), 1
+    return join
 
 
 def leibniz_det(k: int, entry: Callable[[int, int], T]) -> T:

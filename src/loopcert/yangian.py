@@ -11,6 +11,10 @@ is the working form; ``rtt_relation_checks`` certifies it against the
 R-matrix relation R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v) with the Yang
 R-matrix R(u) = 1 - P/u, order by order.
 
+Quantum minors are ``scalars.leibniz_det`` over ``Series`` entries with keys
+(s, word) for u^(-s) times a raw word; ``u_coefficient`` reads the u^(-s)
+coefficient as a normal-ordered ``NCPoly``.
+
 Truncation discipline: a context carries a weight bound N on the total
 superscript sum of any single word; products exceeding it raise
 ``TruncationError`` (nothing is dropped silently).  Commutator rewriting
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,7 +35,7 @@ from .envelop import NCPoly, PBWContext, Terms, current_context
 from .errors import TruncationError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, gl_algebra
 from .linalg import free_series_coeffs
-from .scalars import leibniz_det
+from .scalars import Series, leibniz_det, truncated_join
 
 GenKey = Tuple[int, int, int]  # (r, i, j), r >= 1, 1-based matrix indices
 
@@ -110,81 +115,36 @@ def f2_degree(ctx: YangianContext, p: NCPoly) -> int:
 # -- series in u^{-1} with Yangian coefficients ----------------------------------
 
 
-class USeries:
-    """Finite u^(-s) expansion, s = 0..Nmax, with raw word coefficients.
+def t_series(ctx: YangianContext, i: int, j: int, Nmax: int, shift: int = 0) -> Series:
+    """t_ij(u - shift) = delta_ij + sum_r t_ij^(r) (u - shift)^(-r), through
+    u^(-Nmax), with keys (s, word).  Words multiply by concatenation and stay
+    raw until ``u_coefficient``, which keeps the minor expansion cheap."""
+    terms = {(0, ()): Fraction(1)} if i == j else {}
+    for r in range(1, Nmax + 1):
+        gi = ctx.index[(r, i, j)]
+        # (u-m)^(-r) = sum_c C(r-1+c, c) m^c u^(-r-c)
+        for c in range(0, Nmax - r + 1):
+            coeff = Fraction(math.comb(r - 1 + c, c)) * Fraction(shift) ** c
+            if coeff != 0:
+                key = (r + c, (gi,))
+                terms[key] = terms.get(key, 0) + coeff
+    return Series(terms, truncated_join(Nmax, operator.add))
 
-    Words are normalized only on extraction, which keeps the minor expansion
-    cheap; s = 0 coefficients are scalars times the empty word.
-    """
 
-    def __init__(self, ctx: YangianContext, Nmax: int,
-                 data: Dict[int, Terms] | None = None) -> None:
-        self.ctx = ctx
-        self.Nmax = Nmax
-        self.data: Dict[int, Terms] = data or {}
-
-    @classmethod
-    def t_entry(cls, ctx: YangianContext, i: int, j: int, Nmax: int,
-                shift: int = 0) -> "USeries":
-        """t_ij(u - shift) = delta_ij + sum_r t_ij^(r) (u - shift)^(-r)."""
-        data: Dict[int, Terms] = {}
-        if i == j:
-            data[0] = {(): Fraction(1)}
-        for r in range(1, Nmax + 1):
-            gi = ctx.index[(r, i, j)]
-            if shift == 0:
-                data.setdefault(r, {})[(gi,)] = Fraction(1)
-            else:
-                # (u-m)^(-r) = sum_c C(r-1+c, c) m^c u^(-r-c)
-                for c in range(0, Nmax - r + 1):
-                    coeff = Fraction(math.comb(r - 1 + c, c)) * Fraction(shift) ** c
-                    if coeff != 0:
-                        tgt = data.setdefault(r + c, {})
-                        tgt[(gi,)] = tgt.get((gi,), Fraction(0)) + coeff
-        return cls(ctx, Nmax, data)
-
-    def __mul__(self, other: "USeries") -> "USeries":
-        out: Dict[int, Terms] = {}
-        for s1, t1 in self.data.items():
-            for s2, t2 in other.data.items():
-                s = s1 + s2
-                if s > self.Nmax:
-                    continue
-                tgt = out.setdefault(s, {})
-                for w1, c1 in t1.items():
-                    for w2, c2 in t2.items():
-                        w = w1 + w2
-                        tgt[w] = tgt.get(w, Fraction(0)) + c1 * c2
-        return USeries(self.ctx, self.Nmax, out)
-
-    def add_scaled(self, other: "USeries", c: Fraction) -> "USeries":
-        out = {s: dict(t) for s, t in self.data.items()}
-        for s, t in other.data.items():
-            tgt = out.setdefault(s, {})
-            for w, co in t.items():
-                tgt[w] = tgt.get(w, Fraction(0)) + c * co
-        return USeries(self.ctx, self.Nmax, out)
-
-    def __add__(self, other: "USeries") -> "USeries":
-        return self.add_scaled(other, Fraction(1))
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        return self.add_scaled(other, Fraction(-1))
-
-    def coefficient(self, s: int) -> NCPoly:
-        return NCPoly(self.ctx, self.data.get(s, {}))
+def u_coefficient(ctx: YangianContext, series: Series, s: int) -> NCPoly:
+    """The normal-ordered u^(-s) coefficient of a series with keys (s, word)."""
+    return NCPoly(ctx, {w: c for (r, w), c in series.terms.items() if r == s})
 
 
 def quantum_minor(ctx: YangianContext, rows: Sequence[int], cols: Sequence[int],
-                  Nmax: int) -> USeries:
+                  Nmax: int) -> Series:
     """Quantum minor sum_sigma sgn(sigma) t_{a_sigma(1) b_1}(u) ... t_{a_sigma(k) b_k}(u-k+1)."""
     rows = list(rows)
     cols = list(cols)
     k = len(rows)
     if k != len(cols) or k > ctx.n:
         raise ValidationError("minor shape mismatch")
-    return leibniz_det(k, lambda a, c: USeries.t_entry(ctx, rows[a], cols[c], Nmax,
-                                                       shift=c))
+    return leibniz_det(k, lambda a, c: t_series(ctx, rows[a], cols[c], Nmax, shift=c))
 
 
 def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
@@ -199,14 +159,14 @@ def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
     cs = [Fraction(c) for c in C.entries]
     out: Dict[Tuple[int, int], NCPoly] = {}
     for k in range(1, ctx.n + 1):
-        series = USeries(ctx, Nmax)
+        series = Series({}, truncated_join(Nmax, operator.add))
         for subset in itertools.combinations(range(1, ctx.n + 1), k):
             weight = Fraction(1)
             for i in subset:
                 weight *= cs[i - 1]
-            series = series.add_scaled(quantum_minor(ctx, subset, subset, Nmax), weight)
+            series = series + quantum_minor(ctx, subset, subset, Nmax).scale(weight)
         for s in range(1, Nmax + 1):
-            out[(k, s)] = series.coefficient(s)
+            out[(k, s)] = u_coefficient(ctx, series, s)
     return out
 
 

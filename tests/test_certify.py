@@ -96,6 +96,21 @@ class TestSuites:
         assert not check.passed
         assert check.witness == "dims [1, 1, 3] != expected [1, 2, 5]"
 
+    def test_poincare_check_can_fail(self, monkeypatch):
+        # negative control: drop sigma_n^(1) from the Bethe family
+        real = certify.classical_bethe
+
+        def drop_one(n, C, Rmax):
+            sigma = real(n, C, Rmax)
+            del sigma[(n, 1)]
+            return sigma
+
+        monkeypatch.setattr(certify, "classical_bethe", drop_one)
+        rep = certify.poincare_bethe(2, ["1", "2"], 3)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.witness == "dims [1, 1, 3, 5] != expected [1, 2, 5, 10]"
+
     def test_theorem_A_check_can_fail(self, monkeypatch):
         # negative control: drop one Gaudin generator of z(C)
         real = certify.gaudin_generators
@@ -244,7 +259,7 @@ class TestPBWNegativeControls:
         # quantum minors with column c at u + c instead of u - c
         def wrong_shift(ctx, rows, cols, Nmax):
             rows, cols = list(rows), list(cols)
-            return leibniz_det(len(rows), lambda a, c: ymod.USeries.t_entry(
+            return leibniz_det(len(rows), lambda a, c: ymod.t_series(
                 ctx, rows[a], cols[c], Nmax, shift=-c))
 
         monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)

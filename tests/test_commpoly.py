@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import (CommPoly, LoopAlgebra, enumerate_monomials, mono_deg1,
-                               mono_deg2)
+from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2,
+                               mono_order_key, weighted_words)
 from loopcert.errors import TruncationError
 from loopcert.liealg import preset
 
@@ -205,10 +205,18 @@ class TestBigrade:
 
 def test_enumerate_monomials_weights():
     vs = [(0, 0), (1, 0), (0, 1)]
-    monos = enumerate_monomials(vs, 2)
+    weights = [r + 1 for _, r in vs]
+    words = list(weighted_words(weights, 2))
+    # nondecreasing words of weight <= 2, depth first, the empty word first
+    assert words == [(), (0,), (0, 0), (0, 1), (1,), (1, 1), (2,)]
+    monos = [tuple(vs[i] for i in w) for w in words if sum(weights[i] for i in w) == 2]
     # deg1 = 2: x^2, xy, y^2 over t-deg 0 vars, plus the single t-deg-1 var
     assert len(monos) == 4
     assert all(sum(r + 1 for _, r in m) == 2 for m in monos)
+    # the sl2 component of deg1 = 2: 6 quadratics in x[0] and 3 variables x[1]
+    comp = LoopAlgebra(sl2, 3).component_monomials(2)
+    assert len(comp) == 9 and all(mono_deg1(m) == 2 for m in comp)
+    assert comp == sorted(set(comp), key=mono_order_key)
 
 
 def test_render_canonical():

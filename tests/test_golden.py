@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from loopcert.envelop import talalaev_generators
+from loopcert.families import classical_bethe, gamma_label
 from loopcert.liealg import TorusElement
 from loopcert.yangian import bethe_generators, yangian
 
@@ -19,6 +20,16 @@ def test_tau_coefficients(n, entries):
     got = {f"tau_{k}^({s})": p.render()
            for (k, s), p in sorted(taus.items())}
     name = f"tau_gl{n}_N4_C{'_'.join(map(str, entries))}.json"
+    expected = json.loads((GOLDEN / name).read_text())
+    assert got == expected
+
+
+@pytest.mark.parametrize("n,entries,smax", [(3, [1, 1, 2], 3), (2, [1, 2], 4)])
+def test_classical_bethe_coefficients(n, entries, smax):
+    sigma = classical_bethe(n, TorusElement.diagonal(entries), smax)
+    got = {f"sigma_{k}^({r})": p.render(gamma_label(n))
+           for (k, r), p in sorted(sigma.items())}
+    name = f"classical_bethe_gl{n}_S{smax}_C{'_'.join(map(str, entries))}.json"
     expected = json.loads((GOLDEN / name).read_text())
     assert got == expected
 

@@ -5,9 +5,11 @@ import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import ValidationError
+from loopcert.families import classical_bethe
 from loopcert.liealg import (LieAlgebraData, TorusElement, _sparse_brackets_from_matrices,
                              algebra_from_dict, centralizer, load_config, mat_mul,
                              mat_trace, preset, root_pairing)
+from loopcert.scalars import SymPoly
 
 
 class TestBracket:
@@ -121,6 +123,18 @@ class TestTorus:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValidationError):
             TorusElement.diagonal([1, 0])
+
+    def test_entries_exact(self):
+        h = SymPoly("h", [1, 1])
+        entries = TorusElement.diagonal([2, "1/10", F(3, 4), h]).entries
+        assert entries == [F(2), F(1, 10), F(3, 4), h]
+        assert all(type(e) is F for e in entries[:3]) and entries[3] is h
+        # a float would carry its binary expansion into every coefficient
+        for bad in (0.1, 1.0, "x"):
+            with pytest.raises(ValidationError):
+                TorusElement.diagonal([bad, 1])
+        sigma = classical_bethe(2, TorusElement.diagonal(["1/10", 1]), 1)
+        assert sigma[(1, 1)].render() == "1/10*x0[0] + 1*x3[0]"
 
 
 class TestCentralizer:
