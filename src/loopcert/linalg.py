@@ -7,14 +7,16 @@ A ``Subspace`` is a reduced row echelon basis over an explicit ambient
 monomial list, so equality of subspaces is equality of matrices.  The field
 is pluggable: the same elimination code runs over ``Fraction`` and over
 ``RatFunc`` (rational functions of the formal parameter).  ``rref`` is the
-one elimination; ``rref_tail`` (intersection with a coordinate subspace)
+one elimination, over sparse rows, so its cost follows the nonzeros rather
+than the width; ``rref_tail`` (intersection with a coordinate subspace)
 and ``relations`` (linear relations among vectors) are read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple,
+                    TypeVar)
 
 from .commpoly import CommPoly, Monomial
 from .errors import BoundsError, TruncationError
@@ -24,40 +26,61 @@ T = TypeVar("T")
 
 
 def rref(rows: List[List]) -> List[List]:
-    """Reduced row echelon form over any exact field; drops zero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out: List[List] = []
-    pivot_cols: List[int] = []
-    work = rows
-    col = 0
-    while work and col < ncols:
-        piv = next((i for i, r in enumerate(work) if not sc_is_zero(r[col])), None)
-        if piv is None:
-            col += 1
-            continue
-        row = work.pop(piv)
+    """Reduced row echelon form over any exact field; drops zero rows.
+
+    Dense rows in and out, sparse rows ({column: entry}) in between, so the
+    cost follows the nonzeros rather than the width.  The pivot is the
+    smallest leading column, taken from its shortest row; its column is
+    cleared from the other rows leading there, then from the pivot rows
+    above by back-substitution.  The RREF is unique, so the choice of pivot
+    row does not change the result.  Zero tests are truthiness, defined
+    alike on ``Fraction`` and ``RatFunc``; the gaps are filled with the
+    field's own zero, the row's pivot entry minus itself.
+    """
+    ncols = len(rows[0]) if rows else 0
+    by_lead: Dict[int, List[Dict[int, Any]]] = {}
+    for r in rows:
+        s = {j: x for j, x in enumerate(r) if x}
+        if s:
+            by_lead.setdefault(min(s), []).append(s)
+    found: List[Tuple[int, Dict[int, Any]]] = []
+    while by_lead:
+        col = min(by_lead)
+        bucket = by_lead.pop(col)
+        row = bucket.pop(min(range(len(bucket)), key=lambda i: len(bucket[i])))
         inv = row[col]
-        row = [x / inv for x in row]
-        for r in work:
-            if not sc_is_zero(r[col]):
-                f = r[col]
-                for j in range(col, ncols):
-                    r[j] = r[j] - f * row[j]
-        out.append(row)
-        pivot_cols.append(col)
-        col += 1
-    # back-substitute to reduced form
-    for i in range(len(out) - 1, -1, -1):
-        c = pivot_cols[i]
-        for k in range(i):
-            f = out[k][c]
-            if not sc_is_zero(f):
-                for j in range(c, ncols):
-                    out[k][j] = out[k][j] - f * out[i][j]
+        row = {j: x / inv for j, x in row.items()}
+        for r in bucket:
+            _clear(r, col, row)
+            if r:
+                by_lead.setdefault(min(r), []).append(r)
+        found.append((col, row))
+    for i in range(len(found) - 1, 0, -1):
+        col, row = found[i]
+        for _, r in found[:i]:
+            if col in r:
+                _clear(r, col, row)
+    out = []
+    for col, row in found:
+        dense = [row[col] - row[col]] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
     return out
+
+
+def _clear(r: Dict[int, Any], col: int, pivot_row: Dict[int, Any]) -> None:
+    """r -= r[col] * pivot_row in place, for a pivot row whose entry at col
+    is one; entries that cancel are dropped."""
+    f = r.pop(col)
+    for j, x in pivot_row.items():
+        if j != col:
+            y = r.get(j)
+            y = -(f * x) if y is None else y - f * x
+            if y:
+                r[j] = y
+            else:
+                del r[j]
 
 
 def rref_tail(rows: List[List], k: int) -> List[List]:
@@ -92,7 +115,8 @@ class Subspace:
                  already_reduced: bool = False) -> None:
         self.ambient = tuple(ambient)
         if not already_reduced:
-            rows = rref([[Fraction(x) for x in r] for r in rows])
+            rows = rref([[x if isinstance(x, Fraction) else Fraction(x) for x in r]
+                         for r in rows])
         self.rows = tuple(tuple(r) for r in rows)
 
     @classmethod

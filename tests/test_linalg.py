@@ -164,6 +164,24 @@ def test_rref_canonical():
     assert out == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
 
 
+def test_rref_entries_are_fractions():
+    # zeros included, so that ratstr renders every entry the same way
+    out = rref([[F(0), F(3), F(0), F(6)], [F(0), F(1), F(1), F(0)]])
+    assert out == [[0, 1, 0, 2], [0, 0, 1, -2]]
+    assert all(type(x) is F for r in out for x in r)
+
+
+def test_rref_empty_and_zero_matrices():
+    assert rref([]) == []
+    assert rref([[F(0)] * 3, [F(0)] * 3]) == []
+
+
+def test_rref_drops_row_that_cancels_midway():
+    # the second row cancels once the first pivot column is cleared from it
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]
+    assert rref(rows) == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
+
+
 class Mat2:
     """2 x 2 integer matrices: noncommutative, with zero divisors."""
 

@@ -1,6 +1,6 @@
 """Differential oracle: the one elimination of ``loopcert.linalg`` and the
 kernels read off it, against sympy's independent rational linear algebra
-on small random ``Fraction`` matrices."""
+on small random ``Fraction`` matrices, on wide sparse ones, and over Q(h)."""
 
 from fractions import Fraction as F
 
@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from loopcert.linalg import bigraded_block, relations, rref, rref_tail  # noqa: E402
+from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
 entry = st.one_of(st.just(F(0)), st.just(F(0)),
@@ -38,15 +39,42 @@ def sympy_rref(M):
     return from_sympy(R[:len(pivots), :])
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices())
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def wide_sparse(draw):
+    """Up to 8 rows by 5..40 columns with at most a fifth of the columns
+    nonzero (so at least 80% zeros and whole zero columns), then rows that
+    repeat a row or combine two."""
+    n = draw(st.integers(5, 40))
+    live = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n // 5, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [F(0)] * n
+        for j, x in draw(st.dictionaries(st.sampled_from(live), nonzero, min_size=1)).items():
+            row[j] = x
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(nonzero), draw(st.sampled_from([F(0), F(1), F(-2)]))
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], n
+
+
+any_matrix = st.one_of(matrices(), wide_sparse())
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_matrix)
 def test_rref_matches_sympy(mat):
     rows, n = mat
     assert rref(rows) == sympy_rref(to_sympy(rows, n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices())
+@settings(max_examples=120, deadline=None)
+@given(any_matrix)
 def test_relations_match_sympy_nullspace(mat):
     vectors, n = mat
     got = relations(vectors)
@@ -57,11 +85,11 @@ def test_relations_match_sympy_nullspace(mat):
     assert got == ref
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices(), st.integers(0, 6))
-def test_rref_tail_matches_definition(mat, k):
+@settings(max_examples=120, deadline=None)
+@given(any_matrix, st.data())
+def test_rref_tail_matches_definition(mat, data):
     rows, n = mat
-    k = min(k, n)
+    k = data.draw(st.integers(0, n))
     M = to_sympy(rows, n)
     # span(rows) with x[:k] = 0: the combinations c with (c M)[:k] = 0
     combos = M[:, :k].T.nullspace() if rows else []
@@ -80,13 +108,16 @@ class Vec:
 @st.composite
 def filtered_spans(draw):
     # bidegrees (d +- 1, j) with j < d, so that labels share bidegrees, every
-    # level has members and deg1 > d labels sit beside them; denser rows
+    # level has members and deg1 > d labels sit beside them; small denser
+    # rows or wide sparse ones
     d = draw(st.integers(1, 3))
-    nlab = draw(st.integers(1, 8))
+    dense = st.one_of(st.just(F(0)), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    small = st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(dense, min_size=n, max_size=n), max_size=4)
+        .map(lambda rows, n=n: (rows, n)))
+    rows, nlab = draw(st.one_of(small, wide_sparse()))
     bidegs = draw(st.lists(st.tuples(st.integers(d - 1, d + 1), st.integers(0, d - 1)),
                            min_size=nlab, max_size=nlab))
-    dense = st.one_of(st.just(F(0)), st.fractions(min_value=-2, max_value=2, max_denominator=3))
-    rows = draw(st.lists(st.lists(dense, min_size=nlab, max_size=nlab), max_size=4))
     return bidegs, rows, d
 
 
@@ -119,3 +150,35 @@ def test_bigraded_blocks_match_definition(case):
         eq, ref = reference_block(bidegs, rows, d, j)
         assert blk.ambient == tuple(eq)
         assert [list(r) for r in blk.rows] == ref
+
+
+def test_rref_over_rational_functions_matches_sympy():
+    """rref over Q(h): a zero column, and a row (h times the first) that
+    cancels; every output entry, zeros included, is a ``RatFunc``."""
+    from sympy.polys.matrices import DomainMatrix
+
+    hp = SymPoly.gen("h")
+
+    def rf(c):
+        return RatFunc.from_scalar(c, "h")
+
+    rows = [[rf(1), rf(0), rf(hp), rf(hp + 1)],
+            [rf(hp), rf(0), rf(hp * hp), rf(hp * hp + hp)],
+            [rf(0), rf(0), rf(1), rf(1) / rf(hp + 1)]]
+    out = rref(rows)
+    assert all(type(x) is RatFunc for r in out for x in r)
+
+    h = sympy.Symbol("h")
+
+    def to_expr(x):
+        num, den = (sum((sympy.Rational(c.numerator, c.denominator) * h ** i
+                         for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+                    for p in (x.num, x.den))
+        return num / den
+
+    M = sympy.Matrix([[to_expr(x) for x in r] for r in rows])
+    R, pivots = DomainMatrix.from_Matrix(M).convert_to(sympy.QQ.frac_field(h)).rref()
+    ref = R.to_Matrix()[:len(pivots), :]
+    assert len(out) == len(pivots) == 2
+    assert all(sympy.cancel(to_expr(out[i][j]) - ref[i, j]) == 0
+               for i in range(2) for j in range(4))
