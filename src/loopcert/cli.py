@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["bethe", "classical-bethe", "gaudin", "soa", "talalaev"])
     p.add_argument("--algebra", default="gl2")
-    p.add_argument("--C", default=None)
+    p.add_argument("--C", default=None, help="diagonal entries (default 1,...,n)")
     p.add_argument("--chi", default=None)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--R", type=int, default=3)
@@ -177,7 +177,8 @@ def run(args: argparse.Namespace) -> certify.Report:
     if cmd == "gens":
         kw = {}
         if args.family in ("bethe", "classical-bethe"):
-            kw = {"n": _gl_size(args.algebra), "C": _parse_list(args.C or "1,2"),
+            n = _gl_size(args.algebra)
+            kw = {"n": n, "C": _parse_list(args.C or ",".join(map(str, range(1, n + 1)))),
                   "smax": _bounded(args.max_deg, 1, 6, "max-deg")}
         elif args.family == "gaudin":
             kw = {"algebra": args.algebra, "kmax": _bounded(args.max_deg, 0, 6, "max-deg")}

@@ -66,27 +66,13 @@ def directional_derivative(alg: LieAlgebraData, chi: Sequence[Fraction],
 
 
 def diag_to_basis(alg: LieAlgebraData, entries: Sequence[Fraction]) -> List[Fraction]:
-    """Coordinates of a diagonal matrix in the preset basis (via the form)."""
-    if alg.matrices is None:
+    """Coordinates of a diagonal matrix in the basis of a matrix algebra."""
+    if alg.realization is None:
         raise ValidationError("needs a matrix realization")
-    size = len(alg.matrices[0])
-    if len(entries) != size:
+    if len(entries) != alg.realization.size:
         raise ValidationError("wrong number of diagonal entries")
-    entries = [Fraction(e) for e in entries]
-    pairings = []
-    for m in alg.matrices:
-        pairings.append(sum((m[i][i] * entries[i] for i in range(size)), Fraction(0)))
-    ginv = alg.gram_inverse()
-    coords = [sum((ginv[a][b] * pairings[b] for b in range(alg.dim)), Fraction(0))
-              for a in range(alg.dim)]
-    # confirm the vector reproduces the diagonal matrix exactly
-    for i in range(size):
-        for j in range(size):
-            val = sum((coords[a] * alg.matrices[a][i][j] for a in range(alg.dim)),
-                      Fraction(0))
-            if val != (entries[i] if i == j else 0):
-                raise ValidationError("diagonal matrix is not in the algebra")
-    return coords
+    diag = {(i, i): x for i, x in enumerate(map(Fraction, entries)) if x}
+    return alg.realization.coordinates(diag, "diagonal matrix is not in the algebra")
 
 
 def cartan_coords(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[Fraction]:

@@ -1,19 +1,24 @@
 """Lie algebra data: structure constants, invariant form, torus elements,
 centralizers and invariant polynomial generators.
 
-Presets sl2, sl3, gl2, gl3, gl4 carry the trace form of their defining
-matrix realization.  The paper-level assumption of an orthonormal basis is
-relaxed to an arbitrary nondegenerate invariant form with dual bases, so all
-arithmetic stays rational.  Arbitrary algebras are accepted from config
-files and validated (indices, antisymmetry, Jacobi, form invariance) at
-construction.  The sparse table ``bracket_coeffs`` is the one way structure
-constants are applied: by the validation, the Poisson brackets and the PBW
-rewriting.
+Every matrix algebra (the gl_n and sl_n presets, ``gl_algebra(n)`` and the
+centralizers z(C)) is built by one constructor, ``matrix_algebra``, from a
+basis of matrices E_a and a list of (block of matrix indices, invariant
+degrees).  Over sparse ``{(i, j): entry}`` matrices it derives the trace
+form, the dual basis E^a, exact coordinates of a matrix in the basis
+(``MatrixRealization.coordinates``), the bracket table from commutators,
+and the invariants tr(X_B^k) of the generic matrix X = sum_a x_a E^a
+restricted to each block B.  The paper-level assumption of an orthonormal
+basis is relaxed to an arbitrary nondegenerate invariant form with dual
+bases, so all arithmetic stays rational.  Arbitrary algebras are accepted
+from config files and validated (indices, antisymmetry, Jacobi, form
+invariance) at construction.  The sparse table ``bracket_coeffs`` is the
+one way structure constants are applied: by the validation, the Poisson
+brackets and the PBW rewriting.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -26,20 +31,7 @@ from .linalg import rref
 from .scalars import Scalar, SymPoly, parse_rational, ratstr, sc_is_zero
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return tuple(
-        tuple(sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_trace(A: Matrix) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
+Sparse = Dict[Tuple[int, int], object]  # {(i, j): nonzero entry}, Fraction or CommPoly
 
 
 def mat_inverse(A: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -51,6 +43,79 @@ def mat_inverse(A: Sequence[Sequence[Fraction]]) -> Matrix:
     if any(R[i][j] != int(i == j) for i in range(n) for j in range(n)):
         raise ValidationError("singular matrix (form is degenerate)")
     return tuple(tuple(row[n:]) for row in R)
+
+
+def _mat_mul(A: Sparse, B: Sparse, zero=Fraction(0)) -> Sparse:
+    rows: Dict[int, list] = {}
+    for (j, k), y in B.items():
+        rows.setdefault(j, []).append((k, y))
+    out: Dict[Tuple[int, int], object] = {}
+    for (i, j), x in A.items():
+        for k, y in rows.get(j, ()):
+            out[(i, k)] = out.get((i, k), zero) + x * y
+    return {ik: v for ik, v in out.items() if v}
+
+
+def _combine(coeffs: Sequence[Fraction], mats: Sequence[Sparse]) -> Sparse:
+    """sum_a coeffs[a] mats[a]."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for c, M in zip(coeffs, mats):
+        if c:
+            for ij, x in M.items():
+                out[ij] = out.get(ij, 0) + c * x
+    return {ij: v for ij, v in out.items() if v}
+
+
+def _trace_pair(A: Sparse, B: Sparse, zero=Fraction(0)):
+    """tr(A B)."""
+    return sum((x * B[(j, i)] for (i, j), x in A.items() if (j, i) in B), zero)
+
+
+class MatrixRealization:
+    """A basis E_a of n x n matrices, held sparse, with its trace form
+    <E_a, E_b> = tr(E_a E_b) and the dual basis E^a = sum_b ginv[b][a] E_b,
+    so that <E_a, E^b> = delta_ab."""
+
+    def __init__(self, matrices: Sequence[Matrix]) -> None:
+        self.matrices = list(matrices)
+        self.size = len(matrices[0])
+        self.sparse = [{(i, j): Fraction(x) for i, row in enumerate(M)
+                        for j, x in enumerate(row) if x} for M in matrices]
+        self.gram = tuple(tuple(_trace_pair(A, B) for B in self.sparse) for A in self.sparse)
+        self.gram_inv = mat_inverse(self.gram)
+        self.duals = [_combine(col, self.sparse) for col in zip(*self.gram_inv)]
+
+    def coordinates(self, A: Sparse, message: str) -> List[Fraction]:
+        """The c with sum_a c_a E_a = A, read off as c_a = <A, E^a>; raises
+        ``ValidationError(message)`` unless they reproduce A exactly, that
+        is unless A lies in the span."""
+        coords = [_trace_pair(A, D) for D in self.duals]
+        if _combine(coords, self.sparse) != A:
+            raise ValidationError(message)
+        return coords
+
+    def trace_invariants(self, blocks) -> List["InvariantPolynomial"]:
+        """tr(X_B^k) for each (block B, degrees) and k in degrees, where X_B
+        is the generic matrix X = sum_a x_a E^a restricted to the rows and
+        columns in B, read off as tr(X_B^(k-1) X_B) after k - 1 products."""
+        X: Dict[Tuple[int, int], CommPoly] = {}
+        for a, D in enumerate(self.duals):
+            for ij, c in D.items():
+                X[ij] = X.get(ij, CommPoly()) + CommPoly({((a, 0),): c})
+        out = []
+        for blk, degrees in blocks:
+            XB = {(i, j): p for (i, j), p in X.items() if i in blk and j in blk}
+            power = {(i, i): CommPoly.const(1) for i in blk}  # X_B^(k-1)
+            for k in range(1, max(degrees) + 1):
+                if k in degrees:
+                    tr = _trace_pair(power, XB, CommPoly())
+                    if tr.is_zero():
+                        raise ValidationError(f"trace power {k} vanishes identically")
+                    out.append(InvariantPolynomial(tr, k))
+                if k < max(degrees):
+                    power = _mat_mul(power, XB, CommPoly())
+        out.sort(key=lambda p: p.degree)
+        return out
 
 
 @dataclass(frozen=True)
@@ -85,7 +150,7 @@ class LieAlgebraData:
         exponents: Sequence[int],
         cartan_indices: Sequence[int],
         root_data: Optional[List[RootDatum]] = None,
-        matrices: Optional[List[Matrix]] = None,
+        realization: Optional[MatrixRealization] = None,
         name: str = "custom",
         gl_size: Optional[int] = None,
         ambient_indices: Optional[List[int]] = None,
@@ -100,12 +165,14 @@ class LieAlgebraData:
         self.exponents = list(exponents)
         self.cartan_indices = list(cartan_indices)
         self.root_data = root_data or []
-        self.matrices = matrices
+        self.realization = realization
+        self.matrices = realization.matrices if realization else None
         self.name = name
         self.gl_size = gl_size  # n when this is gl_n in the matrix-unit basis
         self.ambient_indices = ambient_indices  # embedding into a parent algebra
-        self._gram_inv: Optional[Matrix] = None
+        self._gram_inv: Optional[Matrix] = realization.gram_inv if realization else None
         self._invariants = invariants
+        self._invariants_checked = False
         self.validate()
 
     # -- structure access ----------------------------------------------------
@@ -178,19 +245,14 @@ class LieAlgebraData:
     # -- invariant generators ----------------------------------------------------
 
     def invariant_generators(self) -> List[InvariantPolynomial]:
-        """Free generators of S(g)^g; built in for gl_n/sl_n, else user-supplied."""
+        """Free generators of S(g)^g: the trace invariants of a matrix
+        algebra, else those supplied in the config; checked on first use."""
         if self._invariants is None:
-            if self.gl_size is not None:
-                n = self.gl_size  # tr X^k, k = 1..n: the one-block case
-                self._invariants = _blockwise_trace_invariants(
-                    n, [list(range(n))], {i: i for i in range(n * n)})
-            elif self.matrices is not None and self.name.startswith("sl"):
-                self._invariants = _trace_invariants_from_matrices(
-                    self, range(2, len(self.matrices[0]) + 1))
-            else:
-                raise ValidationError(
-                    f"no built-in invariants for algebra {self.name!r}; supply them in config")
+            raise ValidationError(
+                f"no built-in invariants for algebra {self.name!r}; supply them in config")
+        if not self._invariants_checked:
             self._check_invariants(self._invariants)
+            self._invariants_checked = True
         return self._invariants
 
     def _check_invariants(self, invs: List[InvariantPolynomial]) -> None:
@@ -229,63 +291,32 @@ class LieAlgebraData:
         }
 
 
-def _sparse_brackets_from_matrices(mats: List[Matrix], gram: Matrix) -> Dict:
-    """Structure constants by expanding matrix commutators in the basis,
-    using the form for coordinate extraction."""
-    n = len(mats)
-    ginv = mat_inverse(gram)
-    out: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = tuple(
-                tuple(x - y for x, y in zip(r1, r2))
-                for r1, r2 in zip(mat_mul(mats[a], mats[b]), mat_mul(mats[b], mats[a]))
-            )
-            pair = [mat_trace(mat_mul(comm, m)) for m in mats]  # <comm, x_c>
-            coeffs = {}
-            for d in range(n):
-                c = sum((ginv[d][e] * pair[e] for e in range(n)), Fraction(0))
-                if c != 0:
-                    coeffs[d] = c
-            if coeffs:
-                out[(a, b)] = coeffs
-    return out
+def matrix_algebra(name: str, labels: Sequence[str], matrices: Sequence[Matrix],
+                   cartan_indices: Sequence[int], root_data: List[RootDatum],
+                   blocks, **kw) -> LieAlgebraData:
+    """The Lie algebra spanned by ``matrices``, with the trace form.
 
-
-def _trace_invariants_from_matrices(alg: "LieAlgebraData", degrees) -> List[InvariantPolynomial]:
-    """tr X^k via the matrix realization, expanded in form-dual coordinates."""
-    mats = alg.matrices
-    assert mats is not None
-    n = alg.dim
-    ginv = alg.gram_inverse()
-    duals = []
-    for a in range(n):
-        rows = len(mats[0])
-        acc = [[Fraction(0)] * rows for _ in range(rows)]
-        for b in range(n):
-            c = ginv[b][a]
-            if c:
-                for i in range(rows):
-                    for j in range(rows):
-                        acc[i][j] += c * mats[b][i][j]
-        duals.append(tuple(tuple(r) for r in acc))
-    out = []
-    for k in degrees:
-        terms: Dict[tuple, Fraction] = {}
-        for tup in itertools.product(range(n), repeat=k):
-            prod = duals[tup[0]]
-            for a in tup[1:]:
-                prod = mat_mul(prod, duals[a])
-            c = mat_trace(prod)
-            if c == 0:
-                continue
-            mono = tuple(sorted(((a, 0) for a in tup), key=lambda v: (v[1], v[0])))
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        poly = CommPoly(terms)
-        if poly.is_zero():
-            raise ValidationError(f"trace power {k} vanishes identically")
-        out.append(InvariantPolynomial(poly, k))
-    return out
+    ``blocks`` lists (block of matrix indices, invariant degrees); the
+    invariant generators are tr(X_B^k), so the rank is their number and the
+    exponents are their degrees minus one.  Raises ``ValidationError`` if a
+    commutator leaves the span.
+    """
+    real = MatrixRealization(matrices)
+    dim = len(matrices)
+    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            comm = _combine((1, -1), (_mat_mul(real.sparse[a], real.sparse[b]),
+                                      _mat_mul(real.sparse[b], real.sparse[a])))
+            if comm:
+                coords = real.coordinates(comm, "matrices are not closed under bracket")
+                brackets[(a, b)] = {d: c for d, c in enumerate(coords) if c}
+    degrees = sorted(k for _, ks in blocks for k in ks)
+    return LieAlgebraData(
+        dim=dim, labels=labels, brackets=brackets, gram=real.gram, rank=len(degrees),
+        exponents=[k - 1 for k in degrees], cartan_indices=cartan_indices,
+        root_data=root_data, realization=real, name=name,
+        invariants=real.trace_invariants(blocks), **kw)
 
 
 # -- torus elements ---------------------------------------------------------------
@@ -324,8 +355,8 @@ class TorusElement:
 
 
 def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
-    """Fixed subalgebra of Ad(C), with inherited structure constants,
-    restricted form and (for gl_n) blockwise trace invariants.
+    """Fixed subalgebra of Ad(C): the matrix units E_ij of gl_n with
+    C_i = C_j, one block per group of equal entries of C.
 
     Conventions for the reductive output: rank equals rank of the ambient
     algebra; exponents are those of the derived subalgebra padded with zeros.
@@ -335,138 +366,50 @@ def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
     n = alg.gl_size
     if len(C.entries) != n:
         raise ValidationError("torus entry count != n")
-    keep = [i * n + j for i in range(n) for j in range(n)
-            if sc_is_zero(C.entries[i] - C.entries[j])]
-    return _gl_subalgebra(alg, C, keep)
-
-
-def _gl_subalgebra(alg: LieAlgebraData, C: TorusElement, keep: List[int]) -> LieAlgebraData:
-    n = alg.gl_size
-    pos = {amb: k for k, amb in enumerate(keep)}
-    dim = len(keep)
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for ka, amb_a in enumerate(keep):
-        for kb, amb_b in enumerate(keep):
-            if ka >= kb:
-                continue
-            cs = alg.bracket_coeffs(amb_a, amb_b)
-            sub = {}
-            for d, c in cs.items():
-                if d not in pos:
-                    raise ValidationError("centralizer is not closed under bracket")
-                sub[pos[d]] = c
-            if sub:
-                brackets[(ka, kb)] = sub
-    gram = [[alg.gram[keep[a]][keep[b]] for b in range(dim)] for a in range(dim)]
-    # block decomposition by equal diagonal entries
     blocks: List[List[int]] = []
-    seen: List[int] = []
     for i in range(n):
-        if i in seen:
-            continue
-        blk = [j for j in range(n) if sc_is_zero(C.entries[i] - C.entries[j])]
-        seen.extend(blk)
-        blocks.append(blk)
-    exponents = sorted(e for blk in blocks for e in range(len(blk)))
-    cartan = [pos[i * n + i] for i in range(n)]
-    roots = [RootDatum(
-        alpha=tuple(Fraction(int(d == i)) - Fraction(int(d == j)) for d in range(n)),
-        e_idx=pos[i * n + j], f_idx=pos[j * n + i])
-        for blk in blocks for i in blk for j in blk if i != j]
-    invs = _blockwise_trace_invariants(n, blocks, pos)
-    mats = [alg.matrices[amb] for amb in keep] if alg.matrices else None
-    return LieAlgebraData(
-        dim=dim, labels=[alg.labels[amb] for amb in keep], brackets=brackets,
-        gram=gram, rank=alg.rank, exponents=exponents, cartan_indices=cartan,
-        root_data=roots, matrices=mats,
-        name=f"z_{alg.name}(" + ",".join(str(e) for e in C.entries) + ")",
-        ambient_indices=keep, invariants=invs)
-
-
-def _blockwise_trace_invariants(n: int, blocks: List[List[int]],
-                                pos: Dict[int, int]) -> List[InvariantPolynomial]:
-    out = []
-    for blk in blocks:
-        for k in range(1, len(blk) + 1):
-            terms: Dict[tuple, Fraction] = {}
-            for cyc in itertools.product(blk, repeat=k):
-                mono = tuple(sorted(
-                    ((pos[cyc[i] * n + cyc[(i + 1) % k]], 0) for i in range(k)),
-                    key=lambda v: (v[1], v[0])))
-                terms[mono] = terms.get(mono, Fraction(0)) + 1
-            out.append(InvariantPolynomial(CommPoly(terms), k))
-    out.sort(key=lambda p: p.degree)
-    return out
+        if not any(i in blk for blk in blocks):
+            blocks.append([j for j in range(n) if sc_is_zero(C.entries[i] - C.entries[j])])
+    return _gl_units(n, blocks, f"z_{alg.name}(" + ",".join(str(e) for e in C.entries) + ")")
 
 
 # -- presets ------------------------------------------------------------------------
 
 
-def _gl_preset(n: int) -> LieAlgebraData:
-    labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            mats.append(tuple(
-                tuple(Fraction(int(r == i and c == j)) for c in range(n))
-                for r in range(n)))
-    # closed forms in the matrix-unit basis E_ij = index i*n + j:
-    # tr(E_ij E_kl) = d_jk d_il and [E_ij, E_kl] = d_jk E_il - d_li E_kj
-    gram = [[Fraction(int(j == k and i == l)) for k in range(n) for l in range(n)]
-            for i in range(n) for j in range(n)]
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for a in range(n * n):
-        i, j = divmod(a, n)
-        for b in range(a + 1, n * n):
-            k, l = divmod(b, n)
-            coeffs = {}
-            if j == k:
-                coeffs[i * n + l] = Fraction(1)
-            if l == i:
-                coeffs[k * n + j] = Fraction(-1)
-            if coeffs:
-                brackets[(a, b)] = dict(sorted(coeffs.items()))
+def _dense(n: int, entries: Dict[Tuple[int, int], int]) -> Matrix:
+    return tuple(tuple(Fraction(entries.get((r, c), 0)) for c in range(n)) for r in range(n))
+
+
+def _gl_units(n: int, blocks: List[List[int]], name: str,
+              gl_size: Optional[int] = None) -> LieAlgebraData:
+    """The matrix units E_ij of gl_n with i and j in one block, in the order
+    of their gl_n index i*n + j; invariants tr X_B^k, k = 1..|B|.  One
+    block of all n indices is gl_n itself, else the result embeds into gl_n."""
+    block = {i: b for b, blk in enumerate(blocks) for i in blk}
+    keep = [i * n + j for i in range(n) for j in range(n) if block[i] == block[j]]
+    pos = {amb: k for k, amb in enumerate(keep)}
     roots = [RootDatum(
         alpha=tuple(Fraction(int(d == i)) - Fraction(int(d == j)) for d in range(n)),
-        e_idx=i * n + j, f_idx=j * n + i)
-        for i in range(n) for j in range(n) if i != j]
-    return LieAlgebraData(
-        dim=n * n, labels=labels, brackets=brackets, gram=gram, rank=n,
-        exponents=list(range(n)), cartan_indices=[i * n + i for i in range(n)],
-        root_data=roots, matrices=mats, name=f"gl{n}", gl_size=n)
+        e_idx=pos[i * n + j], f_idx=pos[j * n + i])
+        for blk in blocks for i in blk for j in blk if i != j]
+    return matrix_algebra(
+        name, [f"e{a // n + 1}{a % n + 1}" for a in keep],
+        [_dense(n, {divmod(a, n): 1}) for a in keep], [pos[i * n + i] for i in range(n)],
+        roots, [(blk, range(1, len(blk) + 1)) for blk in blocks],
+        gl_size=gl_size, ambient_indices=None if gl_size else keep)
 
 
 def _sl_preset(n: int) -> LieAlgebraData:
     # basis: e_ij (i<j), then h_i = e_ii - e_{i+1,i+1}, then e_ij (i>j)
     upper = [(i, j) for i in range(n) for j in range(n) if i < j]
     lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-    mats: List[Matrix] = []
-    labels: List[str] = []
-
-    def unit(i, j):
-        return tuple(tuple(Fraction(int(r == i and c == j)) for c in range(n))
-                     for r in range(n))
-
-    for (i, j) in upper:
-        mats.append(unit(i, j))
-        labels.append(f"e{i + 1}{j + 1}")
-    for i in range(n - 1):
-        m = tuple(tuple(
-            Fraction(int(r == c and r == i)) - Fraction(int(r == c and r == i + 1))
-            for c in range(n)) for r in range(n))
-        mats.append(m)
-        labels.append(f"h{i + 1}")
-    for (i, j) in lower:
-        mats.append(unit(i, j))
-        labels.append(f"e{i + 1}{j + 1}")
-    gram = [[mat_trace(mat_mul(ma, mb)) for mb in mats] for ma in mats]
-    brackets = _sparse_brackets_from_matrices(mats, tuple(map(tuple, gram)))
-    cartan = list(range(len(upper), len(upper) + n - 1))
-    idx = {}
-    for k, (i, j) in enumerate(upper):
-        idx[(i, j)] = k
-    for k, (i, j) in enumerate(lower):
-        idx[(i, j)] = len(upper) + n - 1 + k
+    mats = ([_dense(n, {ij: 1}) for ij in upper]
+            + [_dense(n, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+            + [_dense(n, {ij: 1}) for ij in lower])
+    labels = ([f"e{i + 1}{j + 1}" for i, j in upper] + [f"h{i + 1}" for i in range(n - 1)]
+              + [f"e{i + 1}{j + 1}" for i, j in lower])
+    idx = {ij: k for k, ij in enumerate(upper)}
+    idx.update({ij: len(upper) + n - 1 + k for k, ij in enumerate(lower)})
     roots = []
     for (i, j) in upper + lower:
         # alpha(h_d) = delta_{d,i} - delta_{d,i+1} - (delta_{d,j} - delta_{d,j+1})
@@ -475,24 +418,22 @@ def _sl_preset(n: int) -> LieAlgebraData:
             - Fraction(int(d == j)) + Fraction(int(d + 1 == j))
             for d in range(n - 1))
         roots.append(RootDatum(alpha=alpha, e_idx=idx[(i, j)], f_idx=idx[(j, i)]))
-    return LieAlgebraData(
-        dim=n * n - 1, labels=labels, brackets=brackets, gram=gram, rank=n - 1,
-        exponents=list(range(1, n)), cartan_indices=cartan,
-        root_data=roots, matrices=mats, name=f"sl{n}")
+    return matrix_algebra(f"sl{n}", labels, mats,
+                          list(range(len(upper), len(upper) + n - 1)), roots,
+                          [(range(n), range(2, n + 1))])
 
 
 _PRESETS = {}
 
 
 def preset(name: str) -> LieAlgebraData:
-    """Built-in algebras: sl2, sl3, gl2, gl3, gl4 (trace form)."""
+    """Built-in algebras: sl2, sl3, gl1, gl2, gl3, gl4 (trace form)."""
+    if name.startswith("gl") and name[2:] in {"1", "2", "3", "4"}:
+        return gl_algebra(int(name[2:]))
+    if not (name.startswith("sl") and name[2:] in {"2", "3"}):
+        raise ValidationError(f"unknown preset {name!r}")
     if name not in _PRESETS:
-        if name.startswith("gl") and name[2:] in {"1", "2", "3", "4"}:
-            _PRESETS[name] = _gl_preset(int(name[2:]))
-        elif name.startswith("sl") and name[2:] in {"2", "3"}:
-            _PRESETS[name] = _sl_preset(int(name[2:]))
-        else:
-            raise ValidationError(f"unknown preset {name!r}")
+        _PRESETS[name] = _sl_preset(int(name[2:]))
     return _PRESETS[name]
 
 
@@ -500,7 +441,7 @@ def gl_algebra(n: int) -> LieAlgebraData:
     """gl_n with the trace form, for any n >= 1 (cached)."""
     key = f"gl{n}"
     if key not in _PRESETS:
-        _PRESETS[key] = _gl_preset(n)
+        _PRESETS[key] = _gl_units(n, [list(range(n))], key, gl_size=n)
     return _PRESETS[key]
 
 
@@ -558,7 +499,7 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
         exponents=exponents, cartan_indices=cartan, root_data=roots,
         name=str(data.get("name", "custom")), invariants=invs)
     if invs is not None:
-        alg._check_invariants(invs)  # reject non-invariant user input
+        alg.invariant_generators()  # reject non-invariant user input
     return alg
 
 

@@ -48,7 +48,7 @@ class SymPoly:
     __slots__ = ("symbol", "coeffs")
 
     def __init__(self, symbol: str, coeffs) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.symbol = symbol

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from loopcert import certify
+from loopcert.commpoly import LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.liealg import TorusElement, preset
 from loopcert.scalars import leibniz_det
@@ -216,6 +217,22 @@ class TestSuites:
     def test_eval_gaudin_passes_at_hermite_bound(self, alg, zs):
         rep = certify.verify_eval_gaudin(alg, zs, kmax=2 * (len(zs) - 1))
         assert rep.passed, rep.summary_lines()
+
+    def test_eval_gaudin_without_quadratic_invariant_refused(self):
+        # gl1 has only the degree-1 invariant, so its quadratic span is empty
+        # and H_1 = Omega_12/(z_1 - z_2) cannot lie in it: refused, not FAIL
+        with pytest.raises(ValidationError, match=r"needs a degree-2 invariant.*gl1 has "
+                                                  r"invariant degrees \[1\]"):
+            certify.verify_eval_gaudin("gl1", ["0", "1"], kmax=2)
+        assert certify.verify_eval_gaudin("gl1", ["0"], kmax=2).passed  # H_1 = 0
+
+    def test_centralizer_component_bound(self):
+        # sl3 degree 5 (2464 monomials) is the largest component measured to
+        # finish; degree 6 (7704) is refused before anything is built
+        loop = LoopAlgebra(preset("sl3"), 7)
+        assert len(loop.component_monomials(5)) == certify.CENTRALIZER_MAX_MONOMIALS
+        with pytest.raises(BoundsError, match="deg1 = 6 component of sl3 has 7704 monomials"):
+            certify.verify_centralizer("sl3", 6)
 
     def test_soa_details_record_seed(self):
         rep = certify.verify_soa("sl2", ["1", "-1"], seed=5)

@@ -117,6 +117,30 @@ def test_eval_gaudin_too_many_points_exit_two(capsys):
     assert "number of --z points = 6 outside documented bounds [1, 5]" in err
 
 
+def test_eval_gaudin_without_quadratic_invariant_exit_two(capsys):
+    code = main(["eval-gaudin", "--algebra", "gl1", "--z", "0,1", "--kmax", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ValidationError" in err and "needs a degree-2 invariant" in err
+
+
+@pytest.mark.parametrize("family", ["bethe", "classical-bethe"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_gens_bethe_default_C(family, n, capsys):
+    # without --C the torus element is diag(1, ..., n)
+    code, out = run(["gens", "--family", family, "--algebra", f"gl{n}", "--json", "-"], capsys)
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["params"]["C"] == [str(i) for i in range(1, n + 1)]
+
+
+def test_gr_centralizer_past_measured_bound_exit_two(capsys):
+    code = main(["gr", "--comparison", "centralizer", "--algebra", "sl3", "--max-deg", "6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and "7704 monomials" in err
+
+
 def test_readme_cli_lines_parse():
     # every documented command line names only options the parser has
     readme = Path(__file__).resolve().parents[1] / "README.md"

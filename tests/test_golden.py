@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from loopcert.certify import dump_generators
 from loopcert.envelop import talalaev_generators
 from loopcert.families import classical_bethe, gamma_label
 from loopcert.liealg import TorusElement
@@ -40,6 +41,19 @@ def test_talalaev_generators(n, R):
     got = {f"QI_{i}^({s})": p.render() for (i, s, p) in tal}
     expected = json.loads((GOLDEN / f"talalaev_gl{n}_R{R}.json").read_text())
     assert got == expected
+
+
+@pytest.mark.parametrize("name,family,kw", [
+    ("gaudin_sl2_K3.json", "gaudin", {"algebra": "sl2", "kmax": 3}),
+    ("gaudin_sl3_K3.json", "gaudin", {"algebra": "sl3", "kmax": 3}),
+    ("gaudin_gl3_K3.json", "gaudin", {"algebra": "gl3", "kmax": 3}),
+    ("soa_sl3_chi1_2_-3.json", "soa", {"algebra": "sl3", "chi": ["1", "2", "-3"]}),
+])
+def test_invariant_families(name, family, kw):
+    """The Gaudin and shift-of-argument families, as ``gens`` lists them:
+    they are built from the invariant generators of the matrix presets."""
+    got = dump_generators(family, **kw).checks[0].details["generators"]
+    assert got == json.loads((GOLDEN / name).read_text())
 
 
 def test_golden_qi22_hand_derivation():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -6,9 +7,8 @@ import pytest
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import ValidationError
 from loopcert.families import classical_bethe
-from loopcert.liealg import (LieAlgebraData, TorusElement, _sparse_brackets_from_matrices,
-                             algebra_from_dict, centralizer, load_config, mat_mul,
-                             mat_trace, preset, root_pairing)
+from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
+                             load_config, matrix_algebra, preset, root_pairing)
 from loopcert.scalars import SymPoly
 
 
@@ -43,14 +43,94 @@ class TestBracket:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gl_closed_form_matches_matrices(n):
-    """The closed-form gl_n brackets and trace form equal those expanded from
-    the matrix units, down to the key order of the sparse table."""
+    """In the matrix-unit basis E_ij = index i*n + j, the builder's gl_n
+    brackets are [E_ij, E_kl] = d_jk E_il - d_li E_kj and its form is
+    tr(E_ij E_kl) = d_jk d_il, down to the key order of the sparse table."""
+    brackets = {}
+    for a in range(n * n):
+        i, j = divmod(a, n)
+        for b in range(a + 1, n * n):
+            k, l = divmod(b, n)
+            coeffs = {}
+            if j == k:
+                coeffs[i * n + l] = F(1)
+            if l == i:
+                coeffs[k * n + j] = F(-1)
+            if coeffs:
+                brackets[(a, b)] = dict(sorted(coeffs.items()))
     gl = preset(f"gl{n}")
-    expanded = _sparse_brackets_from_matrices(gl.matrices, gl.gram)
     assert [(k, list(v.items())) for k, v in gl._brackets.items()] == \
-        [(k, list(v.items())) for k, v in expanded.items()]
-    assert gl.gram == tuple(tuple(mat_trace(mat_mul(a, b)) for b in gl.matrices)
-                            for a in gl.matrices)
+        [(k, list(v.items())) for k, v in brackets.items()]
+    assert gl.gram == tuple(tuple(F(int(j == k and i == l)) for k in range(n) for l in range(n))
+                            for i in range(n) for j in range(n))
+
+
+def _trace_power_by_tuples(alg, k, indices):
+    """tr X^k for X = sum_a x_a E^a over the basis elements in ``indices``,
+    expanded over every index tuple (a_1..a_k) as
+    tr(E^{a_1} ... E^{a_k}) x_{a_1} ... x_{a_k}, with dense matrices: the
+    definition, at |indices|^k matrix products."""
+    size = len(alg.matrices[0])
+    ginv = alg.gram_inverse()
+    duals = [[[sum(ginv[b][a] * alg.matrices[b][i][j] for b in range(alg.dim))
+               for j in range(size)] for i in range(size)] for a in range(alg.dim)]
+
+    def mul(A, B):
+        return [[sum(A[i][t] * B[t][j] for t in range(size)) for j in range(size)]
+                for i in range(size)]
+
+    terms = {}
+    for tup in itertools.product(indices, repeat=k):
+        prod = duals[tup[0]]
+        for a in tup[1:]:
+            prod = mul(prod, duals[a])
+        c = sum(prod[i][i] for i in range(size))
+        mono = tuple(sorted((a, 0) for a in tup))
+        terms[mono] = terms.get(mono, 0) + c
+    return CommPoly(terms)
+
+
+@pytest.mark.parametrize("name,C", [("sl2", None), ("sl3", None), ("gl2", None),
+                                    ("gl3", None), ("gl3", [1, 1, 2]), ("gl4", [1, 1, 2, 2])])
+def test_invariants_match_tuple_expansion(name, C):
+    """The generic-matrix invariants equal tr X_B^k expanded over index
+    tuples.  An sl_n or gl_n preset is one block, degrees 2..n or 1..n; z(C)
+    has one block B per group of equal entries of C, degrees 1..|B|, whose
+    basis elements are the matrix units inside B x B."""
+    alg = preset(name)
+    size = len(alg.matrices[0])
+    if C is None:
+        blocks = [(range(size), range(2 if name.startswith("sl") else 1, size + 1))]
+    else:
+        alg = centralizer(alg, TorusElement.diagonal(C))
+        groups = [[i for i in range(size) if C[i] == c] for c in dict.fromkeys(C)]
+        blocks = [(blk, range(1, len(blk) + 1)) for blk in groups]
+    expected = []
+    for blk, degrees in blocks:
+        inside = [a for a in range(alg.dim)
+                  if all(alg.matrices[a][i][j] == 0 or (i in blk and j in blk)
+                         for i in range(size) for j in range(size))]
+        expected += [(k, _trace_power_by_tuples(alg, k, inside)) for k in degrees]
+    expected.sort(key=lambda kp: kp[0])
+    assert [(p.degree, p.poly) for p in alg.invariant_generators()] == expected
+
+
+def test_non_subalgebra_rejected():
+    """Negative control: E12 and E21 of gl2 span no subalgebra, since
+    [E12, E21] = E11 - E22 lies outside their span."""
+    e12 = ((F(0), F(1)), (F(0), F(0)))
+    e21 = ((F(0), F(0)), (F(1), F(0)))
+    with pytest.raises(ValidationError, match="not closed under bracket"):
+        matrix_algebra("bad", ["e12", "e21"], [e12, e21], [], [], [([0, 1], [1, 2])])
+
+
+def test_coordinates_are_exact():
+    """A matrix's coordinates reproduce it; one outside the span raises."""
+    sl2 = preset("sl2").realization
+    assert sl2.coordinates({(0, 0): F(3), (1, 1): F(-3), (0, 1): F(2)}, "x") == \
+        [F(2), F(3), F(0)]
+    with pytest.raises(ValidationError, match="^outside$"):
+        sl2.coordinates({(0, 0): F(1)}, "outside")
 
 
 class TestValidation:

@@ -31,6 +31,16 @@ def test_sympoly_basic():
     assert SymPoly("eps", []).is_zero()
 
 
+def test_sympoly_coefficients_are_fractions():
+    """Coefficients become Fractions; one that is a Fraction already is kept
+    as it is, not rebuilt."""
+    half = F(1, 2)
+    p = SymPoly("eps", [half, 3, "1/3", 0])
+    assert p.coeffs == (F(1, 2), F(3), F(1, 3))
+    assert all(type(c) is F for c in p.coeffs)
+    assert p.coeffs[0] is half
+
+
 def test_sympoly_mixed_symbols_rejected():
     with pytest.raises(TypeError):
         SymPoly.gen("eps") + SymPoly.gen("v")
