@@ -10,27 +10,32 @@ variables ordered by ``(r, a)``; the global monomial order is graded-lex on
 (deg1, variable tuple), fixed once so echelon bases are canonical.
 
 ``CommPoly`` itself is ring-agnostic; the two Poisson brackets and the
-derivation D live on ``LoopAlgebra``, which couples a
-structure-constant table with a truncation level R (max t-degree,
-exclusive).  Operations that would create a t-degree >= R raise
-``TruncationError`` instead of silently dropping terms.
+derivation D live on ``LoopAlgebra``, which couples a structure-constant
+table (an ``int`` where the denominator is 1) with a truncation level R
+(max t-degree, exclusive).  Operations that would create a t-degree >= R
+raise ``TruncationError`` instead of silently dropping terms.
+
+``derivation`` is every derivation, {p, q} = sum_v dp/dv * {v, q} too: each
+dp/dv comes from ``partials`` in integers over the lcm of p's denominators,
+each {v, q} once, in integers over q's, and the sum is divided once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import TruncationError
-from .scalars import Scalar, SymPoly, sc_is_zero, sc_str
+from .scalars import Scalar, SymPoly, over_common_denominator, sc_is_zero, sc_str
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
 Monomial = Tuple[Var, ...]
 
 
-def var_key(v: Var) -> Tuple[int, int]:
-    a, r = v
-    return (r, a)
+var_key: Callable[[Var], Tuple[int, int]] = itemgetter(1, 0)  # (a, r) -> (r, a)
 
 
 def mono_deg1(m: Monomial) -> int:
@@ -87,9 +92,6 @@ class CommPoly:
 
     def max_tdeg(self) -> int:
         return max((r for m in self.terms for _, r in m), default=-1)
-
-    def variables(self) -> set:
-        return {v for m in self.terms for v in m}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -157,21 +159,8 @@ class CommPoly:
     # -- structure -----------------------------------------------------------
 
     def partial(self, v: Var) -> "CommPoly":
-        """Partial derivative with respect to one variable."""
-        t: Dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            k = m.count(v)
-            if k == 0:
-                continue
-            lst = list(m)
-            lst.remove(v)
-            mm = tuple(lst)
-            nc = t.get(mm, 0) + c * k
-            if sc_is_zero(nc):
-                t.pop(mm, None)
-            else:
-                t[mm] = nc
-        return CommPoly(t)
+        """Partial derivative with respect to one variable (rational coefficients)."""
+        return derivation(self, lambda w: {(): 1} if w == v else {})
 
     def evaluate(self, point: Dict[Var, Fraction]) -> Scalar:
         acc: Scalar = Fraction(0)
@@ -209,6 +198,33 @@ class CommPoly:
         return self.render()
 
 
+def partials(p: CommPoly) -> Tuple[Dict[Var, Dict[Monomial, int]], int]:
+    """({v: L * dp/dv} for every variable v of p, L), L the lcm of p's
+    denominators; monomials sorted by (a, r), an order needing no sort key."""
+    nums, L = over_common_denominator(p.terms)
+    out: Dict[Var, Dict[Monomial, int]] = {}
+    for m, c in nums.items():
+        m = tuple(sorted(m))
+        for i, v in enumerate(m):
+            if i == 0 or m[i - 1] != v:
+                out.setdefault(v, {})[m[:i] + m[i + 1:]] = c * m.count(v)
+    return out, L
+
+
+def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]],
+               den: int = 1) -> CommPoly:
+    """sum_v dp/dv * image(v) / den, divided by den and p's denominator once;
+    products are sorted by (a, r) and the result once by ``var_key``."""
+    dp, L = partials(p)
+    out: Dict[Monomial, Scalar] = defaultdict(int)
+    for v, dv in dp.items():
+        for m2, c2 in image(v).items():
+            for m1, c1 in dv.items():
+                out[tuple(sorted(m1 + m2))] += c1 * c2
+    return CommPoly({tuple(sorted(m, key=var_key)): Fraction(c, L * den)
+                     for m, c in out.items() if c})
+
+
 def weighted_words(weights: Sequence[int], dmax: int) -> Iterator[Tuple[int, ...]]:
     """Nondecreasing index words i1 <= i2 <= ... with total weight
     weights[i1] + weights[i2] + ... <= dmax, depth first, the empty word
@@ -234,30 +250,31 @@ class LoopAlgebra:
             raise ValueError("truncation level R must be >= 1")
         self.alg = alg
         self.R = R
+        self._brackets = {(a, b): {d: c.numerator if c.denominator == 1 else c
+                                   for d, c in alg.bracket_coeffs(a, b).items()}
+                          for a in range(alg.dim) for b in range(alg.dim)}
 
     # -- Poisson brackets --------------------------------------------------
 
     def _poisson(self, p: CommPoly, q: CommPoly, shift: int) -> CommPoly:
-        """Leibniz extension of {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
-        out: Dict[Monomial, Scalar] = {}
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
-                c = c1 * c2
-                for i, (a, r) in enumerate(m1):
-                    rest1 = m1[:i] + m1[i + 1:]
-                    for j, (b, s) in enumerate(m2):
-                        cs = self.alg.bracket_coeffs(a, b)
-                        if not cs:
-                            continue
-                        tdeg = r + s + shift
-                        if tdeg >= self.R:
-                            raise TruncationError(
-                                f"bracket output t-degree {tdeg} exceeds truncation R={self.R}")
-                        rest = rest1 + m2[:j] + m2[j + 1:]
-                        for d, cd in cs.items():
-                            mono = mono_mul(rest, ((d, tdeg),))
-                            out[mono] = out.get(mono, 0) + c * cd
-        return CommPoly(out)
+        """{p, q} = sum_v dp/dv * {v, q}, with {v, q} = sum_w dq/dw * {v, w} in
+        integers over q's denominator, {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
+        dq, Lq = partials(q)
+
+        def bracket_with_q(v: Var) -> Dict[Monomial, Scalar]:
+            a, r = v
+            out: Dict[Monomial, Scalar] = defaultdict(int)
+            for (b, s), dw in dq.items():
+                cs, t = self._brackets[a, b], r + s + shift
+                if cs and t >= self.R:
+                    raise TruncationError(
+                        f"bracket output t-degree {t} exceeds truncation R={self.R}")
+                for d, cd in cs.items():
+                    for m, c in dw.items():
+                        i = bisect_right(m, (d, t))
+                        out[m[:i] + ((d, t),) + m[i:]] += cd * c
+            return {m: c for m, c in out.items() if c}
+        return derivation(p, bracket_with_q, Lq)
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""
@@ -271,19 +288,13 @@ class LoopAlgebra:
 
     def derivation_D(self, p: CommPoly) -> CommPoly:
         """D(x[n]) = (n+1) x[n+1], extended as a derivation."""
-        out: Dict[Monomial, Scalar] = {}
-        for m, c in p.terms.items():
-            for i, (a, r) in enumerate(m):
-                if r + 1 >= self.R:
-                    raise TruncationError(
-                        f"D output t-degree {r + 1} exceeds truncation R={self.R}")
-                mono = mono_mul(m[:i] + m[i + 1:], ((a, r + 1),))
-                nc = out.get(mono, 0) + c * (r + 1)
-                if sc_is_zero(nc):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = nc
-        return CommPoly(out)
+        def raise_degree(v: Var) -> Dict[Monomial, Scalar]:
+            a, r = v
+            if r + 1 >= self.R:
+                raise TruncationError(
+                    f"D output t-degree {r + 1} exceeds truncation R={self.R}")
+            return {((a, r + 1),): r + 1}
+        return derivation(p, raise_degree)
 
     # -- canonical quadratic invariants --------------------------------------
 

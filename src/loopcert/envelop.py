@@ -33,7 +33,7 @@ from typing import Callable, Dict, Hashable, Sequence, Tuple
 from .commpoly import CommPoly
 from .errors import ValidationError
 from .liealg import LieAlgebraData, preset
-from .scalars import Series, leibniz_det, ratstr
+from .scalars import Series, leibniz_det, over_common_denominator, ratstr
 
 Word = Tuple[int, ...]
 Terms = Dict[Word, Fraction]
@@ -99,13 +99,6 @@ def _acc(target: Terms, source: Terms, scale) -> None:
         target[w] = target.get(w, 0) + scale * c
 
 
-def _over_common_denominator(terms: Terms) -> Tuple[Dict[Word, int], int]:
-    """(integer numerators, L) with terms = numerators / L, L the lcm of the
-    denominators."""
-    lcm = math.lcm(*(c.denominator for c in terms.values()))
-    return {w: c.numerator * (lcm // c.denominator) for w, c in terms.items()}, lcm
-
-
 class NCPoly:
     """Enveloping-algebra element in PBW normal form (nondecreasing words)."""
 
@@ -114,7 +107,7 @@ class NCPoly:
     def __init__(self, ctx: PBWContext, terms: Terms, normalized: bool = False) -> None:
         self.ctx = ctx
         self.terms = terms if normalized else ctx.normalize_terms(
-            *_over_common_denominator(terms))
+            *over_common_denominator(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,8 +141,8 @@ class NCPoly:
     def _product(self, other: "NCPoly", commute: bool) -> "NCPoly":
         """self*other, or self*other - other*self, normalized once."""
         assert self.ctx is other.ctx
-        a, da = _over_common_denominator(self.terms)
-        b, db = _over_common_denominator(other.terms)
+        a, da = over_common_denominator(self.terms)
+        b, db = over_common_denominator(other.terms)
         raw: Dict[Word, int] = {}
         for w1, c1 in a.items():
             for w2, c2 in b.items():

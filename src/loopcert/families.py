@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, mono_mul
+from .commpoly import CommPoly, LoopAlgebra, derivation, mono_mul
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
 from .linalg import Subspace, degree_buckets, relations, rref, rref_tail
@@ -57,12 +57,7 @@ def directional_derivative(alg: LieAlgebraData, chi: Sequence[Fraction],
     """d/ds p(x + s chi) at s = 0; chi in basis coordinates, pairing via the form."""
     pair = [sum((alg.gram[a][b] * chi[b] for b in range(alg.dim)), Fraction(0))
             for a in range(alg.dim)]
-    out = CommPoly()
-    for a in range(alg.dim):
-        if pair[a] == 0:
-            continue
-        out = out + p.partial((a, 0)).scale(pair[a])
-    return out
+    return derivation(p, lambda v: {(): pair[v[0]]} if v[1] == 0 else {})
 
 
 def diag_to_basis(alg: LieAlgebraData, entries: Sequence[Fraction]) -> List[Fraction]:

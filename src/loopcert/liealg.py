@@ -12,9 +12,9 @@ restricted to each block B.  The paper-level assumption of an orthonormal
 basis is relaxed to an arbitrary nondegenerate invariant form with dual
 bases, so all arithmetic stays rational.  Arbitrary algebras are accepted
 from config files and validated (indices, antisymmetry, Jacobi, form
-invariance) at construction.  The sparse table ``bracket_coeffs`` is the
-one way structure constants are applied: by the validation, the Poisson
-brackets and the PBW rewriting.
+invariance) at construction; a matrix algebra skips the Jacobi and
+invariance checks, which its construction proves.  ``bracket_coeffs`` is
+the one way structure constants are applied.
 """
 
 from __future__ import annotations
@@ -217,28 +217,31 @@ class LieAlgebraData:
                 for d in set(cs) | set(rev):
                     if cs.get(d, Fraction(0)) != -rev.get(d, Fraction(0)):
                         raise ValidationError(f"bracket not antisymmetric at ({a},{b})")
-        bc = self.bracket_coeffs
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    # [[a,b],c] + [[b,c],a] + [[c,a],b], expanded in the basis
-                    acc: Dict[int, Fraction] = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for d, cd in bc(x, y).items():
-                            for e, ce in bc(d, z).items():
-                                acc[e] = acc.get(e, 0) + cd * ce
-                    if any(acc.values()):
-                        raise ValidationError(f"Jacobi identity fails on triple ({a},{b},{c})")
-        # ad-invariance of the form: <[x,y],z> + <y,[x,z]> = 0
-        g = self.gram
-        for a in range(n):
-            for b in range(n):
-                ab = bc(a, b).items()
-                for c in range(n):
-                    s = sum(cd * g[d][c] for d, cd in ab) + \
-                        sum(cd * g[b][d] for d, cd in bc(a, c).items())
-                    if s != 0:
-                        raise ValidationError(f"form is not ad-invariant at ({a},{b},{c})")
+        # commutators of matrices and the trace form satisfy Jacobi and
+        # ad-invariance by construction, so only a config algebra is checked
+        if self.realization is None:
+            bc = self.bracket_coeffs
+            for a in range(n):
+                for b in range(a + 1, n):
+                    for c in range(b + 1, n):
+                        # [[a,b],c] + [[b,c],a] + [[c,a],b], expanded in the basis
+                        acc: Dict[int, Fraction] = {}
+                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                            for d, cd in bc(x, y).items():
+                                for e, ce in bc(d, z).items():
+                                    acc[e] = acc.get(e, 0) + cd * ce
+                        if any(acc.values()):
+                            raise ValidationError(f"Jacobi identity fails on triple ({a},{b},{c})")
+            # ad-invariance of the form: <[x,y],z> + <y,[x,z]> = 0
+            g = self.gram
+            for a in range(n):
+                for b in range(n):
+                    ab = bc(a, b).items()
+                    for c in range(n):
+                        s = sum(cd * g[d][c] for d, cd in ab) + \
+                            sum(cd * g[b][d] for d, cd in bc(a, c).items())
+                        if s != 0:
+                            raise ValidationError(f"form is not ad-invariant at ({a},{b},{c})")
         if len(self.exponents) != self.rank:
             raise ValidationError("number of exponents != rank")
 

@@ -16,6 +16,7 @@ reduction over the field Q(eps) is needed.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Tuple, TypeVar, Union
 
@@ -29,6 +30,13 @@ def ratstr(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def over_common_denominator(terms: Dict[T, Fraction]) -> Tuple[Dict[T, int], int]:
+    """(integer numerators, L) with terms = numerators / L, L the lcm of the
+    denominators."""
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (lcm // c.denominator) for k, c in terms.items()}, lcm
 
 
 def parse_rational(s: str) -> Fraction:

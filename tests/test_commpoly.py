@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2,
+from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2, mono_mul,
                                mono_order_key, weighted_words)
 from loopcert.errors import TruncationError
-from loopcert.liealg import preset
+from loopcert.liealg import algebra_from_dict, preset
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2  # basis order e12, h1, e21
@@ -113,42 +115,109 @@ def test_leibniz_random(p, q, r):
     assert loop.poisson0(p, q * r) == loop.poisson0(p, q) * r + q * loop.poisson0(p, r)
 
 
-def _monomial_polys(dim):
-    """Sums of up to three terms c * x_a[r] x_b[s] ..., monomials of length 0..3."""
-    term = st.tuples(
-        st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, 2)), max_size=3),
-        st.fractions(min_value=-4, max_value=4, max_denominator=3))
+def _monomial_polys(dim, tmax):
+    """Sums of up to three terms c * x_a[r]^k x_b[s]^l ..., k, l in {1, 2},
+    with t-degrees 0..tmax."""
+    factor = st.tuples(st.integers(0, dim - 1), st.integers(0, tmax), st.integers(1, 2))
+    term = st.tuples(st.lists(factor, max_size=3),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=3))
     return st.lists(term, min_size=1, max_size=3).map(
         lambda spec: sum((_product(m).scale(c) for m, c in spec), CommPoly()))
 
 
 def _product(m):
     out = CommPoly.const(1)
-    for a, r in m:
-        out = out * CommPoly.variable(a, r)
+    for a, r, k in m:
+        out = out * CommPoly.variable(a, r) ** k
     return out
 
 
-@pytest.mark.parametrize("name", ["sl2", "gl2"])
+def _readme_sl2r():
+    """The README's "Custom algebras" JSON block: sl2 in a rescaled basis."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return algebra_from_dict(json.loads(text.split("```json\n", 1)[1].split("```", 1)[0]))
+
+
+# sl2r with its first basis vector halved: [x, f] = h/2 and (x, f) = 1/2
+SL2_HALF = {
+    "name": "sl2-half", "dim": 3, "labels": ["x", "h", "f"],
+    "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1/2"], [1, 2, 2, "-2"]],
+    "form": [[0, 2, "1/2"], [1, 1, "2"]],
+    "rank": 1, "exponents": [1], "cartan": [1]}
+ALGEBRAS = {"sl2": lambda: sl2, "gl2": lambda: preset("gl2"), "sl2r": _readme_sl2r,
+            "sl2-half": lambda: algebra_from_dict(SL2_HALF)}
+R_SMALL = 4
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
 @pytest.mark.parametrize("shift", [0, 1])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_poisson_matches_partial_derivative_formula(name, shift, data):
     """{p, q}_k = sum_{u, v} dp/du * dq/dv * {u, v}_k, with the generator
     brackets {x_a[r], x_b[s]}_k = [x_a, x_b][r + s + k] built from
-    bracket_coeffs directly."""
-    alg = preset(name)
-    p = data.draw(_monomial_polys(alg.dim))
-    q = data.draw(_monomial_polys(alg.dim))
-    loop = LoopAlgebra(alg, R=6)
-    expected = CommPoly()
-    for a, r in p.variables():
-        for b, s in q.variables():
-            uv = CommPoly({((d, r + s + shift),): c
-                           for d, c in alg.bracket_coeffs(a, b).items()})
+    bracket_coeffs directly; a TruncationError exactly when one of them
+    reaches t-degree R."""
+    alg = ALGEBRAS[name]()
+    p = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
+    q = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
+    loop = LoopAlgebra(alg, R=R_SMALL)
+    expected, overflow = CommPoly(), False
+    for a, r in {v for m in p.terms for v in m}:
+        for b, s in {v for m in q.terms for v in m}:
+            cs = alg.bracket_coeffs(a, b)
+            overflow |= bool(cs) and r + s + shift >= R_SMALL
+            uv = CommPoly({((d, r + s + shift),): c for d, c in cs.items()})
             expected = expected + p.partial((a, r)) * q.partial((b, s)) * uv
-    got = (loop.poisson0, loop.poisson1)[shift](p, q)
-    assert got == expected
+    bracket = (loop.poisson0, loop.poisson1)[shift]
+    if overflow:
+        with pytest.raises(TruncationError):
+            bracket(p, q)
+    else:
+        assert bracket(p, q) == expected
+
+
+def _reference_poisson(loop, p, q, shift):
+    """The Leibniz extension of {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]
+    over every pair of terms and every pair of their variables, in Fraction
+    arithmetic."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            for i, (a, r) in enumerate(m1):
+                for j, (b, s) in enumerate(m2):
+                    cs = loop.alg.bracket_coeffs(a, b)
+                    if not cs:
+                        continue
+                    tdeg = r + s + shift
+                    if tdeg >= loop.R:
+                        raise TruncationError(f"t-degree {tdeg}")
+                    rest = m1[:i] + m1[i + 1:] + m2[:j] + m2[j + 1:]
+                    for d, cd in cs.items():
+                        mono = mono_mul(rest, ((d, tdeg),))
+                        out[mono] = out.get(mono, 0) + c1 * c2 * cd
+    return CommPoly(out)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("shift", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_poisson_matches_term_pair_reference(name, shift, data):
+    alg = ALGEBRAS[name]()
+    p = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
+    q = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
+    loop = LoopAlgebra(alg, R=R_SMALL)
+    bracket = (loop.poisson0, loop.poisson1)[shift]
+    try:
+        expected = _reference_poisson(loop, p, q, shift)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            bracket(p, q)
+        return
+    got = bracket(p, q)
+    assert got.terms == expected.terms
+    assert all(type(c) is F for c in got.terms.values())
 
 
 class TestDerivation:

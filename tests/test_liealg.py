@@ -8,7 +8,8 @@ from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import ValidationError
 from loopcert.families import classical_bethe
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
-                             load_config, matrix_algebra, preset, root_pairing)
+                             gl_algebra, load_config, matrix_algebra, preset,
+                             root_pairing)
 from loopcert.scalars import SymPoly
 
 
@@ -138,6 +139,20 @@ class TestValidation:
         for name in ("sl2", "sl3", "gl2", "gl3", "gl4"):
             alg = preset(name)
             assert alg.dim == len(alg.labels)
+
+    @pytest.mark.parametrize("name, C", [
+        ("sl2", None), ("sl3", None), ("gl1", None), ("gl2", None), ("gl3", None),
+        ("gl4", None), ("gl5", None), ("gl3", (1, 1, 2)), ("gl3", (1, 2, 3)),
+        ("gl4", (1, 1, 2, 2))])
+    def test_matrix_algebras_validate_as_configs(self, name, C):
+        # validate skips Jacobi and ad-invariance for a matrix algebra, whose
+        # construction proves them; its table and form, read back as a config
+        # algebra, pass every check
+        alg = gl_algebra(5) if name == "gl5" else preset(name)
+        if C is not None:
+            alg = centralizer(alg, TorusElement.diagonal(C))
+        cfg = algebra_from_dict(alg.to_config())
+        assert cfg.realization is None and cfg.dim == alg.dim
 
     def test_jacobi_rejected(self):
         # a fake "algebra" violating Jacobi: [a,b]=c, [a,c]=b, [b,c]=a
