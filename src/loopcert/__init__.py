@@ -17,14 +17,14 @@ from .errors import (BoundsError, LoopcertError, RegularityError,
 from .families import classical_bethe, gaudin_generators, soa_generators
 from .liealg import (InvariantPolynomial, LieAlgebraData, TorusElement,
                      centralizer, load_config, preset)
-from .linalg import EpsFamily, Subspace, limit_subspace
+from .linalg import Subspace, limit_subspace
 from .yangian import (YangianContext, bethe_generators, gr1, gr2,
                       quantum_minor, yangian)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsError", "CommPoly", "EpsFamily", "InvariantPolynomial",
+    "BoundsError", "CommPoly", "InvariantPolynomial",
     "LieAlgebraData", "LoopAlgebra", "LoopcertError", "NCPoly", "PBWContext",
     "RegularityError", "Subspace", "TorusElement", "TruncationError",
     "ValidationError", "YangianContext", "bethe_generators", "centralizer",

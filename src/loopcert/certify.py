@@ -25,7 +25,7 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        gamma_label, gaudin_generators, soa_generators,
                        soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, preset, resolve_algebra
-from .linalg import (EpsFamily, Subspace, bigraded_block, degree_buckets,
+from .linalg import (Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import SymPoly, parse_rational, ratstr
 from .yangian import (bethe_generators, f1_monomial_count,
@@ -269,10 +269,9 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
 # -- 5. centralizer characterization ----------------------------------------------------------
 
 
-# the largest deg1-component measured to finish: sl3 at degree 5, 2464
-# monomials, 18 s and 810 MB; at degree 6 (7704 monomials) the dense images
-# matrix of invariant_component ran out of memory
-CENTRALIZER_MAX_MONOMIALS = 2464
+# the largest deg1-component measured to finish in seconds: gl3 at degree 6,
+# 12483 monomials; gl4 at degree 5 (33440 monomials) took 98 s and 434 MB
+CENTRALIZER_MAX_MONOMIALS = 12483
 
 
 def verify_centralizer(alg_name: str = "sl2", dmax: int = 5) -> Report:
@@ -431,6 +430,12 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
         raise ValidationError(f"eval-gaudin with {n} points needs a degree-2 invariant, whose "
                               f"family spans the Gaudin Hamiltonians; {alg_name} has "
                               f"invariant degrees {degrees}")
+    # five points need kmax = 8: with an invariant of degree >= 3 that ran past
+    # 200 s and 3 GB (sl3; four points at kmax 8 took 140 s and 830 MB)
+    if n >= 5 and max(degrees) >= 3:
+        raise BoundsError(f"eval-gaudin with {n} points (kmax 8) is past the measured bound "
+                          f"for {alg_name}, whose invariant degrees {degrees} reach 3: sl3 ran "
+                          f"past 200 s and 3 GB; at most 4 points are admitted")
     gens = gaudin_generators(alg, kmax, kmax + 1)
     tctx = tensor_context(alg, n)
     images = [gaudin_evaluation(alg, g.poly, zs, tctx) for g in gens]
@@ -551,7 +556,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int = 3) ->
     if not Ch.is_regular():
         raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
     curve = bethe_component_polys(classical_bethe(n, Ch, dmax), dmax)
-    limits = {d: limit_subspace(EpsFamily(loop.component_monomials(d), curve[d], "h"))
+    limits = {d: limit_subspace(loop.component_monomials(d), curve[d], "h")
               for d in range(1, dmax + 1)}
 
     # the generic member of the curve is regular: n generators in each degree

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra, derivation, mono_mul
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
-from .linalg import Subspace, degree_buckets, relations, rref, rref_tail
+from .linalg import Subspace, degree_buckets, relations, rref
 from .scalars import Scalar, Series, leibniz_det, truncated_join
 
 
@@ -183,34 +183,25 @@ def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
     The coadjoint action p -> {x_a[0], p}_0 preserves deg1, so source and
     target components coincide.
     """
-    alg = loop.alg
     monos = loop.component_monomials(d)
     if d == 0:
         return [CommPoly.const(1)]
-    index = {m: i for i, m in enumerate(monos)}
-    # the images of each monomial under every p -> {x_a[0], p}_0, concatenated
-    images = [[Fraction(0)] * (alg.dim * len(monos)) for _ in monos]
-    for a in range(alg.dim):
-        xa = CommPoly.variable(a, 0)
-        for i, m in enumerate(monos):
-            for mm, c in loop.poisson0(xa, CommPoly({m: Fraction(1)})).terms.items():
-                images[i][a * len(monos) + index[mm]] = Fraction(c)
-    return [CommPoly({monos[i]: v[i] for i in range(len(monos)) if v[i] != 0})
-            for v in relations(images)]
+    # the images of each monomial under every p -> {x_a[0], p}_0, keyed (a, monomial)
+    xs = [CommPoly.variable(a, 0) for a in range(loop.alg.dim)]
+    images = [{(a, mm): c for a, xa in enumerate(xs)
+               for mm, c in loop.poisson0(xa, CommPoly({m: Fraction(1)})).terms.items()}
+              for m in monos]
+    return [CommPoly({monos[i]: x for i, x in enumerate(v) if x}) for v in relations(images)]
 
 
 def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> Subspace:
     """Kernel of p -> {seed, p}_0 on the g-invariant part of the deg1 = d
     component, as a canonical subspace."""
-    monos = loop.component_monomials(d)
     basis = invariant_component(loop, d)
-    images = [loop.poisson0(seed, p) for p in basis]
-    tmonos = sorted({m for img in images for m in img.terms})
-    # rows [image | element]: the rows with zero image span the kernel
-    rows = [[Fraction(img.terms.get(t, 0)) for t in tmonos]
-            + [Fraction(p.terms.get(m, 0)) for m in monos]
-            for img, p in zip(images, basis)]
-    return Subspace(monos, rref_tail(rows, len(tmonos)), already_reduced=True)
+    images = [loop.poisson0(seed, p).terms for p in basis]
+    kernel = [sum((p.scale(ci) for ci, p in zip(c, basis) if ci), CommPoly())
+              for c in relations(images)]
+    return Subspace.span_of(kernel, loop.component_monomials(d))
 
 
 def embed_subalgebra_poly(sub: LieAlgebraData, p: CommPoly) -> CommPoly:

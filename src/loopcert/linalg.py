@@ -6,44 +6,46 @@ eps -> 0.
 A ``Subspace`` is a reduced row echelon basis over an explicit ambient
 monomial list, so equality of subspaces is equality of matrices.  The field
 is pluggable: the same elimination code runs over ``Fraction`` and over
-``RatFunc`` (rational functions of the formal parameter).  ``rref`` is the
-one elimination, over sparse rows, so its cost follows the nonzeros rather
-than the width; ``rref_tail`` (intersection with a coordinate subspace)
-and ``relations`` (linear relations among vectors) are read off it.
+``RatFunc`` (rational functions of the formal parameter).  ``echelon`` is
+the one elimination, over sparse rows ({column: entry}) read straight from
+the ``.terms`` of polynomials, so its cost follows the nonzeros rather than
+the width; ``rref`` is its dense adapter for real matrices, and spans,
+bigraded blocks and ``relations`` (linear relations among vectors) are
+read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import (Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple,
-                    TypeVar)
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, Sequence,
+                    Tuple, TypeVar)
 
 from .commpoly import CommPoly, Monomial
 from .errors import BoundsError, TruncationError
-from .scalars import RatFunc, SymPoly, sc_is_zero
+from .scalars import RatFunc, SymPoly
 
 T = TypeVar("T")
+Row = Dict[int, Any]  # {column: nonzero entry}
 
 
-def rref(rows: List[List]) -> List[List]:
-    """Reduced row echelon form over any exact field; drops zero rows.
+def echelon(rows: Iterable[Row]) -> List[Tuple[int, Row]]:
+    """Reduced row echelon form of sparse rows over any exact field, as
+    (pivot column, row) pairs in pivot order; each row is one at its pivot
+    and zero at every other pivot column.  Empty rows are dropped, and the
+    rows passed in are consumed (cleared in place).
 
-    Dense rows in and out, sparse rows ({column: entry}) in between, so the
-    cost follows the nonzeros rather than the width.  The pivot is the
-    smallest leading column, taken from its shortest row; its column is
-    cleared from the other rows leading there, then from the pivot rows
-    above by back-substitution.  The RREF is unique, so the choice of pivot
-    row does not change the result.  Zero tests are truthiness, defined
-    alike on ``Fraction`` and ``RatFunc``; the gaps are filled with the
-    field's own zero, the row's pivot entry minus itself.
+    The pivot is the smallest leading column, taken from its shortest row;
+    its column is cleared from the other rows leading there, then from the
+    pivot rows above by back-substitution.  The RREF is unique, so the
+    choice of pivot row does not change the result.  Entries must be
+    nonzero; zero tests are truthiness, defined alike on ``Fraction`` and
+    ``RatFunc``.
     """
-    ncols = len(rows[0]) if rows else 0
-    by_lead: Dict[int, List[Dict[int, Any]]] = {}
+    by_lead: Dict[int, List[Row]] = {}
     for r in rows:
-        s = {j: x for j, x in enumerate(r) if x}
-        if s:
-            by_lead.setdefault(min(s), []).append(s)
-    found: List[Tuple[int, Dict[int, Any]]] = []
+        if r:
+            by_lead.setdefault(min(r), []).append(r)
+    found: List[Tuple[int, Row]] = []
     while by_lead:
         col = min(by_lead)
         bucket = by_lead.pop(col)
@@ -60,16 +62,10 @@ def rref(rows: List[List]) -> List[List]:
         for _, r in found[:i]:
             if col in r:
                 _clear(r, col, row)
-    out = []
-    for col, row in found:
-        dense = [row[col] - row[col]] * ncols
-        for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
-    return out
+    return found
 
 
-def _clear(r: Dict[int, Any], col: int, pivot_row: Dict[int, Any]) -> None:
+def _clear(r: Row, col: int, pivot_row: Row) -> None:
     """r -= r[col] * pivot_row in place, for a pivot row whose entry at col
     is one; entries that cancel are dropped."""
     f = r.pop(col)
@@ -83,77 +79,91 @@ def _clear(r: Dict[int, Any], col: int, pivot_row: Dict[int, Any]) -> None:
                 del r[j]
 
 
-def rref_tail(rows: List[List], k: int) -> List[List]:
-    """Canonical basis of the vectors of span(rows) with x[:k] = 0, cut to
-    columns k on: the rows of rref(rows) whose pivot is at column >= k."""
-    return [r[k:] for r in rref(rows)
-            if all(sc_is_zero(x) for x in r[:k])]
+def _dense(found: List[Tuple[int, Row]], ncols: int) -> List[List]:
+    """The rows of ``echelon``'s output as dense lists of ``ncols`` entries;
+    the gaps hold the field's own zero, the row's pivot entry minus itself."""
+    out = []
+    for col, row in found:
+        dense = [row[col] - row[col]] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
-def relations(vectors: Sequence[Sequence]) -> List[List]:
-    """Basis of {c : sum_i c_i vectors[i] = 0}, one vector per free column
-    of the rref of the matrix whose columns are ``vectors``."""
-    n = len(vectors)
-    R = rref([list(col) for col in zip(*vectors)])
-    pivots = [next(j for j in range(n) if not sc_is_zero(r[j])) for r in R]
+def rref(rows: List[List]) -> List[List]:
+    """Reduced row echelon form of a dense matrix over any exact field;
+    drops zero rows.  The dense adapter of ``echelon``."""
+    ncols = len(rows[0]) if rows else 0
+    return _dense(echelon({j: x for j, x in enumerate(r) if x} for r in rows), ncols)
+
+
+def _rows(elements, ambient: Sequence[Hashable], scalar: Callable = Fraction) -> List[Row]:
+    """The sparse rows {column: scalar(c)} of the ``.terms`` of elements over
+    the ambient labels."""
+    index = {m: i for i, m in enumerate(ambient)}
+    try:
+        return [{index[m]: scalar(c) for m, c in p.terms.items() if c} for p in elements]
+    except KeyError as exc:
+        raise BoundsError(
+            f"element has monomial outside the component: {exc.args[0]}") from None
+
+
+def relations(images: Sequence[Dict[Hashable, Any]]) -> List[List]:
+    """Basis of {c : sum_i c_i images[i] = 0} for sparse vectors
+    {key: entry} with any hashable keys, one vector per free column of the
+    echelon form of the matrix whose columns are ``images`` (a row per key
+    that some image holds)."""
+    n = len(images)
+    by_key: Dict[Hashable, Row] = {}
+    for i, img in enumerate(images):
+        for key, x in img.items():
+            if x:
+                by_key.setdefault(key, {})[i] = x
+    found = echelon(by_key.values())
     basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
+    for f in sorted(set(range(n)) - {col for col, _ in found}):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for r, c in zip(R, pivots):
-            v[c] = -r[f]
+        for col, r in found:
+            v[col] = -r.get(f, Fraction(0))
         basis.append(v)
     return basis
 
 
 class Subspace:
-    """Subspace of a finite component, canonical RREF basis over Q."""
+    """Subspace of a finite component, canonical RREF basis over Q.
+
+    ``rows`` must already be canonical: the dense rows of an ``echelon``
+    output, as every constructor here passes them.
+    """
 
     __slots__ = ("ambient", "rows")
 
-    def __init__(self, ambient: Sequence[Hashable], rows: List[List[Fraction]],
-                 already_reduced: bool = False) -> None:
+    def __init__(self, ambient: Sequence[Hashable], rows: List[List[Fraction]]) -> None:
         self.ambient = tuple(ambient)
-        if not already_reduced:
-            rows = rref([[x if isinstance(x, Fraction) else Fraction(x) for x in r]
-                         for r in rows])
         self.rows = tuple(tuple(r) for r in rows)
 
     @classmethod
     def span_of(cls, elements: Sequence[CommPoly], ambient: Sequence[Monomial]) -> "Subspace":
         """Span of polynomials inside an explicit monomial component."""
-        index = {m: i for i, m in enumerate(ambient)}
-        rows = []
-        for p in elements:
-            v = [Fraction(0)] * len(ambient)
-            for m, c in p.terms.items():
-                if m not in index:
-                    raise BoundsError(f"element has monomial outside the component: {m}")
-                v[index[m]] = Fraction(c)
-            rows.append(v)
-        return cls(ambient, rows)
+        return cls(ambient, _dense(echelon(_rows(elements, ambient)), len(ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        v = [Fraction(x) for x in v]
-        for row in self.rows:
-            c = next(j for j in range(len(row)) if row[j] != 0)
-            if v[c] != 0:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        """Appending v leaves the rank unchanged."""
+        rows = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in (*self.rows, v)]
+        return len(echelon(rows)) == self.dim
 
     def contains_poly(self, p: CommPoly) -> bool:
-        index = {m: i for i, m in enumerate(self.ambient)}
-        v = [Fraction(0)] * len(self.ambient)
-        for m, c in p.terms.items():
-            if m not in index:
-                return False
-            v[index[m]] = Fraction(c)
-        return self.contains_vector(v)
+        try:
+            span = Subspace.span_of([p], self.ambient)
+        except BoundsError:
+            return False
+        return span.witness_missing_from(self) is None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -235,7 +245,7 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
     intersection with the level space.  The columns are ordered deg1 > d
     first, then deg2 descending, then deg1 descending (stable in ambient
     order), so each level space is the set of vectors vanishing on a column
-    prefix, and the (d, j) labels lead its columns: the rows of the rref whose
+    prefix, and the (d, j) labels lead its columns: the echelon rows whose
     pivot is at a (d, j) label, cut to those labels, are that block's
     canonical basis.  ``vectors`` may be CommPoly or NCPoly (anything with a
     ``.terms`` dict over ambient labels).
@@ -243,49 +253,26 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
     bidegs = [bideg_fn(m) for m in ambient]
     order = sorted(range(len(ambient)),
                    key=lambda k: (bidegs[k][0] <= d, -bidegs[k][1], -bidegs[k][0]))
-    index = {ambient[k]: c for c, k in enumerate(order)}
-    rows = []
-    for p in vectors:
-        v = [Fraction(0)] * len(ambient)
-        for m, c in p.terms.items():
-            v[index[m]] = Fraction(c)
-        rows.append(v)
-    base = rref(rows)
-    pivots = [next(c for c, x in enumerate(r) if x) for r in base]
+    found = echelon(_rows(vectors, [ambient[k] for k in order]))
     blocks = []
     for j in range(d):
         eq = [c for c, k in enumerate(order) if bidegs[k] == (d, j)]
         lo, hi = (eq[0], eq[-1] + 1) if eq else (0, 0)
-        blocks.append(Subspace([ambient[order[c]] for c in eq],
-                               [r[lo:hi] for r, p in zip(base, pivots) if lo <= p < hi],
-                               already_reduced=True))
+        # a pivot row is zero before its pivot; cut it at the block's end
+        rows = [(col - lo, {c - lo: x for c, x in r.items() if c < hi})
+                for col, r in found if lo <= col < hi]
+        blocks.append(Subspace([ambient[order[c]] for c in eq], _dense(rows, hi - lo)))
     return blocks
 
 
 # -- eps -> 0 limits -----------------------------------------------------------------
 
 
-class EpsFamily:
-    """Spanning vectors with entries in Q[eps] over a fixed ambient."""
-
-    def __init__(self, ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
-                 symbol: str = "eps") -> None:
-        self.ambient = tuple(ambient)
-        self.symbol = symbol
-        index = {m: i for i, m in enumerate(self.ambient)}
-        self.rows: List[List[SymPoly]] = []
-        zero = SymPoly(symbol, [])
-        for p in vectors:
-            v = [zero] * len(self.ambient)
-            for m, c in p.terms.items():
-                if m not in index:
-                    raise BoundsError(f"element has monomial outside the component: {m}")
-                v[index[m]] = c if isinstance(c, SymPoly) else SymPoly.const(symbol, c)
-            self.rows.append(v)
-
-
-def limit_subspace(family: EpsFamily) -> Subspace:
-    """Grassmannian limit at eps = 0 of the span of an eps-family.
+def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
+                   symbol: str = "eps") -> Subspace:
+    """Grassmannian limit at eps = 0 of the span of vectors whose entries
+    lie in Q[eps] (``SymPoly`` in ``symbol``, or rationals) over a fixed
+    ambient.
 
     Reduces to a basis over Q(eps), clears denominators, scales each row by
     eps^(-valuation), and iterates elimination until the specialization at
@@ -296,38 +283,39 @@ def limit_subspace(family: EpsFamily) -> Subspace:
     each divides the wedge of the k rows, a nonzero polynomial vector of
     degree <= k * D, by eps^v with v >= 1.
     """
-    sym = family.symbol
-    field_rows = [[RatFunc.from_scalar(x, sym) for x in r] for r in family.rows]
-    reduced = rref(field_rows)
+    ambient = tuple(ambient)
+    zero = RatFunc.from_scalar(0, symbol)
+    reduced = rref([[r.get(j, zero) for j in range(len(ambient))]
+                    for r in _rows(vectors, ambient, lambda c: RatFunc.from_scalar(c, symbol))])
     k = len(reduced)
     if k == 0:
-        return Subspace(family.ambient, [], already_reduced=True)
+        return Subspace(ambient, [])
 
     def clear_row(row: List[RatFunc]) -> List[SymPoly]:
-        den = SymPoly.const(sym, 1)
+        den = SymPoly.const(symbol, 1)
         for x in row:
             if not x.is_zero():
                 den = den * x.den
         cleared = [(x.num * _poly_div_exact(den, x.den)) if not x.is_zero()
-                   else SymPoly(sym, []) for x in row]
-        return _strip_eps(cleared, sym)
+                   else SymPoly(symbol, []) for x in row]
+        return _strip_eps(cleared, symbol)
 
     rows = [clear_row(r) for r in reduced]
     D = max(x.degree() for r in rows for x in r)
 
     for _ in range(k * D + 1):
-        spec = [[x.at_zero() for x in r] for r in rows]
+        spec = [{j: y for j, x in enumerate(r) if (y := x.at_zero())} for r in rows]
         # the rational combinations of rows vanishing at eps = 0
         rel = relations(spec)
         if not rel:
-            return Subspace(family.ambient, rref(spec), already_reduced=True)
+            return Subspace(ambient, _dense(echelon(spec), len(ambient)))
         c = rel[0]
         tgt = max(i for i in range(k) if c[i] != 0)
-        newrow = [SymPoly(sym, [])] * len(family.ambient)
+        newrow = [SymPoly(symbol, [])] * len(ambient)
         for i, ci in enumerate(c):
             if ci != 0:
                 newrow = [a + ci * b for a, b in zip(newrow, rows[i])]
-        rows[tgt] = _strip_eps(newrow, sym)
+        rows[tgt] = _strip_eps(newrow, symbol)
     raise TruncationError(f"limit_subspace ran past its bound of {k * D} passes")
 
 

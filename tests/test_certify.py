@@ -213,7 +213,8 @@ class TestSuites:
 
     @pytest.mark.parametrize("alg,zs", [("sl2", ["0", "1"]),
                                         ("gl2", ["0", "1", "3"]),
-                                        ("sl2", ["0", "1", "3", "7"])])
+                                        ("sl2", ["0", "1", "3", "7"]),
+                                        ("gl2", ["0", "1", "2", "3", "4"])])
     def test_eval_gaudin_passes_at_hermite_bound(self, alg, zs):
         rep = certify.verify_eval_gaudin(alg, zs, kmax=2 * (len(zs) - 1))
         assert rep.passed, rep.summary_lines()
@@ -227,12 +228,19 @@ class TestSuites:
         assert certify.verify_eval_gaudin("gl1", ["0"], kmax=2).passed  # H_1 = 0
 
     def test_centralizer_component_bound(self):
-        # sl3 degree 5 (2464 monomials) is the largest component measured to
-        # finish; degree 6 (7704) is refused before anything is built
-        loop = LoopAlgebra(preset("sl3"), 7)
-        assert len(loop.component_monomials(5)) == certify.CENTRALIZER_MAX_MONOMIALS
-        with pytest.raises(BoundsError, match="deg1 = 6 component of sl3 has 7704 monomials"):
-            certify.verify_centralizer("sl3", 6)
+        # gl3 degree 6 (12483 monomials) is the largest component measured to
+        # finish; gl4 degree 5 (33440) is refused before anything is built
+        loop = LoopAlgebra(preset("gl3"), 8)
+        assert len(loop.component_monomials(6)) == certify.CENTRALIZER_MAX_MONOMIALS
+        with pytest.raises(BoundsError, match="deg1 = 5 component of gl4 has 33440 monomials"):
+            certify.verify_centralizer("gl4", 5)
+
+    @pytest.mark.parametrize("alg", ["sl3", "gl3", "gl4"])
+    def test_eval_gaudin_five_points_refused_past_degree_two(self, alg):
+        # five points need kmax 8; with an invariant of degree >= 3 that ran
+        # past 200 s and 3 GB, so it is refused before any generator is built
+        with pytest.raises(BoundsError, match=f"5 points .* past the measured bound for {alg}"):
+            certify.verify_eval_gaudin(alg, ["0", "1", "2", "3", "4"], kmax=8)
 
     def test_soa_details_record_seed(self):
         rep = certify.verify_soa("sl2", ["1", "-1"], seed=5)

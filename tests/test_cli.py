@@ -117,6 +117,13 @@ def test_eval_gaudin_too_many_points_exit_two(capsys):
     assert "number of --z points = 6 outside documented bounds [1, 5]" in err
 
 
+def test_eval_gaudin_five_points_sl3_exit_two(capsys):
+    code = main(["eval-gaudin", "--algebra", "sl3", "--z", "0,1,2,3,4", "--kmax", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and "at most 4 points are admitted" in err
+
+
 def test_eval_gaudin_without_quadratic_invariant_exit_two(capsys):
     code = main(["eval-gaudin", "--algebra", "gl1", "--z", "0,1", "--kmax", "2"])
     err = capsys.readouterr().err
@@ -135,10 +142,10 @@ def test_gens_bethe_default_C(family, n, capsys):
 
 
 def test_gr_centralizer_past_measured_bound_exit_two(capsys):
-    code = main(["gr", "--comparison", "centralizer", "--algebra", "sl3", "--max-deg", "6"])
+    code = main(["gr", "--comparison", "centralizer", "--algebra", "gl4", "--max-deg", "5"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "BoundsError" in err and "7704 monomials" in err
+    assert "BoundsError" in err and "33440 monomials" in err
 
 
 def test_readme_cli_lines_parse():

@@ -9,10 +9,9 @@ from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
 from loopcert.envelop import enveloping_context
-from loopcert.linalg import (EpsFamily, Subspace, bigraded_block,
-                             degree_buckets, free_series_coeffs,
-                             generator_products, limit_subspace, rref,
-                             rref_tail)
+from loopcert.linalg import (Subspace, bigraded_block, degree_buckets,
+                             free_series_coeffs, generator_products,
+                             limit_subspace, relations, rref)
 from loopcert.scalars import SymPoly
 from loopcert.yangian import f1_monomial_count
 
@@ -30,15 +29,16 @@ class TestSubspace:
         assert s.dim == 1
 
     def test_intersection(self):
-        # rows [u | u] for u in s1 and [w | 0] for w in s2: the rows with a
-        # zero first half span 0 + (s1 & s2)
-        s1 = Subspace.span_of([vec((M1, 1)), vec((M2, 1))], AMB)
-        s2 = Subspace.span_of([vec((M2, 1)), vec((M3, 1))], AMB)
-        rows = ([list(u) + list(u) for u in s1.rows]
-                + [list(w) + [F(0)] * 3 for w in s2.rows])
-        inter = Subspace(AMB, rref_tail(rows, 3), already_reduced=True)
+        # sum_i a_i u_i = sum_j b_j w_j for the bases u of s1 and w of s2:
+        # the relations (a, -b) among [u..., w...] give s1 & s2 as sum a_i u_i
+        us = [vec((M1, 1)), vec((M2, 1))]
+        ws = [vec((M2, 1)), vec((M3, 1))]
+        common = [sum((u.scale(a) for a, u in zip(c, us) if a), CommPoly())
+                  for c in relations([p.terms for p in us + ws])]
+        inter = Subspace.span_of(common, AMB)
         assert inter.dim == 1
         assert inter.contains_poly(vec((M2, 5)))
+        assert not inter.contains_poly(vec((M1, 1)))
 
     def test_equality_is_canonical(self):
         a = Subspace.span_of([vec((M1, 2), (M2, 4))], AMB)
@@ -100,8 +100,7 @@ EPS = SymPoly.gen("eps")
 
 class TestLimits:
     def test_continuity(self):
-        fam = EpsFamily([M1, M2], [CommPoly({M1: eps_const(1), M2: EPS})])
-        lim = limit_subspace(fam)
+        lim = limit_subspace([M1, M2], [CommPoly({M1: eps_const(1), M2: EPS})])
         assert lim.dim == 1
         assert lim.contains_poly(vec((M1, 1)))
         assert not lim.contains_poly(vec((M2, 1)))
@@ -109,18 +108,18 @@ class TestLimits:
     def test_blowup_to_plane(self):
         v1 = CommPoly({M1: eps_const(1), M2: eps_const(1)})
         v2 = CommPoly({M1: eps_const(1), M2: eps_const(1) + EPS})
-        lim = limit_subspace(EpsFamily([M1, M2], [v1, v2]))
+        lim = limit_subspace([M1, M2], [v1, v2])
         assert lim.dim == 2
 
     def test_eps_independent_family(self):
         v = CommPoly({M1: eps_const(2), M3: eps_const(-3)})
-        lim = limit_subspace(EpsFamily(AMB, [v]))
+        lim = limit_subspace(AMB, [v])
         assert lim == Subspace.span_of([vec((M1, 2), (M3, -3))], AMB)
 
     def test_dimension_preserved(self):
         v1 = CommPoly({M1: eps_const(1), M2: EPS})
         v2 = CommPoly({M2: eps_const(1), M3: EPS ** 2})
-        lim = limit_subspace(EpsFamily(AMB, [v1, v2]))
+        lim = limit_subspace(AMB, [v1, v2])
         assert lim.dim == 2
 
 
@@ -134,12 +133,12 @@ def test_limit_invariant_under_unimodular_change(a, b, c):
     leaves the limit fixed."""
     v1 = CommPoly({M1: eps_const(1), M2: EPS, M3: eps_const(2)})
     v2 = CommPoly({M2: eps_const(1) + EPS, M3: EPS ** 2})
-    base = limit_subspace(EpsFamily(AMB, [v1, v2]))
+    base = limit_subspace(AMB, [v1, v2])
     # transform matrix [[1, a+b*eps], [c*eps, 1]]: determinant is 1 at eps = 0
     coeff = eps_const(a) + EPS * b
     w1 = v1 + v2.scale(coeff)
     w2 = v2 + v1.scale(EPS * c)
-    got = limit_subspace(EpsFamily(AMB, [w1, w2]))
+    got = limit_subspace(AMB, [w1, w2])
     assert got == base
 
 

@@ -1,4 +1,5 @@
-"""Differential oracle: the one elimination of ``loopcert.linalg`` and the
+"""Differential oracle: the one elimination of ``loopcert.linalg``
+(``echelon``, on sparse rows, and its dense adapter ``rref``) and the
 kernels read off it, against sympy's independent rational linear algebra
 on small random ``Fraction`` matrices, on wide sparse ones, and over Q(h)."""
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from loopcert.linalg import bigraded_block, relations, rref, rref_tail  # noqa: E402
+from loopcert.linalg import bigraded_block, echelon, relations, rref  # noqa: E402
 from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
@@ -73,29 +74,38 @@ def test_rref_matches_sympy(mat):
     assert rref(rows) == sympy_rref(to_sympy(rows, n))
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 @settings(max_examples=120, deadline=None)
 @given(any_matrix)
-def test_relations_match_sympy_nullspace(mat):
+def test_echelon_matches_sympy(mat):
+    rows, n = mat
+    R, pivots = to_sympy(rows, n).rref()
+    found = echelon(sparse(rows))
+    assert [col for col, _ in found] == list(pivots)
+    # the rows are sparse: exactly the nonzero entries of sympy's RREF
+    assert [r for _, r in found] == sparse(from_sympy(R[:len(pivots), :]))
+    assert all(type(x) is F for _, r in found for x in r.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_matrix, st.data())
+def test_relations_match_sympy_nullspace(mat, data):
     vectors, n = mat
-    got = relations(vectors)
+    # sparse images with tuple keys, an explicit zero at every even zero
+    # column, and an empty image at a drawn position
+    images = [{(j % 3, j): x for j, x in enumerate(v) if x or j % 2 == 0} for v in vectors]
+    at = data.draw(st.integers(0, len(images)))
+    images.insert(at, {})
+    vectors = vectors[:at] + [[F(0)] * n] + vectors[at:]
+    got = relations(images)
     ref = [from_sympy(v.T)[0] for v in to_sympy(vectors, n).T.nullspace()]
     # same span, and in fact the same free-variable basis
     k = len(vectors)
     assert rref(got) == (sympy_rref(to_sympy(ref, k)) if ref else [])
     assert got == ref
-
-
-@settings(max_examples=120, deadline=None)
-@given(any_matrix, st.data())
-def test_rref_tail_matches_definition(mat, data):
-    rows, n = mat
-    k = data.draw(st.integers(0, n))
-    M = to_sympy(rows, n)
-    # span(rows) with x[:k] = 0: the combinations c with (c M)[:k] = 0
-    combos = M[:, :k].T.nullspace() if rows else []
-    inter = [(c.T * M)[:, k:] for c in combos]
-    ref = sympy_rref(sympy.Matrix.vstack(*inter)) if inter else []
-    assert rref_tail(rows, k) == ref
 
 
 class Vec:
@@ -140,6 +150,10 @@ def reference_block(bidegs, rows, d, j):
 @given(filtered_spans())
 # x[(2, 1)] + x[(3, 0)] is outside the level-(2, 1) space: deg1 3 > 2
 @example(([(2, 1), (3, 0)], [[F(1), F(1)]], 2))
+# the block-(2, 1) pivot rows run on into the later block (2, 0), and into
+# a (1, 0) label past it
+@example(([(2, 0), (2, 1), (1, 0), (2, 1)],
+          [[F(1), F(1), F(2), F(0)], [F(3), F(0), F(1), F(1)]], 2))
 def test_bigraded_blocks_match_definition(case):
     bidegs, rows, d = case
     labels = list(range(len(bidegs)))
