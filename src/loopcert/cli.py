@@ -21,8 +21,9 @@ from .errors import LoopcertError
 MAX_WORKERS = 64
 
 # verify-bethe --max-deg per n: the largest that finished within 150 s.  Time
-# and memory grow 6-10x per degree: gl3 took 31 s and 1.9 GB at deg 7, gl4
-# 25 s and 1.1 GB at deg 5 (README, "Time at the CLI bounds")
+# and memory grow 6-10x per degree: gl3 took 44 s and 1.2 GB at deg 7, gl4
+# 31 s and 584 MB at deg 5, and gl4 at deg 6 ran out of 3 GB after 183 s
+# (README, "Time at the CLI bounds")
 BETHE_MAX_DEG = {1: 8, 2: 8, 3: 7, 4: 5}
 
 

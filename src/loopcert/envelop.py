@@ -3,9 +3,16 @@ column-determinant generators of the commutative family in U(gl_n[t]/t^R).
 
 The rewriting engine is generic: a context supplies an ordered generator
 list and a bracket callback returning [x_i, x_j] as a word combination.
-Out-of-order adjacent pairs rewrite as  x_i x_j -> x_j x_i + [x_i, x_j],
-which terminates because every bracket term lowers the (weight, length,
-inversions) well-order.  Normal forms are cached per context.
+``normal_form`` collects from the left by one-step insertion (Leedham-Green
+and Soicher, J. Symbolic Comput. 9, 1990): the first letter x below its left
+neighbour moves to its place in the nondecreasing head h_1..h_k at once, and
+each letter h_i it passes adds the word with h_i x replaced by [h_i, x].
+Letters with an empty bracket add nothing, so the copies of a tensor
+context commute for free.  This terminates because every bracket term
+lowers the (weight, length, inversions) well-order.  The cache of a context
+holds normal forms of whole words only: the raw words given to
+``normalize_terms`` and the bracket words met on the way, never the partly
+sorted words in between.
 
 Rewriting runs in integers: a bracket coefficient with denominator 1 is
 stored as ``int``, so for integral structure constants (every preset and
@@ -15,7 +22,8 @@ denominator, accumulates normal forms, and divides once at the end.  An
 ``NCPoly`` built from raw ``Fraction`` terms clears their denominators once,
 with their lcm.  A product or commutator builds its raw words with integer
 coefficients over the two operands' common denominators and is normalized
-once; a commutator never normalizes u*v and v*u separately.
+once; a commutator never normalizes u*v and v*u separately, and a raw word
+whose coefficient cancels to 0 is skipped.
 ``NCPoly.terms`` always holds nonzero ``Fraction``s.
 
 Talalaev's cdet(d_z - L(z)) is ``scalars.leibniz_det`` over ``Series``
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Sequence, Tuple
 
@@ -62,26 +71,40 @@ class PBWContext:
         return NCPoly(self, {})
 
     def _bracket(self, i: int, j: int) -> Terms:
-        key = (i, j)
-        if key not in self._br_cache:
-            self._br_cache[key] = {w: c.numerator if c.denominator == 1 else c
-                                   for w, c in self.bracket_fn(i, j).items()}
-        return self._br_cache[key]
+        """[x_i, x_j] into the bracket cache, integral coefficients as ``int``."""
+        br = self._br_cache[(i, j)] = {w: c.numerator if c.denominator == 1 else c
+                                       for w, c in self.bracket_fn(i, j).items()}
+        return br
 
     def normal_form(self, word: Word) -> Terms:
+        """The normal form of ``word`` by one-step insertion, memoized on the
+        whole word; the words on the way to it are not memoized."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        pos = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
-        if pos is None:
-            out = {word: 1}
-        else:
-            out = {}
-            swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
-            _acc(out, self.normal_form(swapped), 1)
-            for bw, c in self._bracket(word[pos], word[pos + 1]).items():
-                _acc(out, self.normal_form(word[:pos] + bw + word[pos + 2:]), c)
-            out = {w: c for w, c in out.items() if c != 0}
+        out: Terms = {}
+        get = out.get
+        brackets = self._br_cache
+        w = word
+        for k in range(1, len(w)):
+            x = w[k]
+            if w[k - 1] <= x:
+                continue
+            # x moves past the letters h = w[pos:k], each adding h x -> [h, x]
+            pos = bisect_right(w, x, 0, k)
+            rest = w[k + 1:]
+            for i in range(pos, k):
+                br = brackets.get((w[i], x))
+                if br is None:
+                    br = self._bracket(w[i], x)
+                if br:
+                    pre, post = w[:i], w[i + 1:k] + rest
+                    for bw, c in br.items():
+                        for v, d in self.normal_form(pre + bw + post).items():
+                            out[v] = get(v, 0) + c * d
+            w = w[:pos] + (x,) + w[pos:k] + rest
+        out[w] = get(w, 0) + 1
+        out = {v: c for v, c in out.items() if c != 0}
         self._nf_cache[word] = out
         return out
 
@@ -89,14 +112,17 @@ class PBWContext:
         """The normal form of (sum of terms) / den for integer numerators
         ``terms``, as nonzero Fractions."""
         out: Terms = {}
+        get = out.get
+        cached = self._nf_cache.get
         for w, c in terms.items():
-            _acc(out, self.normal_form(w), c)
+            if not c:
+                continue
+            nf = cached(w)
+            if nf is None:
+                nf = self.normal_form(w)
+            for v, d in nf.items():
+                out[v] = get(v, 0) + c * d
         return {w: Fraction(c, den) for w, c in out.items() if c != 0}
-
-
-def _acc(target: Terms, source: Terms, scale) -> None:
-    for w, c in source.items():
-        target[w] = target.get(w, 0) + scale * c
 
 
 class NCPoly:

@@ -51,6 +51,7 @@ class YangianContext(PBWContext):
                               for i in range(1, n + 1)
                               for j in range(1, n + 1)]
         labels = [f"t[{i},{j};{r}]" for (r, i, j) in gens]
+        self._weights = [r for r, _, _ in gens]
         super().__init__(gens, self._yangian_bracket, labels=labels)
 
     def _yangian_bracket(self, gi: int, gj: int) -> Terms:
@@ -79,7 +80,7 @@ class YangianContext(PBWContext):
         return {w: c for w, c in out.items() if c != 0}
 
     def word_weight(self, w: Tuple[int, ...]) -> int:
-        return sum(self.gens[i][0] for i in w)
+        return sum(map(self._weights.__getitem__, w))
 
     def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
         for w in terms:
@@ -225,48 +226,38 @@ def rtt_relation_checks(n: int, order: int) -> List[Tuple[Tuple[int, int, int, i
     """
     ctx = yangian(n, 2 * (order + 1))
 
-    def word(i1, j1, r1, i2, j2, r2) -> Terms:
-        # the product t_{i1 j1}^(r1) t_{i2 j2}^(r2) with t^(0) = delta
+    def word(i1, j1, r1, i2, j2, r2):
+        # the word of t_{i1 j1}^(r1) t_{i2 j2}^(r2) with t^(0) = delta, or
+        # None where the product is 0
         if r1 < 0 or r2 < 0:
-            return {}
+            return None
         if r1 == 0 and r2 == 0:
-            return {(): Fraction(1)} if (i1 == j1 and i2 == j2) else {}
+            return () if (i1 == j1 and i2 == j2) else None
         if r1 == 0:
-            return {(ctx.index[(r2, i2, j2)],): Fraction(1)} if i1 == j1 else {}
+            return (ctx.index[(r2, i2, j2)],) if i1 == j1 else None
         if r2 == 0:
-            return {(ctx.index[(r1, i1, j1)],): Fraction(1)} if i2 == j2 else {}
-        return {(ctx.index[(r1, i1, j1)], ctx.index[(r2, i2, j2)]): Fraction(1)}
-
-    def uv(i1, j1, i2, j2, a, b) -> Terms:
-        # coefficient of u^(-a) v^(-b) in t_{i1 j1}(u) t_{i2 j2}(v)
-        return word(i1, j1, a, i2, j2, b)
-
-    def vu(i1, j1, i2, j2, a, b) -> Terms:
-        # coefficient of u^(-a) v^(-b) in t_{i1 j1}(v) t_{i2 j2}(u)
-        return word(i1, j1, b, i2, j2, a)
+            return (ctx.index[(r1, i1, j1)],) if i2 == j2 else None
+        return (ctx.index[(r1, i1, j1)], ctx.index[(r2, i2, j2)])
 
     results = []
     rng = range(1, n + 1)
     for i, j, k, l in itertools.product(rng, rng, rng, rng):
         for a in range(-1, order + 1):
             for b in range(-1, order + 1):
-                acc: Terms = {}
-
-                def add(src: Terms, sign: int):
-                    for w, c in src.items():
-                        acc[w] = acc.get(w, Fraction(0)) + sign * c
-
-                # (u-v) t_ij(u) t_kl(v) at (a, b)
-                add(uv(i, j, k, l, a + 1, b), +1)
-                add(uv(i, j, k, l, a, b + 1), -1)
-                # - (u-v) t_kl(v) t_ij(u) at (a, b)
-                add(vu(k, l, i, j, a + 1, b), -1)
-                add(vu(k, l, i, j, a, b + 1), +1)
-                # - t_kj(u) t_il(v) + t_kj(v) t_il(u)
-                add(uv(k, j, i, l, a, b), -1)
-                add(vu(k, j, i, l, a, b), +1)
-                ok = NCPoly(ctx, acc).is_zero()
-                results.append(((i, j, k, l, a, b), ok))
+                # the u^(-a) v^(-b) coefficient, where t_ij(u) t_kl(v) has the word
+                # word(i, j, a, k, l, b) and t_kl(v) t_ij(u) has word(k, l, b, i, j, a)
+                terms = (
+                    # (u-v) t_ij(u) t_kl(v)
+                    (word(i, j, a + 1, k, l, b), 1), (word(i, j, a, k, l, b + 1), -1),
+                    # - (u-v) t_kl(v) t_ij(u)
+                    (word(k, l, b, i, j, a + 1), -1), (word(k, l, b + 1, i, j, a), 1),
+                    # - t_kj(u) t_il(v) + t_kj(v) t_il(u)
+                    (word(k, j, a, i, l, b), -1), (word(k, j, b, i, l, a), 1))
+                acc: Dict[Tuple[int, ...], int] = {}
+                for w, sign in terms:
+                    if w is not None:
+                        acc[w] = acc.get(w, 0) + sign
+                results.append(((i, j, k, l, a, b), not ctx.normalize_terms(acc)))
     return results
 
 

@@ -1,14 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopcert.commpoly import CommPoly, LoopAlgebra
-from loopcert.envelop import (NCPoly, current_context, enveloping_context,
-                              gaudin_evaluation, symmetrize, talalaev_generators,
-                              tensor_context)
+from loopcert.envelop import (NCPoly, PBWContext, current_context,
+                              enveloping_context, gaudin_evaluation, symmetrize,
+                              talalaev_generators, tensor_context)
 from loopcert.errors import ValidationError
 from loopcert.liealg import algebra_from_dict, preset
+from loopcert.yangian import YangianContext
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -65,6 +66,84 @@ def test_pbw_commutator_antisymmetry(wa, wb):
     U = enveloping_context(sl2)
     a, b = NCPoly(U, {wa: F(1)}), NCPoly(U, {wb: F(1)})
     assert a.commutator(b) == -(b.commutator(a))
+
+
+def _swap_normal_form(ctx, word, memo):
+    """Reference rewriting by adjacent swaps: the first out-of-order pair
+    x_i x_j becomes x_j x_i + [x_i, x_j], recursively, memoized in ``memo``."""
+    if word in memo:
+        return memo[word]
+    pos = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if pos is None:
+        out = {word: F(1)}
+    else:
+        swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
+        rewrites = [(swapped, F(1))] + [
+            (word[:pos] + bw + word[pos + 2:], c)
+            for bw, c in ctx.bracket_fn(word[pos], word[pos + 1]).items()]
+        out = {}
+        for w, c in rewrites:
+            for v, d in _swap_normal_form(ctx, w, memo).items():
+                out[v] = out.get(v, 0) + c * d
+        out = {v: c for v, c in out.items() if c != 0}
+    memo[word] = out
+    return out
+
+
+def _fresh(ctx: PBWContext) -> PBWContext:
+    """A copy of ctx with empty caches, so every word goes through insertion."""
+    return PBWContext(ctx.gens, ctx.bracket_fn, ctx.labels)
+
+
+ORACLE_CONTEXTS = {
+    "U(sl3)": lambda: _fresh(enveloping_context(preset("sl3"))),
+    "U(sl2)^3": lambda: _fresh(tensor_context(sl2, 3)),
+    "U(gl2[t]/t^3)": lambda: _fresh(current_context(preset("gl2"), 3)),
+    "Y(gl2), N=6": lambda: YangianContext(2, 6),
+}
+
+
+def _within_weight(ctx, word):
+    """The longest prefix of word that a Yangian context admits."""
+    if not isinstance(ctx, YangianContext):
+        return word
+    while ctx.word_weight(word) > ctx.max_weight:
+        word = word[:-1]
+    return word
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_insertion_matches_adjacent_swaps(name, data):
+    ctx = ORACLE_CONTEXTS[name]()
+    letters = st.integers(0, len(ctx.gens) - 1)
+    for _ in range(3):
+        word = _within_weight(ctx, tuple(data.draw(st.lists(letters, max_size=6))))
+        expected = _swap_normal_form(ctx, word, {})
+        assert ctx.normalize_terms({word: 1}) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=9))
+@example([6, 3, 0, 7, 4, 1, 8, 5, 2])
+def test_interleaved_copies_sort_to_one_word(letters):
+    # each copy's letters in order, the copies interleaved as drawn: only
+    # letters of different copies are out of order, and those commute
+    ctx = _fresh(tensor_context(sl2, 3))
+    per_copy = {c: iter(sorted(g for g in letters if g // 3 == c)) for c in range(3)}
+    word = tuple(next(per_copy[g // 3]) for g in letters)
+    assert ctx.normal_form(word) == {tuple(sorted(word)): 1}
+
+
+@pytest.mark.parametrize("L", [2, 5, 8])
+def test_commuting_letters_cache_at_most_L_words(L):
+    # one letter in each of L tensor copies, reversed: adjacent swaps cached
+    # every one of the L(L-1)/2 intermediate words, insertion caches none
+    ctx = _fresh(tensor_context(sl2, L))
+    word = tuple(3 * c + 1 for c in reversed(range(L)))
+    assert ctx.normalize_terms({word: 1}) == {tuple(reversed(word)): F(1)}
+    assert len(ctx._nf_cache) <= L
 
 
 # sl2 in the basis (x, h, f) with x = e/2: [x, f] = h/2 and (x, f) = 1/2,
