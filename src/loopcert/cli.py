@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import certify
-from .errors import LoopcertError
+from .errors import BoundsError, LoopcertError
 
 
 # verify-bethe forks all of its worker processes at once, so their number is capped
@@ -26,6 +26,13 @@ MAX_WORKERS = 64
 # (README, "Time at the CLI bounds")
 BETHE_MAX_DEG = {1: 8, 2: 8, 3: 7, 4: 5}
 
+# limit --deg per n: the largest that finished within 150 s at C0 = E, the
+# slowest C0 tried: gl3 took 78 s at deg 5 (past 200 s at deg 6) and gl4
+# 114 s at deg 4 (past 200 s at deg 5); gl1 and gl2 are capped at 8 as
+# verify-bethe is, gl2 taking 38 s at deg 8 and 143 s at deg 9 (README,
+# "Time at the CLI bounds")
+LIMIT_MAX_DEG = {1: 8, 2: 8, 3: 5, 4: 4}
+
 
 def _parse_list(spec: str) -> List[str]:
     return [s for s in spec.split(",") if s]
@@ -33,7 +40,7 @@ def _parse_list(spec: str) -> List[str]:
 
 def _bounded(value: int, lo: int, hi: int, what: str) -> int:
     if not (lo <= value <= hi):
-        raise LoopcertError(f"{what} = {value} outside documented bounds [{lo}, {hi}]")
+        raise BoundsError(f"{what} = {value} outside documented bounds [{lo}, {hi}]")
     return value
 
 
@@ -166,9 +173,10 @@ def run(args: argparse.Namespace) -> certify.Report:
         return certify.poincare_bethe(n, _parse_list(args.C),
                                       _bounded(args.cutoff, 1, 6, "cutoff"))
     if cmd == "limit":
-        n = _gl_size(args.algebra)
+        n = _bounded(_gl_size(args.algebra), 1, max(LIMIT_MAX_DEG), "n")
         return certify.verify_theorem_B(n, _parse_list(args.C0), _parse_list(args.chi),
-                                        _bounded(args.deg, 1, 4, "deg"))
+                                        _bounded(args.deg, 1, LIMIT_MAX_DEG[n],
+                                                 f"deg for gl{n}"))
     if cmd == "eval-gaudin":
         # n points need kmax >= 2(n-1), and kmax <= 8 admits at most 5
         z = _parse_list(args.z)

@@ -1,28 +1,31 @@
-"""Exact linear algebra over Q and over Q(eps): canonical subspaces,
+"""Exact linear algebra over Q and over Q[eps]: canonical subspaces,
 associated-bigraded blocks of doubly filtered spans, products of
 generators, and Grassmannian limits of parametrized subspace families as
 eps -> 0.
 
 A ``Subspace`` is a reduced row echelon basis over an explicit ambient
-monomial list, so equality of subspaces is equality of matrices.  The field
-is pluggable: the same elimination code runs over ``Fraction`` and over
-``RatFunc`` (rational functions of the formal parameter).  ``echelon`` is
-the one elimination, over sparse rows ({column: entry}) read straight from
-the ``.terms`` of polynomials, so its cost follows the nonzeros rather than
-the width; ``rref`` is its dense adapter for real matrices, and spans,
-bigraded blocks and ``relations`` (linear relations among vectors) are
-read off it.
+monomial list, so equality of subspaces is equality of matrices.
+``echelon`` is the one elimination over a field, on sparse rows
+({column: entry}) read straight from the ``.terms`` of polynomials, so its
+cost follows the nonzeros rather than the width; it runs over any exact
+field, ``Fraction`` in every certificate.  ``rref`` is its dense adapter
+for real matrices, and spans, bigraded blocks and ``relations`` (linear
+relations among vectors) are read off it.  ``limit_subspace`` eliminates
+over Z[eps] mod eps^K instead, with minimum-valuation pivots, no division
+and a certified precision (``_hadic_pivots``), and hands the rows it finds
+at eps = 0 to ``echelon``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
 
 from .commpoly import CommPoly, Monomial
-from .errors import BoundsError, TruncationError
-from .scalars import RatFunc, SymPoly
+from .errors import BoundsError
+from .scalars import SymPoly
 
 T = TypeVar("T")
 Row = Dict[int, Any]  # {column: nonzero entry}
@@ -38,8 +41,7 @@ def echelon(rows: Iterable[Row]) -> List[Tuple[int, Row]]:
     its column is cleared from the other rows leading there, then from the
     pivot rows above by back-substitution.  The RREF is unique, so the
     choice of pivot row does not change the result.  Entries must be
-    nonzero; zero tests are truthiness, defined alike on ``Fraction`` and
-    ``RatFunc``.
+    nonzero; zero tests are truthiness.
     """
     by_lead: Dict[int, List[Row]] = {}
     for r in rows:
@@ -270,68 +272,112 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
 
 def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
                    symbol: str = "eps") -> Subspace:
-    """Grassmannian limit at eps = 0 of the span of vectors whose entries
-    lie in Q[eps] (``SymPoly`` in ``symbol``, or rationals) over a fixed
-    ambient.
+    """Grassmannian limit at eps = 0 of the span V over Q(eps) of vectors
+    whose entries lie in Q[eps] (``SymPoly`` in ``symbol``, or rationals)
+    over a fixed ambient: the values at eps = 0 of the saturated lattice
+    V ∩ Q[[eps]]^N, which do not depend on the spanning set.
 
-    Reduces to a basis over Q(eps), clears denominators, scales each row by
-    eps^(-valuation), and iterates elimination until the specialization at
-    eps = 0 attains the generic rank.  The result does not depend on the
-    spanning set.
-
-    At most k * D passes run, D the largest eps-degree of the cleared rows:
-    each divides the wedge of the k rows, a nonzero polynomial vector of
-    degree <= k * D, by eps^v with v >= 1.
+    Each row is scaled once by the lcm of its denominators to integer
+    coefficient lists; ``_hadic_pivots`` eliminates them mod eps^K, K
+    doubling from 4 until its certificate holds, and ``echelon`` makes the
+    rows it finds at eps = 0 canonical.
     """
     ambient = tuple(ambient)
-    zero = RatFunc.from_scalar(0, symbol)
-    reduced = rref([[r.get(j, zero) for j in range(len(ambient))]
-                    for r in _rows(vectors, ambient, lambda c: RatFunc.from_scalar(c, symbol))])
-    k = len(reduced)
-    if k == 0:
-        return Subspace(ambient, [])
-
-    def clear_row(row: List[RatFunc]) -> List[SymPoly]:
-        den = SymPoly.const(symbol, 1)
-        for x in row:
-            if not x.is_zero():
-                den = den * x.den
-        cleared = [(x.num * _poly_div_exact(den, x.den)) if not x.is_zero()
-                   else SymPoly(symbol, []) for x in row]
-        return _strip_eps(cleared, symbol)
-
-    rows = [clear_row(r) for r in reduced]
-    D = max(x.degree() for r in rows for x in r)
-
-    for _ in range(k * D + 1):
-        spec = [{j: y for j, x in enumerate(r) if (y := x.at_zero())} for r in rows]
-        # the rational combinations of rows vanishing at eps = 0
-        rel = relations(spec)
-        if not rel:
-            return Subspace(ambient, _dense(echelon(spec), len(ambient)))
-        c = rel[0]
-        tgt = max(i for i in range(k) if c[i] != 0)
-        newrow = [SymPoly(symbol, [])] * len(ambient)
-        for i, ci in enumerate(c):
-            if ci != 0:
-                newrow = [a + ci * b for a, b in zip(newrow, rows[i])]
-        rows[tgt] = _strip_eps(newrow, symbol)
-    raise TruncationError(f"limit_subspace ran past its bound of {k * D} passes")
+    rows = [_integral(r) for r in _rows(vectors, ambient, lambda c: _coeffs(c, symbol)) if r]
+    degree = max((len(e) - 1 for r in rows for e in r.values()), default=0)
+    K = 4
+    while (found := _hadic_pivots(rows, K, degree)) is None:
+        K *= 2
+    return Subspace(ambient, _dense(echelon(found), len(ambient)))
 
 
-def _poly_div_exact(a: SymPoly, b: SymPoly) -> SymPoly:
-    from .scalars import _poly_divmod
-    q, r = _poly_divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("inexact polynomial division")
-    return q
+def _coeffs(c, symbol: str) -> Tuple[Fraction, ...]:
+    """The ascending coefficients of a ``SymPoly`` in ``symbol`` or of a rational."""
+    if isinstance(c, SymPoly):
+        if c.symbol != symbol:
+            raise TypeError(f"mixed formal symbols {c.symbol!r} and {symbol!r}")
+        return c.coeffs
+    return (Fraction(c),)
 
 
-def _strip_eps(row: List[SymPoly], sym: str) -> List[SymPoly]:
-    vals = [x.valuation() for x in row if not x.is_zero()]
-    if not vals:
-        return row
-    v = min(vals)
-    if v <= 0:
-        return row
-    return [x.shift_down(v) if not x.is_zero() else x for x in row]
+def _integral(row: Dict[int, Tuple[Fraction, ...]]) -> Dict[int, List[int]]:
+    """A row of coefficient tuples times the lcm of its denominators."""
+    lcm = math.lcm(*(x.denominator for e in row.values() for x in e))
+    return {j: [x.numerator * (lcm // x.denominator) for x in e] for j, e in row.items()}
+
+
+def _hadic_pivots(rows: List[Dict[int, List[int]]], K: int, degree: int
+                  ) -> List[Row] | None:
+    """Pivot rows of an elimination over Z[eps] mod eps^K, at eps = 0; None
+    when precision K cannot certify a row that reduced to zero.
+
+    The pivot is the entry of least valuation v among all remaining rows
+    (ties by column, then by row length).  Its row r is divided by eps^v and
+    by its integer content, so its pivot entry u is a unit and r is known
+    mod eps^(K - v); each remaining row s holding the pivot column c becomes
+    u s - s[c] r.  All of s has valuation >= v, so s stays known mod eps^K,
+    and no row is ever inverted.  The pivot rows are unit-triangular on
+    their pivot columns: they span the saturated lattice.
+
+    A row s that reduces to zero mod eps^K after t pivots of valuations v_i
+    is dropped only if K + sum v_i > (t + 1) * degree.  Rows r_1..r_t, s are
+    their input rows times a triangular matrix of determinant
+    eps^(-sum v_i) times a unit, so every (t + 1)-minor of those input rows,
+    a polynomial of degree <= (t + 1) * degree, vanishes mod
+    eps^(K + sum v_i): it is zero, and so is s.
+    """
+    live = []
+    for r in rows:
+        t = {j: (e + [0] * K)[:K] for j, e in r.items() if any(e[:K])}
+        if not t:
+            return None  # a nonzero row of degree <= degree vanishing mod eps^K
+        live.append(t)
+    lead = [_lead(r) for r in live]
+    found: List[Row] = []
+    vsum = 0
+    while live:
+        i = min(range(len(live)), key=lambda i: (lead[i], len(live[i])))
+        r = live.pop(i)
+        v, c = lead.pop(i)
+        g = math.gcd(*(x for e in r.values() for x in e))
+        r = {j: [x // g for x in e[v:]] for j, e in r.items()}
+        found.append({j: Fraction(e[0]) for j, e in r.items() if e[0]})
+        vsum += v
+        certified = K + vsum > (len(found) + 1) * degree
+        u = r.pop(c)
+        kept, keys = [], []
+        for s, key in zip(live, lead):
+            f = s.pop(c, None)
+            if f is not None:
+                for j, e in s.items():
+                    s[j] = _mul_mod(u, e, K)
+                for j, e in r.items():
+                    fe = _mul_mod(f, e, K)
+                    old = s.get(j)
+                    s[j] = [-y for y in fe] if old is None else [x - y for x, y in zip(old, fe)]
+                for j in [j for j, e in s.items() if not any(e)]:
+                    del s[j]
+                if not s:
+                    if not certified:
+                        return None
+                    continue
+                key = _lead(s)
+            kept.append(s)
+            keys.append(key)
+        live, lead = kept, keys
+    return found
+
+
+def _lead(row: Dict[int, List[int]]) -> Tuple[int, int]:
+    """(least valuation, first column attaining it) of a nonzero row."""
+    return min((next(i for i, x in enumerate(e) if x), j) for j, e in row.items())
+
+
+def _mul_mod(a: List[int], b: List[int], n: int) -> List[int]:
+    """The first n coefficients of the product of two coefficient lists."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for k, y in enumerate(b[:n - i], i):
+                out[k] += x * y
+    return out

@@ -9,8 +9,9 @@ only in the basis product they pass.
 Every coefficient in the package is either a ``fractions.Fraction`` or a
 ``SymPoly`` (polynomial in one formal symbol, e.g. ``eps`` or ``v``, with
 rational coefficients).  Floats are never used.  ``RatFunc`` (quotients of
-``SymPoly``) only appears inside the subspace-limit routines, where row
-reduction over the field Q(eps) is needed.
+``SymPoly``) is reached by no certificate: limits eliminate over Z[eps] mod
+eps^K (``linalg.limit_subspace``).  It is kept for the Q(eps) oracle test of
+``echelon`` and for the benchmark's layer timers.
 """
 
 from __future__ import annotations
@@ -81,13 +82,6 @@ class SymPoly:
     def degree(self) -> int:
         """Degree, with deg 0 = -1 by convention."""
         return len(self.coeffs) - 1
-
-    def valuation(self) -> int:
-        """Order of vanishing at 0; the zero polynomial has valuation -1."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
@@ -172,17 +166,6 @@ class SymPoly:
         if self.is_constant():
             return hash(self.constant_term())
         return hash((self.symbol, self.coeffs))
-
-    # -- structure -------------------------------------------------------
-
-    def shift_down(self, k: int) -> "SymPoly":
-        """Divide by symbol**k; requires valuation >= k."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError("not divisible by the requested symbol power")
-        return SymPoly(self.symbol, self.coeffs[k:])
-
-    def at_zero(self) -> Fraction:
-        return self.constant_term()
 
     def __repr__(self):
         if not self.coeffs:

@@ -83,7 +83,13 @@ class YangianContext(PBWContext):
         return sum(map(self._weights.__getitem__, w))
 
     def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
+        # a word in the normal-form cache passed this check as a raw word, or
+        # is a word of the bracket expansion of one, of lower F1-weight
+        # ([t^(r), t^(s)] has weight r + s - 1): only cache misses are checked
+        cached = self._nf_cache
         for w in terms:
+            if w in cached:
+                continue
             wt = self.word_weight(w)
             if wt > self.max_weight:
                 raise TruncationError(

@@ -96,6 +96,19 @@ def test_limit_cli(capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["--algebra", "gl4", "--C0", "1,1,1,2", "--chi", "1,2,-3,0", "--deg", "5"],
+     "deg for gl4 = 5 outside documented bounds [1, 4]"),
+    (["--algebra", "gl5", "--C0", "1,1,1,1,2", "--chi", "1,2,-3,0,0", "--deg", "2"],
+     "n = 5 outside documented bounds [1, 4]"),
+])
+def test_limit_past_measured_bound_exit_two(argv, bound, capsys):
+    code = main(["limit", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and bound in err
+
+
 def test_eval_gaudin_cli(capsys):
     code, _ = run(["eval-gaudin", "--algebra", "sl2", "--z", "0,1,4",
                    "--kmax", "4"], capsys)

@@ -122,6 +122,42 @@ class TestLimits:
         lim = limit_subspace(AMB, [v1, v2])
         assert lim.dim == 2
 
+    def test_row_close_to_another_is_kept(self, monkeypatch):
+        # v2 - v1 = eps^20 e2 vanishes mod eps^K until K = 32; a zero row at
+        # K = 4, 8, 16 is not certified (degree bound 2 * 20), so K doubles
+        precisions = spy_precisions(monkeypatch)
+        v1 = CommPoly({M1: eps_const(1), M2: EPS})
+        v2 = CommPoly({M1: eps_const(1), M2: EPS + EPS ** 20})
+        lim = limit_subspace(AMB, [v1, v2])
+        assert lim == Subspace.span_of([vec((M1, 1)), vec((M2, 1))], AMB)
+        assert precisions == [4, 8, 16, 32]
+
+    def test_dependent_row_dropped_by_degree_bound(self, monkeypatch):
+        # v3 = v1 + 2 v2 reduces to zero after two pivots of valuation 0, and
+        # K + 0 = 4 > (2 + 1) * 1 certifies it at once: no doubling
+        precisions = spy_precisions(monkeypatch)
+        v1 = CommPoly({M1: eps_const(1), M2: EPS})
+        v2 = CommPoly({M2: eps_const(1), M3: EPS})
+        v3 = v1 + v2.scale(F(2))
+        lim = limit_subspace(AMB, [v1, v2, v3])
+        assert precisions == [4]
+        assert lim == limit_subspace(AMB, [v1, v2])
+        assert lim.dim == 2
+
+
+def spy_precisions(monkeypatch):
+    """The precisions K that limit_subspace eliminates at, in call order."""
+    import loopcert.linalg as linalg
+    seen = []
+    inner = linalg._hadic_pivots
+
+    def spy(rows, K, degree):
+        seen.append(K)
+        return inner(rows, K, degree)
+
+    monkeypatch.setattr(linalg, "_hadic_pivots", spy)
+    return seen
+
 
 unimodular_entries = st.integers(-2, 2)
 

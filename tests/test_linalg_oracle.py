@@ -1,8 +1,11 @@
 """Differential oracle: the one elimination of ``loopcert.linalg``
 (``echelon``, on sparse rows, and its dense adapter ``rref``) and the
 kernels read off it, against sympy's independent rational linear algebra
-on small random ``Fraction`` matrices, on wide sparse ones, and over Q(h)."""
+on small random ``Fraction`` matrices, on wide sparse ones, and over Q(h);
+and the h-adic limit engine ``limit_subspace`` against sympy's minors of
+small random families over Q[h]."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from loopcert.linalg import bigraded_block, echelon, relations, rref  # noqa: E402
+from loopcert.linalg import (bigraded_block, echelon, limit_subspace, relations,  # noqa: E402
+                             rref)
 from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
@@ -196,3 +200,76 @@ def test_rref_over_rational_functions_matches_sympy():
     assert len(out) == len(pivots) == 2
     assert all(sympy.cancel(to_expr(out[i][j]) - ref[i, j]) == 0
                for i in range(2) for j in range(4))
+
+
+# -- eps -> 0 limits against Pluecker coordinates ---------------------------------
+
+h = sympy.Symbol("h")
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+polys = st.lists(small, min_size=1, max_size=3).map(
+    lambda cs: sum((sympy.Rational(c.numerator, c.denominator) * h ** i
+                    for i, c in enumerate(cs)), sympy.Integer(0)))
+
+
+@st.composite
+def h_families(draw):
+    """Up to 5 rows of 2..5 entries in Q[h]: random rows of degree <= 2,
+    then rows that are Q[h]-combinations of two earlier ones (exactly
+    dependent) or that agree with an earlier one to order h^6 or more."""
+    n = draw(st.integers(2, 5))
+    rows = [draw(st.lists(polys, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 5 - len(rows)))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            p, q = draw(polys), draw(polys)
+            rows.append([sympy.expand(p * x + q * y) for x, y in zip(a, b)])
+        else:
+            e = draw(st.integers(6, 12))
+            c = draw(st.lists(polys, min_size=n, max_size=n))
+            rows.append([sympy.expand(x + h ** e * y) for x, y in zip(a, c)])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], n
+
+
+def lowest_order_pluecker(rows, n):
+    """(k, P): the rank of the rows over Q(h), and the lowest-order
+    h-coefficients of the k x k minors of k rows of rank k, one per k-set of
+    columns in lexicographic order."""
+    from sympy.polys.matrices import DomainMatrix
+    M = DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(sympy.QQ[h])
+    for k in range(min(len(rows), n), 0, -1):
+        for rset in itertools.combinations(range(len(rows)), k):
+            minors = [M.extract(list(rset), list(cset)).det()
+                      for cset in itertools.combinations(range(n), k)]
+            if any(minors):
+                v = min(e for p in minors for (e,), _ in p.terms())
+                return k, [dict(p.terms()).get((v,), 0) for p in minors]
+    return 0, []
+
+
+def to_entry(x):
+    """A sympy polynomial in h as a ``SymPoly``, or as a ``Fraction`` if constant."""
+    cs = [F(int(c.p), int(c.q)) for c in sympy.Poly(x, h).all_coeffs()[::-1]]
+    return SymPoly("h", cs) if len(cs) > 1 else cs[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(h_families())
+def test_limit_subspace_matches_pluecker_coordinates(case):
+    """The Pluecker coordinates of the limit are proportional to the
+    lowest-order h-coefficients of the family's k x k minors."""
+    rows, n = case
+    labels = list(range(n))
+    vectors = [Vec({j: to_entry(x) for j, x in enumerate(r) if x != 0}) for r in rows]
+    lim = limit_subspace(labels, vectors, "h")
+    k, ref = lowest_order_pluecker(rows, n)
+    assert lim.dim == k
+    if k == 0:
+        return
+    L = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in lim.rows])
+    got = [L.extract(list(range(k)), list(cset)).det()
+           for cset in itertools.combinations(range(n), k)]
+    j0 = next(j for j, x in enumerate(got) if x != 0)
+    scale = ref[j0] / got[j0]
+    assert scale != 0
+    assert all(r == scale * g for r, g in zip(ref, got))

@@ -8,7 +8,7 @@ from loopcert.commpoly import CommPoly
 from loopcert.envelop import NCPoly, current_context
 from loopcert.errors import TruncationError
 from loopcert.liealg import TorusElement, preset
-from loopcert.yangian import (bethe_generators, f1_degree, f1_monomial_count,
+from loopcert.yangian import (YangianContext, bethe_generators, f1_degree, f1_monomial_count,
                               f1_monomial_count_enumerated, f2_degree, gr1, gr2,
                               quantum_minor, rtt_relation_checks, u_coefficient,
                               yangian)
@@ -65,6 +65,18 @@ class TestNormalOrder:
         tight = yangian(2, 3)
         with pytest.raises(TruncationError):
             tight.t(1, 1, 2) * tight.t(2, 2, 2)
+
+    def test_weight_guard_after_cache_fills(self):
+        # only words missing from the normal-form cache are weight-checked;
+        # lighter products first fill the cache with raw and bracket words
+        tight = YangianContext(2, 3)
+        tight.t(2, 1, 2) * tight.t(1, 2, 1)
+        tight.t(2, 1, 1) * tight.t(1, 2, 1) * tight.t(1, 1, 1)
+        assert len(tight._nf_cache) > 2
+        with pytest.raises(TruncationError):
+            tight.t(2, 1, 2) * tight.t(1, 2, 2)
+        with pytest.raises(TruncationError):
+            tight.t(2, 1, 1) * tight.t(1, 2, 1) * tight.t(1, 1, 2)
 
 
 @settings(max_examples=40, deadline=None)
