@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, weighted_words
 from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation,
-                      talalaev_generators, tensor_context)
+                      talalaev_generators, tensor_context, word)
 from .errors import BoundsError, RegularityError, ValidationError
 from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis, embed_subalgebra_poly,
@@ -379,15 +379,15 @@ def verify_talalaev(n: int = 2, R: int = 3, dmax: int = 4) -> Report:
     Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
     Tprods = list(generator_products(tal_list, dmax, cur.one()))
-    ywords = list(weighted_words([r for r, _, _ in ctx.gens], dmax))
-    cwords = list(weighted_words([r + 1 for r, _ in cur.gens], dmax))
+    ywords = list(map(word, weighted_words([r for r, _, _ in ctx.gens], dmax)))
+    cwords = list(map(word, weighted_words([r + 1 for r, _ in cur.gens], dmax)))
 
     def ybideg(w):
-        d1 = sum(ctx.gens[g][0] for g in w)
+        d1 = sum(ctx.gens[ord(g)][0] for g in w)
         return (d1, d1 - len(w))
 
     def cbideg(w):
-        return (sum(cur.gens[g][0] + 1 for g in w), sum(cur.gens[g][0] for g in w))
+        return (sum(cur.gens[ord(g)][0] + 1 for g in w), sum(cur.gens[ord(g)][0] for g in w))
 
     for d in range(1, dmax + 1):
         Bvecs = [p for (p, dg) in Bprods if dg <= d]
@@ -465,7 +465,7 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int = 5) -> Report:
                 h = h + casimir_tensor(alg, tctx, i, j).scale(
                     Fraction(1) / (zs[i] - zs[j]))
         hams.append(h)
-    words = sorted({w for p in quad + hams for w in p.terms} | {()})
+    words = sorted({w for p in quad + hams for w in p.terms} | {""})
     span = Subspace.span_of(quad, words)
     missing = [i for i, h in enumerate(hams) if not span.contains_poly(h)]
     checks.append(Check(

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 from .errors import TruncationError
 from .scalars import Scalar, SymPoly, over_common_denominator, sc_is_zero, sc_str
@@ -253,6 +253,7 @@ class LoopAlgebra:
         self._brackets = {(a, b): {d: c.numerator if c.denominator == 1 else c
                                    for d, c in alg.bracket_coeffs(a, b).items()}
                           for a in range(alg.dim) for b in range(alg.dim)}
+        self._components: Dict[int, Tuple[Monomial, ...]] = {}
 
     # -- Poisson brackets --------------------------------------------------
 
@@ -275,6 +276,23 @@ class LoopAlgebra:
                         out[m[:i] + ((d, t),) + m[i:]] += cd * c
             return {m: c for m, c in out.items() if c}
         return derivation(p, bracket_with_q, Lq)
+
+    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
+        """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
+        distinct variable (b, r) of m adds its multiplicity times m without
+        it times [x_a, x_b][r].  The t-degree is unchanged, so nothing
+        truncates."""
+        out: Dict[Tuple[int, Monomial], Scalar] = defaultdict(int)
+        for i, (b, r) in enumerate(m):
+            if i and m[i - 1] == (b, r):
+                continue
+            k = m.count((b, r))
+            rest = m[:i] + m[i + 1:]
+            for a in range(self.alg.dim):
+                for d, c in self._brackets[a, b].items():
+                    j = bisect_right(rest, (r, d), key=var_key)
+                    out[a, rest[:j] + ((d, r),) + rest[j:]] += k * c
+        return {key: Fraction(c) for key, c in out.items() if c}
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""
@@ -322,9 +340,13 @@ class LoopAlgebra:
 
     # -- ambient component bases ---------------------------------------------
 
-    def component_monomials(self, d: int) -> List[Monomial]:
+    def component_monomials(self, d: int) -> Tuple[Monomial, ...]:
         """Monomial basis of the deg1 = d component within truncation R, in
-        the global monomial order."""
-        vs = [(a, r) for r in range(min(self.R, d)) for a in range(self.alg.dim)]  # var_key order
-        monos = (tuple(vs[i] for i in w) for w in weighted_words([r + 1 for _, r in vs], d))
-        return sorted((m for m in monos if mono_deg1(m) == d), key=mono_order_key)
+        the global monomial order; built once per d."""
+        comp = self._components.get(d)
+        if comp is None:
+            vs = [(a, r) for r in range(min(self.R, d)) for a in range(self.alg.dim)]  # var_key order
+            monos = (tuple(vs[i] for i in w) for w in weighted_words([r + 1 for _, r in vs], d))
+            comp = self._components[d] = tuple(
+                sorted((m for m in monos if mono_deg1(m) == d), key=mono_order_key))
+        return comp

@@ -26,6 +26,13 @@ once; a commutator never normalizes u*v and v*u separately, and a raw word
 whose coefficient cancels to 0 is skipped.
 ``NCPoly.terms`` always holds nonzero ``Fraction``s.
 
+A word is a ``str`` with one code point per letter: letter i is ``chr(i)``
+and the empty word is ``""``; ``word`` turns letter indices into a word.  A
+``str`` caches its hash, so a word key hashes once however many dicts it
+enters, and ``str`` order on code points is tuple order on the letter
+indices, so sorting words by (len(w), w) is unchanged.  Every code point is
+a letter, so there is no 256-letter limit as with ``bytes``.
+
 Talalaev's cdet(d_z - L(z)) is ``scalars.leibniz_det`` over ``Series``
 entries with keys (s, k, word) for z^(-s) d_z^k word, multiplied by the
 Weyl rule for d_z past z^(-s); the expansion is exact in z.
@@ -37,15 +44,20 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
 from .commpoly import CommPoly
 from .errors import ValidationError
 from .liealg import LieAlgebraData, preset
 from .scalars import Series, leibniz_det, over_common_denominator, ratstr
 
-Word = Tuple[int, ...]
+Word = str  # letter i is chr(i)
 Terms = Dict[Word, Fraction]
+
+
+def word(letters: Iterable[int]) -> Word:
+    """The word of a sequence of letter indices."""
+    return "".join(map(chr, letters))
 
 
 class PBWContext:
@@ -59,30 +71,32 @@ class PBWContext:
         self.bracket_fn = bracket_fn
         self.labels = list(labels) if labels else [str(g) for g in self.gens]
         self._nf_cache: Dict[Word, Terms] = {}
-        self._br_cache: Dict[Tuple[int, int], Terms] = {}
+        self._br_cache: Dict[Tuple[str, str], Terms] = {}
 
     def gen(self, key: Hashable) -> "NCPoly":
-        return NCPoly(self, {(self.index[key],): Fraction(1)})
+        return NCPoly(self, {chr(self.index[key]): Fraction(1)})
 
     def one(self) -> "NCPoly":
-        return NCPoly(self, {(): Fraction(1)})
+        return NCPoly(self, {"": Fraction(1)})
 
     def zero(self) -> "NCPoly":
         return NCPoly(self, {})
 
-    def _bracket(self, i: int, j: int) -> Terms:
-        """[x_i, x_j] into the bracket cache, integral coefficients as ``int``."""
-        br = self._br_cache[(i, j)] = {w: c.numerator if c.denominator == 1 else c
-                                       for w, c in self.bracket_fn(i, j).items()}
+    def _bracket(self, h: str, x: str) -> Terms:
+        """[h, x] for letters h, x into the bracket cache, integral
+        coefficients as ``int``."""
+        br = self._br_cache[(h, x)] = {w: c.numerator if c.denominator == 1 else c
+                                       for w, c in self.bracket_fn(ord(h), ord(x)).items()}
         return br
 
     def normal_form(self, word: Word) -> Terms:
         """The normal form of ``word`` by one-step insertion, memoized on the
         whole word; the words on the way to it are not memoized."""
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        out: Terms = {}
+        cached = self._nf_cache.get
+        out = cached(word)
+        if out is not None:
+            return out
+        out = {}
         get = out.get
         brackets = self._br_cache
         w = word
@@ -94,15 +108,20 @@ class PBWContext:
             pos = bisect_right(w, x, 0, k)
             rest = w[k + 1:]
             for i in range(pos, k):
-                br = brackets.get((w[i], x))
+                h = w[i]
+                br = brackets.get((h, x))
                 if br is None:
-                    br = self._bracket(w[i], x)
+                    br = self._bracket(h, x)
                 if br:
                     pre, post = w[:i], w[i + 1:k] + rest
                     for bw, c in br.items():
-                        for v, d in self.normal_form(pre + bw + post).items():
+                        u = pre + bw + post
+                        nf = cached(u)
+                        if nf is None:
+                            nf = self.normal_form(u)
+                        for v, d in nf.items():
                             out[v] = get(v, 0) + c * d
-            w = w[:pos] + (x,) + w[pos:k] + rest
+            w = w[:pos] + x + w[pos:k] + rest
         out[w] = get(w, 0) + 1
         out = {v: c for v, c in out.items() if c != 0}
         self._nf_cache[word] = out
@@ -204,7 +223,7 @@ class NCPoly:
         keys = sorted(self.terms, key=lambda w: (len(w), w))
         parts = []
         for w in keys:
-            mono = "*".join(self.ctx.labels[i] for i in w) if w else "1"
+            mono = "*".join(self.ctx.labels[ord(g)] for g in w) if w else "1"
             parts.append(f"{ratstr(self.terms[w])}*{mono}")
         return " + ".join(parts)
 
@@ -228,7 +247,7 @@ def enveloping_context(alg: LieAlgebraData) -> PBWContext:
     cache = _ctx_cache(alg)
     if "env" not in cache:
         def bracket(i: int, j: int) -> Terms:
-            return {(d,): c for d, c in alg.bracket_coeffs(i, j).items()}
+            return {chr(d): c for d, c in alg.bracket_coeffs(i, j).items()}
 
         cache["env"] = PBWContext(list(range(alg.dim)), bracket, labels=alg.labels)
     return cache["env"]
@@ -248,7 +267,7 @@ def tensor_context(alg: LieAlgebraData, n: int) -> PBWContext:
             return {}
         out: Terms = {}
         for d, c in alg.bracket_coeffs(ai, aj).items():
-            out[(ci * alg.dim + d,)] = c
+            out[chr(ci * alg.dim + d)] = c
         return out
 
     labels = [f"{alg.labels[a]}({i + 1})" for i in range(n) for a in range(alg.dim)]
@@ -271,7 +290,7 @@ def current_context(alg: LieAlgebraData, R: int) -> PBWContext:
             return {}
         out: Terms = {}
         for d, c in alg.bracket_coeffs(ai, aj).items():
-            out[((ri + rj) * alg.dim + d,)] = c
+            out[chr((ri + rj) * alg.dim + d)] = c
         return out
 
     labels = [f"{alg.labels[a]}[{r}]" for r in range(R) for a in range(alg.dim)]
@@ -288,13 +307,9 @@ def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:
     """
     raw: Terms = {}
     for m, c in p.terms.items():
-        idxs = tuple(ctx.index[(r, a)] for (a, r) in m)
-        k = len(idxs)
-        if k == 0:
-            raw[()] = raw.get((), Fraction(0)) + Fraction(c)
-            continue
-        share = Fraction(c) / math.factorial(k)
-        for perm in itertools.permutations(idxs):
+        w = word(ctx.index[(r, a)] for (a, r) in m)
+        share = Fraction(c) / math.factorial(len(w))
+        for perm in map("".join, itertools.permutations(w)):
             raw[perm] = raw.get(perm, Fraction(0)) + share
     return NCPoly(ctx, raw)
 
@@ -321,13 +336,13 @@ def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction],
     out = tctx.zero()
     for w, c in p.terms.items():
         factor = tctx.one().scale(c)
-        for i in w:
-            r, a = p.ctx.gens[i]
+        for g in w:
+            r, a = p.ctx.gens[ord(g)]
             letter: Terms = {}
             for copy in range(n):
                 coeff = zs[copy] ** r
                 if coeff != 0:
-                    letter[(tctx.index[(copy, a)],)] = coeff
+                    letter[chr(tctx.index[(copy, a)])] = coeff
             factor = factor * NCPoly(tctx, letter)
         out = out + factor
     return out
@@ -341,7 +356,7 @@ def casimir_tensor(alg: LieAlgebraData, tctx: PBWContext, i: int, j: int) -> NCP
         for b in range(alg.dim):
             c = ginv[b][a]
             if c:
-                w = (tctx.index[(i, a)], tctx.index[(j, b)])
+                w = word((tctx.index[(i, a)], tctx.index[(j, b)]))
                 raw[w] = raw.get(w, Fraction(0)) + c
     return NCPoly(tctx, raw)
 
@@ -371,9 +386,9 @@ def talalaev_generators(n: int, R: int):
     ctx = current_context(preset(f"gl{n}"), R)
 
     def entry(i: int, j: int) -> Series:
-        terms = {(0, 1, ()): Fraction(1)} if i == j else {}
+        terms = {(0, 1, ""): Fraction(1)} if i == j else {}
         for r in range(R):
-            terms[(r + 1, 0, (ctx.index[(r, i * n + j)],))] = Fraction(-1)
+            terms[(r + 1, 0, chr(ctx.index[(r, i * n + j)]))] = Fraction(-1)
         return Series(terms, _weyl_join)
 
     coeffs: Dict[Tuple[int, int], Terms] = {}

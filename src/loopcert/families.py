@@ -186,11 +186,7 @@ def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
     monos = loop.component_monomials(d)
     if d == 0:
         return [CommPoly.const(1)]
-    # the images of each monomial under every p -> {x_a[0], p}_0, keyed (a, monomial)
-    xs = [CommPoly.variable(a, 0) for a in range(loop.alg.dim)]
-    images = [{(a, mm): c for a, xa in enumerate(xs)
-               for mm, c in loop.poisson0(xa, CommPoly({m: Fraction(1)})).terms.items()}
-              for m in monos]
+    images = [loop.coadjoint_images(m) for m in monos]
     return [CommPoly({monos[i]: x for i, x in enumerate(v) if x}) for v in relations(images)]
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .commpoly import CommPoly
-from .envelop import NCPoly, PBWContext, Terms, current_context
+from .envelop import NCPoly, PBWContext, Terms, current_context, word
 from .errors import TruncationError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, gl_algebra
 from .linalg import free_series_coeffs
@@ -54,33 +54,33 @@ class YangianContext(PBWContext):
         self._weights = [r for r, _, _ in gens]
         super().__init__(gens, self._yangian_bracket, labels=labels)
 
-    def _yangian_bracket(self, gi: int, gj: int) -> Terms:
+    def _yangian_bracket(self, gi: int, gj: int) -> Dict[str, int]:
+        """[t_ij^(r), t_kl^(s)] with ``int`` coefficients."""
         r, i, j = self.gens[gi]
         s, k, l = self.gens[gj]
-        out: Terms = {}
+        out: Dict[str, int] = {}
 
-        def put(word: Tuple[int, ...], c: Fraction):
-            out[word] = out.get(word, Fraction(0)) + c
+        def put(c: int, *keys: GenKey):
+            w = word(self.index[key] for key in keys)
+            out[w] = out.get(w, 0) + c
 
         for p in range(1, min(r, s) + 1):
             # + t_kj^(p-1) t_il^(r+s-p)
             if p - 1 == 0:
                 if k == j:
-                    put((self.index[(r + s - p, i, l)],), Fraction(1))
+                    put(1, (r + s - p, i, l))
             else:
-                put((self.index[(p - 1, k, j)], self.index[(r + s - p, i, l)]),
-                    Fraction(1))
+                put(1, (p - 1, k, j), (r + s - p, i, l))
             # - t_kj^(r+s-p) t_il^(p-1)
             if p - 1 == 0:
                 if i == l:
-                    put((self.index[(r + s - p, k, j)],), Fraction(-1))
+                    put(-1, (r + s - p, k, j))
             else:
-                put((self.index[(r + s - p, k, j)], self.index[(p - 1, i, l)]),
-                    Fraction(-1))
+                put(-1, (r + s - p, k, j), (p - 1, i, l))
         return {w: c for w, c in out.items() if c != 0}
 
-    def word_weight(self, w: Tuple[int, ...]) -> int:
-        return sum(map(self._weights.__getitem__, w))
+    def word_weight(self, w: str) -> int:
+        return sum(map(self._weights.__getitem__, map(ord, w)))
 
     def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
         # a word in the normal-form cache passed this check as a raw word, or
@@ -126,14 +126,14 @@ def t_series(ctx: YangianContext, i: int, j: int, Nmax: int, shift: int = 0) -> 
     """t_ij(u - shift) = delta_ij + sum_r t_ij^(r) (u - shift)^(-r), through
     u^(-Nmax), with keys (s, word).  Words multiply by concatenation and stay
     raw until ``u_coefficient``, which keeps the minor expansion cheap."""
-    terms = {(0, ()): Fraction(1)} if i == j else {}
+    terms = {(0, ""): Fraction(1)} if i == j else {}
     for r in range(1, Nmax + 1):
         gi = ctx.index[(r, i, j)]
         # (u-m)^(-r) = sum_c C(r-1+c, c) m^c u^(-r-c)
         for c in range(0, Nmax - r + 1):
             coeff = Fraction(math.comb(r - 1 + c, c)) * Fraction(shift) ** c
             if coeff != 0:
-                key = (r + c, (gi,))
+                key = (r + c, chr(gi))
                 terms[key] = terms.get(key, 0) + coeff
     return Series(terms, truncated_join(Nmax, operator.add))
 
@@ -192,7 +192,7 @@ def gr1(ctx: YangianContext, p: NCPoly) -> CommPoly:
         if ctx.word_weight(w) != top:
             continue
         mono = tuple(sorted((((i - 1) * n + (j - 1), r - 1) for (r, i, j)
-                             in (ctx.gens[g] for g in w)),
+                             in (ctx.gens[ord(g)] for g in w)),
                             key=lambda v: (v[1], v[0])))
         terms[mono] = terms.get(mono, Fraction(0)) + c
     return CommPoly(terms)
@@ -212,10 +212,10 @@ def gr2(ctx: YangianContext, p: NCPoly, R: int,
     n = ctx.n
     terms: Terms = {}
     for w, c in p.terms.items():
-        keys = [ctx.gens[g] for g in w]
+        keys = [ctx.gens[ord(g)] for g in w]
         if ctx.word_weight(w) - len(w) != top or any(r > R for r, _, _ in keys):
             continue
-        terms[tuple(tgt.index[(r - 1, (i - 1) * n + (j - 1))] for r, i, j in keys)] = c
+        terms[word(tgt.index[(r - 1, (i - 1) * n + (j - 1))] for r, i, j in keys)] = c
     return NCPoly(tgt, terms, normalized=True)
 
 
@@ -232,18 +232,18 @@ def rtt_relation_checks(n: int, order: int) -> List[Tuple[Tuple[int, int, int, i
     """
     ctx = yangian(n, 2 * (order + 1))
 
-    def word(i1, j1, r1, i2, j2, r2):
+    def pair_word(i1, j1, r1, i2, j2, r2):
         # the word of t_{i1 j1}^(r1) t_{i2 j2}^(r2) with t^(0) = delta, or
         # None where the product is 0
         if r1 < 0 or r2 < 0:
             return None
         if r1 == 0 and r2 == 0:
-            return () if (i1 == j1 and i2 == j2) else None
+            return "" if (i1 == j1 and i2 == j2) else None
         if r1 == 0:
-            return (ctx.index[(r2, i2, j2)],) if i1 == j1 else None
+            return chr(ctx.index[(r2, i2, j2)]) if i1 == j1 else None
         if r2 == 0:
-            return (ctx.index[(r1, i1, j1)],) if i2 == j2 else None
-        return (ctx.index[(r1, i1, j1)], ctx.index[(r2, i2, j2)])
+            return chr(ctx.index[(r1, i1, j1)]) if i2 == j2 else None
+        return chr(ctx.index[(r1, i1, j1)]) + chr(ctx.index[(r2, i2, j2)])
 
     results = []
     rng = range(1, n + 1)
@@ -251,15 +251,16 @@ def rtt_relation_checks(n: int, order: int) -> List[Tuple[Tuple[int, int, int, i
         for a in range(-1, order + 1):
             for b in range(-1, order + 1):
                 # the u^(-a) v^(-b) coefficient, where t_ij(u) t_kl(v) has the word
-                # word(i, j, a, k, l, b) and t_kl(v) t_ij(u) has word(k, l, b, i, j, a)
+                # pair_word(i, j, a, k, l, b) and t_kl(v) t_ij(u) has
+                # pair_word(k, l, b, i, j, a)
                 terms = (
                     # (u-v) t_ij(u) t_kl(v)
-                    (word(i, j, a + 1, k, l, b), 1), (word(i, j, a, k, l, b + 1), -1),
+                    (pair_word(i, j, a + 1, k, l, b), 1), (pair_word(i, j, a, k, l, b + 1), -1),
                     # - (u-v) t_kl(v) t_ij(u)
-                    (word(k, l, b, i, j, a + 1), -1), (word(k, l, b + 1, i, j, a), 1),
+                    (pair_word(k, l, b, i, j, a + 1), -1), (pair_word(k, l, b + 1, i, j, a), 1),
                     # - t_kj(u) t_il(v) + t_kj(v) t_il(u)
-                    (word(k, j, a, i, l, b), -1), (word(k, j, b, i, l, a), 1))
-                acc: Dict[Tuple[int, ...], int] = {}
+                    (pair_word(k, j, a, i, l, b), -1), (pair_word(k, j, b, i, l, a), 1))
+                acc: Dict[str, int] = {}
                 for w, sign in terms:
                     if w is not None:
                         acc[w] = acc.get(w, 0) + sign

@@ -177,6 +177,22 @@ def test_poisson_matches_partial_derivative_formula(name, shift, data):
         assert bracket(p, q) == expected
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_coadjoint_images_match_poisson0(name):
+    """{x_a[0], m}_0 for every a from one pass over m equals one poisson0
+    call per basis index, on whole components (Fraction brackets too)."""
+    loop = LoopAlgebra(ALGEBRAS[name](), R=3)
+    for d in range(4):
+        comp = loop.component_monomials(d)
+        assert loop.component_monomials(d) is comp
+        for m in comp:
+            expected = {(a, mm): c for a in range(loop.alg.dim)
+                        for mm, c in loop.poisson0(var(a, 0), CommPoly({m: F(1)})).terms.items()}
+            got = loop.coadjoint_images(m)
+            assert got == expected
+            assert all(type(c) is F for c in got.values())
+
+
 def _reference_poisson(loop, p, q, shift):
     """The Leibniz extension of {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]
     over every pair of terms and every pair of their variables, in Fraction
@@ -285,7 +301,7 @@ def test_enumerate_monomials_weights():
     # the sl2 component of deg1 = 2: 6 quadratics in x[0] and 3 variables x[1]
     comp = LoopAlgebra(sl2, 3).component_monomials(2)
     assert len(comp) == 9 and all(mono_deg1(m) == 2 for m in comp)
-    assert comp == sorted(set(comp), key=mono_order_key)
+    assert comp == tuple(sorted(set(comp), key=mono_order_key))
 
 
 def test_render_canonical():

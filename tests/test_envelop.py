@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.envelop import (NCPoly, PBWContext, current_context,
                               enveloping_context, gaudin_evaluation, symmetrize,
-                              talalaev_generators, tensor_context)
+                              talalaev_generators, tensor_context, word)
 from loopcert.errors import ValidationError
 from loopcert.liealg import algebra_from_dict, preset
 from loopcert.yangian import YangianContext
@@ -28,7 +28,7 @@ class TestNormalOrder:
         assert fe == expected
 
     def test_ordered_word_unchanged(self, U):
-        w = (E, E, H, FF)
+        w = word((E, E, H, FF))
         p = NCPoly(U, {w: F(1)})
         assert p.terms == {w: F(1)}
 
@@ -41,14 +41,14 @@ class TestNormalOrder:
     def test_homomorphism_certificate(self, U):
         # normal_order(p*q) == normal_order(nf(p) * nf(q)) by construction;
         # check on raw mixed words via direct dictionaries
-        raw_p = NCPoly(U, {(FF, E): F(1), (H,): F(2)})
-        raw_q = NCPoly(U, {(FF, H, E): F(1)})
+        raw_p = NCPoly(U, {word((FF, E)): F(1), word((H,)): F(2)})
+        raw_q = NCPoly(U, {word((FF, H, E)): F(1)})
         assert (raw_p * raw_q).terms == U.normalize_terms(
             {w1 + w2: c1 * c2 for w1, c1 in raw_p.terms.items()
              for w2, c2 in raw_q.terms.items()})
 
 
-words = st.lists(st.sampled_from([E, H, FF]), min_size=0, max_size=5).map(tuple)
+words = st.lists(st.sampled_from([E, H, FF]), min_size=0, max_size=5).map(word)
 
 
 @settings(max_examples=50, deadline=None)
@@ -68,25 +68,27 @@ def test_pbw_commutator_antisymmetry(wa, wb):
     assert a.commutator(b) == -(b.commutator(a))
 
 
-def _swap_normal_form(ctx, word, memo):
-    """Reference rewriting by adjacent swaps: the first out-of-order pair
-    x_i x_j becomes x_j x_i + [x_i, x_j], recursively, memoized in ``memo``."""
-    if word in memo:
-        return memo[word]
-    pos = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+def _swap_normal_form(ctx, letters, memo):
+    """Reference rewriting by adjacent swaps on words spelled as tuples of
+    letter indices, independent of the context's word encoding: the first
+    out-of-order pair x_i x_j becomes x_j x_i + [x_i, x_j], recursively,
+    memoized in ``memo``."""
+    if letters in memo:
+        return memo[letters]
+    pos = next((k for k in range(len(letters) - 1) if letters[k] > letters[k + 1]), None)
     if pos is None:
-        out = {word: F(1)}
+        out = {letters: F(1)}
     else:
-        swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
+        swapped = letters[:pos] + (letters[pos + 1], letters[pos]) + letters[pos + 2:]
         rewrites = [(swapped, F(1))] + [
-            (word[:pos] + bw + word[pos + 2:], c)
-            for bw, c in ctx.bracket_fn(word[pos], word[pos + 1]).items()]
+            (letters[:pos] + tuple(map(ord, bw)) + letters[pos + 2:], c)
+            for bw, c in ctx.bracket_fn(letters[pos], letters[pos + 1]).items()]
         out = {}
         for w, c in rewrites:
             for v, d in _swap_normal_form(ctx, w, memo).items():
                 out[v] = out.get(v, 0) + c * d
         out = {v: c for v, c in out.items() if c != 0}
-    memo[word] = out
+    memo[letters] = out
     return out
 
 
@@ -100,16 +102,22 @@ ORACLE_CONTEXTS = {
     "U(sl2)^3": lambda: _fresh(tensor_context(sl2, 3)),
     "U(gl2[t]/t^3)": lambda: _fresh(current_context(preset("gl2"), 3)),
     "Y(gl2), N=6": lambda: YangianContext(2, 6),
+    # 272 letters, past the 256 of one byte each
+    "U(gl4[t]/t^17)": lambda: _fresh(current_context(preset("gl4"), 17)),
 }
 
+# letters >= 240 straddle code point 256; they bracket to 0 among
+# themselves (t-degree >= 30), so the t-degree 0 letters 0..15 are drawn too
+ORACLE_LETTERS = {"U(gl4[t]/t^17)": [(0, 15), (240, 271)]}
 
-def _within_weight(ctx, word):
-    """The longest prefix of word that a Yangian context admits."""
+
+def _within_weight(ctx, w):
+    """The longest prefix of word w that a Yangian context admits."""
     if not isinstance(ctx, YangianContext):
-        return word
-    while ctx.word_weight(word) > ctx.max_weight:
-        word = word[:-1]
-    return word
+        return w
+    while ctx.word_weight(w) > ctx.max_weight:
+        w = w[:-1]
+    return w
 
 
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
@@ -117,11 +125,26 @@ def _within_weight(ctx, word):
 @given(data=st.data())
 def test_insertion_matches_adjacent_swaps(name, data):
     ctx = ORACLE_CONTEXTS[name]()
-    letters = st.integers(0, len(ctx.gens) - 1)
+    ranges = ORACLE_LETTERS.get(name, [(0, len(ctx.gens) - 1)])
+    letters = st.one_of(*(st.integers(lo, hi) for lo, hi in ranges))
     for _ in range(3):
-        word = _within_weight(ctx, tuple(data.draw(st.lists(letters, max_size=6))))
-        expected = _swap_normal_form(ctx, word, {})
-        assert ctx.normalize_terms({word: 1}) == expected
+        w = _within_weight(ctx, word(data.draw(st.lists(letters, max_size=6))))
+        expected = _swap_normal_form(ctx, tuple(map(ord, w)), {})
+        assert ctx.normalize_terms({w: 1}) == {word(v): c for v, c in expected.items()}
+
+
+big_letters = st.one_of(st.integers(0, 300), st.integers(0xFF00, 0x10100),
+                        st.integers(0, 0x10FFFF))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(big_letters, max_size=5), max_size=8))
+@example([[255], [256], [0xFFFF], [0x10000], [255, 0x10000], [256, 0], [], [0x10FFFF]])
+def test_str_words_sort_as_letter_tuples(letter_lists):
+    tuples = [tuple(ls) for ls in letter_lists]
+    assert sorted(map(word, tuples)) == [word(t) for t in sorted(tuples)]
+    by_length = sorted(map(word, tuples), key=lambda w: (len(w), w))
+    assert by_length == [word(t) for t in sorted(tuples, key=lambda t: (len(t), t))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,8 +155,8 @@ def test_interleaved_copies_sort_to_one_word(letters):
     # letters of different copies are out of order, and those commute
     ctx = _fresh(tensor_context(sl2, 3))
     per_copy = {c: iter(sorted(g for g in letters if g // 3 == c)) for c in range(3)}
-    word = tuple(next(per_copy[g // 3]) for g in letters)
-    assert ctx.normal_form(word) == {tuple(sorted(word)): 1}
+    interleaved = [next(per_copy[g // 3]) for g in letters]
+    assert ctx.normal_form(word(interleaved)) == {word(sorted(interleaved)): 1}
 
 
 @pytest.mark.parametrize("L", [2, 5, 8])
@@ -141,8 +164,8 @@ def test_commuting_letters_cache_at_most_L_words(L):
     # one letter in each of L tensor copies, reversed: adjacent swaps cached
     # every one of the L(L-1)/2 intermediate words, insertion caches none
     ctx = _fresh(tensor_context(sl2, L))
-    word = tuple(3 * c + 1 for c in reversed(range(L)))
-    assert ctx.normalize_terms({word: 1}) == {tuple(reversed(word)): F(1)}
+    letters = [3 * c + 1 for c in reversed(range(L))]
+    assert ctx.normalize_terms({word(letters): 1}) == {word(reversed(letters)): F(1)}
     assert len(ctx._nf_cache) <= L
 
 
@@ -156,7 +179,7 @@ sl2_half = algebra_from_dict({
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 tensor_terms = st.dictionaries(
-    st.lists(st.integers(0, 5), max_size=4).map(tuple), coeffs, max_size=4)
+    st.lists(st.integers(0, 5), max_size=4).map(word), coeffs, max_size=4)
 
 
 def _is_fraction_form(p: NCPoly) -> bool:
@@ -166,7 +189,7 @@ def _is_fraction_form(p: NCPoly) -> bool:
 def _x_to_half_e(p: NCPoly, ctx) -> NCPoly:
     """The basis change x -> e/2 from sl2_half to sl2, letter by letter.  It
     keeps generator order, so normal words stay normal."""
-    return NCPoly(ctx, {w: c * F(1, 2) ** sum(1 for g in w if g % 3 == 0)
+    return NCPoly(ctx, {w: c * F(1, 2) ** sum(1 for g in w if ord(g) % 3 == 0)
                         for w, c in p.terms.items()}, normalized=True)
 
 
@@ -183,8 +206,8 @@ def test_non_integral_brackets_match_integral_sl2(tu, tv):
 
 def test_non_integral_bracket_reached():
     half = tensor_context(sl2_half, 2)
-    fx = NCPoly(half, {(2, 0): F(1)})
-    assert fx.terms == {(0, 2): F(1), (1,): F(-1, 2)}
+    fx = NCPoly(half, {word((2, 0)): F(1)})
+    assert fx.terms == {word((0, 2)): F(1), word((1,)): F(-1, 2)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from loopcert.envelop import _weyl_join, enveloping_context
+from loopcert.envelop import _weyl_join, enveloping_context, word
 from loopcert.liealg import preset
 from loopcert.scalars import RatFunc, Series, SymPoly, leibniz_det, parse_rational, ratstr
 from loopcert.yangian import t_series, yangian
@@ -107,11 +107,11 @@ def test_leibniz_det_rejects_empty():
 
 def test_series_weyl_join_moves_d_past_z():
     # d z^-s = z^-s d - s z^-(s+1), keys (s, k, word) for z^-s d^k word
-    d = Series({(0, 1, ()): 1}, _weyl_join)
+    d = Series({(0, 1, ""): 1}, _weyl_join)
     for s in range(1, 5):
-        z = Series({(s, 0, ()): 1}, _weyl_join)
-        assert (d * z).terms == {(s, 1, ()): 1, (s + 1, 0, ()): -s}
-        assert (z * d).terms == {(s, 1, ()): 1}
+        z = Series({(s, 0, ""): 1}, _weyl_join)
+        assert (d * z).terms == {(s, 1, ""): 1, (s + 1, 0, ""): -s}
+        assert (z * d).terms == {(s, 1, ""): 1}
 
 
 def test_series_product_past_truncation_vanishes():
@@ -120,8 +120,8 @@ def test_series_product_past_truncation_vanishes():
     t = Y.index
     # u^-1 t12^(1) + u^-2 t12^(2) times u^-1 t21^(1) + u^-2 t21^(2): only
     # u^-2 survives at Nmax = 2
-    assert (a * b).terms == {(2, (t[(1, 1, 2)], t[(1, 2, 1)])): 1}
-    top = Series({(2, (t[(2, 1, 1)],)): F(1)}, a.join)
+    assert (a * b).terms == {(2, word((t[(1, 1, 2)], t[(1, 2, 1)]))): 1}
+    top = Series({(2, word((t[(2, 1, 1)],))): F(1)}, a.join)
     assert (top * b).terms == {}
     assert (top - top).terms == {} and top.scale(0).terms == {}
 
@@ -131,10 +131,10 @@ def test_series_2x2_leibniz_det_by_hand():
     # (d - L11)(d - L22) - L21 L12
     #   = d^2 - (L11 + L22) z^-1 d + (L11 L22 - L21 L12 + L22) z^-2
     def entry(i, j):
-        terms = {(0, 1, ()): F(1)} if i == j else {}
-        terms[(1, 0, (10 * (i + 1) + j + 1,))] = F(-1)
+        terms = {(0, 1, ""): F(1)} if i == j else {}
+        terms[(1, 0, word((10 * (i + 1) + j + 1,)))] = F(-1)
         return Series(terms, _weyl_join)
 
     assert leibniz_det(2, entry).terms == {
-        (0, 2, ()): 1, (1, 1, (11,)): -1, (1, 1, (22,)): -1,
-        (2, 0, (22,)): 1, (2, 0, (11, 22)): 1, (2, 0, (21, 12)): -1}
+        (0, 2, ""): 1, (1, 1, word((11,))): -1, (1, 1, word((22,))): -1,
+        (2, 0, word((22,))): 1, (2, 0, word((11, 22))): 1, (2, 0, word((21, 12))): -1}

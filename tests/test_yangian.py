@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcert.commpoly import CommPoly
-from loopcert.envelop import NCPoly, current_context
+from loopcert.envelop import NCPoly, current_context, word
 from loopcert.errors import TruncationError
 from loopcert.liealg import TorusElement, preset
 from loopcert.yangian import (YangianContext, bethe_generators, f1_degree, f1_monomial_count,
@@ -45,6 +45,16 @@ class TestCommutator:
     def test_self_commutator_zero(self, Y2):
         assert commutator(Y2, (2, 1, 2), (2, 1, 2)).is_zero()
 
+    def test_bracket_coefficients_are_int(self):
+        Y = YangianContext(2, 4)
+        # [t^(r), t^(s)] has F1-weight r + s - 1
+        brackets = [Y._yangian_bracket(gi, gj)
+                    for gi, a in enumerate(Y.gens) for gj, b in enumerate(Y.gens)
+                    if a[0] + b[0] - 1 <= Y.max_weight]
+        assert any(brackets)
+        assert all(type(c) is int and c for br in brackets for c in br.values())
+        assert all(type(w) is str for br in brackets for w in br)
+
     def test_truncation_overflow(self):
         tight = yangian(2, 2)
         with pytest.raises(TruncationError):
@@ -53,7 +63,7 @@ class TestCommutator:
 
 class TestNormalOrder:
     def test_ordered_word_fixed(self, Y2):
-        w = (Y2.index[(1, 1, 2)], Y2.index[(1, 2, 1)])
+        w = word((Y2.index[(1, 1, 2)], Y2.index[(1, 2, 1)]))
         assert NCPoly(Y2, {w: F(1)}).terms == {w: F(1)}
 
     def test_single_rewrite(self, Y2):
