@@ -165,7 +165,7 @@ def run(args: argparse.Namespace) -> certify.Report:
                                         _bounded(args.max_deg, 1, 5, "max-deg"))
     if cmd == "poincare":
         if args.family == "gr1":
-            n = _gl_size(args.algebra)
+            n = _bounded(_gl_size(args.algebra), 1, 4, "n")
             return certify.poincare_gr1_count(n, _bounded(args.cutoff, 1, 8, "cutoff"))
         n = _gl_size(args.algebra)
         if args.C is None:
@@ -186,7 +186,7 @@ def run(args: argparse.Namespace) -> certify.Report:
     if cmd == "gens":
         kw = {}
         if args.family in ("bethe", "classical-bethe"):
-            n = _gl_size(args.algebra)
+            n = _bounded(_gl_size(args.algebra), 1, 4, "n")
             kw = {"n": n, "C": _parse_list(args.C or ",".join(map(str, range(1, n + 1)))),
                   "smax": _bounded(args.max_deg, 1, 6, "max-deg")}
         elif args.family == "gaudin":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, Sequence, Tuple
 
-from .errors import TruncationError
+from .errors import BoundsError, TruncationError
 from .scalars import Scalar, SymPoly, over_common_denominator, sc_is_zero, sc_str
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
@@ -227,11 +227,14 @@ def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]],
 
 def weighted_words(weights: Sequence[int], dmax: int) -> Iterator[Tuple[int, ...]]:
     """Nondecreasing index words i1 <= i2 <= ... with total weight
-    weights[i1] + weights[i2] + ... <= dmax, depth first, the empty word
-    first.  Every weight must be positive."""
+    weights[i1] + weights[i2] + ... <= dmax, depth first with the later
+    indices first, the empty word first.  Every weight must be positive."""
+    if any(wt <= 0 for wt in weights):
+        raise BoundsError("weights must be positive")
+
     def rec(start: int, rem: int, word: Tuple[int, ...]):
         yield word
-        for i in range(start, len(weights)):
+        for i in range(len(weights) - 1, start - 1, -1):
             if weights[i] <= rem:
                 yield from rec(i, rem - weights[i], word + (i,))
 

@@ -40,6 +40,7 @@ Weyl rule for d_z past z^(-s); the expansion is exact in z.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -234,69 +235,47 @@ class NCPoly:
 # -- concrete contexts -----------------------------------------------------------
 
 
-def _ctx_cache(alg: LieAlgebraData) -> dict:
-    cache = getattr(alg, "_pbw_contexts", None)
-    if cache is None:
-        cache = {}
-        setattr(alg, "_pbw_contexts", cache)
-    return cache
-
-
+@functools.cache
 def enveloping_context(alg: LieAlgebraData) -> PBWContext:
-    """U(g) with generators in basis order (cached per algebra)."""
-    cache = _ctx_cache(alg)
-    if "env" not in cache:
-        def bracket(i: int, j: int) -> Terms:
-            return {chr(d): c for d, c in alg.bracket_coeffs(i, j).items()}
+    """U(g) with generators in basis order."""
+    def bracket(i: int, j: int) -> Terms:
+        return {chr(d): c for d, c in alg.bracket_coeffs(i, j).items()}
 
-        cache["env"] = PBWContext(list(range(alg.dim)), bracket, labels=alg.labels)
-    return cache["env"]
+    return PBWContext(list(range(alg.dim)), bracket, labels=alg.labels)
 
 
-def tensor_context(alg: LieAlgebraData, n: int) -> PBWContext:
-    """U(g)^{tensor n}; generators (copy, basis index), copies commute."""
-    cache = _ctx_cache(alg)
-    if ("tensor", n) in cache:
-        return cache[("tensor", n)]
+def _loop_context(alg: LieAlgebraData, n: int, product: Callable[[int, int], int | None],
+                  label: Callable[[str, int], str]) -> PBWContext:
+    """U(g ox A) for a commutative A with basis b_0..b_(n-1) whose products
+    are basis elements or 0: ``product(i, j)`` is the index of b_i b_j, or
+    None.  Generators (i, a) = b_i x_a in that order, with
+    [b_i x_a, b_j x_b] = b_i b_j [x_a, x_b]."""
     gens = [(i, a) for i in range(n) for a in range(alg.dim)]
 
     def bracket(gi: int, gj: int) -> Terms:
-        ci, ai = gens[gi]
-        cj, aj = gens[gj]
-        if ci != cj:
+        (i, a), (j, b) = gens[gi], gens[gj]
+        k = product(i, j)
+        if k is None:
             return {}
-        out: Terms = {}
-        for d, c in alg.bracket_coeffs(ai, aj).items():
-            out[chr(ci * alg.dim + d)] = c
-        return out
+        return {chr(k * alg.dim + d): c for d, c in alg.bracket_coeffs(a, b).items()}
 
-    labels = [f"{alg.labels[a]}({i + 1})" for i in range(n) for a in range(alg.dim)]
-    ctx = PBWContext(gens, bracket, labels=labels)
-    cache[("tensor", n)] = ctx
-    return ctx
+    return PBWContext(gens, bracket, labels=[label(alg.labels[a], i) for i, a in gens])
 
 
+@functools.cache
+def tensor_context(alg: LieAlgebraData, n: int) -> PBWContext:
+    """U(g)^{tensor n} = U(g ox C^n), b_i b_j = delta_ij b_i; generators
+    (copy, basis index), copies commute."""
+    return _loop_context(alg, n, lambda i, j: i if i == j else None,
+                         lambda lab, i: f"{lab}({i + 1})")
+
+
+@functools.cache
 def current_context(alg: LieAlgebraData, R: int) -> PBWContext:
-    """U(g ox C[t]/t^R); generators (t-degree, basis index), honest quotient."""
-    cache = _ctx_cache(alg)
-    if ("current", R) in cache:
-        return cache[("current", R)]
-    gens = [(r, a) for r in range(R) for a in range(alg.dim)]
-
-    def bracket(gi: int, gj: int) -> Terms:
-        ri, ai = gens[gi]
-        rj, aj = gens[gj]
-        if ri + rj >= R:
-            return {}
-        out: Terms = {}
-        for d, c in alg.bracket_coeffs(ai, aj).items():
-            out[chr((ri + rj) * alg.dim + d)] = c
-        return out
-
-    labels = [f"{alg.labels[a]}[{r}]" for r in range(R) for a in range(alg.dim)]
-    ctx = PBWContext(gens, bracket, labels=labels)
-    cache[("current", R)] = ctx
-    return ctx
+    """U(g ox C[t]/t^R), t^i t^j = t^(i+j) or 0; generators (t-degree,
+    basis index), honest quotient."""
+    return _loop_context(alg, R, lambda i, j: i + j if i + j < R else None,
+                         lambda lab, r: f"{lab}[{r}]")
 
 
 def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:

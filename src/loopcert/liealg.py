@@ -19,6 +19,7 @@ the one way structure constants are applied.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -402,6 +403,7 @@ def _gl_units(n: int, blocks: List[List[int]], name: str,
         gl_size=gl_size, ambient_indices=None if gl_size else keep)
 
 
+@functools.cache
 def _sl_preset(n: int) -> LieAlgebraData:
     # basis: e_ij (i<j), then h_i = e_ii - e_{i+1,i+1}, then e_ij (i>j)
     upper = [(i, j) for i in range(n) for j in range(n) if i < j]
@@ -426,26 +428,19 @@ def _sl_preset(n: int) -> LieAlgebraData:
                           [(range(n), range(2, n + 1))])
 
 
-_PRESETS = {}
-
-
 def preset(name: str) -> LieAlgebraData:
     """Built-in algebras: sl2, sl3, gl1, gl2, gl3, gl4 (trace form)."""
     if name.startswith("gl") and name[2:] in {"1", "2", "3", "4"}:
         return gl_algebra(int(name[2:]))
     if not (name.startswith("sl") and name[2:] in {"2", "3"}):
         raise ValidationError(f"unknown preset {name!r}")
-    if name not in _PRESETS:
-        _PRESETS[name] = _sl_preset(int(name[2:]))
-    return _PRESETS[name]
+    return _sl_preset(int(name[2:]))
 
 
+@functools.cache
 def gl_algebra(n: int) -> LieAlgebraData:
-    """gl_n with the trace form, for any n >= 1 (cached)."""
-    key = f"gl{n}"
-    if key not in _PRESETS:
-        _PRESETS[key] = _gl_units(n, [list(range(n))], key, gl_size=n)
-    return _PRESETS[key]
+    """gl_n with the trace form, for any n >= 1."""
+    return _gl_units(n, [list(range(n))], f"gl{n}", gl_size=n)
 
 
 def load_config(path: str) -> LieAlgebraData:
@@ -466,6 +461,14 @@ def resolve_algebra(spec: str) -> LieAlgebraData:
     return preset(spec)
 
 
+def _basis_index(a, dim: int, what: str) -> int:
+    """int(a), which a config must give in 0..dim-1."""
+    i = int(a)
+    if not 0 <= i < dim:
+        raise ValidationError(f"{what} index {i} outside 0..{dim - 1}")
+    return i
+
+
 def algebra_from_dict(data: dict) -> LieAlgebraData:
     try:
         dim = int(data["dim"])
@@ -475,28 +478,31 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
             brackets.setdefault((int(a), int(b)), {})[int(d)] = parse_rational(str(c))
         gram = [[Fraction(0)] * dim for _ in range(dim)]
         for a, b, c in data["form"]:
-            val = parse_rational(str(c))
-            gram[int(a)][int(b)] = val
-            gram[int(b)][int(a)] = val
+            a, b = (_basis_index(x, dim, "form") for x in (a, b))
+            gram[a][b] = gram[b][a] = parse_rational(str(c))
         rank = int(data["rank"])
         exponents = [int(e) for e in data["exponents"]]
-        cartan = [int(c) for c in data["cartan"]]
+        cartan = [_basis_index(c, dim, "cartan") for c in data["cartan"]]
+        roots = [RootDatum(alpha=tuple(parse_rational(str(x)) for x in r["alpha"]),
+                           e_idx=_basis_index(r["e"], dim, "root e"),
+                           f_idx=_basis_index(r["f"], dim, "root f"))
+                 for r in data.get("roots", [])]
+        invs = None
+        if "invariants" in data:
+            invs = []
+            for spec in data["invariants"]:
+                terms: Dict[tuple, Fraction] = {}
+                for t in spec["terms"]:
+                    mono = []
+                    for a, mult in t["monomial"]:
+                        if int(mult) < 1:
+                            raise ValidationError(f"invariant multiplicity {mult} is not positive")
+                        mono += [(_basis_index(a, dim, "invariant"), 0)] * int(mult)
+                    mono = tuple(sorted(mono))  # every variable has t-degree 0
+                    terms[mono] = terms.get(mono, Fraction(0)) + parse_rational(str(t["coeff"]))
+                invs.append(InvariantPolynomial(CommPoly(terms), int(spec["degree"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed algebra config: {exc}") from exc
-    roots = [RootDatum(alpha=tuple(parse_rational(str(x)) for x in r["alpha"]),
-                       e_idx=int(r["e"]), f_idx=int(r["f"]))
-             for r in data.get("roots", [])]
-    invs = None
-    if "invariants" in data:
-        invs = []
-        for spec in data["invariants"]:
-            terms: Dict[tuple, Fraction] = {}
-            for t in spec["terms"]:
-                mono = tuple(sorted(
-                    ((int(a), 0) for a, mult in t["monomial"] for _ in range(int(mult))),
-                    key=lambda v: (v[1], v[0])))
-                terms[mono] = terms.get(mono, Fraction(0)) + parse_rational(str(t["coeff"]))
-            invs.append(InvariantPolynomial(CommPoly(terms), int(spec["degree"])))
     alg = LieAlgebraData(
         dim=dim, labels=labels, brackets=brackets, gram=gram, rank=rank,
         exponents=exponents, cartan_indices=cartan, root_data=roots,

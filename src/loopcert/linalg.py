@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
 
-from .commpoly import CommPoly, Monomial
+from .commpoly import CommPoly, Monomial, weighted_words
 from .errors import BoundsError
 from .scalars import SymPoly
 
@@ -191,25 +191,20 @@ def generator_products(gens: Sequence[Tuple[T, int]], dmax: int, one: T
     """Every nonzero product of generators, with multiplicity, of total
     degree <= dmax, as (product, degree); the empty product (one, 0) first.
 
-    Products grow by right multiplication along nondecreasing generator
-    indices, depth first with the later generators first; a zero product
-    ends its branch (every extension of it is zero).  Degrees must be
-    positive.
+    A fold of right multiplication over the ``weighted_words`` of the
+    degrees, which must be positive: a stack holds the products and degrees
+    of the current word's prefixes, so each product costs one
+    multiplication.  A zero product is not listed, and neither is any word
+    extending it (every extension of it is zero).
     """
-    if any(dg <= 0 for _, dg in gens):
-        raise BoundsError("generator degrees must be positive")
-
-    def rec(start: int, acc: T, deg: int) -> Iterator[Tuple[T, int]]:
-        for i in range(len(gens) - 1, start - 1, -1):
-            e, dg = gens[i]
-            if deg + dg <= dmax:
-                p = acc * e
-                if p:
-                    yield p, deg + dg
-                    yield from rec(i, p, deg + dg)
-
-    yield one, 0
-    yield from rec(0, one, 0)
+    stack = [(one, 0)]
+    for w in weighted_words([dg for _, dg in gens], dmax):
+        if w:
+            del stack[len(w):]
+            (acc, deg), (e, dg) = stack[-1], gens[w[-1]]
+            stack.append((acc * e if acc else acc, deg + dg))
+        if stack[-1][0]:
+            yield stack[-1]
 
 
 def degree_buckets(gens: Sequence[Tuple[CommPoly, int]], dmax: int

@@ -24,6 +24,7 @@ never overflow mid-computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -100,14 +101,10 @@ class YangianContext(PBWContext):
         return self.gen((r, i, j))
 
 
-_CTX_CACHE: Dict[Tuple[int, int], YangianContext] = {}
-
-
+@functools.cache
 def yangian(n: int, max_weight: int) -> YangianContext:
-    key = (n, max_weight)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = YangianContext(n, max_weight)
-    return _CTX_CACHE[key]
+    """The context of Y(gl_n) at weight bound max_weight, one per (n, max_weight)."""
+    return YangianContext(n, max_weight)
 
 
 def f1_degree(ctx: YangianContext, p: NCPoly) -> int:

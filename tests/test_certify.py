@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopcert import certify
+from loopcert import certify, envelop
 from loopcert.commpoly import LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.liealg import TorusElement, preset
@@ -253,14 +253,19 @@ class TestPBWNegativeControls:
     """Faults injected into the PBW suites must give FAIL with a witness.
 
     Each test starts from empty context caches, so no normal form cached by
-    another test hides the fault, and monkeypatch restores the real caches
-    afterwards, so no normal form computed under the fault outlives the test.
+    another test hides the fault, and empties them again afterwards, so no
+    normal form computed under the fault outlives the test.
     """
 
     @pytest.fixture(autouse=True)
-    def fresh_contexts(self, monkeypatch):
-        monkeypatch.setattr(ymod, "_CTX_CACHE", {})
-        monkeypatch.setattr(preset("sl2"), "_pbw_contexts", {}, raising=False)
+    def fresh_contexts(self):
+        builders = (ymod.yangian, envelop.enveloping_context, envelop.tensor_context,
+                    envelop.current_context)
+        for build in builders:
+            build.cache_clear()
+        yield
+        for build in builders:
+            build.cache_clear()
 
     def test_rtt_check_can_fail(self, monkeypatch):
         # flip the sign of one term of [t_21^(1), t_12^(1)] = t_22^(1) - t_11^(1)

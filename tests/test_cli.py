@@ -154,6 +154,27 @@ def test_gens_bethe_default_C(family, n, capsys):
     assert report["params"]["C"] == [str(i) for i in range(1, n + 1)]
 
 
+@pytest.mark.parametrize("argv, suite", [
+    (["poincare", "--family", "gr1", "--algebra", "gl30", "--cutoff", "4"], "poincare_gr1_count"),
+    (["poincare", "--family", "gr1", "--algebra", "gl5", "--cutoff", "1"], "poincare_gr1_count"),
+    (["gens", "--family", "classical-bethe", "--algebra", "gl8", "--max-deg", "6"],
+     "dump_generators"),
+    (["gens", "--family", "bethe", "--algebra", "gl5", "--max-deg", "1"], "dump_generators"),
+    (["poincare", "--family", "gr1", "--algebra", "gl0", "--cutoff", "1"], "poincare_gr1_count"),
+])
+def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
+    # gl9 at cutoff 5 took a minute and gl30 ran past 100 s: refused before
+    # any generator is built
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{suite} ran")
+
+    monkeypatch.setattr(f"loopcert.certify.{suite}", no_run)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and "outside documented bounds [1, 4]" in err
+
+
 def test_gr_centralizer_past_measured_bound_exit_two(capsys):
     code = main(["gr", "--comparison", "centralizer", "--algebra", "gl4", "--max-deg", "5"])
     err = capsys.readouterr().err
@@ -202,6 +223,18 @@ def test_config_algebra_without_matrices_soa_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "ValidationError" in err and "matrix realization" in err
+
+
+def test_malformed_config_exit_two(tmp_path, capsys):
+    # a root without "e" raised KeyError (exit 1, as for a FAILed check)
+    data = json.loads(Path(_readme_algebra(tmp_path)).read_text(encoding="utf-8"))
+    data["roots"] = [{"alpha": ["2"], "f": 2}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["verify-gaudin", "--algebra", str(path), "--kmax", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ValidationError" in err and "malformed algebra config" in err
 
 
 def test_missing_config_exit_two(tmp_path, capsys):

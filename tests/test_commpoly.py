@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2, mono_mul,
                                mono_order_key, weighted_words)
-from loopcert.errors import TruncationError
+from loopcert.errors import BoundsError, TruncationError
 from loopcert.liealg import algebra_from_dict, preset
 
 sl2 = preset("sl2")
@@ -292,8 +292,9 @@ def test_enumerate_monomials_weights():
     vs = [(0, 0), (1, 0), (0, 1)]
     weights = [r + 1 for _, r in vs]
     words = list(weighted_words(weights, 2))
-    # nondecreasing words of weight <= 2, depth first, the empty word first
-    assert words == [(), (0,), (0, 0), (0, 1), (1,), (1, 1), (2,)]
+    # nondecreasing words of weight <= 2, depth first with the later indices
+    # first, the empty word first
+    assert words == [(), (2,), (1,), (1, 1), (0,), (0, 1), (0, 0)]
     monos = [tuple(vs[i] for i in w) for w in words if sum(weights[i] for i in w) == 2]
     # deg1 = 2: x^2, xy, y^2 over t-deg 0 vars, plus the single t-deg-1 var
     assert len(monos) == 4
@@ -302,6 +303,13 @@ def test_enumerate_monomials_weights():
     comp = LoopAlgebra(sl2, 3).component_monomials(2)
     assert len(comp) == 9 and all(mono_deg1(m) == 2 for m in comp)
     assert comp == tuple(sorted(set(comp), key=mono_order_key))
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_weighted_words_reject_nonpositive_weight(weight):
+    # a zero weight would extend a word forever without using up dmax
+    with pytest.raises(BoundsError):
+        list(weighted_words([1, weight], 2))
 
 
 def test_render_canonical():

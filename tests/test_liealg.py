@@ -331,3 +331,68 @@ class TestConfigIO:
         }
         with pytest.raises(ValidationError):
             algebra_from_dict(data)  # h^2 alone is not ad-invariant
+
+
+def _sl2r():
+    """The README's sl2-rescaled config."""
+    return {
+        "dim": 3, "labels": ["e", "h", "f"],
+        "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1"], [1, 2, 2, "-2"]],
+        "form": [[0, 2, "1"], [1, 1, "2"]],
+        "rank": 1, "exponents": [1], "cartan": [1],
+        "roots": [{"alpha": ["2"], "e": 0, "f": 2}],
+        "invariants": [
+            {"degree": 2, "terms": [{"monomial": [[1, 2]], "coeff": "1/2"},
+                                    {"monomial": [[0, 1], [2, 1]], "coeff": "2"}]}
+        ],
+    }
+
+
+def _drop_root_e(d):
+    del d["roots"][0]["e"]
+
+
+def _drop_terms(d):
+    del d["invariants"][0]["terms"]
+
+
+def _bad_coeff(d):
+    d["invariants"][0]["terms"][0]["coeff"] = "one half"
+
+
+def _invariant_index_7(d):
+    d["invariants"][0]["terms"][0]["monomial"] = [[7, 2]]
+
+
+def _root_e_9(d):
+    d["roots"][0]["e"] = 9
+
+
+def _multiplicity_0(d):
+    d["invariants"][0]["terms"][1]["monomial"] = [[0, 1], [2, 0]]
+
+
+def _form_index_7(d):
+    d["form"][0] = [0, 7, "1"]
+
+
+def _cartan_index_9(d):
+    d["cartan"] = [9]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_root_e, "malformed algebra config: 'e'"),
+    (_drop_terms, "malformed algebra config: 'terms'"),
+    (_bad_coeff, "cannot parse rational from 'one half'"),
+    (_invariant_index_7, "invariant index 7 outside 0..2"),
+    (_root_e_9, "root e index 9 outside 0..2"),
+    (_multiplicity_0, "invariant multiplicity 0 is not positive"),
+    (_form_index_7, "form index 7 outside 0..2"),
+    (_cartan_index_9, "cartan index 9 outside 0..2"),
+])
+def test_malformed_config_rejected(corrupt, message):
+    data = _sl2r()
+    assert algebra_from_dict(json.loads(json.dumps(data))).dim == 3
+    corrupt(data)
+    with pytest.raises(ValidationError, match=message):
+        algebra_from_dict(data)
