@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .commpoly import LoopAlgebra, mono_deg1, mono_deg2, weighted_words
 from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation,
@@ -33,16 +32,31 @@ from .yangian import (bethe_generators, f1_monomial_count,
                       yangian)
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    witness: Optional[str] = None
+    """One exact check: its verdict, its details for the JSON report and,
+    when it fails, a witness.  ``details`` defaults to a new dict per check."""
+
+    __slots__ = ("name", "passed", "details", "witness")
+
+    def __init__(self, name: str, passed: bool, details: Optional[dict] = None,
+                 witness: Optional[str] = None) -> None:
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None  # mutable, as its details are
+
+    def __repr__(self):
+        return f"Check({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     params: dict
     checks: List[Check]
@@ -239,6 +253,13 @@ def poincare_gr1_count(n: int, cutoff: int) -> Report:
 # -- 4. bihamiltonian Gaudin family ---------------------------------------------------------
 
 
+def _first_failing_pair(loop: LoopAlgebra, gens, shifts: Sequence[int]):
+    """The first (i, j, s, {gens[i], gens[j]}_s) with a nonzero bracket in
+    (i, j, s) order, or None when every pair commutes."""
+    return min((b for b in loop.pairwise_brackets([g.poly for g in gens], shifts) if b[3]),
+               key=lambda b: b[:3], default=None)
+
+
 def verify_gaudin(alg_name: str, kmax: int) -> Report:
     """D^k Phi_i pairwise commute under both brackets (and hence the pencil)."""
     alg = resolve_algebra(alg_name)
@@ -246,24 +267,16 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
     R = 2 * maxdeg  # brackets of two generators stay below this t-degree
     loop = LoopAlgebra(alg, R)
     gens = gaudin_generators(alg, kmax, R)
-    bad = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            p0 = loop.poisson0(gens[i].poly, gens[j].poly)
-            p1 = loop.poisson1(gens[i].poly, gens[j].poly)
-            if not p0.is_zero():
-                bad.append((gens[i].label, gens[j].label, 0, p0))
-            if not p1.is_zero():
-                bad.append((gens[i].label, gens[j].label, 1, p1))
+    bad = _first_failing_pair(loop, gens, (0, 1))
     npairs = len(gens) * (len(gens) - 1) // 2
     return Report("verify-gaudin", {"algebra": alg_name, "kmax": kmax}, [
         Check(name=f"gaudin family {alg_name}, k<={kmax}: {npairs} pairs under "
                    "poisson0 and poisson1",
-              passed=not bad,
+              passed=bad is None,
               details={"generators": [g.label for g in gens],
                        "pairs_checked": npairs},
-              witness=None if not bad else
-              f"{{{bad[0][0]}, {bad[0][1]}}}_{bad[0][2]} = {bad[0][3].render()}")])
+              witness=None if bad is None else
+              f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}}_{bad[2]} = {bad[3].render()}")])
 
 
 # -- 5. centralizer characterization ----------------------------------------------------------
@@ -482,20 +495,15 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int = 0) -> Report:
     chi = diag_to_basis(alg, parse_entries(chi_diag))
     gens = soa_generators(alg, chi)
     loop = LoopAlgebra(alg, 1)
-    bad = None
-    npairs = 0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            npairs += 1
-            p = loop.poisson0(gens[i].poly, gens[j].poly)
-            if not p.is_zero() and bad is None:
-                bad = (gens[i].label, gens[j].label, p.render())
+    bad = _first_failing_pair(loop, gens, (0,))
+    npairs = len(gens) * (len(gens) - 1) // 2
     checks = [Check(
         name=f"soa {alg_name}: {len(gens)} generators, {npairs} pairs commute",
         passed=bad is None,
         details={"generators": [g.label for g in gens],
                  "count_expected": (alg.dim + alg.rank) // 2},
-        witness=None if bad is None else f"{{{bad[0]}, {bad[1]}}} = {bad[2]}")]
+        witness=None if bad is None else
+        f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}} = {bad[3].render()}")]
 
     rng = random.Random(seed)
     resamples = 0

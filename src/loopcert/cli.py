@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import certify
-from .errors import BoundsError, LoopcertError
+from .errors import BoundsError, LoopcertError, OutputError
 
 
 # verify-bethe forks all of its worker processes at once, so their number is capped
@@ -59,6 +59,34 @@ def _gl_size(name: str) -> int:
     if not name.startswith("gl") or not name[2:].isdigit():
         raise LoopcertError(f"this suite needs a gl_n preset, got {name!r}")
     return int(name[2:])
+
+
+def _check_json_target(path: str) -> None:
+    """Refuse a --json PATH that cannot be written, before any computation."""
+    if not path:
+        raise OutputError("--json needs a path, or '-' for stdout")
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OutputError(f"--json {path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise OutputError(f"--json {path!r}: directory {parent!r} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise OutputError(f"--json {path!r} is not writable")
+
+
+def _write_json(path: str, payload: str) -> None:
+    """Write the report to ``path``; a failed write leaves no file behind."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write --json {path!r}: {exc.strerror}") from exc
+    try:
+        with fh:
+            fh.write(payload + "\n")
+    except OSError as exc:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise OutputError(f"cannot write --json {path!r}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,19 +233,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.json not in (None, "-"):
+            _check_json_target(args.json)
         report = run(args)
+        for line in report.summary_lines():
+            print(line)
+        if args.json is not None:
+            payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+            if args.json == "-":
+                print(payload)
+            else:
+                _write_json(args.json, payload)
     except LoopcertError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    for line in report.summary_lines():
-        print(line)
-    if args.json:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
     return 0 if report.passed else 1
 
 

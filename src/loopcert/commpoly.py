@@ -215,7 +215,13 @@ def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]],
                den: int = 1) -> CommPoly:
     """sum_v dp/dv * image(v) / den, divided by den and p's denominator once;
     products are sorted by (a, r) and the result once by ``var_key``."""
-    dp, L = partials(p)
+    return _derive(partials(p), image, den)
+
+
+def _derive(p_partials: Tuple[Dict[Var, Dict[Monomial, int]], int],
+            image: Callable[[Var], Dict[Monomial, Scalar]], den: int) -> CommPoly:
+    """``derivation`` of the p whose ``partials`` are given."""
+    dp, L = p_partials
     out: Dict[Monomial, Scalar] = defaultdict(int)
     for v, dv in dp.items():
         for m2, c2 in image(v).items():
@@ -260,25 +266,47 @@ class LoopAlgebra:
 
     # -- Poisson brackets --------------------------------------------------
 
-    def _poisson(self, p: CommPoly, q: CommPoly, shift: int) -> CommPoly:
-        """{p, q} = sum_v dp/dv * {v, q}, with {v, q} = sum_w dq/dw * {v, w} in
-        integers over q's denominator, {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
-        dq, Lq = partials(q)
+    def _bracket_with(self, dq: Dict[Var, Dict[Monomial, int]], v: Var,
+                      shift: int) -> Dict[Monomial, Scalar]:
+        """{v, q} = sum_w dq/dw * {v, w} in integers over q's denominator, from
+        q's partials dq, with {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
+        a, r = v
+        out: Dict[Monomial, Scalar] = defaultdict(int)
+        for (b, s), dw in dq.items():
+            cs, t = self._brackets[a, b], r + s + shift
+            if cs and t >= self.R:
+                raise TruncationError(
+                    f"bracket output t-degree {t} exceeds truncation R={self.R}")
+            for d, cd in cs.items():
+                for m, c in dw.items():
+                    i = bisect_right(m, (d, t))
+                    out[m[:i] + ((d, t),) + m[i:]] += cd * c
+        return {m: c for m, c in out.items() if c}
 
-        def bracket_with_q(v: Var) -> Dict[Monomial, Scalar]:
-            a, r = v
-            out: Dict[Monomial, Scalar] = defaultdict(int)
-            for (b, s), dw in dq.items():
-                cs, t = self._brackets[a, b], r + s + shift
-                if cs and t >= self.R:
-                    raise TruncationError(
-                        f"bracket output t-degree {t} exceeds truncation R={self.R}")
-                for d, cd in cs.items():
-                    for m, c in dw.items():
-                        i = bisect_right(m, (d, t))
-                        out[m[:i] + ((d, t),) + m[i:]] += cd * c
-            return {m: c for m, c in out.items() if c}
-        return derivation(p, bracket_with_q, Lq)
+    def _poisson(self, p: CommPoly, q: CommPoly, shift: int) -> CommPoly:
+        """{p, q} = sum_v dp/dv * {v, q}, each {v, q} by ``_bracket_with``."""
+        dq, Lq = partials(q)
+        return derivation(p, lambda v: self._bracket_with(dq, v, shift), Lq)
+
+    def pairwise_brackets(self, polys: Sequence[CommPoly], shifts: Sequence[int]
+                          ) -> Iterator[Tuple[int, int, int, CommPoly]]:
+        """(i, j, s, {polys[i], polys[j]}_s) for every i < j and s in
+        ``shifts``, j in the outer loop.  Each poly's partials are computed
+        once, and each {v, polys[j]}_s once per variable v, reused for every
+        i and dropped when j moves on."""
+        dps = [partials(p) for p in polys]
+        for j in range(1, len(polys)):
+            dq, Lq = dps[j]
+            for s in shifts:
+                field: Dict[Var, Dict[Monomial, Scalar]] = {}
+
+                def image(v: Var) -> Dict[Monomial, Scalar]:
+                    img = field.get(v)
+                    if img is None:
+                        img = field[v] = self._bracket_with(dq, v, s)
+                    return img
+                for i in range(j):
+                    yield i, j, s, _derive(dps[i], image, Lq)
 
     def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
         """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each

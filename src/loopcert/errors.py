@@ -19,3 +19,7 @@ class RegularityError(LoopcertError):
 
 class BoundsError(LoopcertError):
     """A job parameter is outside its documented bounds."""
+
+
+class OutputError(LoopcertError):
+    """The report cannot be written to the requested path."""

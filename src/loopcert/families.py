@@ -14,9 +14,8 @@ g(u) are ``scalars.leibniz_det`` over ``Series`` entries with keys
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .commpoly import CommPoly, LoopAlgebra, derivation, mono_mul
 from .errors import RegularityError, ValidationError
@@ -25,8 +24,7 @@ from .linalg import Subspace, degree_buckets, relations, rref
 from .scalars import Scalar, Series, leibniz_det, truncated_join
 
 
-@dataclass(frozen=True)
-class FamilyElement:
+class FamilyElement(NamedTuple):
     poly: CommPoly
     label: str
     deg1: int

@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
@@ -119,8 +118,7 @@ class MatrixRealization:
         return out
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """One root: its functional on the Cartan (coordinates in the Cartan
     basis of the ambient algebra) and the indices of e_alpha, e_{-alpha}."""
 
@@ -129,8 +127,7 @@ class RootDatum:
     f_idx: int
 
 
-@dataclass(frozen=True)
-class InvariantPolynomial:
+class InvariantPolynomial(NamedTuple):
     """Ad-invariant generator of S(g)^g, supported on t-degree-0 variables."""
 
     poly: CommPoly

@@ -35,6 +35,17 @@ class TestReportPlumbing:
         assert doc["checks"][0]["details"]["v"] == "7/3"
         json.dumps(doc)  # JSON-serializable end to end
 
+    def test_check_defaults_and_equality(self):
+        a, b = certify.Check("c", True), certify.Check("c", True)
+        assert a.details == {} and a.witness is None
+        assert a.details is not b.details
+        a.details["k"] = 1
+        assert b.details == {}
+        assert a != b
+        b.details["k"] = 1
+        assert a == b
+        assert certify.Check("c", False, witness="w") != certify.Check("c", False)
+
     def test_parse_entries_diagnostics(self):
         with pytest.raises(ValidationError):
             certify.parse_entries(["1", "two"])
@@ -152,6 +163,20 @@ class TestSuites:
         check = rep.checks[0]
         assert not check.passed
         assert "x_e[1]" in check.witness and check.witness.split(" = ")[1] != "0"
+
+    def test_gaudin_witness_is_first_failing_pair(self, monkeypatch):
+        # {x_e[1], D^0 Phi_1}_0 is computed before {x_e[0], D^0 Phi_1}_1, as
+        # the brackets are built per second element of a pair; the witness is
+        # still the first failing pair in (i, j, shift) order
+        from loopcert.commpoly import CommPoly
+        from loopcert.families import FamilyElement
+        real = certify.gaudin_generators
+        extra = [FamilyElement(CommPoly.variable(0, 0), "x_e[0]", 1, 0),
+                 FamilyElement(CommPoly.variable(0, 1), "x_e[1]", 2, 1)]
+        monkeypatch.setattr(certify, "gaudin_generators", lambda *args: extra + real(*args))
+        check = certify.verify_gaudin("sl2", 2).checks[0]
+        assert not check.passed
+        assert check.witness.startswith("{x_e[0], D^0 Phi_1}_1 = ")
 
     def test_soa_commutation_check_can_fail(self, monkeypatch):
         # negative control: add x_e[0], which is not invariant under ad(chi)

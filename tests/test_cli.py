@@ -1,5 +1,7 @@
 import concurrent.futures
+import errno
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -259,3 +261,62 @@ def test_workers_out_of_bounds_exit_two(monkeypatch, capsys, flag, env):
     err = capsys.readouterr().err
     assert code == 2
     assert "workers" in err or "LOOPCERT_WORKERS" in err
+
+
+def _no_suite(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_rtt ran")
+
+    monkeypatch.setattr("loopcert.certify.verify_rtt", no_run)
+
+
+@pytest.mark.parametrize("target,message", [
+    ("absent/r.json", "does not exist"),
+    (".", "is a directory"),
+    (None, "needs a path"),
+])
+def test_json_target_unwritable_exit_two(monkeypatch, tmp_path, capsys, target, message):
+    # the job ran to the end, then a traceback exited 1, as for a FAILed
+    # check; an empty path wrote nothing and exited 0
+    _no_suite(monkeypatch)
+    path = "" if target is None else str(tmp_path / target)
+    code = main(["verify-rtt", "--n", "1", "--order", "1", "--json", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "OutputError" in err and path in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_target_not_writable_exit_two(monkeypatch, tmp_path, capsys):
+    # root may write anywhere, so the permission test is simulated
+    _no_suite(monkeypatch)
+    monkeypatch.setattr("loopcert.cli.os.access", lambda path, mode: False)
+    code = main(["verify-rtt", "--n", "1", "--order", "1", "--json", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "OutputError" in err and "is not writable" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_write_error_exit_two_leaves_no_file(monkeypatch, tmp_path, capsys):
+    class FullDisk:
+        """A file opened for real whose every write fails with ENOSPC."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("loopcert.cli.open", FullDisk, raising=False)
+    code = main(["verify-rtt", "--n", "1", "--order", "1", "--json", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "OutputError" in err and "No space left on device" in err
+    assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2, mono_mul,
                                mono_order_key, weighted_words)
 from loopcert.errors import BoundsError, TruncationError
+from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
 from loopcert.liealg import algebra_from_dict, preset
 
 sl2 = preset("sl2")
@@ -234,6 +235,47 @@ def test_poisson_matches_term_pair_reference(name, shift, data):
     got = bracket(p, q)
     assert got.terms == expected.terms
     assert all(type(c) is F for c in got.terms.values())
+
+
+@pytest.mark.parametrize("family", ["gaudin", "soa"])
+def test_pairwise_brackets_match_fresh_loop_algebra(family):
+    """Partials and {v, q}_s reused across pairs give, on every pair, the
+    bracket of a fresh LoopAlgebra; three extra elements make most pairs
+    with them nonzero."""
+    alg = preset("sl3")
+    if family == "gaudin":
+        R, shifts = 10, (0, 1)
+        gens = gaudin_generators(alg, 2, R)
+        extra = [var(0, 1), var(3, 2) * var(5, 0), var(7, 0) * var(1, 1) * var(1, 1)]
+    else:
+        R, shifts = 1, (0,)
+        gens = soa_generators(alg, diag_to_basis(alg, [F(1), F(2), F(-3)]))
+        extra = [var(0, 0), var(3, 0) * var(5, 0), var(7, 0) * var(1, 0) * var(1, 0)]
+    polys = [extra[0]] + [g.poly for g in gens] + extra[1:]
+    got = list(LoopAlgebra(alg, R).pairwise_brackets(polys, shifts))
+    n = len(polys)
+    assert sorted(key for *key, _ in got) == [
+        [i, j, s] for i in range(n) for j in range(i + 1, n) for s in shifts]
+    nonzero = 0
+    for i, j, s, bracket in got:
+        fresh = LoopAlgebra(alg, R)
+        assert bracket.terms == (fresh.poisson0, fresh.poisson1)[s](polys[i], polys[j]).terms
+        nonzero += bool(bracket)
+    assert nonzero >= n
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pairwise_brackets_match_poisson(name, data):
+    # t-degrees up to 1, so no bracket reaches R_SMALL
+    alg = ALGEBRAS[name]()
+    polys = [data.draw(_monomial_polys(alg.dim, 1)) for _ in range(4)]
+    loop = LoopAlgebra(alg, R=R_SMALL)
+    expected = {(i, j, s): (loop.poisson0, loop.poisson1)[s](polys[i], polys[j]).terms
+                for i in range(4) for j in range(i + 1, 4) for s in (0, 1)}
+    got = {(i, j, s): p.terms for i, j, s, p in loop.pairwise_brackets(polys, (0, 1))}
+    assert got == expected
 
 
 class TestDerivation:
