@@ -15,9 +15,11 @@ table (an ``int`` where the denominator is 1) with a truncation level R
 (max t-degree, exclusive).  Operations that would create a t-degree >= R
 raise ``TruncationError`` instead of silently dropping terms.
 
-``derivation`` is every derivation, {p, q} = sum_v dp/dv * {v, q} too: each
+``_derive`` is every derivation, {p, q} = sum_v dp/dv * {v, q} too: each
 dp/dv comes from ``partials`` in integers over the lcm of p's denominators,
-each {v, q} once, in integers over q's, and the sum is divided once.
+each {v, q} once, in integers over q's, and the sum is divided once.  Every
+bracket of two polynomials, ``poisson0`` and ``poisson1`` included, goes
+through ``LoopAlgebra.pairwise_brackets``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 from .errors import BoundsError, TruncationError
-from .scalars import Scalar, SymPoly, over_common_denominator, sc_is_zero, sc_str
+from .scalars import Scalar, SymPoly, over_common_denominator, sc_str
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
 Monomial = Tuple[Var, ...]
@@ -63,7 +65,7 @@ class CommPoly:
         t: Dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                if not sc_is_zero(c):
+                if c:
                     t[m] = c
         self.terms = t
 
@@ -101,7 +103,7 @@ class CommPoly:
         t = dict(self.terms)
         for m, c in other.terms.items():
             nc = t.get(m, 0) + c
-            if sc_is_zero(nc):
+            if not nc:
                 t.pop(m, None)
             else:
                 t[m] = nc
@@ -114,7 +116,7 @@ class CommPoly:
         return self + (-other)
 
     def scale(self, c) -> "CommPoly":
-        if sc_is_zero(c):
+        if not c:
             return CommPoly()
         return CommPoly({m: co * c for m, co in self.terms.items()})
 
@@ -128,7 +130,7 @@ class CommPoly:
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 nc = t.get(m, 0) + c1 * c2
-                if sc_is_zero(nc):
+                if not nc:
                     t.pop(m, None)
                 else:
                     t[m] = nc
@@ -211,11 +213,10 @@ def partials(p: CommPoly) -> Tuple[Dict[Var, Dict[Monomial, int]], int]:
     return out, L
 
 
-def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]],
-               den: int = 1) -> CommPoly:
-    """sum_v dp/dv * image(v) / den, divided by den and p's denominator once;
-    products are sorted by (a, r) and the result once by ``var_key``."""
-    return _derive(partials(p), image, den)
+def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]]) -> CommPoly:
+    """sum_v dp/dv * image(v), divided by p's denominator once; products are
+    sorted by (a, r) and the result once by ``var_key``."""
+    return _derive(partials(p), image, 1)
 
 
 def _derive(p_partials: Tuple[Dict[Var, Dict[Monomial, int]], int],
@@ -283,11 +284,6 @@ class LoopAlgebra:
                     out[m[:i] + ((d, t),) + m[i:]] += cd * c
         return {m: c for m, c in out.items() if c}
 
-    def _poisson(self, p: CommPoly, q: CommPoly, shift: int) -> CommPoly:
-        """{p, q} = sum_v dp/dv * {v, q}, each {v, q} by ``_bracket_with``."""
-        dq, Lq = partials(q)
-        return derivation(p, lambda v: self._bracket_with(dq, v, shift), Lq)
-
     def pairwise_brackets(self, polys: Sequence[CommPoly], shifts: Sequence[int]
                           ) -> Iterator[Tuple[int, int, int, CommPoly]]:
         """(i, j, s, {polys[i], polys[j]}_s) for every i < j and s in
@@ -327,11 +323,11 @@ class LoopAlgebra:
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""
-        return self._poisson(p, q, 0)
+        return next(self.pairwise_brackets((p, q), (0,)))[3]
 
     def poisson1(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_1 = [x,y][n+m+1], extended by Leibniz."""
-        return self._poisson(p, q, 1)
+        return next(self.pairwise_brackets((p, q), (1,)))[3]
 
     # -- derivation ----------------------------------------------------------
 

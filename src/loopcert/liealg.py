@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra
 from .errors import RegularityError, ValidationError
 from .linalg import rref
-from .scalars import Scalar, SymPoly, parse_rational, ratstr, sc_is_zero
+from .scalars import Scalar, SymPoly, parse_rational, ratstr
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Sparse = Dict[Tuple[int, int], object]  # {(i, j): nonzero entry}, Fraction or CommPoly
@@ -336,7 +336,7 @@ class TorusElement:
             self.entries = [e if isinstance(e, SymPoly) else Fraction(e) for e in entries]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"torus entry is not a rational: {exc}") from exc
-        if any(sc_is_zero(e) for e in self.entries):
+        if not all(self.entries):
             raise ValidationError("torus entries must be invertible (nonzero)")
 
     @classmethod
@@ -351,7 +351,7 @@ class TorusElement:
         """True iff no root eigenvalue c_i / c_j equals 1: the entries are
         pairwise distinct."""
         n = len(self.entries)
-        return all(not sc_is_zero(self.entries[i] - self.entries[j])
+        return all(self.entries[i] - self.entries[j]
                    for i in range(n) for j in range(i + 1, n))
 
 
@@ -370,7 +370,7 @@ def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
     blocks: List[List[int]] = []
     for i in range(n):
         if not any(i in blk for blk in blocks):
-            blocks.append([j for j in range(n) if sc_is_zero(C.entries[i] - C.entries[j])])
+            blocks.append([j for j in range(n) if not C.entries[i] - C.entries[j]])
     return _gl_units(n, blocks, f"z_{alg.name}(" + ",".join(str(e) for e in C.entries) + ")")
 
 

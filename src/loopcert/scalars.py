@@ -186,12 +186,6 @@ class SymPoly:
 Scalar = Union[Fraction, SymPoly]
 
 
-def sc_is_zero(c: Scalar) -> bool:
-    if isinstance(c, SymPoly):
-        return c.is_zero()
-    return c == 0
-
-
 def sc_str(c: Scalar) -> str:
     if isinstance(c, SymPoly):
         return f"({c!r})" if not c.is_constant() else ratstr(c.constant_term())

@@ -1,5 +1,6 @@
 import importlib
 import json
+import multiprocessing
 from fractions import Fraction as F
 
 import pytest
@@ -17,8 +18,8 @@ ymod = importlib.import_module("loopcert.yangian")
 class TestReportPlumbing:
     def test_failing_check_summary(self):
         rep = certify.Report("demo", {"x": F(1, 2)}, [
-            certify.Check("good", True),
-            certify.Check("bad", False, witness="1*t[1,1;1]"),
+            certify.Check("good"),
+            certify.Check("bad", witness="1*t[1,1;1]"),
         ])
         assert not rep.passed
         lines = rep.summary_lines()
@@ -29,14 +30,14 @@ class TestReportPlumbing:
 
     def test_json_rationals_as_strings(self):
         rep = certify.Report("demo", {"C": [F(1, 2), F(-3)]},
-                             [certify.Check("c", True, details={"v": F(7, 3)})])
+                             [certify.Check("c", details={"v": F(7, 3)})])
         doc = rep.to_dict()
         assert doc["params"]["C"] == ["1/2", "-3"]
         assert doc["checks"][0]["details"]["v"] == "7/3"
         json.dumps(doc)  # JSON-serializable end to end
 
     def test_check_defaults_and_equality(self):
-        a, b = certify.Check("c", True), certify.Check("c", True)
+        a, b = certify.Check("c"), certify.Check("c")
         assert a.details == {} and a.witness is None
         assert a.details is not b.details
         a.details["k"] = 1
@@ -44,7 +45,17 @@ class TestReportPlumbing:
         assert a != b
         b.details["k"] = 1
         assert a == b
-        assert certify.Check("c", False, witness="w") != certify.Check("c", False)
+        assert certify.Check("c", witness="w") != certify.Check("c")
+
+    def test_verdict_is_the_absence_of_a_witness(self):
+        # a FAIL cannot be built without a witness, nor a PASS with one
+        bad, good = certify.Check("bad", witness="w"), certify.Check("good")
+        assert not bad.passed and good.passed
+        doc = certify.Report("demo", {}, [good, bad]).to_dict()
+        assert doc["pass"] is False
+        assert [(c["pass"], c["witness"]) for c in doc["checks"]] == [(True, None), (False, "w")]
+        with pytest.raises(AttributeError):
+            good.passed = False
 
     def test_parse_entries_diagnostics(self):
         with pytest.raises(ValidationError):
@@ -186,7 +197,7 @@ class TestSuites:
         extra = FamilyElement(CommPoly.variable(0, 0), "x_e[0]", 1, 0)
         monkeypatch.setattr(certify, "soa_generators",
                             lambda alg, chi: real(alg, chi) + [extra])
-        rep = certify.verify_soa("sl3", ["1", "2", "-3"])
+        rep = certify.verify_soa("sl3", ["1", "2", "-3"], seed=0)
         check = rep.checks[0]
         assert not check.passed
         assert "x_e[0]" in check.witness and check.witness.split(" = ")[1] != "0"
@@ -323,6 +334,54 @@ class TestPBWNegativeControls:
         assert not check.passed
         assert check.details["nonzero_pairs"] > 0
         assert check.witness.startswith("[tau") and check.witness.split(" = ")[1] != "0"
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the fault reaches pool workers only through fork")
+    def test_bethe_check_fails_alike_under_workers(self, monkeypatch):
+        # the wrong-shift fault of test_bethe_check_can_fail, in a pool
+        def wrong_shift(ctx, rows, cols, Nmax):
+            rows, cols = list(rows), list(cols)
+            return leibniz_det(len(rows), lambda a, c: ymod.t_series(
+                ctx, rows[a], cols[c], Nmax, shift=-c))
+
+        monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)
+        seq = certify.verify_bethe(2, ["1", "2"], 3, workers=1).checks[0]
+        par = certify.verify_bethe(2, ["1", "2"], 3, workers=2).checks[0]
+        assert not seq.passed
+        assert par == seq
+
+    def test_talalaev_commutator_check_can_fail(self, monkeypatch):
+        # e12[1] first and last: it commutes with QI_1^(1), QI_1^(2) and
+        # QI_2^(1) but not with QI_2^(2); z-powers past dmax = 2 keep it out
+        # of the span checks
+        real = certify.talalaev_generators(2, 2)
+        x = envelop.current_context(preset("gl2"), 2).gen((1, 1))
+        monkeypatch.setattr(certify, "talalaev_generators",
+                            lambda n, R: [(9, 9, x)] + real + [(8, 8, x)])
+        rep = certify.verify_talalaev(2, 2, 2)
+        check = rep.checks[0]
+        assert not check.passed
+        assert [rec[:2] for rec in real if x.commutator(rec[2])][0] == (2, 2)
+        qi22 = next(p for i, s, p in real if (i, s) == (2, 2))
+        assert check.witness == f"[(9, 9), (2, 2)] = {x.commutator(qi22).render()}"
+        assert all(c.passed for c in rep.checks[1:])
+
+    def test_eval_gaudin_commutator_check_can_fail(self, monkeypatch):
+        # x_e[1] first and last: its image sum_i z_i e^(i) does not commute
+        # with that of the Casimir; deg1 - deg2 = 1 keeps it out of the
+        # quadratic span
+        from loopcert.commpoly import CommPoly
+        from loopcert.families import FamilyElement
+        real = certify.gaudin_generators
+        x = FamilyElement(CommPoly.variable(0, 1), "x_e[1]", 2, 1)
+        monkeypatch.setattr(certify, "gaudin_generators", lambda *args: [x] + real(*args) + [x])
+        rep = certify.verify_eval_gaudin("sl2", ["0", "1", "4"], 4)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.witness == (
+            "[ev x_e[1], ev D^0 Phi_1] = 2*e12(1)*h1(2) + 8*e12(1)*h1(3) + -2*h1(1)*e12(2)"
+            " + -8*h1(1)*e12(3) + 6*e12(2)*h1(3) + -6*h1(2)*e12(3)")
+        assert rep.checks[1].passed
 
     def test_eval_gaudin_span_check_can_fail(self, monkeypatch):
         # build H_1 at z_1 + 1/2: Omega_1j / (z_1 - z_j) becomes
