@@ -343,8 +343,7 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
 def verify_talalaev(n: int, R: int, dmax: int) -> Report:
     """Column-determinant coefficients pairwise commute; their bigraded spans
     equal gr2 of the quantum Bethe family at C = E through F1-degree dmax."""
-    gl = gl_algebra(n)
-    cur = current_context(gl, R)
+    cur = current_context(gl_algebra(n), R)
     tal = talalaev_generators(n, R)
     bad = _first_failing(_commutators([p for _, _, p in tal]))
     npairs = math.comb(len(tal), 2)
@@ -379,8 +378,8 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
         Tblocks = bigraded_block(Tvecs, [w for w in cwords if cbideg(w)[0] <= d], cbideg, d)
         for j, (Bblock, Tblock) in enumerate(zip(Bblocks, Tblocks)):
             # each row is bihomogeneous, so gr2 maps all of it
-            rows = [{w: c for w, c in zip(Bblock.ambient, row) if c} for row in Bblock.rows]
-            images = [gr2(ctx, NCPoly(ctx, terms, normalized=True), R, gl) for terms in rows]
+            rows = [{Bblock.ambient[k]: c for k, c in row.items()} for _, row in Bblock.rows]
+            images = [gr2(ctx, NCPoly(ctx, terms, normalized=True), R) for terms in rows]
             Bproj = Subspace.span_of(images, Tblock.ambient)
             checks.append(Check(
                 name=f"talalaev span == gr2 Bethe(E) at bidegree ({d},{j})",

@@ -185,7 +185,7 @@ def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
     if d == 0:
         return [CommPoly.const(1)]
     images = [loop.coadjoint_images(m) for m in monos]
-    return [CommPoly({monos[i]: x for i, x in enumerate(v) if x}) for v in relations(images)]
+    return [CommPoly({monos[i]: x for i, x in v.items()}) for v in relations(images)]
 
 
 def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> Subspace:
@@ -193,7 +193,7 @@ def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> Subspac
     component, as a canonical subspace."""
     basis = invariant_component(loop, d)
     images = [loop.poisson0(seed, p).terms for p in basis]
-    kernel = [sum((p.scale(ci) for ci, p in zip(c, basis) if ci), CommPoly())
+    kernel = [sum((basis[i].scale(ci) for i, ci in c.items()), CommPoly())
               for c in relations(images)]
     return Subspace.span_of(kernel, loop.component_monomials(d))
 

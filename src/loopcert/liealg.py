@@ -76,11 +76,9 @@ class MatrixRealization:
     <E_a, E_b> = tr(E_a E_b) and the dual basis E^a = sum_b ginv[b][a] E_b,
     so that <E_a, E^b> = delta_ab."""
 
-    def __init__(self, matrices: Sequence[Matrix]) -> None:
-        self.matrices = list(matrices)
-        self.size = len(matrices[0])
-        self.sparse = [{(i, j): Fraction(x) for i, row in enumerate(M)
-                        for j, x in enumerate(row) if x} for M in matrices]
+    def __init__(self, size: int, matrices: Sequence[Sparse]) -> None:
+        self.size = size
+        self.sparse = [{ij: Fraction(x) for ij, x in M.items() if x} for M in matrices]
         self.gram = tuple(tuple(_trace_pair(A, B) for B in self.sparse) for A in self.sparse)
         self.gram_inv = mat_inverse(self.gram)
         self.duals = [_combine(col, self.sparse) for col in zip(*self.gram_inv)]
@@ -164,7 +162,6 @@ class LieAlgebraData:
         self.cartan_indices = list(cartan_indices)
         self.root_data = root_data or []
         self.realization = realization
-        self.matrices = realization.matrices if realization else None
         self.name = name
         self.gl_size = gl_size  # n when this is gl_n in the matrix-unit basis
         self.ambient_indices = ambient_indices  # embedding into a parent algebra
@@ -292,17 +289,17 @@ class LieAlgebraData:
         }
 
 
-def matrix_algebra(name: str, labels: Sequence[str], matrices: Sequence[Matrix],
+def matrix_algebra(name: str, labels: Sequence[str], size: int, matrices: Sequence[Sparse],
                    cartan_indices: Sequence[int], root_data: List[RootDatum],
                    blocks, **kw) -> LieAlgebraData:
-    """The Lie algebra spanned by ``matrices``, with the trace form.
+    """The Lie algebra spanned by sparse ``size`` x ``size`` ``matrices``, with the trace form.
 
     ``blocks`` lists (block of matrix indices, invariant degrees); the
     invariant generators are tr(X_B^k), so the rank is their number and the
     exponents are their degrees minus one.  Raises ``ValidationError`` if a
     commutator leaves the span.
     """
-    real = MatrixRealization(matrices)
+    real = MatrixRealization(size, matrices)
     dim = len(matrices)
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for a in range(dim):
@@ -377,10 +374,6 @@ def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
 # -- presets ------------------------------------------------------------------------
 
 
-def _dense(n: int, entries: Dict[Tuple[int, int], int]) -> Matrix:
-    return tuple(tuple(Fraction(entries.get((r, c), 0)) for c in range(n)) for r in range(n))
-
-
 def _gl_units(n: int, blocks: List[List[int]], name: str,
               gl_size: Optional[int] = None) -> LieAlgebraData:
     """The matrix units E_ij of gl_n with i and j in one block, in the order
@@ -395,7 +388,7 @@ def _gl_units(n: int, blocks: List[List[int]], name: str,
         for blk in blocks for i in blk for j in blk if i != j]
     return matrix_algebra(
         name, [f"e{a // n + 1}{a % n + 1}" for a in keep],
-        [_dense(n, {divmod(a, n): 1}) for a in keep], [pos[i * n + i] for i in range(n)],
+        n, [{divmod(a, n): 1} for a in keep], [pos[i * n + i] for i in range(n)],
         roots, [(blk, range(1, len(blk) + 1)) for blk in blocks],
         gl_size=gl_size, ambient_indices=None if gl_size else keep)
 
@@ -405,9 +398,9 @@ def _sl_preset(n: int) -> LieAlgebraData:
     # basis: e_ij (i<j), then h_i = e_ii - e_{i+1,i+1}, then e_ij (i>j)
     upper = [(i, j) for i in range(n) for j in range(n) if i < j]
     lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-    mats = ([_dense(n, {ij: 1}) for ij in upper]
-            + [_dense(n, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
-            + [_dense(n, {ij: 1}) for ij in lower])
+    mats = ([{ij: 1} for ij in upper]
+            + [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+            + [{ij: 1} for ij in lower])
     labels = ([f"e{i + 1}{j + 1}" for i, j in upper] + [f"h{i + 1}" for i in range(n - 1)]
               + [f"e{i + 1}{j + 1}" for i, j in lower])
     idx = {ij: k for k, ij in enumerate(upper)}
@@ -420,7 +413,7 @@ def _sl_preset(n: int) -> LieAlgebraData:
             - Fraction(int(d == j)) + Fraction(int(d + 1 == j))
             for d in range(n - 1))
         roots.append(RootDatum(alpha=alpha, e_idx=idx[(i, j)], f_idx=idx[(j, i)]))
-    return matrix_algebra(f"sl{n}", labels, mats,
+    return matrix_algebra(f"sl{n}", labels, n, mats,
                           list(range(len(upper), len(upper) + n - 1)), roots,
                           [(range(n), range(2, n + 1))])
 

@@ -3,17 +3,18 @@ associated-bigraded blocks of doubly filtered spans, products of
 generators, and Grassmannian limits of parametrized subspace families as
 eps -> 0.
 
-A ``Subspace`` is a reduced row echelon basis over an explicit ambient
-monomial list, so equality of subspaces is equality of matrices.
 ``echelon`` is the one elimination over a field, on sparse rows
 ({column: entry}) read straight from the ``.terms`` of polynomials, so its
 cost follows the nonzeros rather than the width; it runs over any exact
-field, ``Fraction`` in every certificate.  ``rref`` is its dense adapter
-for real matrices, and spans, bigraded blocks and ``relations`` (linear
-relations among vectors) are read off it.  ``limit_subspace`` eliminates
-over Z[eps] mod eps^K instead, with minimum-valuation pivots, no division
-and a certified precision (``_hadic_pivots``), and hands the rows it finds
-at eps = 0 to ``echelon``.
+field, ``Fraction`` in every certificate.  Its (pivot column, row) pairs
+are the one row format: a ``Subspace`` is those rows over an explicit
+ambient list, so equality of subspaces is equality of rows, and
+membership is one reduction pass (``Subspace.residue``).  ``relations``
+returns sparse vectors; ``rref``, the adapter for real matrices, is the
+only dense code.  ``limit_subspace`` eliminates over Z[eps] mod eps^K
+instead, with minimum-valuation pivots, no division and a certified
+precision (``_hadic_pivots``), and hands the rows it finds at eps = 0 to
+``echelon``.
 """
 
 from __future__ import annotations
@@ -81,23 +82,18 @@ def _clear(r: Row, col: int, pivot_row: Row) -> None:
                 del r[j]
 
 
-def _dense(found: List[Tuple[int, Row]], ncols: int) -> List[List]:
-    """The rows of ``echelon``'s output as dense lists of ``ncols`` entries;
-    the gaps hold the field's own zero, the row's pivot entry minus itself."""
+def rref(rows: List[List]) -> List[List]:
+    """Reduced row echelon form of a dense matrix over any exact field;
+    drops zero rows.  The dense adapter of ``echelon``: the gaps of each
+    output row hold the field's own zero, its pivot entry minus itself."""
+    ncols = len(rows[0]) if rows else 0
     out = []
-    for col, row in found:
+    for col, row in echelon({j: x for j, x in enumerate(r) if x} for r in rows):
         dense = [row[col] - row[col]] * ncols
         for j, x in row.items():
             dense[j] = x
         out.append(dense)
     return out
-
-
-def rref(rows: List[List]) -> List[List]:
-    """Reduced row echelon form of a dense matrix over any exact field;
-    drops zero rows.  The dense adapter of ``echelon``."""
-    ncols = len(rows[0]) if rows else 0
-    return _dense(echelon({j: x for j, x in enumerate(r) if x} for r in rows), ncols)
 
 
 def _rows(elements, ambient: Sequence[Hashable], scalar: Callable = Fraction) -> List[Row]:
@@ -111,12 +107,11 @@ def _rows(elements, ambient: Sequence[Hashable], scalar: Callable = Fraction) ->
             f"element has monomial outside the component: {exc.args[0]}") from None
 
 
-def relations(images: Sequence[Dict[Hashable, Any]]) -> List[List]:
+def relations(images: Sequence[Dict[Hashable, Any]]) -> List[Row]:
     """Basis of {c : sum_i c_i images[i] = 0} for sparse vectors
-    {key: entry} with any hashable keys, one vector per free column of the
-    echelon form of the matrix whose columns are ``images`` (a row per key
-    that some image holds)."""
-    n = len(images)
+    {key: entry} with any hashable keys, as sparse vectors {i: c_i}: one per
+    free column of the echelon form of the matrix whose columns are
+    ``images`` (a row per key that some image holds)."""
     by_key: Dict[Hashable, Row] = {}
     for i, img in enumerate(images):
         for key, x in img.items():
@@ -124,62 +119,63 @@ def relations(images: Sequence[Dict[Hashable, Any]]) -> List[List]:
                 by_key.setdefault(key, {})[i] = x
     found = echelon(by_key.values())
     basis = []
-    for f in sorted(set(range(n)) - {col for col, _ in found}):
-        v = [Fraction(0)] * n
+    for f in sorted(set(range(len(images))) - {col for col, _ in found}):
+        v = {col: -r[f] for col, r in found if f in r}
         v[f] = Fraction(1)
-        for col, r in found:
-            v[col] = -r.get(f, Fraction(0))
         basis.append(v)
     return basis
 
 
 class Subspace:
-    """Subspace of a finite component, canonical RREF basis over Q.
-
-    ``rows`` must already be canonical: the dense rows of an ``echelon``
-    output, as every constructor here passes them.
+    """Subspace of a finite component: canonical ``echelon`` rows, (pivot
+    column, {column: entry}) pairs in pivot order, over an explicit ambient
+    list, so equality of subspaces is equality of rows.  Every constructor
+    here passes canonical rows: an ``echelon`` output, or rows cut from one.
     """
 
     __slots__ = ("ambient", "rows")
 
-    def __init__(self, ambient: Sequence[Hashable], rows: List[List[Fraction]]) -> None:
+    def __init__(self, ambient: Sequence[Hashable], rows: List[Tuple[int, Row]]) -> None:
         self.ambient = tuple(ambient)
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = rows
 
     @classmethod
     def span_of(cls, elements: Sequence[CommPoly], ambient: Sequence[Monomial]) -> "Subspace":
         """Span of polynomials inside an explicit monomial component."""
-        return cls(ambient, _dense(echelon(_rows(elements, ambient)), len(ambient)))
+        return cls(ambient, echelon(_rows(elements, ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        """Appending v leaves the rank unchanged."""
-        rows = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in (*self.rows, v)]
-        return len(echelon(rows)) == self.dim
+    def residue(self, row: Row) -> Row:
+        """A copy of the sparse row with every pivot column it holds
+        cleared, in pivot order; empty iff the row lies in the subspace.
+        One pass is enough, as each basis row is zero at the other pivots."""
+        r = dict(row)
+        for col, pivot_row in self.rows:
+            if col in r:
+                _clear(r, col, pivot_row)
+        return r
 
     def contains_poly(self, p: CommPoly) -> bool:
         try:
-            span = Subspace.span_of([p], self.ambient)
+            (row,) = _rows([p], self.ambient)
         except BoundsError:
             return False
-        return span.witness_missing_from(self) is None
+        return not self.residue(row)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient == other.ambient and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
-
-    def witness_missing_from(self, other: "Subspace") -> List[Fraction] | None:
-        """A basis vector of self not contained in other, if any."""
-        for r in self.rows:
-            if not other.contains_vector(r):
-                return list(r)
+    def witness_missing_from(self, other: "Subspace") -> Row | None:
+        """The first basis row of self outside other, as a sparse row over
+        the shared ambient, if any."""
+        for _, r in self.rows:
+            if other.residue(r):
+                return dict(r)
         return None
 
 
@@ -258,7 +254,7 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
         # a pivot row is zero before its pivot; cut it at the block's end
         rows = [(col - lo, {c - lo: x for c, x in r.items() if c < hi})
                 for col, r in found if lo <= col < hi]
-        blocks.append(Subspace([ambient[order[c]] for c in eq], _dense(rows, hi - lo)))
+        blocks.append(Subspace([ambient[order[c]] for c in eq], rows))
     return blocks
 
 
@@ -277,13 +273,12 @@ def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
     doubling from 4 until its certificate holds, and ``echelon`` makes the
     rows it finds at eps = 0 canonical.
     """
-    ambient = tuple(ambient)
     rows = [_integral(r) for r in _rows(vectors, ambient, lambda c: _coeffs(c, symbol)) if r]
     degree = max((len(e) - 1 for r in rows for e in r.values()), default=0)
     K = 4
     while (found := _hadic_pivots(rows, K, degree)) is None:
         K *= 2
-    return Subspace(ambient, _dense(echelon(found), len(ambient)))
+    return Subspace(ambient, echelon(found))
 
 
 def _coeffs(c, symbol: str) -> Tuple[Fraction, ...]:

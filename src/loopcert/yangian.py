@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 from .commpoly import CommPoly
 from .envelop import NCPoly, PBWContext, Terms, current_context, word
 from .errors import TruncationError, ValidationError
-from .liealg import LieAlgebraData, TorusElement, gl_algebra
+from .liealg import TorusElement, gl_algebra
 from .linalg import free_series_coeffs
 from .scalars import Series, leibniz_det, truncated_join
 
@@ -195,16 +195,13 @@ def gr1(ctx: YangianContext, p: NCPoly) -> CommPoly:
     return CommPoly(terms)
 
 
-def gr2(ctx: YangianContext, p: NCPoly, R: int,
-        alg: LieAlgebraData | None = None) -> NCPoly:
+def gr2(ctx: YangianContext, p: NCPoly, R: int) -> NCPoly:
     """Top-F2 part with t_ij^(r) -> e_ij[r-1] in U(gl_n ox C[t]/t^R).
 
     A word holding some t^(r) with r > R maps to 0, as e[r-1] = 0 there.
     The letter map preserves generator order, so normal words stay normal.
     """
-    if alg is None:
-        alg = gl_algebra(ctx.n)
-    tgt = current_context(alg, R)
+    tgt = current_context(gl_algebra(ctx.n), R)
     top = f2_degree(ctx, p)
     n = ctx.n
     terms: Terms = {}

@@ -134,6 +134,25 @@ class TestSuites:
         assert not check.passed
         assert check.witness == "dims [1, 1, 3, 5] != expected [1, 2, 5, 10]"
 
+    def test_poincare_lower_bound_check_can_fail(self, monkeypatch):
+        # negative control: drop every sigma_k^(1) from the Bethe family
+        real = certify.classical_bethe
+        monkeypatch.setattr(certify, "classical_bethe", lambda n, C, Rmax: {
+            key: p for key, p in real(n, C, Rmax).items() if key[1] != 1})
+        rep = certify.poincare_bethe(2, ["1", "2"], 3)
+        check = rep.checks[1]
+        assert not check.passed
+        assert check.witness == "dims [1, 0, 2, 2] below bound [1, 1, 3, 5]"
+
+    def test_gr1_count_check_can_fail(self, monkeypatch):
+        # negative control: the enumerated count one short at d = 2
+        real = certify.f1_monomial_count_enumerated
+        monkeypatch.setattr(certify, "f1_monomial_count_enumerated",
+                            lambda ctx, d: real(ctx, d) - (d == 2))
+        check = certify.poincare_gr1_count(2, 3).checks[0]
+        assert not check.passed
+        assert check.witness == "[1, 4, 14, 40] != [1, 4, 13, 40]"
+
     def test_theorem_A_check_can_fail(self, monkeypatch):
         # negative control: drop one Gaudin generator of z(C)
         real = certify.gaudin_generators
@@ -277,6 +296,22 @@ class TestSuites:
         # past 200 s and 3 GB, so it is refused before any generator is built
         with pytest.raises(BoundsError, match=f"5 points .* past the measured bound for {alg}"):
             certify.verify_eval_gaudin(alg, ["0", "1", "2", "3", "4"], kmax=8)
+
+    def test_soa_rank_check_can_fail(self, monkeypatch):
+        # negative control: the last generator replaced by twice the first,
+        # so the Jacobian is one short of full rank at every point
+        real = certify.soa_generators
+
+        def doubled(alg, chi):
+            gens = real(alg, chi)
+            return gens[:-1] + [gens[0]._replace(poly=gens[0].poly.scale(2))]
+
+        monkeypatch.setattr(certify, "soa_generators", doubled)
+        rep = certify.verify_soa("sl3", ["1", "2", "-3"], seed=0)
+        assert rep.checks[0].passed
+        check = rep.checks[1]
+        assert not check.passed
+        assert check.witness == "rank 4 < 5"
 
     def test_soa_details_record_seed(self):
         rep = certify.verify_soa("sl2", ["1", "-1"], seed=5)

@@ -55,7 +55,8 @@ class TestSOA:
         rng = random.Random(3)
         coords = [F(rng.randint(-5, 5)) for _ in range(sl3.dim)]
         size = 3
-        X0 = [[sum(coords[a] * sl3.matrices[a][i][j] for a in range(sl3.dim))
+        mats = sl3.realization.sparse
+        X0 = [[sum(coords[a] * mats[a].get((i, j), 0) for a in range(sl3.dim))
                for j in range(size)] for i in range(size)]
         chi_m = [[F(int(i == j)) * [1, 2, -3][i] for j in range(size)]
                  for i in range(size)]

@@ -66,14 +66,22 @@ def test_gl_closed_form_matches_matrices(n):
                             for i in range(n) for j in range(n))
 
 
+def _dense_matrices(alg):
+    """The basis matrices of a matrix algebra as dense lists of rows."""
+    size = alg.realization.size
+    return [[[M.get((i, j), F(0)) for j in range(size)] for i in range(size)]
+            for M in alg.realization.sparse]
+
+
 def _trace_power_by_tuples(alg, k, indices):
     """tr X^k for X = sum_a x_a E^a over the basis elements in ``indices``,
     expanded over every index tuple (a_1..a_k) as
     tr(E^{a_1} ... E^{a_k}) x_{a_1} ... x_{a_k}, with dense matrices: the
     definition, at |indices|^k matrix products."""
-    size = len(alg.matrices[0])
+    size = alg.realization.size
+    mats = _dense_matrices(alg)
     ginv = alg.gram_inverse()
-    duals = [[[sum(ginv[b][a] * alg.matrices[b][i][j] for b in range(alg.dim))
+    duals = [[[sum(ginv[b][a] * mats[b][i][j] for b in range(alg.dim))
                for j in range(size)] for i in range(size)] for a in range(alg.dim)]
 
     def mul(A, B):
@@ -99,7 +107,7 @@ def test_invariants_match_tuple_expansion(name, C):
     has one block B per group of equal entries of C, degrees 1..|B|, whose
     basis elements are the matrix units inside B x B."""
     alg = preset(name)
-    size = len(alg.matrices[0])
+    size = alg.realization.size
     if C is None:
         blocks = [(range(size), range(2 if name.startswith("sl") else 1, size + 1))]
     else:
@@ -107,9 +115,10 @@ def test_invariants_match_tuple_expansion(name, C):
         groups = [[i for i in range(size) if C[i] == c] for c in dict.fromkeys(C)]
         blocks = [(blk, range(1, len(blk) + 1)) for blk in groups]
     expected = []
+    mats = _dense_matrices(alg)
     for blk, degrees in blocks:
         inside = [a for a in range(alg.dim)
-                  if all(alg.matrices[a][i][j] == 0 or (i in blk and j in blk)
+                  if all(mats[a][i][j] == 0 or (i in blk and j in blk)
                          for i in range(size) for j in range(size))]
         expected += [(k, _trace_power_by_tuples(alg, k, inside)) for k in degrees]
     expected.sort(key=lambda kp: kp[0])
@@ -119,10 +128,9 @@ def test_invariants_match_tuple_expansion(name, C):
 def test_non_subalgebra_rejected():
     """Negative control: E12 and E21 of gl2 span no subalgebra, since
     [E12, E21] = E11 - E22 lies outside their span."""
-    e12 = ((F(0), F(1)), (F(0), F(0)))
-    e21 = ((F(0), F(0)), (F(1), F(0)))
+    e12, e21 = {(0, 1): F(1)}, {(1, 0): F(1)}
     with pytest.raises(ValidationError, match="not closed under bracket"):
-        matrix_algebra("bad", ["e12", "e21"], [e12, e21], [], [], [([0, 1], [1, 2])])
+        matrix_algebra("bad", ["e12", "e21"], 2, [e12, e21], [], [], [([0, 1], [1, 2])])
 
 
 def test_coordinates_are_exact():

@@ -1,8 +1,8 @@
 """Differential oracle: the one elimination of ``loopcert.linalg``
-(``echelon``, on sparse rows, and its dense adapter ``rref``) and the
-kernels read off it, against sympy's independent rational linear algebra
-on small random ``Fraction`` matrices, on wide sparse ones, and over Q(h);
-and the h-adic limit engine ``limit_subspace`` against sympy's minors of
+(``echelon``, on sparse rows, and its dense adapter ``rref``), the kernels
+read off it and membership in its rows (``Subspace.residue``), against
+sympy's independent rational linear algebra on small random ``Fraction``
+matrices, on wide sparse ones, and over Q(h); and the h-adic limit engine ``limit_subspace`` against sympy's minors of
 small random families over Q[h]."""
 
 import itertools
@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from loopcert.linalg import (bigraded_block, echelon, limit_subspace, relations,  # noqa: E402
-                             rref)
+from loopcert.linalg import (Subspace, bigraded_block, echelon, limit_subspace,  # noqa: E402
+                             relations, rref)
 from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
@@ -36,6 +36,11 @@ def to_sympy(rows, ncols):
 def from_sympy(M):
     return [[F(int(M[i, j].p), int(M[i, j].q)) for j in range(M.cols)]
             for i in range(M.rows)]
+
+
+def dense(rows, ncols):
+    """Sparse rows {column: entry} as dense lists of ``ncols`` entries."""
+    return [[r.get(j, F(0)) for j in range(ncols)] for r in rows]
 
 
 def sympy_rref(M):
@@ -94,6 +99,44 @@ def test_echelon_matches_sympy(mat):
     assert all(type(x) is F for _, r in found for x in r.values())
 
 
+class Vec:
+    """A vector as a ``.terms`` dict over basis labels."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_matrix, st.data())
+def test_membership_matches_sympy_rank(mat, data):
+    """Membership by one reduction pass against sympy's ranks: every input
+    row has an empty residue; a combination of the rows, perturbed at one
+    entry or not, is in the span iff appending it keeps the rank; and one
+    span lies inside another iff ``witness_missing_from`` finds no row."""
+    rows, n = mat
+    labels = list(range(n))
+    span = Subspace(labels, echelon(sparse(rows)))
+    assert all(not span.residue(r) for r in sparse(rows))
+    rank = to_sympy(rows, n).rank()
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        cs = data.draw(st.lists(st.one_of(st.just(F(0)), nonzero),
+                                min_size=len(rows), max_size=len(rows)))
+        v = [sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)]
+        if data.draw(st.booleans()):
+            v[data.draw(st.integers(0, n - 1))] += data.draw(nonzero)
+        inside = to_sympy(rows + [v], n).rank() == rank
+        assert span.contains_poly(Vec({j: x for j, x in enumerate(v) if x})) == inside
+        vectors.append(v)
+    other = Subspace(labels, echelon(sparse(vectors)))
+    for a, b, a_rows, b_rows in ((other, span, vectors, rows), (span, other, rows, vectors)):
+        inside = to_sympy(a_rows + b_rows, n).rank() == to_sympy(b_rows, n).rank()
+        witness = a.witness_missing_from(b)
+        assert (witness is None) == inside
+        if witness is not None:
+            assert witness in [r for _, r in a.rows] and b.residue(witness)
+
+
 @settings(max_examples=120, deadline=None)
 @given(any_matrix, st.data())
 def test_relations_match_sympy_nullspace(mat, data):
@@ -104,19 +147,12 @@ def test_relations_match_sympy_nullspace(mat, data):
     at = data.draw(st.integers(0, len(images)))
     images.insert(at, {})
     vectors = vectors[:at] + [[F(0)] * n] + vectors[at:]
-    got = relations(images)
+    k = len(vectors)
+    got = dense(relations(images), k)
     ref = [from_sympy(v.T)[0] for v in to_sympy(vectors, n).T.nullspace()]
     # same span, and in fact the same free-variable basis
-    k = len(vectors)
     assert rref(got) == (sympy_rref(to_sympy(ref, k)) if ref else [])
     assert got == ref
-
-
-class Vec:
-    """A vector as a ``.terms`` dict over basis labels."""
-
-    def __init__(self, terms):
-        self.terms = terms
 
 
 @st.composite
@@ -167,7 +203,7 @@ def test_bigraded_blocks_match_definition(case):
     for j, blk in enumerate(blocks):
         eq, ref = reference_block(bidegs, rows, d, j)
         assert blk.ambient == tuple(eq)
-        assert [list(r) for r in blk.rows] == ref
+        assert dense([r for _, r in blk.rows], len(eq)) == ref
 
 
 def test_rref_over_rational_functions_matches_sympy():
@@ -266,7 +302,7 @@ def test_limit_subspace_matches_pluecker_coordinates(case):
     assert lim.dim == k
     if k == 0:
         return
-    L = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in lim.rows])
+    L = to_sympy(dense([r for _, r in lim.rows], n), n)
     got = [L.extract(list(range(k)), list(cset)).det()
            for cset in itertools.combinations(range(n), k)]
     j0 = next(j for j, x in enumerate(got) if x != 0)
