@@ -327,8 +327,9 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     checks = []
     for d in range(1, rmax + 1):
         ambient = loop.component_monomials(d)
-        for j, (B, A) in enumerate(zip(bigraded_block(buckets[d], ambient, _bideg, d),
-                                       bigraded_block(zbuckets[d], ambient, _bideg, d))):
+        bidegs = [_bideg(m) for m in ambient]
+        for j, (B, A) in enumerate(zip(bigraded_block(buckets[d], ambient, bidegs, d),
+                                       bigraded_block(zbuckets[d], ambient, bidegs, d))):
             checks.append(Check(
                 name=f"gr2 Bethe == Gaudin(z(C)) at bidegree ({d},{j})",
                 details={"gr2_bethe_dim": B.dim, "gaudin_dim": A.dim},
@@ -360,22 +361,24 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
     Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
     Tprods = list(generator_products(tal_list, dmax, cur.one()))
-    ywords = list(map(word, weighted_words([r for r, _, _ in ctx.gens], dmax)))
-    cwords = list(map(word, weighted_words([r + 1 for r, _ in cur.gens], dmax)))
-
-    def ybideg(w):
+    # (word, bidegree) per word of F1-degree <= dmax, each bidegree computed once
+    ywords = []
+    for w in map(word, weighted_words([r for r, _, _ in ctx.gens], dmax)):
         d1 = sum(ctx.gens[ord(g)][0] for g in w)
-        return (d1, d1 - len(w))
+        ywords.append((w, (d1, d1 - len(w))))
+    cwords = []
+    for w in map(word, weighted_words([r + 1 for r, _ in cur.gens], dmax)):
+        d2 = sum(cur.gens[ord(g)][0] for g in w)
+        cwords.append((w, (d2 + len(w), d2)))
 
-    def cbideg(w):
-        return (sum(cur.gens[ord(g)][0] + 1 for g in w), sum(cur.gens[ord(g)][0] for g in w))
+    def block(vecs, words, d):
+        # vectors of filtration degree <= d have no word of deg1 > d
+        kept = [(w, b) for w, b in words if b[0] <= d]
+        return bigraded_block(vecs, [w for w, _ in kept], [b for _, b in kept], d)
 
     for d in range(1, dmax + 1):
-        Bvecs = [p for (p, dg) in Bprods if dg <= d]
-        Tvecs = [p for (p, dg) in Tprods if dg <= d]
-        # vectors of filtration degree <= d have no word of deg1 > d
-        Bblocks = bigraded_block(Bvecs, [w for w in ywords if ybideg(w)[0] <= d], ybideg, d)
-        Tblocks = bigraded_block(Tvecs, [w for w in cwords if cbideg(w)[0] <= d], cbideg, d)
+        Bblocks = block([p for (p, dg) in Bprods if dg <= d], ywords, d)
+        Tblocks = block([p for (p, dg) in Tprods if dg <= d], cwords, d)
         for j, (Bblock, Tblock) in enumerate(zip(Bblocks, Tblocks)):
             # each row is bihomogeneous, so gr2 maps all of it
             rows = [{Bblock.ambient[k]: c for k, c in row.items()} for _, row in Bblock.rows]

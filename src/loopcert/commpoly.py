@@ -9,11 +9,15 @@ additive on monomials.  Monomials are stored as ascending tuples of
 variables ordered by ``(r, a)``; the global monomial order is graded-lex on
 (deg1, variable tuple), fixed once so echelon bases are canonical.
 
-``CommPoly`` itself is ring-agnostic; the two Poisson brackets and the
-derivation D live on ``LoopAlgebra``, which couples a structure-constant
-table (an ``int`` where the denominator is 1) with a truncation level R
-(max t-degree, exclusive).  Operations that would create a t-degree >= R
-raise ``TruncationError`` instead of silently dropping terms.
+``CommPoly`` itself is ring-agnostic.  A product of two rational
+polynomials multiplies integer numerators over the two operands' common
+denominators and builds one ``Fraction`` per output term; other
+coefficients (``SymPoly``) multiply term by term.  The two Poisson
+brackets and the derivation D live on ``LoopAlgebra``, which couples a
+structure-constant table (an ``int`` where the denominator is 1) with a
+truncation level R (max t-degree, exclusive).  Operations that would
+create a t-degree >= R raise ``TruncationError`` instead of silently
+dropping terms.
 
 ``_derive`` is every derivation, {p, q} = sum_v dp/dv * {v, q} too: each
 dp/dv comes from ``partials`` in integers over the lcm of p's denominators,
@@ -54,6 +58,11 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 def mono_order_key(m: Monomial):
     return (mono_deg1(m), tuple(var_key(v) for v in m))
+
+
+def _rational(terms: Dict[Monomial, Scalar]) -> bool:
+    """Whether every coefficient is an ``int`` or a ``Fraction``."""
+    return set(map(type, terms.values())) <= {int, Fraction}
 
 
 class CommPoly:
@@ -125,6 +134,16 @@ class CommPoly:
             return self.scale(other)
         if not isinstance(other, CommPoly):
             return NotImplemented
+        if _rational(self.terms) and _rational(other.terms):
+            a, da = over_common_denominator(self.terms)
+            b, db = over_common_denominator(other.terms)
+            den = da * db
+            raw: Dict[Monomial, int] = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = mono_mul(m1, m2)
+                    raw[m] = raw.get(m, 0) + c1 * c2
+            return CommPoly({m: Fraction(c, den) for m, c in raw.items() if c})
         t: Dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -304,11 +323,12 @@ class LoopAlgebra:
                 for i in range(j):
                     yield i, j, s, _derive(dps[i], image, Lq)
 
-    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
+    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Scalar]:
         """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
         distinct variable (b, r) of m adds its multiplicity times m without
         it times [x_a, x_b][r].  The t-degree is unchanged, so nothing
-        truncates."""
+        truncates.  The coefficients are sums over the bracket table, so
+        ``int``s where its entries are."""
         out: Dict[Tuple[int, Monomial], Scalar] = defaultdict(int)
         for i, (b, r) in enumerate(m):
             if i and m[i - 1] == (b, r):
@@ -319,7 +339,7 @@ class LoopAlgebra:
                 for d, c in self._brackets[a, b].items():
                     j = bisect_right(rest, (r, d), key=var_key)
                     out[a, rest[:j] + ((d, r),) + rest[j:]] += k * c
-        return {key: Fraction(c) for key, c in out.items() if c}
+        return {key: c for key, c in out.items() if c}
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""

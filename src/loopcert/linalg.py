@@ -3,13 +3,15 @@ associated-bigraded blocks of doubly filtered spans, products of
 generators, and Grassmannian limits of parametrized subspace families as
 eps -> 0.
 
-``echelon`` is the one elimination over a field, on sparse rows
-({column: entry}) read straight from the ``.terms`` of polynomials, so its
-cost follows the nonzeros rather than the width; it runs over any exact
-field, ``Fraction`` in every certificate.  Its (pivot column, row) pairs
-are the one row format: a ``Subspace`` is those rows over an explicit
-ambient list, so equality of subspaces is equality of rows, and
-membership is one reduction pass (``Subspace.residue``).  ``relations``
+``echelon`` is the one elimination, on sparse rows ({column: entry}) read
+straight from the ``.terms`` of polynomials, so its cost follows the
+nonzeros rather than the width.  Rational rows are eliminated
+fraction-free over Z, each as integer numerators over the lcm of its
+denominators, and become ``Fraction``s once, at the output; rows over
+another exact field (``RatFunc``) run through the same loop.  Its (pivot
+column, row) pairs are the one row format: a ``Subspace`` is those rows
+over an explicit ambient list, so equality of subspaces is equality of
+rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
 returns sparse vectors; ``rref``, the adapter for real matrices, is the
 only dense code.  ``limit_subspace`` eliminates over Z[eps] mod eps^K
 instead, with minimum-valuation pivots, no division and a certified
@@ -19,67 +21,116 @@ precision (``_hadic_pivots``), and hands the rows it finds at eps = 0 to
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, Sequence,
+from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
 
 from .commpoly import CommPoly, Monomial, weighted_words
 from .errors import BoundsError
-from .scalars import SymPoly
+from .scalars import SymPoly, over_common_denominator
 
 T = TypeVar("T")
 Row = Dict[int, Any]  # {column: nonzero entry}
 
 
 def echelon(rows: Iterable[Row]) -> List[Tuple[int, Row]]:
-    """Reduced row echelon form of sparse rows over any exact field, as
+    """Reduced row echelon form of sparse rows over any exact domain, as
     (pivot column, row) pairs in pivot order; each row is one at its pivot
     and zero at every other pivot column.  Empty rows are dropped, and the
-    rows passed in are consumed (cleared in place).
+    rows passed in may be consumed (cleared in place).
 
+    A row of rationals (``int`` or ``Fraction``) enters as integer
+    numerators over the lcm of its denominators, which leaves its span
+    unchanged; the elimination is then fraction-free over Z, and each row
+    becomes ``Fraction``s once, divided by its pivot entry at the output.
     The pivot is the smallest leading column, taken from its shortest row;
-    its column is cleared from the other rows leading there, then from the
-    pivot rows above by back-substitution.  The RREF is unique, so the
-    choice of pivot row does not change the result.  Entries must be
-    nonzero; zero tests are truthiness.
+    ``_clear`` clears its column from the other rows leading there, then
+    from the pivot rows above by back-substitution.  The RREF is unique, so
+    neither the choice of pivot row nor the scaling of rows changes the
+    result.  Entries must be nonzero; zero tests are truthiness.
     """
     by_lead: Dict[int, List[Row]] = {}
     for r in rows:
         if r:
-            by_lead.setdefault(min(r), []).append(r)
+            by_lead.setdefault(min(r), []).append(_numerators(r))
+    leads = list(by_lead)
+    heapq.heapify(leads)
     found: List[Tuple[int, Row]] = []
-    while by_lead:
-        col = min(by_lead)
+    while leads:
+        col = heapq.heappop(leads)
         bucket = by_lead.pop(col)
         row = bucket.pop(min(range(len(bucket)), key=lambda i: len(bucket[i])))
-        inv = row[col]
-        row = {j: x / inv for j, x in row.items()}
         for r in bucket:
             _clear(r, col, row)
             if r:
-                by_lead.setdefault(min(r), []).append(r)
+                lead = min(r)
+                if lead in by_lead:
+                    by_lead[lead].append(r)
+                else:
+                    by_lead[lead] = [r]
+                    heapq.heappush(leads, lead)
         found.append((col, row))
-    for i in range(len(found) - 1, 0, -1):
-        col, row = found[i]
-        for _, r in found[:i]:
-            if col in r:
-                _clear(r, col, row)
-    return found
+    # back-substitution, last row first: a reduced row holds no pivot column
+    # but its own, so clearing one adds none, and one pass over the pivot
+    # columns a row holds reduces it
+    reduced: Dict[int, Row] = {}
+    for col, row in reversed(found):
+        for j in [j for j in row if j in reduced]:
+            _clear(row, j, reduced[j])
+        reduced[col] = row
+    return [(col, _monic(row, col)) for col, row in found]
+
+
+def _numerators(r: Row) -> Row:
+    """A row of rationals times the lcm of its denominators, as ``int``s;
+    an integer row, or a row over another domain, as it is."""
+    kinds = set(map(type, r.values()))
+    if kinds == {int} or not kinds <= {int, Fraction}:
+        return r
+    return over_common_denominator(r)[0]
 
 
 def _clear(r: Row, col: int, pivot_row: Row) -> None:
-    """r -= r[col] * pivot_row in place, for a pivot row whose entry at col
-    is one; entries that cancel are dropped."""
-    f = r.pop(col)
+    """r <- a r - b pivot_row in place, with (a, b) = (pivot_row[col],
+    r[col]) over their gcd and a > 0 when both are ``int``, so that r's
+    entry at col cancels; entries that cancel are dropped.  When the pivot
+    entry divides r[col] (always, for a pivot entry one), a = 1 and only the
+    pivot row's entries are touched; an integer row that was scaled is
+    divided by its content."""
+    b = r.pop(col)
+    a = pivot_row[col]
+    if type(a) is int and type(b) is int:
+        g = math.gcd(a, b)
+        if a < 0:
+            g = -g
+        a, b = a // g, b // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
     for j, x in pivot_row.items():
         if j != col:
             y = r.get(j)
-            y = -(f * x) if y is None else y - f * x
+            y = -(b * x) if y is None else y - b * x
             if y:
                 r[j] = y
             else:
                 del r[j]
+    if a != 1 and type(a) is int and r:
+        g = math.gcd(*r.values())
+        if g != 1:
+            for j in r:
+                r[j] //= g
+
+
+def _monic(row: Row, col: int) -> Row:
+    """The row divided by its entry at col, as ``Fraction``s when it is an
+    integer row."""
+    u = row[col]
+    if type(u) is int:
+        return {j: Fraction(x, u) for j, x in row.items()}
+    return {j: x / u for j, x in row.items()}
 
 
 def rref(rows: List[List]) -> List[List]:
@@ -96,12 +147,12 @@ def rref(rows: List[List]) -> List[List]:
     return out
 
 
-def _rows(elements, ambient: Sequence[Hashable], scalar: Callable = Fraction) -> List[Row]:
-    """The sparse rows {column: scalar(c)} of the ``.terms`` of elements over
-    the ambient labels."""
+def _rows(elements, ambient: Sequence[Hashable]) -> List[Row]:
+    """The sparse rows {column: c} of the ``.terms`` of elements over the
+    ambient labels."""
     index = {m: i for i, m in enumerate(ambient)}
     try:
-        return [{index[m]: scalar(c) for m, c in p.terms.items() if c} for p in elements]
+        return [{index[m]: c for m, c in p.terms.items() if c} for p in elements]
     except KeyError as exc:
         raise BoundsError(
             f"element has monomial outside the component: {exc.args[0]}") from None
@@ -227,8 +278,7 @@ def free_series_coeffs(degree_multiset: Sequence[int], cutoff: int) -> List[int]
 
 
 def bigraded_block(vectors, ambient: Sequence[Hashable],
-                   bideg_fn: Callable[[Hashable], Tuple[int, int]],
-                   d: int) -> List[Subspace]:
+                   bidegs: Sequence[Tuple[int, int]], d: int) -> List[Subspace]:
     """Associated-bigraded components (d, j), j = 0..d-1, of a doubly
     filtered span, from one elimination.
 
@@ -240,10 +290,10 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
     order), so each level space is the set of vectors vanishing on a column
     prefix, and the (d, j) labels lead its columns: the echelon rows whose
     pivot is at a (d, j) label, cut to those labels, are that block's
-    canonical basis.  ``vectors`` may be CommPoly or NCPoly (anything with a
+    canonical basis.  ``bidegs`` holds the bidegree of each ambient label, in
+    ambient order.  ``vectors`` may be CommPoly or NCPoly (anything with a
     ``.terms`` dict over ambient labels).
     """
-    bidegs = [bideg_fn(m) for m in ambient]
     order = sorted(range(len(ambient)),
                    key=lambda k: (bidegs[k][0] <= d, -bidegs[k][1], -bidegs[k][0]))
     found = echelon(_rows(vectors, [ambient[k] for k in order]))
@@ -273,7 +323,7 @@ def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
     doubling from 4 until its certificate holds, and ``echelon`` makes the
     rows it finds at eps = 0 canonical.
     """
-    rows = [_integral(r) for r in _rows(vectors, ambient, lambda c: _coeffs(c, symbol)) if r]
+    rows = [_integral(r, symbol) for r in _rows(vectors, ambient) if r]
     degree = max((len(e) - 1 for r in rows for e in r.values()), default=0)
     K = 4
     while (found := _hadic_pivots(rows, K, degree)) is None:
@@ -290,8 +340,10 @@ def _coeffs(c, symbol: str) -> Tuple[Fraction, ...]:
     return (Fraction(c),)
 
 
-def _integral(row: Dict[int, Tuple[Fraction, ...]]) -> Dict[int, List[int]]:
-    """A row of coefficient tuples times the lcm of its denominators."""
+def _integral(row: Row, symbol: str) -> Dict[int, List[int]]:
+    """The coefficient lists of a row over Q[symbol] times the lcm of their
+    denominators."""
+    row = {j: _coeffs(c, symbol) for j, c in row.items()}
     lcm = math.lcm(*(x.denominator for e in row.values() for x in e))
     return {j: [x.numerator * (lcm // x.denominator) for x in e] for j, e in row.items()}
 
@@ -331,7 +383,7 @@ def _hadic_pivots(rows: List[Dict[int, List[int]]], K: int, degree: int
         v, c = lead.pop(i)
         g = math.gcd(*(x for e in r.values() for x in e))
         r = {j: [x // g for x in e[v:]] for j, e in r.items()}
-        found.append({j: Fraction(e[0]) for j, e in r.items() if e[0]})
+        found.append({j: e[0] for j, e in r.items() if e[0]})
         vsum += v
         certified = K + vsum > (len(found) + 1) * degree
         u = r.pop(c)

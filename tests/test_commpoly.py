@@ -10,6 +10,7 @@ from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2, mono
 from loopcert.errors import BoundsError, TruncationError
 from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
 from loopcert.liealg import algebra_from_dict, preset
+from loopcert.scalars import SymPoly
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2  # basis order e12, h1, e21
@@ -181,8 +182,11 @@ def test_poisson_matches_partial_derivative_formula(name, shift, data):
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_coadjoint_images_match_poisson0(name):
     """{x_a[0], m}_0 for every a from one pass over m equals one poisson0
-    call per basis index, on whole components (Fraction brackets too)."""
+    call per basis index, on whole components (Fraction brackets too).  The
+    images are sums over the bracket table, so ``int`` exactly where its
+    entries are: on an integral table every coefficient is an ``int``."""
     loop = LoopAlgebra(ALGEBRAS[name](), R=3)
+    integral = all(type(c) is int for cs in loop._brackets.values() for c in cs.values())
     for d in range(4):
         comp = loop.component_monomials(d)
         assert loop.component_monomials(d) is comp
@@ -191,7 +195,7 @@ def test_coadjoint_images_match_poisson0(name):
                         for mm, c in loop.poisson0(var(a, 0), CommPoly({m: F(1)})).terms.items()}
             got = loop.coadjoint_images(m)
             assert got == expected
-            assert all(type(c) is F for c in got.values())
+            assert {type(c) for c in got.values()} <= ({int} if integral else {int, F})
 
 
 def _reference_poisson(loop, p, q, shift):
@@ -235,6 +239,59 @@ def test_poisson_matches_term_pair_reference(name, shift, data):
     got = bracket(p, q)
     assert got.terms == expected.terms
     assert all(type(c) is F for c in got.terms.values())
+
+
+def _reference_product(p, q):
+    """p * q over every pair of terms, one coefficient product each, summed
+    per monomial with cancelled sums dropped."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _terms_polys(coeff):
+    """Up to five terms over monomials in three variables of t-degree 0..1."""
+    mono = st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1)]), max_size=3).map(
+        lambda vs: tuple(sorted(vs, key=lambda v: (v[1], v[0]))))
+    return st.dictionaries(mono, coeff, max_size=5).map(CommPoly)
+
+
+# non-integral coefficients with denominators up to 6
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+sym = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+               min_size=1, max_size=3).map(lambda cs: SymPoly("h", cs)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms_polys(rational), _terms_polys(rational), st.sampled_from([F(1), F(-1), F(1, 2)]))
+def test_product_matches_term_pair_reference(p, q, s):
+    """CommPoly products with non-integral coefficients, (p + s q)(p - s q)
+    among them, whose cross terms cancel, equal the term-pair reference,
+    every coefficient a Fraction."""
+    for a, b in ((p, q), (p + q, p - q), (p + q.scale(s), p - q.scale(s))):
+        got = a * b
+        assert got.terms == _reference_product(a, b)
+        assert all(type(c) is F for c in got.terms.values())
+
+
+def test_product_cancels_cross_terms():
+    x, y = var(0, 0).scale(F(1, 2)), var(1, 0).scale(F(-2, 3))
+    got = (x + y) * (x - y)
+    assert got.terms == {((0, 0), (0, 0)): F(1, 4), ((1, 0), (1, 0)): F(-4, 9)}
+    assert all(type(c) is F for c in got.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_terms_polys(sym), _terms_polys(st.one_of(rational, sym)))
+def test_product_over_q_h_matches_term_pair_reference(p, q):
+    """Products with SymPoly coefficients (the curves of ``limit``), alone or
+    mixed with rationals, keep SymPoly or Fraction coefficients."""
+    got = p * q
+    assert got.terms == _reference_product(p, q)
+    assert all(type(c) in (SymPoly, F) for c in got.terms.values())
 
 
 @pytest.mark.parametrize("family", ["gaudin", "soa"])

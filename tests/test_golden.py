@@ -1,14 +1,18 @@
 """Golden-file regression anchors for the canonical serializations."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from loopcert.certify import dump_generators
+from loopcert.certify import _bideg, dump_generators
+from loopcert.commpoly import LoopAlgebra
 from loopcert.envelop import talalaev_generators
-from loopcert.families import classical_bethe, gamma_label
-from loopcert.liealg import TorusElement
+from loopcert.families import (bethe_component_polys, classical_bethe, embed_subalgebra_poly,
+                               gamma_label, gaudin_generators)
+from loopcert.liealg import TorusElement, centralizer, preset
+from loopcert.linalg import bigraded_block, degree_buckets, Subspace
 from loopcert.yangian import bethe_generators, yangian
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,3 +65,41 @@ def test_golden_qi22_hand_derivation():
     L11 L22 - L21 L12 - L22' at z^-2 = e11[0] + e11[0]e22[0] - e12[0]e21[0]."""
     expected = json.loads((GOLDEN / "talalaev_gl2_R3.json").read_text())
     assert expected["QI_2^(2)"] == "1*e11[0] + 1*e11[0]*e22[0] + -1*e12[0]*e21[0]"
+
+
+def subspace_json(S: Subspace) -> dict:
+    """Canonical rows as JSON: (pivot column, [[column, entry], ...]) pairs
+    in pivot order, each row's entries by column, every entry a Fraction."""
+    assert all(type(x) is Fraction for _, r in S.rows for x in r.values())
+    return {"ambient_size": len(S.ambient),
+            "rows": [[col, [[j, str(x)] for j, x in sorted(r.items())]] for col, r in S.rows]}
+
+
+def poincare_gl3_rows() -> Subspace:
+    """The degree-4 component of the classical Bethe subalgebra of gl3 at
+    C = diag(1, 2, 3), as ``poincare --cutoff 4`` spans it."""
+    sigma = classical_bethe(3, TorusElement.diagonal([1, 2, 3]), 4)
+    buckets = bethe_component_polys(sigma, 4)
+    return Subspace.span_of(buckets[4], LoopAlgebra(preset("gl3"), 4).component_monomials(4))
+
+
+def theorem_a_gl3_block() -> Subspace:
+    """The bidegree-(4, 0) block of the Gaudin family of z(C) in gl3 at
+    C = diag(1, 1, 2), as ``gr --comparison theorem-A --max-deg 4`` compares it."""
+    gl = preset("gl3")
+    z = centralizer(gl, TorusElement.diagonal([1, 1, 2]))
+    zgens = [(embed_subalgebra_poly(z, g.poly), g.deg1)
+             for g in gaudin_generators(z, 3, 4) if g.deg1 <= 4]
+    ambient = LoopAlgebra(gl, 4).component_monomials(4)
+    bidegs = [_bideg(m) for m in ambient]
+    return bigraded_block(degree_buckets(zgens, 4)[4], ambient, bidegs, 4)[0]
+
+
+@pytest.mark.parametrize("name,build", [
+    ("subspace_poincare_gl3_C1_2_3_d4.json", poincare_gl3_rows),
+    ("subspace_theorem_A_gl3_C1_1_2_block4_0.json", theorem_a_gl3_block),
+])
+def test_canonical_subspace_rows(name, build):
+    """The exact canonical rows, pivots and entries, of one ``poincare`` and
+    one ``theorem-A`` subspace."""
+    assert subspace_json(build()) == json.loads((GOLDEN / name).read_text())

@@ -184,12 +184,12 @@ class TestBigradedBlock:
         x1 = CommPoly.variable(0, 1)   # bidegree (2, 1)
         amb = [((0, 0),), ((0, 1),), ((0, 0), (0, 0))]
         from loopcert.commpoly import mono_deg1, mono_deg2
-        bideg = lambda m: (mono_deg1(m), mono_deg2(m))
+        bidegs = [(mono_deg1(m), mono_deg2(m)) for m in amb]
         u = [x0 + x1]   # leading bidegree (2, 1)
-        blk20, blk21 = bigraded_block(u, amb, bideg, 2)
+        blk20, blk21 = bigraded_block(u, amb, bidegs, 2)
         assert blk21.dim == 1 and blk21.ambient == (((0, 1),),)
         assert blk20.dim == 0 and blk20.ambient == (((0, 0), (0, 0)),)
-        (blk10,) = bigraded_block(u, amb, bideg, 1)
+        (blk10,) = bigraded_block(u, amb, bidegs, 1)
         assert blk10.dim == 0
 
 

@@ -2,10 +2,12 @@
 (``echelon``, on sparse rows, and its dense adapter ``rref``), the kernels
 read off it and membership in its rows (``Subspace.residue``), against
 sympy's independent rational linear algebra on small random ``Fraction``
-matrices, on wide sparse ones, and over Q(h); and the h-adic limit engine ``limit_subspace`` against sympy's minors of
-small random families over Q[h]."""
+matrices, on wide sparse ones, on their rows as integers and rescaled, and
+over Q(h); and the h-adic limit engine ``limit_subspace`` against sympy's
+minors of small random families over Q[h]."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from loopcert.linalg import (Subspace, bigraded_block, echelon, limit_subspace,  # noqa: E402
-                             relations, rref)
+from loopcert.linalg import (Subspace, _clear, bigraded_block, echelon,  # noqa: E402
+                             limit_subspace, relations, rref)
 from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
@@ -97,6 +99,74 @@ def test_echelon_matches_sympy(mat):
     # the rows are sparse: exactly the nonzero entries of sympy's RREF
     assert [r for _, r in found] == sparse(from_sympy(R[:len(pivots), :]))
     assert all(type(x) is F for _, r in found for x in r.values())
+
+
+def integral(rows):
+    """Each row times the lcm of its denominators, as ``int``s."""
+    out = []
+    for r in rows:
+        lcm = math.lcm(*(x.denominator for x in r))
+        out.append([int(x * lcm) for x in r])
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_matrix, st.data())
+def test_integer_rows_match_fraction_rows_and_sympy(mat, data):
+    """Integer rows, the same rows as Fractions, and the rows each scaled
+    by a nonzero rational give one RREF: sympy's, every entry a Fraction."""
+    rows, n = mat
+    ints = integral(rows)
+    fracs = [[F(x) for x in r] for r in ints]
+    scaled = [[s * x for x in r] for r, s in
+              zip(fracs, data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows))))]
+    R, pivots = to_sympy(fracs, n).rref()
+    expected = list(zip(pivots, sparse(from_sympy(R[:len(pivots), :]))))
+    for variant in (ints, fracs, scaled):
+        found = echelon(sparse(variant))
+        assert found == expected
+        assert all(type(x) is F for _, r in found for x in r.values())
+
+
+@pytest.mark.parametrize("rows", [
+    # the pivot 2 does not divide 3: the row is scaled, then divided by its
+    # content 6
+    [[3, 3, 3], [2, 0, 4]],
+    # a pivot of -1
+    [[-1, 2, 0, 1], [5, 0, 3, 7], [0, 4, 1, 0]],
+    # the second row is twice the first: it cancels to zero midway
+    [[1, 2, 3, 0], [2, 4, 6, 0], [0, 0, 5, 1]],
+    # back-substitution into an earlier row with the non-unit entry 2
+    # against the pivot 3
+    [[1, 2, 0], [0, 3, 1]],
+])
+def test_integer_echelon_cases_match_sympy(rows):
+    n = len(rows[0])
+    R, pivots = to_sympy([[F(x) for x in r] for r in rows], n).rref()
+    found = echelon(sparse(rows))
+    assert found == list(zip(pivots, sparse(from_sympy(R[:len(pivots), :]))))
+    assert all(type(x) is F for _, r in found for x in r.values())
+
+
+def test_clear_integer_updates():
+    """r <- a r - b p with (a, b) = (p[c], r[c]) over their gcd, a > 0."""
+    # 2 does not divide 3: a = 2, b = 3, then the content 6 is divided out
+    r = {0: 3, 1: 3, 2: 3}
+    _clear(r, 0, {0: 2, 2: 4})
+    assert r == {1: 1, 2: -1}
+    # a pivot of -1 divides everything: a = 1, b = -5, and the entry at
+    # column 3, which the pivot row lacks, is untouched
+    r = {0: 5, 2: 1, 3: 7}
+    _clear(r, 0, {0: -1, 1: 2, 2: 1})
+    assert r == {1: 10, 2: 6, 3: 7}
+    # a = -2 is made positive: a = 2, b = -1, then the content 2 is divided out
+    r = {0: 1, 1: 1, 2: 1}
+    _clear(r, 0, {0: -2, 1: 4})
+    assert r == {1: 3, 2: 1}
+    # entries that cancel are dropped
+    r = {0: 2, 1: 4}
+    _clear(r, 0, {0: 1, 1: 2})
+    assert r == {}
 
 
 class Vec:
@@ -198,7 +268,7 @@ def test_bigraded_blocks_match_definition(case):
     bidegs, rows, d = case
     labels = list(range(len(bidegs)))
     vectors = [Vec({lab: x for lab, x in zip(labels, r) if x}) for r in rows]
-    blocks = bigraded_block(vectors, labels, lambda lab: bidegs[lab], d)
+    blocks = bigraded_block(vectors, labels, bidegs, d)
     assert len(blocks) == d
     for j, blk in enumerate(blocks):
         eq, ref = reference_block(bidegs, rows, d, j)
