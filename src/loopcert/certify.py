@@ -265,9 +265,10 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
 # -- 5. centralizer characterization ----------------------------------------------------------
 
 
-# the largest deg1-component measured to finish in seconds: gl3 at degree 6,
-# 12483 monomials; gl4 at degree 5 (33440 monomials) took 98 s and 434 MB
-CENTRALIZER_MAX_MONOMIALS = 12483
+# the largest deg1-component measured to finish: gl4 at degree 5, 33440
+# monomials, in about 9 s and 303 MB (98 s and 434 MB with Fraction
+# elimination); gl4 at degree 6 has 155584
+CENTRALIZER_MAX_MONOMIALS = 33440
 
 
 def verify_centralizer(alg_name: str, dmax: int) -> Report:

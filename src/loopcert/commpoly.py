@@ -1,13 +1,16 @@
 """Exact commutative polynomials in loop variables x_a[r].
 
-A variable is a pair ``(a, r)``: basis index ``a`` of the underlying Lie
-algebra and t-degree ``r >= 0``.  The two gradings are
+A variable x_a[r] has a basis index ``a`` of the underlying Lie algebra and
+a t-degree ``r >= 0``.  The two gradings are
 
     deg1(x_a[r]) = r + 1,      deg2(x_a[r]) = r,
 
-additive on monomials.  Monomials are stored as ascending tuples of
-variables ordered by ``(r, a)``; the global monomial order is graded-lex on
-(deg1, variable tuple), fixed once so echelon bases are canonical.
+additive on monomials.  x_a[r] is stored as one letter, the code point
+r * B + a (``letter``; ``var_of`` decodes it), and a monomial as the sorted
+``str`` of its letters, one per factor (``monomial``), "" for 1.  Code-point
+order is (r, a) order, so the one monomial order, graded-lex on (deg1, str),
+is fixed once and echelon bases are canonical.  No other module builds,
+sorts or reads monomials.
 
 ``CommPoly`` itself is ring-agnostic.  A product of two rational
 polynomials multiplies integer numerators over the two operands' common
@@ -28,36 +31,54 @@ through ``LoopAlgebra.pairwise_brackets``.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import BoundsError, TruncationError
 from .scalars import Scalar, SymPoly, over_common_denominator, sc_str
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
-Monomial = Tuple[Var, ...]
+Monomial = str  # sorted letters, one per factor
+
+# Letters per t-degree: the presets have dim <= 16 and the CLI's t-degrees
+# stay below 20, so 256 leaves room for gl16 and config algebras up to dim
+# 256, at t-degrees up to sys.maxunicode // 256 = 4351; past that, BoundsError.
+B = 256
 
 
-var_key: Callable[[Var], Tuple[int, int]] = itemgetter(1, 0)  # (a, r) -> (r, a)
+def letter(a: int, r: int) -> str:
+    """The letter of x_a[r], code point r * B + a."""
+    if not (0 <= a < B and 0 <= r * B + a <= sys.maxunicode):
+        raise BoundsError(f"variable x{a}[{r}] has no letter: the basis index must be "
+                          f"below {B} and the t-degree at most {sys.maxunicode // B}")
+    return chr(r * B + a)
 
 
-def mono_deg1(m: Monomial) -> int:
-    return sum(r + 1 for _, r in m)
+def var_of(ch: str) -> Var:
+    """The variable (a, r) of a letter."""
+    r, a = divmod(ord(ch), B)
+    return a, r
+
+
+def monomial(variables: Iterable[Var]) -> Monomial:
+    """The monomial of a list of variables (a, r), with multiplicity."""
+    return "".join(sorted(letter(a, r) for a, r in variables))
 
 
 def mono_deg2(m: Monomial) -> int:
-    return sum(r for _, r in m)
+    return sum(ord(ch) // B for ch in m)
+
+
+def mono_deg1(m: Monomial) -> int:
+    return len(m) + mono_deg2(m)
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(sorted(m1 + m2, key=var_key))
-
-
-def mono_order_key(m: Monomial):
-    return (mono_deg1(m), tuple(var_key(v) for v in m))
+    return "".join(sorted(m1 + m2))
 
 
 def _rational(terms: Dict[Monomial, Scalar]) -> bool:
@@ -71,23 +92,18 @@ class CommPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[Monomial, Scalar] | None = None) -> None:
-        t: Dict[Monomial, Scalar] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    t[m] = c
-        self.terms = t
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "CommPoly":
         c = c if isinstance(c, SymPoly) else Fraction(c)
-        return cls({(): c})
+        return cls({"": c})
 
     @classmethod
     def variable(cls, a: int, r: int) -> "CommPoly":
-        return cls({((a, r),): Fraction(1)})
+        return cls({letter(a, r): Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 
@@ -97,12 +113,8 @@ class CommPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def deg1(self) -> int:
-        """Max deg1 over monomials (-1 for the zero polynomial)."""
-        return max((mono_deg1(m) for m in self.terms), default=-1)
-
     def max_tdeg(self) -> int:
-        return max((r for m in self.terms for _, r in m), default=-1)
+        return max((ord(m[-1]) // B for m in self.terms if m), default=-1)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -111,11 +123,7 @@ class CommPoly:
             return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
-            nc = t.get(m, 0) + c
-            if not nc:
-                t.pop(m, None)
-            else:
-                t[m] = nc
+            t[m] = t.get(m, 0) + c
         return CommPoly(t)
 
     def __neg__(self) -> "CommPoly":
@@ -134,26 +142,15 @@ class CommPoly:
             return self.scale(other)
         if not isinstance(other, CommPoly):
             return NotImplemented
-        if _rational(self.terms) and _rational(other.terms):
-            a, da = over_common_denominator(self.terms)
-            b, db = over_common_denominator(other.terms)
+        a, b, den = self.terms, other.terms, 0
+        if _rational(a) and _rational(b):
+            (a, da), (b, db) = over_common_denominator(a), over_common_denominator(b)
             den = da * db
-            raw: Dict[Monomial, int] = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = mono_mul(m1, m2)
-                    raw[m] = raw.get(m, 0) + c1 * c2
-            return CommPoly({m: Fraction(c, den) for m, c in raw.items() if c})
-        t: Dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                nc = t.get(m, 0) + c1 * c2
-                if not nc:
-                    t.pop(m, None)
-                else:
-                    t[m] = nc
-        return CommPoly(t)
+        raw: Dict[Monomial, Scalar] = defaultdict(int)
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                raw[mono_mul(m1, m2)] += c1 * c2
+        return CommPoly({m: Fraction(c, den) for m, c in raw.items() if c} if den else raw)
 
     __rmul__ = __mul__
 
@@ -180,86 +177,82 @@ class CommPoly:
     # -- structure -----------------------------------------------------------
 
     def partial(self, v: Var) -> "CommPoly":
-        """Partial derivative with respect to one variable (rational coefficients)."""
-        return derivation(self, lambda w: {(): 1} if w == v else {})
+        """Partial derivative with respect to the variable (a, r) (rational
+        coefficients)."""
+        dp, L = partials(self)
+        return CommPoly({m: Fraction(c, L) for m, c in dp.get(letter(*v), {}).items()})
 
-    def evaluate(self, point: Dict[Var, Fraction]) -> Scalar:
-        acc: Scalar = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v in m:
-                val = val * point.get(v, Fraction(0))
-            acc = acc + val
-        return acc
+    def evaluate(self, point: Dict[str, Fraction]) -> Scalar:
+        """The value at a point keyed by letter; absent letters are 0."""
+        return sum((c * math.prod(point.get(ch, 0) for ch in m)
+                    for m, c in self.terms.items()), Fraction(0))
 
     # -- serialization ---------------------------------------------------------
 
     def render(self, varname: Callable[[Var], str] | None = None) -> str:
-        """Canonical text form: terms in the global monomial order."""
+        """Canonical text form: terms in the monomial order (deg1, str),
+        each variable (a, r) named by ``varname``."""
         if not self.terms:
             return "0"
         if varname is None:
             varname = lambda v: f"x{v[0]}[{v[1]}]"
         parts = []
-        for m in sorted(self.terms, key=mono_order_key):
-            c = self.terms[m]
-            factors = []
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                factors.append(varname(m[i]) + (f"^{j - i}" if j - i > 1 else ""))
-                i = j
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"{sc_str(c)}*{mono}")
+        for m in sorted(self.terms, key=lambda m: (mono_deg1(m), m)):
+            factors = [varname(var_of(ch)) + (f"^{k}" if (k := m.count(ch)) > 1 else "")
+                       for ch in sorted(set(m))]
+            parts.append(f"{sc_str(self.terms[m])}*{'*'.join(factors) or '1'}")
         return " + ".join(parts)
 
     def __repr__(self):
         return self.render()
 
 
-def partials(p: CommPoly) -> Tuple[Dict[Var, Dict[Monomial, int]], int]:
-    """({v: L * dp/dv} for every variable v of p, L), L the lcm of p's
-    denominators; monomials sorted by (a, r), an order needing no sort key."""
+Partials = Tuple[Dict[str, Dict[Monomial, int]], int]
+
+
+def partials(p: CommPoly) -> Partials:
+    """({v: L * dp/dv} for every letter v of p, L), L the lcm of p's
+    denominators."""
     nums, L = over_common_denominator(p.terms)
-    out: Dict[Var, Dict[Monomial, int]] = {}
+    out: Dict[str, Dict[Monomial, int]] = {}
     for m, c in nums.items():
-        m = tuple(sorted(m))
         for i, v in enumerate(m):
             if i == 0 or m[i - 1] != v:
                 out.setdefault(v, {})[m[:i] + m[i + 1:]] = c * m.count(v)
     return out, L
 
 
-def derivation(p: CommPoly, image: Callable[[Var], Dict[Monomial, Scalar]]) -> CommPoly:
-    """sum_v dp/dv * image(v), divided by p's denominator once; products are
-    sorted by (a, r) and the result once by ``var_key``."""
-    return _derive(partials(p), image, 1)
+def derivation(p: CommPoly, image: Callable[[int, int], CommPoly]) -> CommPoly:
+    """sum_v dp/dv * image(a, r) over the variables v = x_a[r] of p, divided
+    by p's denominator once."""
+    return _derive(partials(p), lambda v: image(*var_of(v)).terms, 1)
 
 
-def _derive(p_partials: Tuple[Dict[Var, Dict[Monomial, int]], int],
-            image: Callable[[Var], Dict[Monomial, Scalar]], den: int) -> CommPoly:
-    """``derivation`` of the p whose ``partials`` are given."""
+def _derive(p_partials: Partials, image: Callable[[str], Dict[Monomial, Scalar]],
+            den: int) -> CommPoly:
+    """``derivation`` of the p whose ``partials`` are given, with ``image``
+    keyed by letter and its coefficients over the denominator ``den``."""
     dp, L = p_partials
     out: Dict[Monomial, Scalar] = defaultdict(int)
     for v, dv in dp.items():
         for m2, c2 in image(v).items():
             for m1, c1 in dv.items():
-                out[tuple(sorted(m1 + m2))] += c1 * c2
-    return CommPoly({tuple(sorted(m, key=var_key)): Fraction(c, L * den)
-                     for m, c in out.items() if c})
+                out["".join(sorted(m1 + m2))] += c1 * c2
+    return CommPoly({m: Fraction(c, L * den) for m, c in out.items() if c})
 
 
-def weighted_words(weights: Sequence[int], dmax: int) -> Iterator[Tuple[int, ...]]:
+def weighted_words(weights: Sequence[int], dmax: int, exact: bool = False
+                   ) -> Iterator[Tuple[int, ...]]:
     """Nondecreasing index words i1 <= i2 <= ... with total weight
-    weights[i1] + weights[i2] + ... <= dmax, depth first with the later
-    indices first, the empty word first.  Every weight must be positive."""
+    weights[i1] + weights[i2] + ... <= dmax (== dmax if ``exact``), depth
+    first with the later indices first, the empty word first.  Every weight
+    must be positive."""
     if any(wt <= 0 for wt in weights):
         raise BoundsError("weights must be positive")
 
     def rec(start: int, rem: int, word: Tuple[int, ...]):
-        yield word
+        if rem == 0 or not exact:
+            yield word
         for i in range(len(weights) - 1, start - 1, -1):
             if weights[i] <= rem:
                 yield from rec(i, rem - weights[i], word + (i,))
@@ -277,6 +270,7 @@ class LoopAlgebra:
     def __init__(self, alg, R: int) -> None:
         if R < 1:
             raise ValueError("truncation level R must be >= 1")
+        letter(alg.dim - 1, R - 1)  # every variable has a letter
         self.alg = alg
         self.R = R
         self._brackets = {(a, b): {d: c.numerator if c.denominator == 1 else c
@@ -286,21 +280,23 @@ class LoopAlgebra:
 
     # -- Poisson brackets --------------------------------------------------
 
-    def _bracket_with(self, dq: Dict[Var, Dict[Monomial, int]], v: Var,
+    def _bracket_with(self, dq: Dict[str, Dict[Monomial, int]], v: str,
                       shift: int) -> Dict[Monomial, Scalar]:
         """{v, q} = sum_w dq/dw * {v, w} in integers over q's denominator, from
         q's partials dq, with {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
-        a, r = v
+        r, a = divmod(ord(v), B)
         out: Dict[Monomial, Scalar] = defaultdict(int)
-        for (b, s), dw in dq.items():
+        for w, dw in dq.items():
+            s, b = divmod(ord(w), B)
             cs, t = self._brackets[a, b], r + s + shift
             if cs and t >= self.R:
                 raise TruncationError(
                     f"bracket output t-degree {t} exceeds truncation R={self.R}")
             for d, cd in cs.items():
+                x = chr(t * B + d)
                 for m, c in dw.items():
-                    i = bisect_right(m, (d, t))
-                    out[m[:i] + ((d, t),) + m[i:]] += cd * c
+                    i = bisect_right(m, x)
+                    out[m[:i] + x + m[i:]] += cd * c
         return {m: c for m, c in out.items() if c}
 
     def pairwise_brackets(self, polys: Sequence[CommPoly], shifts: Sequence[int]
@@ -313,9 +309,9 @@ class LoopAlgebra:
         for j in range(1, len(polys)):
             dq, Lq = dps[j]
             for s in shifts:
-                field: Dict[Var, Dict[Monomial, Scalar]] = {}
+                field: Dict[str, Dict[Monomial, Scalar]] = {}
 
-                def image(v: Var) -> Dict[Monomial, Scalar]:
+                def image(v: str) -> Dict[Monomial, Scalar]:
                     img = field.get(v)
                     if img is None:
                         img = field[v] = self._bracket_with(dq, v, s)
@@ -325,20 +321,21 @@ class LoopAlgebra:
 
     def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Scalar]:
         """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
-        distinct variable (b, r) of m adds its multiplicity times m without
+        distinct variable x_b[r] of m adds its multiplicity times m without
         it times [x_a, x_b][r].  The t-degree is unchanged, so nothing
         truncates.  The coefficients are sums over the bracket table, so
         ``int``s where its entries are."""
         out: Dict[Tuple[int, Monomial], Scalar] = defaultdict(int)
-        for i, (b, r) in enumerate(m):
-            if i and m[i - 1] == (b, r):
+        for i, v in enumerate(m):
+            if i and m[i - 1] == v:
                 continue
-            k = m.count((b, r))
-            rest = m[:i] + m[i + 1:]
+            k, rest = m.count(v), m[:i] + m[i + 1:]
+            r, b = divmod(ord(v), B)
             for a in range(self.alg.dim):
                 for d, c in self._brackets[a, b].items():
-                    j = bisect_right(rest, (r, d), key=var_key)
-                    out[a, rest[:j] + ((d, r),) + rest[j:]] += k * c
+                    x = chr(r * B + d)
+                    j = bisect_right(rest, x)
+                    out[a, rest[:j] + x + rest[j:]] += k * c
         return {key: c for key, c in out.items() if c}
 
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
@@ -353,13 +350,13 @@ class LoopAlgebra:
 
     def derivation_D(self, p: CommPoly) -> CommPoly:
         """D(x[n]) = (n+1) x[n+1], extended as a derivation."""
-        def raise_degree(v: Var) -> Dict[Monomial, Scalar]:
-            a, r = v
-            if r + 1 >= self.R:
+        def raise_degree(v: str) -> Dict[Monomial, Scalar]:
+            r = ord(v) // B + 1
+            if r >= self.R:
                 raise TruncationError(
-                    f"D output t-degree {r + 1} exceeds truncation R={self.R}")
-            return {((a, r + 1),): r + 1}
-        return derivation(p, raise_degree)
+                    f"D output t-degree {r} exceeds truncation R={self.R}")
+            return {chr(ord(v) + B): r}
+        return _derive(partials(p), raise_degree, 1)
 
     # -- canonical quadratic invariants --------------------------------------
 
@@ -375,25 +372,21 @@ class LoopAlgebra:
 
     def _casimir_element(self, r: int) -> CommPoly:
         ginv = self.alg.gram_inverse()
-        n = self.alg.dim
-        out: Dict[Monomial, Scalar] = {}
-        for a in range(n):
-            for b in range(n):
-                c = ginv[b][a]
-                if c:
-                    mono = mono_mul(((a, 0),), ((b, r),))
-                    out[mono] = out.get(mono, 0) + c
+        out: Dict[Monomial, Scalar] = defaultdict(int)
+        for a in range(self.alg.dim):
+            for b in range(self.alg.dim):
+                out[monomial([(a, 0), (b, r)])] += ginv[b][a]
         return CommPoly(out)
 
     # -- ambient component bases ---------------------------------------------
 
     def component_monomials(self, d: int) -> Tuple[Monomial, ...]:
         """Monomial basis of the deg1 = d component within truncation R, in
-        the global monomial order; built once per d."""
+        the monomial order, which on one deg1 is ``str`` order; built once
+        per d."""
         comp = self._components.get(d)
         if comp is None:
-            vs = [(a, r) for r in range(min(self.R, d)) for a in range(self.alg.dim)]  # var_key order
-            monos = (tuple(vs[i] for i in w) for w in weighted_words([r + 1 for _, r in vs], d))
-            comp = self._components[d] = tuple(
-                sorted((m for m in monos if mono_deg1(m) == d), key=mono_order_key))
+            vs = [chr(r * B + a) for r in range(min(self.R, d)) for a in range(self.alg.dim)]
+            words = weighted_words([ord(v) // B + 1 for v in vs], d, exact=True)
+            comp = self._components[d] = tuple(sorted("".join(vs[i] for i in w) for w in words))
         return comp

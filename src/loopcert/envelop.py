@@ -47,7 +47,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
-from .commpoly import CommPoly
+from .commpoly import CommPoly, var_of
 from .errors import ValidationError
 from .liealg import LieAlgebraData, preset
 from .scalars import Series, leibniz_det, over_common_denominator, ratstr
@@ -286,7 +286,7 @@ def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:
     """
     raw: Terms = {}
     for m, c in p.terms.items():
-        w = word(ctx.index[(r, a)] for (a, r) in m)
+        w = word(ctx.index[(r, a)] for a, r in map(var_of, m))
         share = Fraction(c) / math.factorial(len(w))
         for perm in map("".join, itertools.permutations(w)):
             raw[perm] = raw.get(perm, Fraction(0)) + share

@@ -4,11 +4,11 @@ classical Bethe coefficients on the congruence-subgroup coordinates, and
 the invariant components of S(g[t]) centralizing a seed.
 
 Congruence coordinates gamma_ij^(r), r >= 1 (entries of g(u) = 1 + sum
-g_r u^(-r)) are stored as CommPoly variables ((i*n + j), r - 1), which makes
-deg1/deg2 bookkeeping and the leading-term substitution
-gamma_ij^(s) -> x_ij[s-1] the identity on variable indices.  The minors of
-g(u) are ``scalars.leibniz_det`` over ``Series`` entries with keys
-(r, monomial) for u^(-r) times a monomial, multiplied with ``mono_mul``.
+g_r u^(-r)) are stored as the CommPoly variables x_(i*n + j)[r - 1], which
+makes deg1/deg2 bookkeeping and the leading-term substitution
+gamma_ij^(s) -> x_ij[s-1] the identity on variables.  The minors of g(u)
+are ``scalars.leibniz_det`` over ``Series`` entries with keys (r, monomial)
+for u^(-r) times a ``CommPoly`` monomial.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, derivation, mono_mul
+from .commpoly import CommPoly, LoopAlgebra, derivation, letter, monomial, mono_mul, var_of
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
 from .linalg import Subspace, degree_buckets, relations, rref
@@ -55,7 +55,7 @@ def directional_derivative(alg: LieAlgebraData, chi: Sequence[Fraction],
     """d/ds p(x + s chi) at s = 0; chi in basis coordinates, pairing via the form."""
     pair = [sum((alg.gram[a][b] * chi[b] for b in range(alg.dim)), Fraction(0))
             for a in range(alg.dim)]
-    return derivation(p, lambda v: {(): pair[v[0]]} if v[1] == 0 else {})
+    return derivation(p, lambda a, r: CommPoly() if r else CommPoly.const(pair[a]))
 
 
 def diag_to_basis(alg: LieAlgebraData, entries: Sequence[Fraction]) -> List[Fraction]:
@@ -99,12 +99,11 @@ def soa_generators(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[FamilyE
 
 def soa_jacobian_rank(alg: LieAlgebraData, gens: List[FamilyElement],
                       point: Dict[Tuple[int, int], Fraction]) -> int:
-    """Rank of the Jacobian of the family at a rational point of g."""
-    rows = []
-    for g in gens:
-        rows.append([Fraction(g.poly.partial((a, 0)).evaluate(point))
-                     for a in range(alg.dim)])
-    return len(rref(rows))
+    """Rank of the Jacobian of the family at a rational point of g, given by
+    its coordinates {(a, 0): x_a}."""
+    at = {letter(*v): x for v, x in point.items()}
+    return len(rref([[Fraction(g.poly.partial((a, 0)).evaluate(at)) for a in range(alg.dim)]
+                     for g in gens]))
 
 
 # -- classical Bethe family ------------------------------------------------------------
@@ -130,7 +129,7 @@ def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> Series:
 
     def entry(a: int, c: int) -> Series:
         i, j = subset[a], subset[c]
-        terms = {(0, ()): Fraction(1)} if i == j else {}
+        terms = {(0, monomial(())): Fraction(1)} if i == j else {}
         for r in range(1, Rmax + 1):
             (m,) = gamma_var(n, i, j, r).terms
             terms[(r, m)] = Fraction(1)
@@ -204,6 +203,5 @@ def embed_subalgebra_poly(sub: LieAlgebraData, p: CommPoly) -> CommPoly:
     if sub.ambient_indices is None:
         raise ValidationError("subalgebra has no ambient embedding")
     amb = sub.ambient_indices
-    return CommPoly({tuple(sorted(((amb[a], r) for (a, r) in m),
-                                  key=lambda v: (v[1], v[0]))): c
+    return CommPoly({monomial((amb[a], r) for a, r in map(var_of, m)): c
                      for m, c in p.terms.items()})

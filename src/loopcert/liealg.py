@@ -25,7 +25,7 @@ import os
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra
+from .commpoly import CommPoly, LoopAlgebra, monomial
 from .errors import RegularityError, ValidationError
 from .linalg import rref
 from .scalars import Scalar, SymPoly, parse_rational, ratstr
@@ -99,7 +99,7 @@ class MatrixRealization:
         X: Dict[Tuple[int, int], CommPoly] = {}
         for a, D in enumerate(self.duals):
             for ij, c in D.items():
-                X[ij] = X.get(ij, CommPoly()) + CommPoly({((a, 0),): c})
+                X[ij] = X.get(ij, CommPoly()) + CommPoly.variable(a, 0).scale(c)
         out = []
         for blk, degrees in blocks:
             XB = {(i, j): p for (i, j), p in X.items() if i in blk and j in blk}
@@ -481,14 +481,14 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
         if "invariants" in data:
             invs = []
             for spec in data["invariants"]:
-                terms: Dict[tuple, Fraction] = {}
+                terms: Dict[str, Fraction] = {}
                 for t in spec["terms"]:
-                    mono = []
+                    vs = []
                     for a, mult in t["monomial"]:
                         if int(mult) < 1:
                             raise ValidationError(f"invariant multiplicity {mult} is not positive")
-                        mono += [(_basis_index(a, dim, "invariant"), 0)] * int(mult)
-                    mono = tuple(sorted(mono))  # every variable has t-degree 0
+                        vs += [(_basis_index(a, dim, "invariant"), 0)] * int(mult)
+                    mono = monomial(vs)
                     terms[mono] = terms.get(mono, Fraction(0)) + parse_rational(str(t["coeff"]))
                 invs.append(InvariantPolynomial(CommPoly(terms), int(spec["degree"])))
     except (KeyError, TypeError, ValueError) as exc:

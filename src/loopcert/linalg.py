@@ -155,7 +155,7 @@ def _rows(elements, ambient: Sequence[Hashable]) -> List[Row]:
         return [{index[m]: c for m, c in p.terms.items() if c} for p in elements]
     except KeyError as exc:
         raise BoundsError(
-            f"element has monomial outside the component: {exc.args[0]}") from None
+            f"element has monomial outside the component: {exc.args[0]!r}") from None
 
 
 def relations(images: Sequence[Dict[Hashable, Any]]) -> List[Row]:

@@ -31,7 +31,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .commpoly import CommPoly
+from .commpoly import CommPoly, monomial
 from .envelop import NCPoly, PBWContext, Terms, current_context, word
 from .errors import TruncationError, ValidationError
 from .liealg import TorusElement, gl_algebra
@@ -188,9 +188,8 @@ def gr1(ctx: YangianContext, p: NCPoly) -> CommPoly:
     for w, c in p.terms.items():
         if ctx.word_weight(w) != top:
             continue
-        mono = tuple(sorted((((i - 1) * n + (j - 1), r - 1) for (r, i, j)
-                             in (ctx.gens[ord(g)] for g in w)),
-                            key=lambda v: (v[1], v[0])))
+        mono = monomial(((i - 1) * n + (j - 1), r - 1)
+                        for r, i, j in (ctx.gens[ord(g)] for g in w))
         terms[mono] = terms.get(mono, Fraction(0)) + c
     return CommPoly(terms)
 

@@ -283,12 +283,12 @@ class TestSuites:
         assert certify.verify_eval_gaudin("gl1", ["0"], kmax=2).passed  # H_1 = 0
 
     def test_centralizer_component_bound(self):
-        # gl3 degree 6 (12483 monomials) is the largest component measured to
-        # finish; gl4 degree 5 (33440) is refused before anything is built
-        loop = LoopAlgebra(preset("gl3"), 8)
-        assert len(loop.component_monomials(6)) == certify.CENTRALIZER_MAX_MONOMIALS
-        with pytest.raises(BoundsError, match="deg1 = 5 component of gl4 has 33440 monomials"):
-            certify.verify_centralizer("gl4", 5)
+        # gl4 degree 5 (33440 monomials) is the largest component measured to
+        # finish; gl4 degree 6 (155584) is refused before anything is built
+        loop = LoopAlgebra(preset("gl4"), 7)
+        assert len(loop.component_monomials(5)) == certify.CENTRALIZER_MAX_MONOMIALS
+        with pytest.raises(BoundsError, match="deg1 = 6 component of gl4 has 155584 monomials"):
+            certify.verify_centralizer("gl4", 6)
 
     @pytest.mark.parametrize("alg", ["sl3", "gl3", "gl4"])
     def test_eval_gaudin_five_points_refused_past_degree_two(self, alg):

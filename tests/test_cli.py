@@ -178,10 +178,10 @@ def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
 
 
 def test_gr_centralizer_past_measured_bound_exit_two(capsys):
-    code = main(["gr", "--comparison", "centralizer", "--algebra", "gl4", "--max-deg", "5"])
+    code = main(["gr", "--comparison", "centralizer", "--algebra", "gl4", "--max-deg", "6"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "BoundsError" in err and "33440 monomials" in err
+    assert "BoundsError" in err and "155584 monomials" in err
 
 
 def test_readme_cli_lines_parse():

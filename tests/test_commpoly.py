@@ -1,12 +1,14 @@
+import itertools
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import (CommPoly, LoopAlgebra, mono_deg1, mono_deg2, mono_mul,
-                               mono_order_key, weighted_words)
+from loopcert.commpoly import (B, CommPoly, LoopAlgebra, letter, mono_deg1, mono_deg2,
+                               mono_mul, monomial, var_of, weighted_words)
 from loopcert.errors import BoundsError, TruncationError
 from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
 from loopcert.liealg import algebra_from_dict, preset
@@ -165,11 +167,11 @@ def test_poisson_matches_partial_derivative_formula(name, shift, data):
     q = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
     loop = LoopAlgebra(alg, R=R_SMALL)
     expected, overflow = CommPoly(), False
-    for a, r in {v for m in p.terms for v in m}:
-        for b, s in {v for m in q.terms for v in m}:
+    for a, r in {var_of(ch) for m in p.terms for ch in m}:
+        for b, s in {var_of(ch) for m in q.terms for ch in m}:
             cs = alg.bracket_coeffs(a, b)
             overflow |= bool(cs) and r + s + shift >= R_SMALL
-            uv = CommPoly({((d, r + s + shift),): c for d, c in cs.items()})
+            uv = sum((var(d, r + s + shift).scale(c) for d, c in cs.items()), CommPoly())
             expected = expected + p.partial((a, r)) * q.partial((b, s)) * uv
     bracket = (loop.poisson0, loop.poisson1)[shift]
     if overflow:
@@ -205,8 +207,8 @@ def _reference_poisson(loop, p, q, shift):
     out = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            for i, (a, r) in enumerate(m1):
-                for j, (b, s) in enumerate(m2):
+            for i, (a, r) in enumerate(map(var_of, m1)):
+                for j, (b, s) in enumerate(map(var_of, m2)):
                     cs = loop.alg.bracket_coeffs(a, b)
                     if not cs:
                         continue
@@ -215,7 +217,7 @@ def _reference_poisson(loop, p, q, shift):
                         raise TruncationError(f"t-degree {tdeg}")
                     rest = m1[:i] + m1[i + 1:] + m2[:j] + m2[j + 1:]
                     for d, cd in cs.items():
-                        mono = mono_mul(rest, ((d, tdeg),))
+                        mono = mono_mul(rest, letter(d, tdeg))
                         out[mono] = out.get(mono, 0) + c1 * c2 * cd
     return CommPoly(out)
 
@@ -254,8 +256,7 @@ def _reference_product(p, q):
 
 def _terms_polys(coeff):
     """Up to five terms over monomials in three variables of t-degree 0..1."""
-    mono = st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1)]), max_size=3).map(
-        lambda vs: tuple(sorted(vs, key=lambda v: (v[1], v[0]))))
+    mono = st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1)]), max_size=3).map(monomial)
     return st.dictionaries(mono, coeff, max_size=5).map(CommPoly)
 
 
@@ -280,7 +281,7 @@ def test_product_matches_term_pair_reference(p, q, s):
 def test_product_cancels_cross_terms():
     x, y = var(0, 0).scale(F(1, 2)), var(1, 0).scale(F(-2, 3))
     got = (x + y) * (x - y)
-    assert got.terms == {((0, 0), (0, 0)): F(1, 4), ((1, 0), (1, 0)): F(-4, 9)}
+    assert got.terms == {monomial([(0, 0)] * 2): F(1, 4), monomial([(1, 0)] * 2): F(-4, 9)}
     assert all(type(c) is F for c in got.terms.values())
 
 
@@ -387,6 +388,12 @@ class TestBigrade:
             var(H, 2)
 
 
+def _graded_lex_key(vs):
+    """The reference monomial order on lists of variables (a, r): deg1, then
+    the tuple of their (r, a) pairs in ascending order."""
+    return (sum(r + 1 for _, r in vs), tuple(sorted((r, a) for a, r in vs)))
+
+
 def test_enumerate_monomials_weights():
     vs = [(0, 0), (1, 0), (0, 1)]
     weights = [r + 1 for _, r in vs]
@@ -394,14 +401,52 @@ def test_enumerate_monomials_weights():
     # nondecreasing words of weight <= 2, depth first with the later indices
     # first, the empty word first
     assert words == [(), (2,), (1,), (1, 1), (0,), (0, 1), (0, 0)]
-    monos = [tuple(vs[i] for i in w) for w in words if sum(weights[i] for i in w) == 2]
     # deg1 = 2: x^2, xy, y^2 over t-deg 0 vars, plus the single t-deg-1 var
-    assert len(monos) == 4
-    assert all(sum(r + 1 for _, r in m) == 2 for m in monos)
+    exact = [w for w in words if sum(weights[i] for i in w) == 2]
+    assert list(weighted_words(weights, 2, exact=True)) == exact
+    assert len(exact) == 4
     # the sl2 component of deg1 = 2: 6 quadratics in x[0] and 3 variables x[1]
-    comp = LoopAlgebra(sl2, 3).component_monomials(2)
-    assert len(comp) == 9 and all(mono_deg1(m) == 2 for m in comp)
-    assert comp == tuple(sorted(set(comp), key=mono_order_key))
+    assert len(LoopAlgebra(sl2, 3).component_monomials(2)) == 9
+    # each component is every multiset of variables of t-degree < R with
+    # deg1 = d, in the reference order
+    for name, dmax in [("sl2", 5), ("gl2", 4), ("gl3", 3)]:
+        loop = LoopAlgebra(preset(name), 3)
+        variables = [(a, r) for a in range(loop.alg.dim) for r in range(loop.R)]
+        for d in range(dmax + 1):
+            brute = {tuple(sorted(c)) for k in range(d + 1)
+                     for c in itertools.combinations_with_replacement(variables, k)
+                     if sum(r + 1 for _, r in c) == d}
+            expected = tuple(monomial(c) for c in sorted(brute, key=_graded_lex_key))
+            assert loop.component_monomials(d) == expected
+
+
+variable_lists = st.lists(st.tuples(st.integers(0, B - 1), st.integers(0, 3)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(variable_lists, variable_lists)
+def test_letter_format(v1, v2):
+    """Monomials ordered by (deg1, str) are in the reference order, decode
+    to their sorted variables, and multiply as joined lists."""
+    m1, m2 = monomial(v1), monomial(v2)
+    assert ((mono_deg1(m1), m1) < (mono_deg1(m2), m2)) == (_graded_lex_key(v1) < _graded_lex_key(v2))
+    assert (m1 == m2) == (_graded_lex_key(v1) == _graded_lex_key(v2))
+    assert [var_of(ch) for ch in m1] == sorted(v1, key=lambda v: (v[1], v[0]))
+    assert mono_mul(m1, m2) == monomial(v1 + v2)
+    assert (mono_deg1(m1), mono_deg2(m1)) == (sum(r + 1 for _, r in v1), sum(r for _, r in v1))
+
+
+def test_letter_bounds():
+    # no variable is truncated or wrapped onto another's letter
+    rmax = sys.maxunicode // B
+    assert var_of(letter(B - 1, rmax)) == (B - 1, rmax)
+    for a, r in [(B, 0), (-1, 0), (0, -1), (0, rmax + 1)]:
+        with pytest.raises(BoundsError, match="has no letter"):
+            letter(a, r)
+    with pytest.raises(BoundsError):
+        CommPoly.variable(B, 0)
+    with pytest.raises(BoundsError):
+        LoopAlgebra(sl2, rmax + 2)
 
 
 @pytest.mark.parametrize("weight", [0, -1])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loopcert.commpoly import CommPoly, LoopAlgebra
+from loopcert.commpoly import CommPoly, LoopAlgebra, var_of
 from loopcert.envelop import (NCPoly, PBWContext, current_context,
                               enveloping_context, gaudin_evaluation, symmetrize,
                               talalaev_generators, tensor_context, word)
@@ -286,7 +286,7 @@ class TestGaudinEvaluation:
             out = CommPoly()
             for m, c in p.terms.items():
                 term = CommPoly.const(c)
-                for a, r in m:
+                for a, r in map(var_of, m):
                     term = term * sum((CommPoly.variable(i * d + a, 0).scale(zs[i] ** r)
                                        for i in range(n)), CommPoly())
                 out = out + term

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from loopcert.commpoly import CommPoly, LoopAlgebra
+from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
 from loopcert.errors import ValidationError
 from loopcert.families import classical_bethe
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
@@ -94,7 +94,7 @@ def _trace_power_by_tuples(alg, k, indices):
         for a in tup[1:]:
             prod = mul(prod, duals[a])
         c = sum(prod[i][i] for i in range(size))
-        mono = tuple(sorted((a, 0) for a in tup))
+        mono = monomial((a, 0) for a in tup)
         terms[mono] = terms.get(mono, 0) + c
     return CommPoly(terms)
 

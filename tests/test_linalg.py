@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import CommPoly, LoopAlgebra
+from loopcert.commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, monomial
 from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
@@ -15,7 +15,7 @@ from loopcert.linalg import (Subspace, bigraded_block, degree_buckets,
 from loopcert.scalars import SymPoly
 from loopcert.yangian import f1_monomial_count
 
-M1, M2, M3 = ((0, 0),), ((1, 0),), ((2, 0),)
+M1, M2, M3 = (monomial([(a, 0)]) for a in range(3))
 AMB = [M1, M2, M3]
 
 
@@ -59,7 +59,7 @@ class TestSubspace:
 class TestGeneratedComponents:
     def test_single_generator_square(self):
         x = CommPoly.variable(0, 0)
-        amb = [(), ((0, 0),), ((0, 0), (0, 0))]
+        amb = [monomial([(0, 0)] * k) for k in range(3)]
         comp = Subspace.span_of(degree_buckets([(x, 1)], 2)[2], amb)
         assert comp.dim == 1
         assert comp.contains_poly(x * x)
@@ -182,13 +182,12 @@ class TestBigradedBlock:
     def test_leading_blocks(self):
         x0 = CommPoly.variable(0, 0)   # bidegree (1, 0)
         x1 = CommPoly.variable(0, 1)   # bidegree (2, 1)
-        amb = [((0, 0),), ((0, 1),), ((0, 0), (0, 0))]
-        from loopcert.commpoly import mono_deg1, mono_deg2
+        amb = [monomial([(0, 0)]), monomial([(0, 1)]), monomial([(0, 0), (0, 0)])]
         bidegs = [(mono_deg1(m), mono_deg2(m)) for m in amb]
         u = [x0 + x1]   # leading bidegree (2, 1)
         blk20, blk21 = bigraded_block(u, amb, bidegs, 2)
-        assert blk21.dim == 1 and blk21.ambient == (((0, 1),),)
-        assert blk20.dim == 0 and blk20.ambient == (((0, 0), (0, 0)),)
+        assert blk21.dim == 1 and blk21.ambient == (amb[1],)
+        assert blk20.dim == 0 and blk20.ambient == (amb[2],)
         (blk10,) = bigraded_block(u, amb, bidegs, 1)
         assert blk10.dim == 0
 
