@@ -33,6 +33,45 @@ from .yangian import (bethe_generators, f1_monomial_count,
                       yangian)
 
 
+# -- admission ------------------------------------------------------------------------------
+
+# The range of every bounded job parameter: BOUNDS[suite][name] = (lo, hi), hi
+# a {n: hi} entry where it depends on n for gl_n.  Each hi is the largest value
+# measured to finish (README, "Time at the CLI bounds").  The CLI checks every
+# option here before it calls a suite, and a refusal names the parameter by its
+# key; verify_centralizer and verify_eval_gaudin read their measured rules here.
+BOUNDS = {
+    "verify-rtt": {"n": (1, 3), "order": (1, 6)},  # 0.2 s and 21 MB at the bounds
+    # max-deg: time and memory grow 6-10x per degree; gl3 took 43 s and 827 MB
+    # at 7, gl4 29 s and 430 MB at 5, and at 6 ran out of 3 GB after 183 s.
+    # The pool forks all of its workers at once.
+    "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 64)},
+    "verify-gaudin": {"kmax": (0, 6)},  # sl3 and gl3: about 3 s and 28 MB
+    "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 4.0 s, 166 MB
+    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 1.4 s and 49 MB
+    # monomials in one deg1-component, counted before anything is built: gl4 at
+    # degree 5 has 33440 and takes about 9 s and 303 MB; at degree 6 it has 155584
+    "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
+    "poincare bethe": {"cutoff": (1, 6)},  # gl4: 16 s and 189 MB
+    # n is read from glN with no preset behind it; gl4 at cutoff 8: 6.8 s and
+    # 15 MB, while gl9 took 60 s at cutoff 5 and gl30 ran past 100 s at cutoff 4
+    "poincare gr1": {"n": (1, 4), "cutoff": (1, 8)},
+    # deg at C0 = E, the slowest C0 tried: gl3 took 40 s at 5 and gl4 67 s at 4,
+    # and both ran past 200 s one degree up; gl2 took 23 s at 8, and gl1 and
+    # gl2 are capped at 8 as verify-bethe is
+    "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4})},
+    # n points need kmax >= 2(n-1), so kmax 8 admits 5, and the most points are
+    # admitted only without an invariant of degree >= 3: sl3 took 121 s and
+    # 290 MB with four points and ran past 200 s and 3 GB with five
+    "eval-gaudin": {"number of --z points": (1, 5), "kmax": (1, 8)},
+    # bethe and classical-bethe: gl4 at max-deg 6 under 1 s and 20 MB;
+    # classical-bethe ran past 60 s at gl8
+    "gens bethe": {"n": (1, 4), "max-deg": (1, 6)},
+    "gens gaudin": {"max-deg": (0, 6)},  # gl4: 0.6 s and 21 MB
+    "gens talalaev": {"n": (1, 3), "R": (1, 4)},  # 0.2 s and 17 MB
+}
+
+
 class Check:
     """One exact check: its details for the JSON report and, when it fails,
     a witness.  It passes iff it has no witness, so no FAIL lacks one.
@@ -265,23 +304,22 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
 # -- 5. centralizer characterization ----------------------------------------------------------
 
 
-# the largest deg1-component measured to finish: gl4 at degree 5, 33440
-# monomials, in about 9 s and 303 MB (98 s and 434 MB with Fraction
-# elimination); gl4 at degree 6 has 155584
-CENTRALIZER_MAX_MONOMIALS = 33440
+def _component_sizes(dim: int, dmax: int) -> List[int]:
+    """Monomials per deg1-component 0..dmax: prod over x_a[r] of (1 - q^(r+1))^(-1)."""
+    return free_series_coeffs([r + 1 for r in range(dmax) for _ in range(dim)], dmax)
 
 
 def verify_centralizer(alg_name: str, dmax: int) -> Report:
     """The invariant centralizer of Omega under {,}_0 per deg1-component
     equals the Gaudin component."""
     alg = resolve_algebra(alg_name)
-    loop = LoopAlgebra(alg, dmax + 2)
-    for d in range(dmax + 1):
-        size = len(loop.component_monomials(d))
-        if size > CENTRALIZER_MAX_MONOMIALS:
+    most = BOUNDS["gr centralizer"]["monomials"][1]
+    for d, size in enumerate(_component_sizes(alg.dim, dmax)):
+        if size > most:
             raise BoundsError(
                 f"gr centralizer: the deg1 = {d} component of {alg_name} has {size} monomials, "
-                f"past the {CENTRALIZER_MAX_MONOMIALS} of the largest one measured to finish")
+                f"past the {most} of the largest one measured to finish")
+    loop = LoopAlgebra(alg, dmax + 2)
     Om = loop.Omega()
     mindeg = min(m + 1 for m in alg.exponents)
     gens = [(g.poly, g.deg1) for g in
@@ -413,12 +451,13 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
         raise ValidationError(f"eval-gaudin with {n} points needs a degree-2 invariant, whose "
                               f"family spans the Gaudin Hamiltonians; {alg_name} has "
                               f"invariant degrees {degrees}")
-    # five points need kmax = 8: with an invariant of degree >= 3 that ran past
-    # 200 s and 3 GB (sl3; four points at kmax 8 took 140 s and 830 MB)
-    if n >= 5 and max(degrees) >= 3:
-        raise BoundsError(f"eval-gaudin with {n} points (kmax 8) is past the measured bound "
-                          f"for {alg_name}, whose invariant degrees {degrees} reach 3: sl3 ran "
-                          f"past 200 s and 3 GB; at most 4 points are admitted")
+    # the most points the CLI admits need kmax = 8: with an invariant of
+    # degree >= 3 that ran past 200 s and 3 GB (sl3, five points)
+    most = BOUNDS["eval-gaudin"]["number of --z points"][1]
+    if n >= most and max(degrees) >= 3:
+        raise BoundsError(f"eval-gaudin with {n} points (kmax {2 * n - 2}) is past the measured "
+                          f"bound for {alg_name}, whose invariant degrees {degrees} reach 3: "
+                          f"sl3 ran past 200 s and 3 GB; at most {most - 1} points are admitted")
     gens = gaudin_generators(alg, kmax, kmax + 1)
     tctx = tensor_context(alg, n)
     images = [gaudin_evaluation(alg, g.poly, zs, tctx) for g in gens]
@@ -557,43 +596,30 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
 
 def dump_generators(family: str, **kw) -> Report:
     """Canonical text dumps of a generator family, with provenance labels."""
-    if family == "bethe":
-        n = kw["n"]
-        entries = parse_entries(kw["C"])
-        smax = kw["smax"]
-        ctx = yangian(n, smax)
-        taus = bethe_generators(ctx, TorusElement.diagonal(entries), smax)
-        listing = {f"tau_{k}^({s})": p.render()
-                   for (k, s), p in sorted(taus.items())}
-        params = {"n": n, "C": entries, "smax": smax}
-    elif family == "classical-bethe":
-        n = kw["n"]
-        entries = parse_entries(kw["C"])
-        smax = kw["smax"]
-        sigma = classical_bethe(n, TorusElement.diagonal(entries), smax)
-        lbl = gamma_label(n)
-        listing = {f"sigma_{k}^({s})": p.render(lbl)
-                   for (k, s), p in sorted(sigma.items())}
-        params = {"n": n, "C": entries, "smax": smax}
-    elif family == "gaudin":
+    params = dict(kw)
+    if family in ("bethe", "classical-bethe"):
+        n, smax = kw["n"], kw["smax"]
+        params["C"] = parse_entries(kw["C"])
+        C = TorusElement.diagonal(params["C"])
+        if family == "bethe":
+            taus = bethe_generators(yangian(n, smax), C, smax)
+            listing = {f"tau_{k}^({s})": p.render() for (k, s), p in sorted(taus.items())}
+        else:
+            lbl = gamma_label(n)
+            listing = {f"sigma_{k}^({s})": p.render(lbl)
+                       for (k, s), p in sorted(classical_bethe(n, C, smax).items())}
+    elif family in ("gaudin", "soa"):
         alg = resolve_algebra(kw["algebra"])
-        kmax = kw["kmax"]
-        gens = gaudin_generators(alg, kmax, kmax + 1 + max(alg.exponents))
+        if family == "gaudin":
+            gens = gaudin_generators(alg, kw["kmax"], kw["kmax"] + 1 + max(alg.exponents))
+        else:
+            params["chi"] = parse_entries(kw["chi"])
+            gens = soa_generators(alg, diag_to_basis(alg, params["chi"]))
         lbl = (lambda v: f"{alg.labels[v[0]]}[{v[1]}]")
         listing = {g.label: g.poly.render(lbl) for g in gens}
-        params = {"algebra": kw["algebra"], "kmax": kmax}
-    elif family == "soa":
-        alg = resolve_algebra(kw["algebra"])
-        chi = diag_to_basis(alg, parse_entries(kw["chi"]))
-        gens = soa_generators(alg, chi)
-        lbl = (lambda v: f"{alg.labels[v[0]]}[{v[1]}]")
-        listing = {g.label: g.poly.render(lbl) for g in gens}
-        params = {"algebra": kw["algebra"], "chi": parse_entries(kw["chi"])}
     elif family == "talalaev":
-        n, R = kw["n"], kw["R"]
-        tal = talalaev_generators(n, R)
+        tal = talalaev_generators(kw["n"], kw["R"])
         listing = {f"QI_{i}^({s})": p.render() for (i, s, p) in tal}
-        params = {"n": n, "R": R}
     else:
         raise BoundsError(f"unknown family {family!r}")
     return Report("gens", params, [Check(f"gens {family}", {"generators": listing})])

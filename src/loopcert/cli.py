@@ -1,8 +1,10 @@
 """Command-line front end: run named certificate suites, dump generator
 families, and emit deterministic human-readable or JSON reports.
 
-Exit status is 0 iff every check in the job passed.  Rationals are parsed
-and serialized as "p/q" strings; no floats enter any computation.
+Every bounded option is checked against its range in ``certify.BOUNDS``
+before a suite is called.  Exit status is 0 iff every check in the job
+passed.  Rationals are parsed and serialized as "p/q" strings; no floats
+enter any computation.
 """
 
 from __future__ import annotations
@@ -17,42 +19,19 @@ from . import certify
 from .errors import BoundsError, LoopcertError, OutputError
 
 
-# verify-bethe forks all of its worker processes at once, so their number is capped
-MAX_WORKERS = 64
-
-# verify-bethe --max-deg per n: the largest that finished within 150 s.  Time
-# and memory grow 6-10x per degree: gl3 took 44 s and 1.2 GB at deg 7, gl4
-# 31 s and 584 MB at deg 5, and gl4 at deg 6 ran out of 3 GB after 183 s
-# (README, "Time at the CLI bounds")
-BETHE_MAX_DEG = {1: 8, 2: 8, 3: 7, 4: 5}
-
-# limit --deg per n: the largest that finished within 150 s at C0 = E, the
-# slowest C0 tried: gl3 took 78 s at deg 5 (past 200 s at deg 6) and gl4
-# 114 s at deg 4 (past 200 s at deg 5); gl1 and gl2 are capped at 8 as
-# verify-bethe is, gl2 taking 38 s at deg 8 and 143 s at deg 9 (README,
-# "Time at the CLI bounds")
-LIMIT_MAX_DEG = {1: 8, 2: 8, 3: 5, 4: 4}
-
-
 def _parse_list(spec: str) -> List[str]:
     return [s for s in spec.split(",") if s]
 
 
-def _bounded(value: int, lo: int, hi: int, what: str) -> int:
+def _bounded(value: int, suite: str, name: str, n: Optional[int] = None) -> int:
+    """value, if it lies in the range certify.BOUNDS[suite][name], whose
+    upper bound is read at n when it is given per gl_n; else BoundsError."""
+    lo, hi = certify.BOUNDS[suite][name]
+    if n is not None:
+        hi, name = hi[n], f"{name} for gl{n}"
     if not (lo <= value <= hi):
-        raise BoundsError(f"{what} = {value} outside documented bounds [{lo}, {hi}]")
+        raise BoundsError(f"{name} = {value} outside documented bounds [{lo}, {hi}]")
     return value
-
-
-def _workers(flag: Optional[int]) -> int:
-    """--workers, else LOOPCERT_WORKERS, else 1; bounded to [1, MAX_WORKERS]."""
-    if flag is None:
-        env = os.environ.get("LOOPCERT_WORKERS", "1")
-        try:
-            flag = int(env)
-        except ValueError:
-            raise LoopcertError(f"LOOPCERT_WORKERS = {env!r} is not an integer") from None
-    return _bounded(flag, 1, MAX_WORKERS, "workers")
 
 
 def _gl_size(name: str) -> int:
@@ -110,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", default="gl2")
     p.add_argument("--C", required=True, help="diagonal entries, e.g. 1,2")
     p.add_argument("--max-deg", type=int, default=4)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"processes, 1..{MAX_WORKERS} (default: LOOPCERT_WORKERS, else 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"processes, 1..{certify.BOUNDS['verify-bethe']['workers'][1]} (default 1)")
 
     p = add("verify-gaudin", "bihamiltonian commutativity of D^k Phi_i")
     p.add_argument("--algebra", default="sl2")
@@ -166,65 +145,61 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> certify.Report:
     cmd = args.command
     if cmd == "verify-rtt":
-        return certify.verify_rtt(_bounded(args.n, 1, 3, "n"),
-                                  _bounded(args.order, 1, 6, "order"))
+        return certify.verify_rtt(_bounded(args.n, cmd, "n"), _bounded(args.order, cmd, "order"))
     if cmd == "verify-bethe":
-        n = _bounded(_gl_size(args.algebra), 1, 4, "n")
+        n = _bounded(_gl_size(args.algebra), cmd, "n")
         return certify.verify_bethe(n, _parse_list(args.C),
-                                    _bounded(args.max_deg, 1, BETHE_MAX_DEG[n],
-                                             f"max-deg for gl{n}"),
-                                    workers=_workers(args.workers))
+                                    _bounded(args.max_deg, cmd, "max-deg", n),
+                                    workers=_bounded(args.workers, cmd, "workers"))
     if cmd == "verify-gaudin":
-        return certify.verify_gaudin(args.algebra, _bounded(args.kmax, 0, 6, "kmax"))
+        return certify.verify_gaudin(args.algebra, _bounded(args.kmax, cmd, "kmax"))
     if cmd == "verify-soa":
         return certify.verify_soa(args.algebra, _parse_list(args.chi), seed=args.seed)
     if cmd == "verify-talalaev":
-        return certify.verify_talalaev(_bounded(args.n, 1, 3, "n"),
-                                       _bounded(args.R, 1, 4, "R"),
-                                       _bounded(args.max_deg, 1, 6, "max-deg"))
+        return certify.verify_talalaev(_bounded(args.n, cmd, "n"), _bounded(args.R, cmd, "R"),
+                                       _bounded(args.max_deg, cmd, "max-deg"))
     if cmd == "gr":
+        key = f"gr {args.comparison}"
         if args.comparison == "centralizer":
-            return certify.verify_centralizer(args.algebra,
-                                              _bounded(args.max_deg, 0, 6, "max-deg"))
+            return certify.verify_centralizer(args.algebra, _bounded(args.max_deg, key, "max-deg"))
         n = _gl_size(args.algebra)
         if args.C is None:
             raise LoopcertError("gr --comparison theorem-A needs --C")
         return certify.verify_theorem_A(n, _parse_list(args.C),
-                                        _bounded(args.max_deg, 1, 5, "max-deg"))
+                                        _bounded(args.max_deg, key, "max-deg"))
     if cmd == "poincare":
+        key = f"poincare {args.family}"
         if args.family == "gr1":
-            n = _bounded(_gl_size(args.algebra), 1, 4, "n")
-            return certify.poincare_gr1_count(n, _bounded(args.cutoff, 1, 8, "cutoff"))
+            n = _bounded(_gl_size(args.algebra), key, "n")
+            return certify.poincare_gr1_count(n, _bounded(args.cutoff, key, "cutoff"))
         n = _gl_size(args.algebra)
         if args.C is None:
             raise LoopcertError("poincare --family bethe needs --C")
         return certify.poincare_bethe(n, _parse_list(args.C),
-                                      _bounded(args.cutoff, 1, 6, "cutoff"))
+                                      _bounded(args.cutoff, key, "cutoff"))
     if cmd == "limit":
-        n = _bounded(_gl_size(args.algebra), 1, max(LIMIT_MAX_DEG), "n")
+        n = _bounded(_gl_size(args.algebra), cmd, "n")
         return certify.verify_theorem_B(n, _parse_list(args.C0), _parse_list(args.chi),
-                                        _bounded(args.deg, 1, LIMIT_MAX_DEG[n],
-                                                 f"deg for gl{n}"))
+                                        _bounded(args.deg, cmd, "deg", n))
     if cmd == "eval-gaudin":
-        # n points need kmax >= 2(n-1), and kmax <= 8 admits at most 5
         z = _parse_list(args.z)
-        _bounded(len(z), 1, 5, "number of --z points")
-        return certify.verify_eval_gaudin(args.algebra, z,
-                                          _bounded(args.kmax, 1, 8, "kmax"))
+        _bounded(len(z), cmd, "number of --z points")
+        return certify.verify_eval_gaudin(args.algebra, z, _bounded(args.kmax, cmd, "kmax"))
     if cmd == "gens":
-        kw = {}
         if args.family in ("bethe", "classical-bethe"):
-            n = _bounded(_gl_size(args.algebra), 1, 4, "n")
+            n = _bounded(_gl_size(args.algebra), "gens bethe", "n")
             kw = {"n": n, "C": _parse_list(args.C or ",".join(map(str, range(1, n + 1)))),
-                  "smax": _bounded(args.max_deg, 1, 6, "max-deg")}
+                  "smax": _bounded(args.max_deg, "gens bethe", "max-deg")}
         elif args.family == "gaudin":
-            kw = {"algebra": args.algebra, "kmax": _bounded(args.max_deg, 0, 6, "max-deg")}
+            kw = {"algebra": args.algebra,
+                  "kmax": _bounded(args.max_deg, "gens gaudin", "max-deg")}
         elif args.family == "soa":
             if args.chi is None:
                 raise LoopcertError("gens --family soa needs --chi")
             kw = {"algebra": args.algebra, "chi": _parse_list(args.chi)}
         elif args.family == "talalaev":
-            kw = {"n": _bounded(args.n, 1, 3, "n"), "R": _bounded(args.R, 1, 4, "R")}
+            kw = {"n": _bounded(args.n, "gens talalaev", "n"),
+                  "R": _bounded(args.R, "gens talalaev", "R")}
         return certify.dump_generators(args.family, **kw)
     raise LoopcertError(f"unknown command {cmd!r}")
 

@@ -176,12 +176,6 @@ class CommPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def partial(self, v: Var) -> "CommPoly":
-        """Partial derivative with respect to the variable (a, r) (rational
-        coefficients)."""
-        dp, L = partials(self)
-        return CommPoly({m: Fraction(c, L) for m, c in dp.get(letter(*v), {}).items()})
-
     def evaluate(self, point: Dict[str, Fraction]) -> Scalar:
         """The value at a point keyed by letter; absent letters are 0."""
         return sum((c * math.prod(point.get(ch, 0) for ch in m)

@@ -17,10 +17,11 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, derivation, letter, monomial, mono_mul, var_of
+from .commpoly import (CommPoly, LoopAlgebra, derivation, letter, monomial, mono_mul,
+                       partials, var_of)
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
-from .linalg import Subspace, degree_buckets, relations, rref
+from .linalg import Subspace, degree_buckets, echelon, relations
 from .scalars import Scalar, Series, leibniz_det, truncated_join
 
 
@@ -100,10 +101,11 @@ def soa_generators(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[FamilyE
 def soa_jacobian_rank(alg: LieAlgebraData, gens: List[FamilyElement],
                       point: Dict[Tuple[int, int], Fraction]) -> int:
     """Rank of the Jacobian of the family at a rational point of g, given by
-    its coordinates {(a, 0): x_a}."""
+    its coordinates {(a, 0): x_a}; each row is scaled by its ``partials`` lcm."""
     at = {letter(*v): x for v, x in point.items()}
-    return len(rref([[Fraction(g.poly.partial((a, 0)).evaluate(at)) for a in range(alg.dim)]
-                     for g in gens]))
+    return len(echelon({a: x for a in range(alg.dim)
+                        if (x := CommPoly(dp.get(letter(a, 0))).evaluate(at))}
+                       for dp, _ in (partials(g.poly) for g in gens)))
 
 
 # -- classical Bethe family ------------------------------------------------------------

@@ -25,9 +25,9 @@ import os
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, monomial
+from .commpoly import CommPoly, LoopAlgebra, letter, monomial
 from .errors import RegularityError, ValidationError
-from .linalg import rref
+from .linalg import echelon
 from .scalars import Scalar, SymPoly, parse_rational, ratstr
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -35,14 +35,14 @@ Sparse = Dict[Tuple[int, int], object]  # {(i, j): nonzero entry}, Fraction or C
 
 
 def mat_inverse(A: Sequence[Sequence[Fraction]]) -> Matrix:
-    """A^-1, read off rref([A | I]); A is invertible iff the left half
-    reduces to the identity."""
+    """A^-1, read off the echelon rows of [A | I]; A is invertible iff their
+    pivots are the columns of A."""
     n = len(A)
-    R = rref([[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-              for i, row in enumerate(A)])
-    if any(R[i][j] != int(i == j) for i in range(n) for j in range(n)):
+    R = echelon({**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+                for i, row in enumerate(A))
+    if [col for col, _ in R] != list(range(n)):
         raise ValidationError("singular matrix (form is degenerate)")
-    return tuple(tuple(row[n:]) for row in R)
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in R)
 
 
 def _mat_mul(A: Sparse, B: Sparse, zero=Fraction(0)) -> Sparse:
@@ -462,6 +462,8 @@ def _basis_index(a, dim: int, what: str) -> int:
 def algebra_from_dict(data: dict) -> LieAlgebraData:
     try:
         dim = int(data["dim"])
+        if dim > 0:
+            letter(dim - 1, 0)  # a loop algebra needs a letter per basis index
         labels = list(data["labels"])
         brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for a, b, d, c in data["brackets"]:

@@ -12,8 +12,8 @@ another exact field (``RatFunc``) run through the same loop.  Its (pivot
 column, row) pairs are the one row format: a ``Subspace`` is those rows
 over an explicit ambient list, so equality of subspaces is equality of
 rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
-returns sparse vectors; ``rref``, the adapter for real matrices, is the
-only dense code.  ``limit_subspace`` eliminates over Z[eps] mod eps^K
+returns sparse vectors; ``rref``, a dense adapter that no suite calls, is
+the only dense code.  ``limit_subspace`` eliminates over Z[eps] mod eps^K
 instead, with minimum-valuation pivots, no division and a certified
 precision (``_hadic_pivots``), and hands the rows it finds at eps = 0 to
 ``echelon``.

@@ -284,11 +284,25 @@ class TestSuites:
 
     def test_centralizer_component_bound(self):
         # gl4 degree 5 (33440 monomials) is the largest component measured to
-        # finish; gl4 degree 6 (155584) is refused before anything is built
-        loop = LoopAlgebra(preset("gl4"), 7)
-        assert len(loop.component_monomials(5)) == certify.CENTRALIZER_MAX_MONOMIALS
-        with pytest.raises(BoundsError, match="deg1 = 6 component of gl4 has 155584 monomials"):
+        # finish
+        loop = LoopAlgebra(preset("gl4"), 6)
+        assert len(loop.component_monomials(5)) == certify.BOUNDS["gr centralizer"]["monomials"][1]
+
+    def test_centralizer_refused_before_any_component_is_built(self, monkeypatch):
+        # gl4 degree 6 (155584 monomials) is refused by counting
+        def no_build(*args):
+            raise AssertionError("a component was built")
+
+        monkeypatch.setattr(LoopAlgebra, "component_monomials", no_build)
+        with pytest.raises(BoundsError, match="deg1 = 6 component of gl4 has 155584 monomials, "
+                                              "past the 33440"):
             certify.verify_centralizer("gl4", 6)
+
+    @pytest.mark.parametrize("alg,dmax", [("sl2", 6), ("sl3", 6), ("gl3", 6), ("gl4", 5)])
+    def test_component_sizes_count_the_components(self, alg, dmax):
+        loop = LoopAlgebra(preset(alg), dmax + 2)
+        assert certify._component_sizes(loop.alg.dim, dmax) == \
+            [len(loop.component_monomials(d)) for d in range(dmax + 1)]
 
     @pytest.mark.parametrize("alg", ["sl3", "gl3", "gl4"])
     def test_eval_gaudin_five_points_refused_past_degree_two(self, alg):

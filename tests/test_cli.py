@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from loopcert import certify
 from loopcert.cli import build_parser, main
 
 
@@ -65,6 +66,70 @@ def test_bethe_degree_bound_per_n_exit_two(monkeypatch, capsys, n, bound):
     err = capsys.readouterr().err
     assert code == 2
     assert f"max-deg for gl{n} = {bound + 1} outside documented bounds [1, {bound}]" in err
+
+
+# per suite of certify.BOUNDS: the certify function the CLI calls, and an
+# admitted command line that the bounded parameter is appended to
+SUITES = {
+    "verify-rtt": ("verify_rtt", ["verify-rtt"]),
+    "verify-bethe": ("verify_bethe", ["verify-bethe", "--C", "1"]),
+    "verify-gaudin": ("verify_gaudin", ["verify-gaudin"]),
+    "verify-talalaev": ("verify_talalaev", ["verify-talalaev"]),
+    "gr theorem-A": ("verify_theorem_A", ["gr", "--comparison", "theorem-A", "--C", "1"]),
+    "gr centralizer": ("verify_centralizer", ["gr", "--comparison", "centralizer"]),
+    "poincare bethe": ("poincare_bethe", ["poincare", "--family", "bethe", "--C", "1"]),
+    "poincare gr1": ("poincare_gr1_count", ["poincare", "--family", "gr1"]),
+    "limit": ("verify_theorem_B", ["limit", "--C0", "1", "--chi", "1"]),
+    "eval-gaudin": ("verify_eval_gaudin", ["eval-gaudin", "--z", "0"]),
+    "gens bethe": ("dump_generators", ["gens", "--family", "classical-bethe"]),
+    "gens gaudin": ("dump_generators", ["gens", "--family", "gaudin"]),
+    "gens talalaev": ("dump_generators", ["gens", "--family", "talalaev"]),
+}
+GL_N = {"verify-bethe", "poincare gr1", "limit", "gens bethe"}  # n from --algebra glN
+
+
+def _option(suite, name, value):
+    """The command-line words that set the bounded parameter to value."""
+    if name == "n" and suite in GL_N:
+        return ["--algebra", f"gl{value}"]
+    if name == "number of --z points":
+        return ["--z", ",".join(map(str, range(value)))]
+    return [f"--{name}", str(value)]
+
+
+# every range the CLI enforces, a per-n range once per n; the monomial count
+# of a centralizer component is checked by certify itself
+RANGES = [(suite, name, n)
+          for suite, names in certify.BOUNDS.items()
+          for name, (lo, hi) in names.items() if name != "monomials"
+          for n in (sorted(hi) if isinstance(hi, dict) else [None])]
+
+
+@pytest.mark.parametrize("suite, name, n", RANGES,
+                         ids=[f"{s}:{m}" + (f":gl{n}" if n else "") for s, m, n in RANGES])
+def test_range_admits_its_bound_and_refuses_past_it(monkeypatch, capsys, suite, name, n):
+    fn, argv = SUITES[suite]
+    lo, hi = certify.BOUNDS[suite][name]
+    what = name
+    if n is not None:
+        hi, what, argv = hi[n], f"{name} for gl{n}", argv + ["--algebra", f"gl{n}"]
+    calls = []
+    monkeypatch.setattr(f"loopcert.certify.{fn}",
+                        lambda *a, **kw: calls.append(a) or certify.Report("stub", {}, []))
+    assert main(argv + _option(suite, name, hi)) == 0 and len(calls) == 1
+    for past in (lo - 1, hi + 1):
+        assert main(argv + _option(suite, name, past)) == 2
+        err = capsys.readouterr().err
+        assert f"BoundsError]: {what} = {past} outside documented bounds [{lo}, {hi}]" in err
+    assert len(calls) == 1
+
+
+def test_per_n_bounds_cover_the_admitted_n():
+    for names in certify.BOUNDS.values():
+        for _, hi in names.values():
+            if isinstance(hi, dict):
+                n_lo, n_hi = names["n"]
+                assert sorted(hi) == list(range(n_lo, n_hi + 1))
 
 
 def test_bad_rational_exit_two(capsys):
@@ -177,7 +242,12 @@ def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
     assert "BoundsError" in err and "outside documented bounds [1, 4]" in err
 
 
-def test_gr_centralizer_past_measured_bound_exit_two(capsys):
+def test_gr_centralizer_past_measured_bound_exit_two(monkeypatch, capsys):
+    # the component sizes are counted, so no component is built to refuse
+    def no_build(*args):
+        raise AssertionError("a component was built")
+
+    monkeypatch.setattr("loopcert.commpoly.LoopAlgebra.component_monomials", no_build)
     code = main(["gr", "--comparison", "centralizer", "--algebra", "gl4", "--max-deg", "6"])
     err = capsys.readouterr().err
     assert code == 2
@@ -246,21 +316,17 @@ def test_missing_config_exit_two(tmp_path, capsys):
     assert "cannot read algebra config" in err
 
 
-@pytest.mark.parametrize("flag,env", [("0", None), ("100000", None), (None, "abc")])
-def test_workers_out_of_bounds_exit_two(monkeypatch, capsys, flag, env):
+@pytest.mark.parametrize("flag", ["0", "100000"])
+def test_workers_out_of_bounds_exit_two(monkeypatch, capsys, flag):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    if env is None:
-        monkeypatch.delenv("LOOPCERT_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("LOOPCERT_WORKERS", env)
-    argv = ["verify-bethe", "--algebra", "gl2", "--C", "1,2", "--max-deg", "2"]
-    code = main(argv + (["--workers", flag] if flag else []))
+    code = main(["verify-bethe", "--algebra", "gl2", "--C", "1,2", "--max-deg", "2",
+                 "--workers", flag])
     err = capsys.readouterr().err
     assert code == 2
-    assert "workers" in err or "LOOPCERT_WORKERS" in err
+    assert "workers" in err
 
 
 def _no_suite(monkeypatch):

@@ -153,6 +153,12 @@ ALGEBRAS = {"sl2": lambda: sl2, "gl2": lambda: preset("gl2"), "sl2r": _readme_sl
 R_SMALL = 4
 
 
+def _partial(p, a, r):
+    """d p / d x_a[r], one letter removed from each monomial holding it."""
+    v = letter(a, r)
+    return CommPoly({m.replace(v, "", 1): c * m.count(v) for m, c in p.terms.items() if v in m})
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 @pytest.mark.parametrize("shift", [0, 1])
 @settings(max_examples=30, deadline=None)
@@ -172,7 +178,7 @@ def test_poisson_matches_partial_derivative_formula(name, shift, data):
             cs = alg.bracket_coeffs(a, b)
             overflow |= bool(cs) and r + s + shift >= R_SMALL
             uv = sum((var(d, r + s + shift).scale(c) for d, c in cs.items()), CommPoly())
-            expected = expected + p.partial((a, r)) * q.partial((b, s)) * uv
+            expected = expected + _partial(p, a, r) * _partial(q, b, s) * uv
     bracket = (loop.poisson0, loop.poisson1)[shift]
     if overflow:
         with pytest.raises(TruncationError):

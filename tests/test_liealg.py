@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
-from loopcert.errors import ValidationError
+from loopcert.errors import BoundsError, ValidationError
 from loopcert.families import classical_bethe
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
                              gl_algebra, load_config, matrix_algebra, preset,
@@ -404,3 +404,22 @@ def test_malformed_config_rejected(corrupt, message):
     corrupt(data)
     with pytest.raises(ValidationError, match=message):
         algebra_from_dict(data)
+
+
+def test_config_past_letter_bound_refused_before_validate(monkeypatch):
+    # validate makes about 1.5 dim^3 bracket lookups even for an abelian
+    # algebra (a 300-dimensional one ran past 60 s in it), and a basis index
+    # past 255 has no letter, so no suite could run such a config
+    def abelian(dim):
+        return {"dim": dim, "labels": [f"x{a}" for a in range(dim)], "brackets": [],
+                "form": [[a, a, "1"] for a in range(dim)], "rank": dim,
+                "exponents": [0] * dim, "cartan": list(range(dim))}
+
+    validated = []
+    monkeypatch.setattr(LieAlgebraData, "validate", lambda self: validated.append(self.dim))
+    assert algebra_from_dict(abelian(256)).dim == 256
+    with pytest.raises(BoundsError, match=r"x256\[0\] has no letter"):
+        algebra_from_dict(abelian(257))
+    with pytest.raises(BoundsError, match=r"x299\[0\] has no letter"):
+        algebra_from_dict(abelian(300))
+    assert validated == [256]
