@@ -9,7 +9,7 @@ leading-term identities and Grassmannian limit decompositions at finite
 truncation, all over exact rationals.
 """
 
-from .commpoly import CommPoly, LoopAlgebra
+from .commpoly import CommPoly, LoopAlgebra, ZhPoly
 from .envelop import (NCPoly, PBWContext, current_context, enveloping_context,
                       gaudin_evaluation, talalaev_generators, tensor_context)
 from .errors import (BoundsError, LoopcertError, RegularityError,
@@ -27,8 +27,8 @@ __all__ = [
     "BoundsError", "CommPoly", "InvariantPolynomial",
     "LieAlgebraData", "LoopAlgebra", "LoopcertError", "NCPoly", "PBWContext",
     "RegularityError", "Subspace", "TorusElement", "TruncationError",
-    "ValidationError", "YangianContext", "bethe_generators", "centralizer",
-    "classical_bethe", "current_context", "enveloping_context",
+    "ValidationError", "YangianContext", "ZhPoly", "bethe_generators",
+    "centralizer", "classical_bethe", "current_context", "enveloping_context",
     "gaudin_evaluation", "gaudin_generators", "gr1", "gr2", "limit_subspace",
     "load_config", "preset", "quantum_minor", "soa_generators",
     "talalaev_generators", "tensor_context", "yangian",

@@ -21,13 +21,13 @@ from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation
                       talalaev_generators, tensor_context, word)
 from .errors import BoundsError, RegularityError, ValidationError
 from .families import (bethe_component_polys, centralizer_subalgebra,
-                       classical_bethe, diag_to_basis, embed_subalgebra_poly,
-                       gamma_label, gaudin_generators, soa_generators,
-                       soa_jacobian_rank)
+                       classical_bethe, classical_bethe_curve, diag_to_basis,
+                       embed_subalgebra_poly, gamma_label, gaudin_generators,
+                       soa_generators, soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algebra
 from .linalg import (Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generator_products, limit_subspace)
-from .scalars import SymPoly, parse_rational, ratstr
+from .scalars import parse_rational, ratstr
 from .yangian import (bethe_generators, f1_monomial_count,
                       f1_monomial_count_enumerated, gr2, rtt_relation_checks,
                       yangian)
@@ -56,9 +56,9 @@ BOUNDS = {
     # n is read from glN with no preset behind it; gl4 at cutoff 8: 6.8 s and
     # 15 MB, while gl9 took 60 s at cutoff 5 and gl30 ran past 100 s at cutoff 4
     "poincare gr1": {"n": (1, 4), "cutoff": (1, 8)},
-    # deg at C0 = E, the slowest C0 tried: gl3 took 40 s at 5 and gl4 67 s at 4,
-    # and both ran past 200 s one degree up; gl2 took 23 s at 8, and gl1 and
-    # gl2 are capped at 8 as verify-bethe is
+    # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
+    # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
+    # took 7.8 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
     "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4})},
     # n points need kmax >= 2(n-1), so kmax 8 admits 5, and the most points are
     # admitted only without an invariant of degree >= 3: sl3 took 121 s and
@@ -135,8 +135,6 @@ class Report(NamedTuple):
 def _jsonable(x):
     if isinstance(x, Fraction):
         return ratstr(x)
-    if isinstance(x, SymPoly):
-        return repr(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -549,6 +547,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     h = exp(eps g/m) - 1, C0 exp(eps chi) = C0 diag((1+h)^p); rescaling by
     (1+h)^(-min p) keeps every span, as sigma_k^(r) has degree k in C.  Since
     h = (g/m) eps + O(eps^2), Q[[h]] = Q[[eps]] and the limits at 0 agree.
+    The curve is built over Z[h] (``classical_bethe_curve``).
     """
     c0 = parse_entries(c0)
     chi_diag = parse_entries(chi_diag)
@@ -557,13 +556,17 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     gl = preset(f"gl{n}")
     loop = LoopAlgebra(gl, max(dmax, 1))
     exponents, g_over_m = _curve_exponents(chi_diag)
-    Ch = TorusElement(entries=[c * SymPoly("h", [1, 1]) ** e
-                               for c, e in zip(c0, exponents)])
-    if not Ch.is_regular():
+    C0 = TorusElement.diagonal(c0)
+    # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
+    # (c0_i, p_i) are
+    if len(set(zip(c0, exponents))) < n:
         raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
-    curve = bethe_component_polys(classical_bethe(n, Ch, dmax), dmax)
-    limits = {d: limit_subspace(loop.component_monomials(d), curve[d], "h")
-              for d in range(1, dmax + 1)}
+    sigma = classical_bethe_curve(n, c0, exponents, dmax)
+    curve = bethe_component_polys(sigma, dmax)
+    # degree d starts at the precision that certified degree d - 1
+    limits, K = {}, 4
+    for d in range(1, dmax + 1):
+        limits[d], K = limit_subspace(loop.component_monomials(d), curve[d], K)
 
     # the generic member of the curve is regular: n generators in each degree
     dims = [1] + [limits[d].dim for d in range(1, dmax + 1)]
@@ -574,12 +577,11 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
                  "dims": dims, "expected": expected},
         witness=None if dims == expected else f"dims {dims} != expected {expected}")]
 
-    C0 = TorusElement.diagonal(c0)
-    sigma0 = classical_bethe(n, C0, dmax)
     z = centralizer(gl, C0)
     chi_z = diag_to_basis(z, chi_diag)
-    # B(C0) * A_chi is spanned by the products of both generator lists
-    prods = degree_buckets([(sigma0[key], key[1]) for key in sorted(sigma0)]
+    # B(C0) * A_chi is spanned by the products of both generator lists; the
+    # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L_k
+    prods = degree_buckets([(s.at_zero(), key[1]) for key, s in sorted(sigma.items())]
                            + [(embed_subalgebra_poly(z, g.poly), g.deg1)
                               for g in soa_generators(z, chi_z)], dmax)
     for d in range(1, dmax + 1):

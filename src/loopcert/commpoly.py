@@ -15,7 +15,9 @@ sorts or reads monomials.
 ``CommPoly`` itself is ring-agnostic.  A product of two rational
 polynomials multiplies integer numerators over the two operands' common
 denominators and builds one ``Fraction`` per output term; other
-coefficients (``SymPoly``) multiply term by term.  The two Poisson
+coefficients (``SymPoly``) multiply term by term.  ``ZhPoly`` holds the
+curve of ``limit``: coefficients in Z[h] as integer lists, multiplied by
+``scalars.mul_into``.  The two Poisson
 brackets and the derivation D live on ``LoopAlgebra``, which couples a
 structure-constant table (an ``int`` where the denominator is 1) with a
 truncation level R (max t-degree, exclusive).  Operations that would
@@ -36,10 +38,10 @@ import sys
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import BoundsError, TruncationError
-from .scalars import Scalar, SymPoly, over_common_denominator, sc_str
+from .scalars import Scalar, SymPoly, mul_into, over_common_denominator, sc_str
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
 Monomial = str  # sorted letters, one per factor
@@ -199,6 +201,48 @@ class CommPoly:
 
     def __repr__(self):
         return self.render()
+
+
+class ZhPoly:
+    """Sparse polynomial over Z[h]: {monomial: ascending integer coefficient
+    list in h}, each list without trailing zeros and not empty; immutable by
+    convention.  ``linalg.limit_subspace`` reads its rows from the ``.terms``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Monomial, List[int]] | None = None) -> None:
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            n = len(c)
+            while n and not c[n - 1]:
+                n -= 1
+            if n:
+                self.terms[m] = c if n == len(c) else c[:n]
+
+    @classmethod
+    def const(cls, c: int) -> "ZhPoly":
+        return cls({"": [c]})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def at_zero(self) -> CommPoly:
+        """The value at h = 0."""
+        return CommPoly({m: Fraction(c[0]) for m, c in self.terms.items()})
+
+    def __mul__(self, other: "ZhPoly") -> "ZhPoly":
+        if not (self.terms and other.terms):
+            return ZhPoly()
+        n = max(map(len, self.terms.values())) + max(map(len, other.terms.values())) - 1
+        raw: Dict[Monomial, List[int]] = {}
+        for m1, a in self.terms.items():
+            for m2, b in other.terms.items():
+                m = mono_mul(m1, m2)
+                acc = raw.get(m)
+                if acc is None:
+                    acc = raw[m] = [0] * n
+                mul_into(acc, a, b)
+        return ZhPoly(raw)
 
 
 Partials = Tuple[Dict[str, Dict[Monomial, int]], int]

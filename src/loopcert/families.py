@@ -14,15 +14,16 @@ for u^(-r) times a ``CommPoly`` monomial.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .commpoly import (CommPoly, LoopAlgebra, derivation, letter, monomial, mono_mul,
-                       partials, var_of)
+from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, letter,
+                       monomial, mono_mul, partials, var_of)
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
 from .linalg import Subspace, degree_buckets, echelon, relations
-from .scalars import Scalar, Series, leibniz_det, truncated_join
+from .scalars import Scalar, Series, leibniz_det, mul_into, truncated_join
 
 
 class FamilyElement(NamedTuple):
@@ -165,11 +166,42 @@ def classical_bethe(n: int, C: TorusElement, Rmax: int
     return out
 
 
-def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly], dmax: int
-                          ) -> List[List[CommPoly]]:
+def classical_bethe_curve(n: int, c0: Sequence[Fraction], p: Sequence[int], Rmax: int
+                          ) -> Dict[Tuple[int, int], ZhPoly]:
+    """``classical_bethe`` along the curve C(h) = C0 diag((1+h)^p), p >= 0,
+    over Z[h].
+
+    sigma_k^(r)(C(h)) = sum_S c0_S (1+h)^(p_S) minor_S^(r) over the k-subsets
+    S of 1..n, c0_S the product of the c0_i and p_S the sum of the p_i over S.
+    The minors of g(u) are h-free with integer coefficients, so each
+    sigma_k^(r) comes over Z[h] once it is multiplied by L_k, the lcm of the
+    denominators of the c0_S; that leaves every span unchanged.
+    """
+    out: Dict[Tuple[int, int], ZhPoly] = {}
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        weights = [math.prod((Fraction(c0[i - 1]) for i in S), start=Fraction(1))
+                   for S in subsets]
+        L = math.lcm(*(w.denominator for w in weights))
+        width = max(sum(p[i - 1] for i in S) for S in subsets) + 1
+        acc: Dict[int, Dict[Monomial, List[int]]] = {r: {} for r in range(1, Rmax + 1)}
+        for S, w in zip(subsets, weights):
+            pS = sum(p[i - 1] for i in S)
+            wS = [(w * L).numerator * math.comb(pS, e) for e in range(pS + 1)]
+            for (r, m), c in _minor_series(n, S, Rmax).terms.items():
+                if r:
+                    mul_into(acc[r].setdefault(m, [0] * width), wS, (c.numerator,))
+        for r in range(1, Rmax + 1):
+            out[(k, r)] = ZhPoly(acc[r])
+    return out
+
+
+def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly | ZhPoly], dmax: int
+                          ) -> List[List[CommPoly | ZhPoly]]:
     """Spanning sets of the graded components of degree 0..dmax: the nonzero
     products of sigma_k^(r) by total Fourier degree (each sigma_k^(r) is
-    deg1-homogeneous of degree r), with 1 in degree 0."""
+    deg1-homogeneous of degree r), with 1 in degree 0; over Z[h] for the
+    curve of ``classical_bethe_curve``."""
     return degree_buckets([(sigma[key], key[1]) for key in sorted(sigma)], dmax)
 
 

@@ -237,6 +237,9 @@ class LieAlgebraData:
                             sum(cd * g[b][d] for d, cd in bc(a, c).items())
                         if s != 0:
                             raise ValidationError(f"form is not ad-invariant at ({a},{b},{c})")
+        if self.rank < 1:
+            raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
+                                  "built from the rank's invariant generators")
         if len(self.exponents) != self.rank:
             raise ValidationError("number of exponents != rank")
 

@@ -1,7 +1,7 @@
-"""Exact linear algebra over Q and over Q[eps]: canonical subspaces,
+"""Exact linear algebra over Q and over Z[h]: canonical subspaces,
 associated-bigraded blocks of doubly filtered spans, products of
 generators, and Grassmannian limits of parametrized subspace families as
-eps -> 0.
+h -> 0.
 
 ``echelon`` is the one elimination, on sparse rows ({column: entry}) read
 straight from the ``.terms`` of polynomials, so its cost follows the
@@ -13,10 +13,10 @@ column, row) pairs are the one row format: a ``Subspace`` is those rows
 over an explicit ambient list, so equality of subspaces is equality of
 rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
 returns sparse vectors; ``rref``, a dense adapter that no suite calls, is
-the only dense code.  ``limit_subspace`` eliminates over Z[eps] mod eps^K
-instead, with minimum-valuation pivots, no division and a certified
-precision (``_hadic_pivots``), and hands the rows it finds at eps = 0 to
-``echelon``.
+the only dense code.  ``limit_subspace`` takes rows over Z[h] (``ZhPoly``)
+and eliminates them mod h^K instead, with minimum-valuation pivots, no
+division and a certified precision (``_hadic_pivots``), and hands the rows
+it finds at h = 0 to ``echelon``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
 
-from .commpoly import CommPoly, Monomial, weighted_words
+from .commpoly import CommPoly, Monomial, ZhPoly, weighted_words
 from .errors import BoundsError
-from .scalars import SymPoly, over_common_denominator
+from .scalars import mul_into, over_common_denominator
 
 T = TypeVar("T")
 Row = Dict[int, Any]  # {column: nonzero entry}
@@ -254,11 +254,12 @@ def generator_products(gens: Sequence[Tuple[T, int]], dmax: int, one: T
             yield stack[-1]
 
 
-def degree_buckets(gens: Sequence[Tuple[CommPoly, int]], dmax: int
-                   ) -> List[List[CommPoly]]:
-    """The nonzero products of commuting generators, listed by degree 0..dmax."""
-    out: List[List[CommPoly]] = [[] for _ in range(dmax + 1)]
-    for p, d in generator_products(gens, dmax, CommPoly.const(1)):
+def degree_buckets(gens: Sequence[Tuple[T, int]], dmax: int) -> List[List[T]]:
+    """The nonzero products of commuting generators, listed by degree
+    0..dmax, in the generators' ring: ``CommPoly``, or ``ZhPoly`` over Z[h]."""
+    out: List[List[T]] = [[] for _ in range(dmax + 1)]
+    one = (type(gens[0][0]) if gens else CommPoly).const(1)
+    for p, d in generator_products(gens, dmax, one):
         out[d].append(p)
     return out
 
@@ -308,71 +309,55 @@ def bigraded_block(vectors, ambient: Sequence[Hashable],
     return blocks
 
 
-# -- eps -> 0 limits -----------------------------------------------------------------
+# -- h -> 0 limits -------------------------------------------------------------------
 
 
-def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[CommPoly],
-                   symbol: str = "eps") -> Subspace:
-    """Grassmannian limit at eps = 0 of the span V over Q(eps) of vectors
-    whose entries lie in Q[eps] (``SymPoly`` in ``symbol``, or rationals)
-    over a fixed ambient: the values at eps = 0 of the saturated lattice
-    V ∩ Q[[eps]]^N, which do not depend on the spanning set.
+def limit_subspace(ambient: Sequence[Monomial], vectors: Sequence[ZhPoly], K: int = 4
+                   ) -> Tuple[Subspace, int]:
+    """Grassmannian limit at h = 0 of the span V over Q(h) of vectors over
+    Z[h] (``ZhPoly``) over a fixed ambient: the values at h = 0 of the
+    saturated lattice V ∩ Q[[h]]^N, which do not depend on the spanning set;
+    with the precision that certified it.
 
-    Each row is scaled once by the lcm of its denominators to integer
-    coefficient lists; ``_hadic_pivots`` eliminates them mod eps^K, K
-    doubling from 4 until its certificate holds, and ``echelon`` makes the
-    rows it finds at eps = 0 canonical.
+    ``_hadic_pivots`` eliminates the rows mod h^K, K doubling from the given
+    start until its certificate holds, and ``echelon`` makes the rows it
+    finds at h = 0 canonical.  The certified K is returned so that a caller
+    can start the next, larger component there.
     """
-    rows = [_integral(r, symbol) for r in _rows(vectors, ambient) if r]
+    rows = [r for r in _rows(vectors, ambient) if r]
     degree = max((len(e) - 1 for r in rows for e in r.values()), default=0)
-    K = 4
     while (found := _hadic_pivots(rows, K, degree)) is None:
         K *= 2
-    return Subspace(ambient, echelon(found))
-
-
-def _coeffs(c, symbol: str) -> Tuple[Fraction, ...]:
-    """The ascending coefficients of a ``SymPoly`` in ``symbol`` or of a rational."""
-    if isinstance(c, SymPoly):
-        if c.symbol != symbol:
-            raise TypeError(f"mixed formal symbols {c.symbol!r} and {symbol!r}")
-        return c.coeffs
-    return (Fraction(c),)
-
-
-def _integral(row: Row, symbol: str) -> Dict[int, List[int]]:
-    """The coefficient lists of a row over Q[symbol] times the lcm of their
-    denominators."""
-    row = {j: _coeffs(c, symbol) for j, c in row.items()}
-    lcm = math.lcm(*(x.denominator for e in row.values() for x in e))
-    return {j: [x.numerator * (lcm // x.denominator) for x in e] for j, e in row.items()}
+    return Subspace(ambient, echelon(found)), K
 
 
 def _hadic_pivots(rows: List[Dict[int, List[int]]], K: int, degree: int
                   ) -> List[Row] | None:
-    """Pivot rows of an elimination over Z[eps] mod eps^K, at eps = 0; None
-    when precision K cannot certify a row that reduced to zero.
+    """Pivot rows of an elimination over Z[h] mod h^K, at h = 0; None when
+    precision K cannot certify a row that reduced to zero.
 
     The pivot is the entry of least valuation v among all remaining rows
-    (ties by column, then by row length).  Its row r is divided by eps^v and
-    by its integer content, so its pivot entry u is a unit and r is known
-    mod eps^(K - v); each remaining row s holding the pivot column c becomes
-    u s - s[c] r.  All of s has valuation >= v, so s stays known mod eps^K,
-    and no row is ever inverted.  The pivot rows are unit-triangular on
-    their pivot columns: they span the saturated lattice.
+    (ties by column, then by row length).  Its row r is divided by h^v and
+    by its integer content, so its pivot entry u is a unit of Q[[h]] and r
+    is known mod h^(K - v).  When u is a unit of Z[[h]] (u(0) = ±1), r is
+    multiplied once by the inverse of u mod h^(K - v), and each remaining
+    row s holding the pivot column c becomes s - s[c] r; otherwise s becomes
+    u s - s[c] r, fraction-free.  All of s has valuation >= v, so s stays
+    known mod h^K, and no row is divided.  The pivot rows are unit-triangular
+    on their pivot columns: they span the saturated lattice.
 
-    A row s that reduces to zero mod eps^K after t pivots of valuations v_i
+    A row s that reduces to zero mod h^K after t pivots of valuations v_i
     is dropped only if K + sum v_i > (t + 1) * degree.  Rows r_1..r_t, s are
     their input rows times a triangular matrix of determinant
-    eps^(-sum v_i) times a unit, so every (t + 1)-minor of those input rows,
+    h^(-sum v_i) times a unit, so every (t + 1)-minor of those input rows,
     a polynomial of degree <= (t + 1) * degree, vanishes mod
-    eps^(K + sum v_i): it is zero, and so is s.
+    h^(K + sum v_i): it is zero, and so is s.
     """
     live = []
     for r in rows:
         t = {j: (e + [0] * K)[:K] for j, e in r.items() if any(e[:K])}
         if not t:
-            return None  # a nonzero row of degree <= degree vanishing mod eps^K
+            return None  # a nonzero row of degree <= degree vanishing mod h^K
         live.append(t)
     lead = [_lead(r) for r in live]
     found: List[Row] = []
@@ -387,18 +372,23 @@ def _hadic_pivots(rows: List[Dict[int, List[int]]], K: int, degree: int
         vsum += v
         certified = K + vsum > (len(found) + 1) * degree
         u = r.pop(c)
+        unit = u[0] in (1, -1)
+        if unit:
+            inv = _unit_inverse(u)
+            r = {j: mul_into([0] * (K - v), inv, e) for j, e in r.items()}
         kept, keys = [], []
         for s, key in zip(live, lead):
             f = s.pop(c, None)
             if f is not None:
-                for j, e in s.items():
-                    s[j] = _mul_mod(u, e, K)
+                if not unit:
+                    for j, e in s.items():
+                        s[j] = mul_into([0] * K, u, e)
+                f = [-x for x in f]
                 for j, e in r.items():
-                    fe = _mul_mod(f, e, K)
                     old = s.get(j)
-                    s[j] = [-y for y in fe] if old is None else [x - y for x, y in zip(old, fe)]
-                for j in [j for j, e in s.items() if not any(e)]:
-                    del s[j]
+                    e = s[j] = mul_into([0] * K if old is None else old, f, e)
+                    if not any(e):  # only entries r touched can vanish
+                        del s[j]
                 if not s:
                     if not certified:
                         return None
@@ -411,15 +401,20 @@ def _hadic_pivots(rows: List[Dict[int, List[int]]], K: int, degree: int
 
 
 def _lead(row: Dict[int, List[int]]) -> Tuple[int, int]:
-    """(least valuation, first column attaining it) of a nonzero row."""
-    return min((next(i for i, x in enumerate(e) if x), j) for j, e in row.items())
+    """(least valuation, first column attaining it) of a nonzero row: the
+    first coefficient index at which some entry is nonzero, and the least
+    column nonzero there."""
+    i = 0
+    while True:
+        cols = [j for j, e in row.items() if e[i]]
+        if cols:
+            return i, min(cols)
+        i += 1
 
 
-def _mul_mod(a: List[int], b: List[int], n: int) -> List[int]:
-    """The first n coefficients of the product of two coefficient lists."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for k, y in enumerate(b[:n - i], i):
-                out[k] += x * y
-    return out
+def _unit_inverse(u: List[int]) -> List[int]:
+    """The inverse mod h^len(u) of a coefficient list with u[0] = ±1."""
+    inv = [u[0]]
+    for k in range(1, len(u)):
+        inv.append(-u[0] * sum(u[i] * inv[k - i] for i in range(1, k + 1)))
+    return inv

@@ -6,12 +6,14 @@ through.  The quantum minors of T(u), the minors of g(u) and Talalaev's
 cdet(d_z - L(z)) are all ``leibniz_det`` over ``Series`` entries; they differ
 only in the basis product they pass.
 
-Every coefficient in the package is either a ``fractions.Fraction`` or a
+Every coefficient in the package is either a ``fractions.Fraction``, a
 ``SymPoly`` (polynomial in one formal symbol, e.g. ``eps`` or ``v``, with
-rational coefficients).  Floats are never used.  ``RatFunc`` (quotients of
-``SymPoly``) is reached by no certificate: limits eliminate over Z[eps] mod
-eps^K (``linalg.limit_subspace``).  It is kept for the Q(eps) oracle test of
-``echelon`` and for the benchmark's layer timers.
+rational coefficients), or, on the path of ``limit``, an ascending list of
+integer coefficients in h, multiplied by ``mul_into`` alone.  Floats are
+never used.  ``RatFunc`` (quotients of ``SymPoly``) is reached by no
+certificate: limits eliminate over Z[h] mod h^K (``linalg.limit_subspace``).
+It is kept for the Q(eps) oracle test of ``echelon`` and for the benchmark's
+layer timers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, Tuple, TypeVar, Union
+from typing import (Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar,
+                    Union)
 
 Q = Fraction
 T = TypeVar("T")
@@ -38,6 +41,19 @@ def over_common_denominator(terms: Dict[T, Fraction]) -> Tuple[Dict[T, int], int
     denominators."""
     lcm = math.lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (lcm // c.denominator) for k, c in terms.items()}, lcm
+
+
+def mul_into(out: List[int], a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """out += a * b for ascending coefficient lists, truncated to len(out);
+    returns out.  The one product over Z[h]: the curve of ``limit``
+    (``commpoly.ZhPoly``) and its h-adic elimination both run through it.
+    Zero entries of ``a`` are skipped, so pass the sparser factor first."""
+    n = len(out)
+    for i, x in enumerate(a[:n]):
+        if x:
+            for k, y in enumerate(b[:n - i], i):
+                out[k] += x * y
+    return out
 
 
 def parse_rational(s: str) -> Fraction:

@@ -105,15 +105,16 @@ class TestSuites:
         assert failed and all(c.witness for c in failed)
 
     def test_theorem_B_generic_dims_check_can_fail(self, monkeypatch):
-        # negative control: drop sigma_n^(1) from every Bethe family
-        real = certify.classical_bethe
+        # negative control: drop sigma_n^(1) from the curve, and so from its
+        # value B(C0) at h = 0
+        real = certify.classical_bethe_curve
 
-        def drop_one(n, C, Rmax):
-            sigma = real(n, C, Rmax)
+        def drop_one(n, *args):
+            sigma = real(n, *args)
             del sigma[(n, 1)]
             return sigma
 
-        monkeypatch.setattr(certify, "classical_bethe", drop_one)
+        monkeypatch.setattr(certify, "classical_bethe_curve", drop_one)
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
         check = rep.checks[0]
         assert not check.passed
@@ -238,10 +239,37 @@ class TestSuites:
             limit_dim = rep.checks[d].details["limit_dim"]
             assert limit_dim >= at_zero
 
+    def test_theorem_B_degree_starts_at_certified_precision(self, monkeypatch):
+        # each degree's elimination starts at the K that certified the degree
+        # before it, and degree 1 at K = 4
+        import loopcert.linalg as linalg
+        calls = []
+        real_limit, real_pivots = certify.limit_subspace, linalg._hadic_pivots
+
+        def limit(ambient, vectors, K=4):
+            calls.append([])
+            lim, got = real_limit(ambient, vectors, K)
+            assert calls[-1][-1] == got
+            return lim, got
+
+        def pivots(rows, K, degree):
+            calls[-1].append(K)
+            return real_pivots(rows, K, degree)
+
+        monkeypatch.setattr(certify, "limit_subspace", limit)
+        monkeypatch.setattr(linalg, "_hadic_pivots", pivots)
+        rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=5)
+        assert rep.passed
+        assert all(calls[d][0] == calls[d - 1][-1] for d in range(1, 5))
+        # K = 4 cannot certify degree 4, so degree 5 starts at 8
+        assert calls == [[4], [4], [4], [4, 8], [8]]
+
     def test_theorem_B_irregular_path_rejected(self):
-        # chi = 0 keeps C(eps) = C0 irregular for all eps
-        with pytest.raises(RegularityError):
-            certify.verify_theorem_B(2, ["1", "1"], ["0", "0"], dmax=2)
+        # chi = 0 keeps C(eps) = C0 irregular for all eps, and so do equal
+        # (c0_i, chi_i) pairs; refused before the curve is built
+        for n, c0, chi in [(2, ["1", "1"], ["0", "0"]), (3, ["1", "1", "2"], ["1", "1", "0"])]:
+            with pytest.raises(RegularityError, match="not regular for generic eps"):
+                certify.verify_theorem_B(n, c0, chi, dmax=2)
 
     @pytest.mark.parametrize("c0,chi", [(["1", "1"], []), (["1", "1"], ["1"]),
                                         (["1"], ["1", "-1"])])
@@ -305,9 +333,14 @@ class TestSuites:
             [len(loop.component_monomials(d)) for d in range(dmax + 1)]
 
     @pytest.mark.parametrize("alg", ["sl3", "gl3", "gl4"])
-    def test_eval_gaudin_five_points_refused_past_degree_two(self, alg):
+    def test_eval_gaudin_five_points_refused_past_degree_two(self, alg, monkeypatch):
         # five points need kmax 8; with an invariant of degree >= 3 that ran
-        # past 200 s and 3 GB, so it is refused before any generator is built
+        # past 200 s and 3 GB, so it is refused before any generator is built:
+        # a generator built fails the test at once instead of running the job
+        def built(*args):
+            raise AssertionError("gaudin_generators called for a refused job")
+
+        monkeypatch.setattr(certify, "gaudin_generators", built)
         with pytest.raises(BoundsError, match=f"5 points .* past the measured bound for {alg}"):
             certify.verify_eval_gaudin(alg, ["0", "1", "2", "3", "4"], kmax=8)
 

@@ -297,6 +297,29 @@ def test_config_algebra_without_matrices_soa_exit_two(tmp_path, capsys):
     assert "ValidationError" in err and "matrix realization" in err
 
 
+RANK_ZERO = {
+    "dim0": {"dim": 0, "labels": [], "brackets": [], "form": [], "rank": 0,
+             "exponents": [], "cartan": []},
+    "abelian3": {"dim": 3, "labels": ["a", "b", "c"], "brackets": [],
+                 "form": [[0, 0, 1], [1, 1, 1], [2, 2, 1]], "rank": 0,
+                 "exponents": [], "cartan": []},
+}
+
+
+@pytest.mark.parametrize("config", sorted(RANK_ZERO))
+@pytest.mark.parametrize("argv", [["verify-gaudin"], ["gr", "--comparison", "centralizer"],
+                                  ["gens", "--family", "gaudin"]])
+def test_rank_zero_config_exit_two(tmp_path, capsys, config, argv):
+    # with no invariant generator these suites took max() or min() of an
+    # empty exponent list and crashed with exit 1
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(RANK_ZERO[config]), encoding="utf-8")
+    code = main(argv + ["--algebra", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ValidationError" in err and "rank must be positive, got 0" in err
+
+
 def test_malformed_config_exit_two(tmp_path, capsys):
     # a root without "e" raised KeyError (exit 1, as for a FAILed check)
     data = json.loads(Path(_readme_algebra(tmp_path)).read_text(encoding="utf-8"))

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import (B, CommPoly, LoopAlgebra, letter, mono_deg1, mono_deg2,
-                               mono_mul, monomial, var_of, weighted_words)
+from loopcert.commpoly import (B, CommPoly, LoopAlgebra, ZhPoly, letter, mono_deg1,
+                               mono_deg2, mono_mul, monomial, var_of, weighted_words)
 from loopcert.errors import BoundsError, TruncationError
 from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
 from loopcert.liealg import algebra_from_dict, preset
@@ -294,11 +294,28 @@ def test_product_cancels_cross_terms():
 @settings(max_examples=60, deadline=None)
 @given(_terms_polys(sym), _terms_polys(st.one_of(rational, sym)))
 def test_product_over_q_h_matches_term_pair_reference(p, q):
-    """Products with SymPoly coefficients (the curves of ``limit``), alone or
-    mixed with rationals, keep SymPoly or Fraction coefficients."""
+    """Products with SymPoly coefficients (the reference curve that the Z[h]
+    curve of ``limit`` is tested against), alone or mixed with rationals,
+    keep SymPoly or Fraction coefficients."""
     got = p * q
     assert got.terms == _reference_product(p, q)
     assert all(type(c) in (SymPoly, F) for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms_polys(st.lists(st.integers(-2, 2), min_size=1, max_size=4)),
+       _terms_polys(st.lists(st.integers(-2, 2), min_size=1, max_size=4)))
+def test_zh_product_matches_product_over_q_h(p, q):
+    """ZhPoly products over Z[h] equal CommPoly products with SymPoly
+    coefficients, with trailing zeros trimmed and cancelled terms dropped."""
+    p, q = ZhPoly(p.terms), ZhPoly(q.terms)
+
+    def over_q_h(z):
+        return CommPoly({m: SymPoly("h", c) for m, c in z.terms.items()})
+
+    got = p * q
+    assert all(c and c[-1] for c in got.terms.values())
+    assert {m: SymPoly("h", c) for m, c in got.terms.items()} == (over_q_h(p) * over_q_h(q)).terms
 
 
 @pytest.mark.parametrize("family", ["gaudin", "soa"])

@@ -1,14 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopcert.certify import _curve_exponents
 from loopcert.commpoly import CommPoly, LoopAlgebra, letter, mono_deg1, var_of
 from loopcert.errors import RegularityError
 from loopcert.families import (bethe_component_polys, centralizer_subalgebra,
-                               classical_bethe, diag_to_basis, directional_derivative,
-                               embed_subalgebra_poly, gamma_var, gaudin_generators,
-                               invariant_component, soa_generators, soa_jacobian_rank)
+                               classical_bethe, classical_bethe_curve, diag_to_basis,
+                               directional_derivative, embed_subalgebra_poly, gamma_var,
+                               gaudin_generators, invariant_component, soa_generators,
+                               soa_jacobian_rank)
 from loopcert.liealg import TorusElement, centralizer, preset
+from loopcert.scalars import SymPoly
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -153,3 +157,50 @@ class TestCentralizerComponents:
         p = z.invariant_generators()[0].poly
         q = embed_subalgebra_poly(z, p)
         assert {var_of(ch) for m in q.terms for ch in m} <= {(a, 0) for a in z.ambient_indices}
+
+
+# -- the curve of limit over Z[h] ----------------------------------------------
+
+
+def rational_multiple(zp, p):
+    """The q in Q with zp = q * p, for a ``ZhPoly`` zp and a CommPoly p over
+    Q[h] (``SymPoly`` or rational coefficients); None if there is none."""
+    coeffs = {m: list(c.coeffs) if isinstance(c, SymPoly) else [F(c)] for m, c in p.terms.items()}
+    if not coeffs or zp.terms.keys() != coeffs.keys():
+        return None
+    m, e = next(iter(coeffs.items()))
+    q = F(zp.terms[m][0]) / e[0] if e[0] else F(zp.terms[m][-1]) / e[-1]
+    return q if all(zp.terms[m] == [q * x for x in e] for m, e in coeffs.items()) else None
+
+
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def curves(draw):
+    """gl2 through degree 4 or gl3 through degree 3, with C0 integral or not
+    and chi with denominators up to 2."""
+    n = draw(st.sampled_from([2, 3]))
+    c0 = draw(st.lists(st.one_of(st.integers(-2, 3).filter(bool).map(F), nonzero),
+                       min_size=n, max_size=n))
+    chi = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                        min_size=n, max_size=n))
+    return n, c0, chi, 6 - n
+
+
+@settings(max_examples=15, deadline=None)
+@given(curves())
+def test_integer_curve_spans_match_sympoly_curve(case):
+    """Each product of ``classical_bethe_curve`` over Z[h] is a nonzero
+    rational multiple of the product it stands for of ``classical_bethe`` at
+    C(h) = C0 diag((1+h)^p) with ``SymPoly`` entries, so every component
+    spans the same subspace over Q(h)."""
+    n, c0, chi, dmax = case
+    p, _ = _curve_exponents(chi)
+    h = SymPoly("h", [1, 1])
+    Ch = TorusElement([c * h ** e for c, e in zip(c0, p)])
+    ref = bethe_component_polys(classical_bethe(n, Ch, dmax), dmax)
+    got = bethe_component_polys(classical_bethe_curve(n, c0, p, dmax), dmax)
+    for d in range(dmax + 1):
+        assert len(got[d]) == len(ref[d])
+        assert all(rational_multiple(a, b) for a, b in zip(got[d], ref[d]))

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from loopcert.certify import _bideg, dump_generators
+from loopcert.certify import _bideg, _curve_exponents, dump_generators
 from loopcert.commpoly import LoopAlgebra
 from loopcert.envelop import talalaev_generators
-from loopcert.families import (bethe_component_polys, classical_bethe, embed_subalgebra_poly,
-                               gamma_label, gaudin_generators)
+from loopcert.families import (bethe_component_polys, classical_bethe, classical_bethe_curve,
+                               embed_subalgebra_poly, gamma_label, gaudin_generators)
 from loopcert.liealg import TorusElement, centralizer, preset
-from loopcert.linalg import bigraded_block, degree_buckets, Subspace
+from loopcert.linalg import bigraded_block, degree_buckets, limit_subspace, Subspace
 from loopcert.yangian import bethe_generators, yangian
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,3 +103,20 @@ def test_canonical_subspace_rows(name, build):
     """The exact canonical rows, pivots and entries, of one ``poincare`` and
     one ``theorem-A`` subspace."""
     assert subspace_json(build()) == json.loads((GOLDEN / name).read_text())
+
+
+@pytest.mark.parametrize("name,n,c0,chi,dmax", [
+    ("subspace_limit_gl2_C0_1_1_chi_1_-1_d4.json", 2, [1, 1], [1, -1], 4),
+    ("subspace_limit_gl3_C0_1_1_2_chi_1_-1_0_d3.json", 3, [1, 1, 2], [1, -1, 0], 3),
+])
+def test_limit_subspace_rows(name, n, c0, chi, dmax):
+    """The exact canonical rows of the ``limit`` components along
+    C0 exp(eps chi), degrees 1..dmax, chained as the suite chains them."""
+    exponents, _ = _curve_exponents([Fraction(x) for x in chi])
+    curve = bethe_component_polys(classical_bethe_curve(n, c0, exponents, dmax), dmax)
+    loop = LoopAlgebra(preset(f"gl{n}"), dmax)
+    got, K = {}, 4
+    for d in range(1, dmax + 1):
+        lim, K = limit_subspace(loop.component_monomials(d), curve[d], K)
+        got[str(d)] = subspace_json(lim)
+    assert got == json.loads((GOLDEN / name).read_text())

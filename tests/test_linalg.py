@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, monomial
+from loopcert.commpoly import CommPoly, LoopAlgebra, ZhPoly, mono_deg1, mono_deg2, monomial
 from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
@@ -91,8 +91,11 @@ class TestFreeSeries:
             assert series == [f1_monomial_count(n, d) for d in range(5)]
 
 
-def eps_const(c):
-    return SymPoly.const("eps", c)
+def zh(p):
+    """A CommPoly over Z[eps] (``SymPoly`` or integral coefficients) as the
+    ``ZhPoly`` rows that ``limit_subspace`` takes."""
+    return ZhPoly({m: [int(x) for x in (c.coeffs if isinstance(c, SymPoly) else (c,))]
+                   for m, c in p.terms.items()})
 
 
 EPS = SymPoly.gen("eps")
@@ -100,48 +103,77 @@ EPS = SymPoly.gen("eps")
 
 class TestLimits:
     def test_continuity(self):
-        lim = limit_subspace([M1, M2], [CommPoly({M1: eps_const(1), M2: EPS})])
+        lim, _ = limit_subspace([M1, M2], [ZhPoly({M1: [1], M2: [0, 1]})])
         assert lim.dim == 1
         assert lim.contains_poly(vec((M1, 1)))
         assert not lim.contains_poly(vec((M2, 1)))
 
     def test_blowup_to_plane(self):
-        v1 = CommPoly({M1: eps_const(1), M2: eps_const(1)})
-        v2 = CommPoly({M1: eps_const(1), M2: eps_const(1) + EPS})
-        lim = limit_subspace([M1, M2], [v1, v2])
+        v1 = ZhPoly({M1: [1], M2: [1]})
+        v2 = ZhPoly({M1: [1], M2: [1, 1]})
+        lim, _ = limit_subspace([M1, M2], [v1, v2])
         assert lim.dim == 2
 
     def test_eps_independent_family(self):
-        v = CommPoly({M1: eps_const(2), M3: eps_const(-3)})
-        lim = limit_subspace(AMB, [v])
+        lim, _ = limit_subspace(AMB, [ZhPoly({M1: [2], M3: [-3]})])
         assert lim == Subspace.span_of([vec((M1, 2), (M3, -3))], AMB)
 
     def test_dimension_preserved(self):
-        v1 = CommPoly({M1: eps_const(1), M2: EPS})
-        v2 = CommPoly({M2: eps_const(1), M3: EPS ** 2})
-        lim = limit_subspace(AMB, [v1, v2])
+        v1 = ZhPoly({M1: [1], M2: [0, 1]})
+        v2 = ZhPoly({M2: [1], M3: [0, 0, 1]})
+        lim, _ = limit_subspace(AMB, [v1, v2])
         assert lim.dim == 2
+
+    def test_unit_pivot_is_inverted(self):
+        # the pivot entry 1 + eps is a unit of Z[[eps]]: v2 - (1 + eps)^-1 v1
+        # = (0, eps - eps^2 + ...) keeps the second direction
+        v1 = ZhPoly({M1: [1, 1], M2: [1]})
+        v2 = ZhPoly({M1: [1], M2: [1]})
+        lim, _ = limit_subspace([M1, M2], [v1, v2])
+        assert lim.dim == 2
+
+    def test_non_unit_pivot(self):
+        # the pivot entry 2 + eps is no unit of Z[[eps]], so the other row is
+        # cleared fraction-free: (2 + eps) v2 - (2 + eps) v1 = (0, 0, 2 eps + eps^2)
+        v1 = ZhPoly({M1: [2, 1], M2: [1]})
+        v2 = ZhPoly({M1: [2, 1], M2: [1], M3: [0, 1]})
+        lim, _ = limit_subspace(AMB, [v1, v2])
+        assert lim == Subspace.span_of([vec((M1, 2), (M2, 1)), vec((M3, 1))], AMB)
 
     def test_row_close_to_another_is_kept(self, monkeypatch):
         # v2 - v1 = eps^20 e2 vanishes mod eps^K until K = 32; a zero row at
         # K = 4, 8, 16 is not certified (degree bound 2 * 20), so K doubles
         precisions = spy_precisions(monkeypatch)
-        v1 = CommPoly({M1: eps_const(1), M2: EPS})
-        v2 = CommPoly({M1: eps_const(1), M2: EPS + EPS ** 20})
-        lim = limit_subspace(AMB, [v1, v2])
+        v1 = ZhPoly({M1: [1], M2: [0, 1]})
+        v2 = ZhPoly({M1: [1], M2: [0, 1] + [0] * 18 + [1]})
+        lim, K = limit_subspace(AMB, [v1, v2])
         assert lim == Subspace.span_of([vec((M1, 1)), vec((M2, 1))], AMB)
-        assert precisions == [4, 8, 16, 32]
+        assert precisions == [4, 8, 16, 32] and K == 32
+        # started at the certified precision, one elimination is enough
+        precisions.clear()
+        assert limit_subspace(AMB, [v1, v2], 32) == (lim, 32)
+        assert precisions == [32]
+
+    def test_zero_row_at_the_bound_is_kept(self, monkeypatch):
+        # v2 - eps^2 v1 = (0, -eps^4), whose minor with v1 is -eps^4 of degree
+        # (1 + 1) * 2: at K = 4, K + 0 > 4 fails, so it is not dropped
+        precisions = spy_precisions(monkeypatch)
+        v1 = ZhPoly({M1: [1], M2: [0, 0, 1]})
+        v2 = ZhPoly({M1: [0, 0, 1]})
+        lim, K = limit_subspace([M1, M2], [v1, v2])
+        assert lim.dim == 2
+        assert precisions == [4, 8] and K == 8
 
     def test_dependent_row_dropped_by_degree_bound(self, monkeypatch):
         # v3 = v1 + 2 v2 reduces to zero after two pivots of valuation 0, and
         # K + 0 = 4 > (2 + 1) * 1 certifies it at once: no doubling
         precisions = spy_precisions(monkeypatch)
-        v1 = CommPoly({M1: eps_const(1), M2: EPS})
-        v2 = CommPoly({M2: eps_const(1), M3: EPS})
-        v3 = v1 + v2.scale(F(2))
-        lim = limit_subspace(AMB, [v1, v2, v3])
-        assert precisions == [4]
-        assert lim == limit_subspace(AMB, [v1, v2])
+        v1 = ZhPoly({M1: [1], M2: [0, 1]})
+        v2 = ZhPoly({M2: [1], M3: [0, 1]})
+        v3 = ZhPoly({M1: [1], M2: [2, 1], M3: [0, 2]})
+        lim, K = limit_subspace(AMB, [v1, v2, v3])
+        assert precisions == [4] and K == 4
+        assert lim == limit_subspace(AMB, [v1, v2])[0]
         assert lim.dim == 2
 
 
@@ -165,16 +197,16 @@ unimodular_entries = st.integers(-2, 2)
 @settings(max_examples=25, deadline=None)
 @given(unimodular_entries, unimodular_entries, unimodular_entries)
 def test_limit_invariant_under_unimodular_change(a, b, c):
-    """Changing the spanning set by a Q[eps]-matrix invertible at eps = 0
+    """Changing the spanning set by a Z[eps]-matrix invertible at eps = 0
     leaves the limit fixed."""
-    v1 = CommPoly({M1: eps_const(1), M2: EPS, M3: eps_const(2)})
-    v2 = CommPoly({M2: eps_const(1) + EPS, M3: EPS ** 2})
-    base = limit_subspace(AMB, [v1, v2])
+    v1 = CommPoly({M1: F(1), M2: EPS, M3: F(2)})
+    v2 = CommPoly({M2: EPS + 1, M3: EPS ** 2})
+    base, _ = limit_subspace(AMB, [zh(v1), zh(v2)])
     # transform matrix [[1, a+b*eps], [c*eps, 1]]: determinant is 1 at eps = 0
-    coeff = eps_const(a) + EPS * b
+    coeff = EPS * b + a
     w1 = v1 + v2.scale(coeff)
     w2 = v2 + v1.scale(EPS * c)
-    got = limit_subspace(AMB, [w1, w2])
+    got, _ = limit_subspace(AMB, [zh(w1), zh(w2)])
     assert got == base
 
 

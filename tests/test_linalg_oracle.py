@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from loopcert.commpoly import ZhPoly  # noqa: E402
 from loopcert.linalg import (Subspace, _clear, bigraded_block, echelon,  # noqa: E402
                              limit_subspace, relations, rref)
 from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
@@ -353,10 +354,14 @@ def lowest_order_pluecker(rows, n):
     return 0, []
 
 
-def to_entry(x):
-    """A sympy polynomial in h as a ``SymPoly``, or as a ``Fraction`` if constant."""
-    cs = [F(int(c.p), int(c.q)) for c in sympy.Poly(x, h).all_coeffs()[::-1]]
-    return SymPoly("h", cs) if len(cs) > 1 else cs[0]
+def integral_row(r):
+    """A row of sympy polynomials in h, times the lcm of its coefficient
+    denominators, as the integer coefficient lists of ``limit_subspace``'s
+    rows (``ZhPoly``): {column: ascending coefficients}, zero entries left out."""
+    cs = {j: [sympy.Rational(c) for c in sympy.Poly(x, h).all_coeffs()[::-1]]
+          for j, x in enumerate(r) if x != 0}
+    L = math.lcm(*(int(c.q) for e in cs.values() for c in e))
+    return ZhPoly({j: [int(c * L) for c in e] for j, e in cs.items()})
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,8 +371,7 @@ def test_limit_subspace_matches_pluecker_coordinates(case):
     lowest-order h-coefficients of the family's k x k minors."""
     rows, n = case
     labels = list(range(n))
-    vectors = [Vec({j: to_entry(x) for j, x in enumerate(r) if x != 0}) for r in rows]
-    lim = limit_subspace(labels, vectors, "h")
+    lim, _ = limit_subspace(labels, [integral_row(r) for r in rows])
     k, ref = lowest_order_pluecker(rows, n)
     assert lim.dim == k
     if k == 0:
