@@ -14,20 +14,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .commpoly import LoopAlgebra, mono_deg1, mono_deg2, weighted_words
+from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, weighted_words
 from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation,
                       talalaev_generators, tensor_context, word)
 from .errors import BoundsError, RegularityError, ValidationError
 from .families import (bethe_component_polys, centralizer_subalgebra,
-                       classical_bethe, classical_bethe_curve, diag_to_basis,
+                       classical_bethe, diag_to_basis,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
                        soa_generators, soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algebra
 from .linalg import (Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generator_products, limit_subspace)
-from .scalars import parse_rational, ratstr
+from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import (bethe_generators, f1_monomial_count,
                       f1_monomial_count_enumerated, gr2, rtt_relation_checks,
                       yangian)
@@ -69,6 +69,10 @@ BOUNDS = {
     "gens bethe": {"n": (1, 4), "max-deg": (1, 6)},
     "gens gaudin": {"max-deg": (0, 6)},  # gl4: 0.6 s and 21 MB
     "gens talalaev": {"n": (1, 3), "R": (1, 4)},  # 0.2 s and 17 MB
+    # digits of a numerator or denominator that parse_rational reads: a product
+    # of n <= 4 entries stays under the 4300-digit int-to-str limit, which
+    # ratstr hit; 1e3000000 ran past 30 s in Fraction
+    "rationals": {"digits": (1, 1000)},
 }
 
 
@@ -147,6 +151,18 @@ def parse_entries(spec: Sequence) -> List[Fraction]:
         return [parse_rational(str(e)) for e in spec]
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def _clear_denominators(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(L * entries as integers, L), L the lcm of the entries' denominators."""
+    nums, L = over_common_denominator(dict(enumerate(entries)))
+    return list(nums.values()), L
+
+
+def _constant_bethe(n: int, C: TorusElement, Rmax: int) -> Dict[Tuple[int, int], CommPoly]:
+    """sigma_k^(r)(L C) = L^k sigma_k^(r)(C), L the lcm of C's denominators."""
+    sigma = classical_bethe(n, _clear_denominators(C.entries)[0], [0] * n, Rmax)
+    return {key: s.at_zero() for key, s in sigma.items()}
 
 
 def _commutators(elems: Sequence) -> Iterator[Tuple[int, int, object]]:
@@ -238,9 +254,8 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     entries = parse_entries(entries)
     C = TorusElement.diagonal(entries)
     gl = preset(f"gl{n}")
-    sigma = classical_bethe(n, C, cutoff)
+    buckets = bethe_component_polys(_constant_bethe(n, C, cutoff), cutoff)
     loop = LoopAlgebra(gl, max(cutoff, 1))
-    buckets = bethe_component_polys(sigma, cutoff)
     dims = [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
                   for d in range(1, cutoff + 1)]
     z = centralizer(gl, C)
@@ -354,12 +369,11 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     entries = parse_entries(entries)
     gl = preset(f"gl{n}")
     C = TorusElement.diagonal(entries)
-    sigma = classical_bethe(n, C, rmax)
+    buckets = bethe_component_polys(_constant_bethe(n, C, rmax), rmax)
     z = centralizer(gl, C)
     zgens = [(embed_subalgebra_poly(z, g.poly), g.deg1)
              for g in gaudin_generators(z, rmax - 1, rmax) if g.deg1 <= rmax]
     zbuckets = degree_buckets(zgens, rmax)
-    buckets = bethe_component_polys(sigma, rmax)
     loop = LoopAlgebra(gl, rmax)
     checks = []
     for d in range(1, rmax + 1):
@@ -547,7 +561,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     h = exp(eps g/m) - 1, C0 exp(eps chi) = C0 diag((1+h)^p); rescaling by
     (1+h)^(-min p) keeps every span, as sigma_k^(r) has degree k in C.  Since
     h = (g/m) eps + O(eps^2), Q[[h]] = Q[[eps]] and the limits at 0 agree.
-    The curve is built over Z[h] (``classical_bethe_curve``).
+    The curve is built over Z[h] (``classical_bethe``), at C0 scaled to integers.
     """
     c0 = parse_entries(c0)
     chi_diag = parse_entries(chi_diag)
@@ -561,7 +575,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     # (c0_i, p_i) are
     if len(set(zip(c0, exponents))) < n:
         raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
-    sigma = classical_bethe_curve(n, c0, exponents, dmax)
+    sigma = classical_bethe(n, _clear_denominators(c0)[0], exponents, dmax)
     curve = bethe_component_polys(sigma, dmax)
     # degree d starts at the precision that certified degree d - 1
     limits, K = {}, 4
@@ -580,7 +594,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     z = centralizer(gl, C0)
     chi_z = diag_to_basis(z, chi_diag)
     # B(C0) * A_chi is spanned by the products of both generator lists; the
-    # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L_k
+    # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L^k
     prods = degree_buckets([(s.at_zero(), key[1]) for key, s in sorted(sigma.items())]
                            + [(embed_subalgebra_poly(z, g.poly), g.deg1)
                               for g in soa_generators(z, chi_z)], dmax)
@@ -607,9 +621,9 @@ def dump_generators(family: str, **kw) -> Report:
             taus = bethe_generators(yangian(n, smax), C, smax)
             listing = {f"tau_{k}^({s})": p.render() for (k, s), p in sorted(taus.items())}
         else:
-            lbl = gamma_label(n)
-            listing = {f"sigma_{k}^({s})": p.render(lbl)
-                       for (k, s), p in sorted(classical_bethe(n, C, smax).items())}
+            L, lbl = _clear_denominators(C.entries)[1], gamma_label(n)
+            listing = {f"sigma_{k}^({s})": p.scale(Fraction(1, L ** k)).render(lbl)
+                       for (k, s), p in sorted(_constant_bethe(n, C, smax).items())}
     elif family in ("gaudin", "soa"):
         alg = resolve_algebra(kw["algebra"])
         if family == "gaudin":

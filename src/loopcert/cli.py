@@ -16,11 +16,15 @@ import sys
 from typing import List, Optional
 
 from . import certify
-from .errors import BoundsError, LoopcertError, OutputError
+from .errors import BoundsError, LoopcertError, OutputError, ValidationError
 
 
-def _parse_list(spec: str) -> List[str]:
-    return [s for s in spec.split(",") if s]
+def _parse_list(spec: str, option: str) -> List[str]:
+    """The comma-separated entries of ``option``, none for an empty spec."""
+    entries = spec.split(",") if spec else []
+    if not all(map(str.strip, entries)):
+        raise ValidationError(f"{option} {spec!r} has an empty entry")
+    return entries
 
 
 def _bounded(value: int, suite: str, name: str, n: Optional[int] = None) -> int:
@@ -148,13 +152,13 @@ def run(args: argparse.Namespace) -> certify.Report:
         return certify.verify_rtt(_bounded(args.n, cmd, "n"), _bounded(args.order, cmd, "order"))
     if cmd == "verify-bethe":
         n = _bounded(_gl_size(args.algebra), cmd, "n")
-        return certify.verify_bethe(n, _parse_list(args.C),
+        return certify.verify_bethe(n, _parse_list(args.C, "--C"),
                                     _bounded(args.max_deg, cmd, "max-deg", n),
                                     workers=_bounded(args.workers, cmd, "workers"))
     if cmd == "verify-gaudin":
         return certify.verify_gaudin(args.algebra, _bounded(args.kmax, cmd, "kmax"))
     if cmd == "verify-soa":
-        return certify.verify_soa(args.algebra, _parse_list(args.chi), seed=args.seed)
+        return certify.verify_soa(args.algebra, _parse_list(args.chi, "--chi"), seed=args.seed)
     if cmd == "verify-talalaev":
         return certify.verify_talalaev(_bounded(args.n, cmd, "n"), _bounded(args.R, cmd, "R"),
                                        _bounded(args.max_deg, cmd, "max-deg"))
@@ -165,7 +169,7 @@ def run(args: argparse.Namespace) -> certify.Report:
         n = _gl_size(args.algebra)
         if args.C is None:
             raise LoopcertError("gr --comparison theorem-A needs --C")
-        return certify.verify_theorem_A(n, _parse_list(args.C),
+        return certify.verify_theorem_A(n, _parse_list(args.C, "--C"),
                                         _bounded(args.max_deg, key, "max-deg"))
     if cmd == "poincare":
         key = f"poincare {args.family}"
@@ -175,20 +179,22 @@ def run(args: argparse.Namespace) -> certify.Report:
         n = _gl_size(args.algebra)
         if args.C is None:
             raise LoopcertError("poincare --family bethe needs --C")
-        return certify.poincare_bethe(n, _parse_list(args.C),
+        return certify.poincare_bethe(n, _parse_list(args.C, "--C"),
                                       _bounded(args.cutoff, key, "cutoff"))
     if cmd == "limit":
         n = _bounded(_gl_size(args.algebra), cmd, "n")
-        return certify.verify_theorem_B(n, _parse_list(args.C0), _parse_list(args.chi),
+        return certify.verify_theorem_B(n, _parse_list(args.C0, "--C0"),
+                                        _parse_list(args.chi, "--chi"),
                                         _bounded(args.deg, cmd, "deg", n))
     if cmd == "eval-gaudin":
-        z = _parse_list(args.z)
+        z = _parse_list(args.z, "--z")
         _bounded(len(z), cmd, "number of --z points")
         return certify.verify_eval_gaudin(args.algebra, z, _bounded(args.kmax, cmd, "kmax"))
     if cmd == "gens":
         if args.family in ("bethe", "classical-bethe"):
             n = _bounded(_gl_size(args.algebra), "gens bethe", "n")
-            kw = {"n": n, "C": _parse_list(args.C or ",".join(map(str, range(1, n + 1)))),
+            C = args.C or ",".join(map(str, range(1, n + 1)))
+            kw = {"n": n, "C": _parse_list(C, "--C"),
                   "smax": _bounded(args.max_deg, "gens bethe", "max-deg")}
         elif args.family == "gaudin":
             kw = {"algebra": args.algebra,
@@ -196,7 +202,7 @@ def run(args: argparse.Namespace) -> certify.Report:
         elif args.family == "soa":
             if args.chi is None:
                 raise LoopcertError("gens --family soa needs --chi")
-            kw = {"algebra": args.algebra, "chi": _parse_list(args.chi)}
+            kw = {"algebra": args.algebra, "chi": _parse_list(args.chi, "--chi")}
         elif args.family == "talalaev":
             kw = {"n": _bounded(args.n, "gens talalaev", "n"),
                   "R": _bounded(args.R, "gens talalaev", "R")}

@@ -12,12 +12,12 @@ order is (r, a) order, so the one monomial order, graded-lex on (deg1, str),
 is fixed once and echelon bases are canonical.  No other module builds,
 sorts or reads monomials.
 
-``CommPoly`` itself is ring-agnostic.  A product of two rational
-polynomials multiplies integer numerators over the two operands' common
-denominators and builds one ``Fraction`` per output term; other
-coefficients (``SymPoly``) multiply term by term.  ``ZhPoly`` holds the
-curve of ``limit``: coefficients in Z[h] as integer lists, multiplied by
-``scalars.mul_into``.  The two Poisson
+``CommPoly`` has rational coefficients (``int`` or ``Fraction``).  A
+product multiplies integer numerators over the two operands' common
+denominators and builds one ``Fraction`` per output term.  ``ZhPoly`` holds
+the classical Bethe family over Z[h] (``families.classical_bethe``):
+coefficients as integer lists in h, multiplied by ``scalars.mul_into``, and
+read at h = 0 as a ``CommPoly``.  The two Poisson
 brackets and the derivation D live on ``LoopAlgebra``, which couples a
 structure-constant table (an ``int`` where the denominator is 1) with a
 truncation level R (max t-degree, exclusive).  Operations that would
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import BoundsError, TruncationError
-from .scalars import Scalar, SymPoly, mul_into, over_common_denominator, sc_str
+from .scalars import mul_into, over_common_denominator, ratstr
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
 Monomial = str  # sorted letters, one per factor
@@ -83,25 +83,19 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return "".join(sorted(m1 + m2))
 
 
-def _rational(terms: Dict[Monomial, Scalar]) -> bool:
-    """Whether every coefficient is an ``int`` or a ``Fraction``."""
-    return set(map(type, terms.values())) <= {int, Fraction}
-
-
 class CommPoly:
     """Sparse commutative polynomial; immutable by convention."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Monomial, Scalar] | None = None) -> None:
+    def __init__(self, terms: Dict[Monomial, Fraction] | None = None) -> None:
         self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "CommPoly":
-        c = c if isinstance(c, SymPoly) else Fraction(c)
-        return cls({"": c})
+        return cls({"": Fraction(c)})
 
     @classmethod
     def variable(cls, a: int, r: int) -> "CommPoly":
@@ -140,19 +134,18 @@ class CommPoly:
         return CommPoly({m: co * c for m, co in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SymPoly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, CommPoly):
             return NotImplemented
-        a, b, den = self.terms, other.terms, 0
-        if _rational(a) and _rational(b):
-            (a, da), (b, db) = over_common_denominator(a), over_common_denominator(b)
-            den = da * db
-        raw: Dict[Monomial, Scalar] = defaultdict(int)
+        a, da = over_common_denominator(self.terms)
+        b, db = over_common_denominator(other.terms)
+        den = da * db
+        raw: Dict[Monomial, int] = defaultdict(int)
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 raw[mono_mul(m1, m2)] += c1 * c2
-        return CommPoly({m: Fraction(c, den) for m, c in raw.items() if c} if den else raw)
+        return CommPoly({m: Fraction(c, den) for m, c in raw.items() if c})
 
     __rmul__ = __mul__
 
@@ -178,7 +171,7 @@ class CommPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def evaluate(self, point: Dict[str, Fraction]) -> Scalar:
+    def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
         """The value at a point keyed by letter; absent letters are 0."""
         return sum((c * math.prod(point.get(ch, 0) for ch in m)
                     for m, c in self.terms.items()), Fraction(0))
@@ -196,7 +189,7 @@ class CommPoly:
         for m in sorted(self.terms, key=lambda m: (mono_deg1(m), m)):
             factors = [varname(var_of(ch)) + (f"^{k}" if (k := m.count(ch)) > 1 else "")
                        for ch in sorted(set(m))]
-            parts.append(f"{sc_str(self.terms[m])}*{'*'.join(factors) or '1'}")
+            parts.append(f"{ratstr(self.terms[m])}*{'*'.join(factors) or '1'}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -266,12 +259,12 @@ def derivation(p: CommPoly, image: Callable[[int, int], CommPoly]) -> CommPoly:
     return _derive(partials(p), lambda v: image(*var_of(v)).terms, 1)
 
 
-def _derive(p_partials: Partials, image: Callable[[str], Dict[Monomial, Scalar]],
+def _derive(p_partials: Partials, image: Callable[[str], Dict[Monomial, Fraction]],
             den: int) -> CommPoly:
     """``derivation`` of the p whose ``partials`` are given, with ``image``
     keyed by letter and its coefficients over the denominator ``den``."""
     dp, L = p_partials
-    out: Dict[Monomial, Scalar] = defaultdict(int)
+    out: Dict[Monomial, Fraction] = defaultdict(int)
     for v, dv in dp.items():
         for m2, c2 in image(v).items():
             for m1, c1 in dv.items():
@@ -319,11 +312,11 @@ class LoopAlgebra:
     # -- Poisson brackets --------------------------------------------------
 
     def _bracket_with(self, dq: Dict[str, Dict[Monomial, int]], v: str,
-                      shift: int) -> Dict[Monomial, Scalar]:
+                      shift: int) -> Dict[Monomial, Fraction]:
         """{v, q} = sum_w dq/dw * {v, w} in integers over q's denominator, from
         q's partials dq, with {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]."""
         r, a = divmod(ord(v), B)
-        out: Dict[Monomial, Scalar] = defaultdict(int)
+        out: Dict[Monomial, Fraction] = defaultdict(int)
         for w, dw in dq.items():
             s, b = divmod(ord(w), B)
             cs, t = self._brackets[a, b], r + s + shift
@@ -347,9 +340,9 @@ class LoopAlgebra:
         for j in range(1, len(polys)):
             dq, Lq = dps[j]
             for s in shifts:
-                field: Dict[str, Dict[Monomial, Scalar]] = {}
+                field: Dict[str, Dict[Monomial, Fraction]] = {}
 
-                def image(v: str) -> Dict[Monomial, Scalar]:
+                def image(v: str) -> Dict[Monomial, Fraction]:
                     img = field.get(v)
                     if img is None:
                         img = field[v] = self._bracket_with(dq, v, s)
@@ -357,13 +350,13 @@ class LoopAlgebra:
                 for i in range(j):
                     yield i, j, s, _derive(dps[i], image, Lq)
 
-    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Scalar]:
+    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
         """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
         distinct variable x_b[r] of m adds its multiplicity times m without
         it times [x_a, x_b][r].  The t-degree is unchanged, so nothing
         truncates.  The coefficients are sums over the bracket table, so
         ``int``s where its entries are."""
-        out: Dict[Tuple[int, Monomial], Scalar] = defaultdict(int)
+        out: Dict[Tuple[int, Monomial], Fraction] = defaultdict(int)
         for i, v in enumerate(m):
             if i and m[i - 1] == v:
                 continue
@@ -388,7 +381,7 @@ class LoopAlgebra:
 
     def derivation_D(self, p: CommPoly) -> CommPoly:
         """D(x[n]) = (n+1) x[n+1], extended as a derivation."""
-        def raise_degree(v: str) -> Dict[Monomial, Scalar]:
+        def raise_degree(v: str) -> Dict[Monomial, Fraction]:
             r = ord(v) // B + 1
             if r >= self.R:
                 raise TruncationError(
@@ -410,7 +403,7 @@ class LoopAlgebra:
 
     def _casimir_element(self, r: int) -> CommPoly:
         ginv = self.alg.gram_inverse()
-        out: Dict[Monomial, Scalar] = defaultdict(int)
+        out: Dict[Monomial, Fraction] = defaultdict(int)
         for a in range(self.alg.dim):
             for b in range(self.alg.dim):
                 out[monomial([(a, 0), (b, r)])] += ginv[b][a]

@@ -8,7 +8,9 @@ g_r u^(-r)) are stored as the CommPoly variables x_(i*n + j)[r - 1], which
 makes deg1/deg2 bookkeeping and the leading-term substitution
 gamma_ij^(s) -> x_ij[s-1] the identity on variables.  The minors of g(u)
 are ``scalars.leibniz_det`` over ``Series`` entries with keys (r, monomial)
-for u^(-r) times a ``CommPoly`` monomial.
+for u^(-r) times a ``CommPoly`` monomial, with integer coefficients;
+``classical_bethe``, the one builder of the classical Bethe family, weights
+them along a curve C(h) over Z[h], a constant C being its value at h = 0.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, letter,
                        monomial, mono_mul, partials, var_of)
 from .errors import RegularityError, ValidationError
-from .liealg import LieAlgebraData, TorusElement, regular_cartan_check
+from .liealg import LieAlgebraData, regular_cartan_check
 from .linalg import Subspace, degree_buckets, echelon, relations
-from .scalars import Scalar, Series, leibniz_det, mul_into, truncated_join
+from .scalars import Series, leibniz_det, mul_into, truncated_join
 
 
 class FamilyElement(NamedTuple):
@@ -127,72 +129,43 @@ def gamma_label(n: int):
 
 
 def _minor_series(n: int, subset: Sequence[int], Rmax: int) -> Series:
-    """u-expansion of det of the (subset x subset) block of g(u), through u^(-Rmax)."""
+    """u-expansion of det of the (subset x subset) block of g(u), through
+    u^(-Rmax), with integer coefficients."""
     join = truncated_join(Rmax, mono_mul)
 
     def entry(a: int, c: int) -> Series:
         i, j = subset[a], subset[c]
-        terms = {(0, monomial(())): Fraction(1)} if i == j else {}
+        terms = {(0, monomial(())): 1} if i == j else {}
         for r in range(1, Rmax + 1):
             (m,) = gamma_var(n, i, j, r).terms
-            terms[(r, m)] = Fraction(1)
+            terms[(r, m)] = 1
         return Series(terms, join)
 
     return leibniz_det(len(subset), entry)
 
 
-def classical_bethe(n: int, C: TorusElement, Rmax: int
-                    ) -> Dict[Tuple[int, int], CommPoly]:
-    """sigma_k^(r) = [u^-r] tr Lambda^k(C g(u)) for 1 <= k <= n, 1 <= r <= Rmax.
-
-    C may carry a formal parameter; coefficients follow the scalar ring of
-    its entries.
-    """
-    if len(C.entries) != n:
+def classical_bethe(n: int, c: Sequence[int], p: Sequence[int], Rmax: int
+                    ) -> Dict[Tuple[int, int], ZhPoly]:
+    """sigma_k^(r) = [u^-r] tr Lambda^k(C g(u)) for 1 <= k <= n, 1 <= r <= Rmax,
+    over Z[h] along C(h) = diag(c_i (1+h)^(p_i)), the c_i nonzero integers and
+    the p_i >= 0: sum_S c_S (1+h)^(p_S) minor_S^(r) over the k-subsets S of
+    1..n, c_S the product of the c_i and p_S the sum of the p_i over S.
+    sigma_k has degree k in C, so a caller scales a rational C to integers by
+    the lcm L of its denominators, which multiplies sigma_k by L^k and keeps
+    every span; a constant C is p = 0, read by ``ZhPoly.at_zero``."""
+    if len(c) != n:
         raise ValidationError("C must be diagonal with n entries")
-    out: Dict[Tuple[int, int], CommPoly] = {}
-    for k in range(1, n + 1):
-        series = Series({}, truncated_join(Rmax, mono_mul))
-        for subset in itertools.combinations(range(1, n + 1), k):
-            weight: Scalar = Fraction(1)
-            for i in subset:
-                weight = weight * C.entries[i - 1]
-            series = series + _minor_series(n, subset, Rmax).scale(weight)
-        coeffs: Dict[int, Dict] = {}
-        for (r, m), c in series.terms.items():
-            coeffs.setdefault(r, {})[m] = c
-        for r in range(1, Rmax + 1):
-            out[(k, r)] = CommPoly(coeffs.get(r))
-    return out
-
-
-def classical_bethe_curve(n: int, c0: Sequence[Fraction], p: Sequence[int], Rmax: int
-                          ) -> Dict[Tuple[int, int], ZhPoly]:
-    """``classical_bethe`` along the curve C(h) = C0 diag((1+h)^p), p >= 0,
-    over Z[h].
-
-    sigma_k^(r)(C(h)) = sum_S c0_S (1+h)^(p_S) minor_S^(r) over the k-subsets
-    S of 1..n, c0_S the product of the c0_i and p_S the sum of the p_i over S.
-    The minors of g(u) are h-free with integer coefficients, so each
-    sigma_k^(r) comes over Z[h] once it is multiplied by L_k, the lcm of the
-    denominators of the c0_S; that leaves every span unchanged.
-    """
     out: Dict[Tuple[int, int], ZhPoly] = {}
+    width = sum(p) + 1  # past the sum of the p_i over any subset
     for k in range(1, n + 1):
-        subsets = list(itertools.combinations(range(1, n + 1), k))
-        weights = [math.prod((Fraction(c0[i - 1]) for i in S), start=Fraction(1))
-                   for S in subsets]
-        L = math.lcm(*(w.denominator for w in weights))
-        width = max(sum(p[i - 1] for i in S) for S in subsets) + 1
         acc: Dict[int, Dict[Monomial, List[int]]] = {r: {} for r in range(1, Rmax + 1)}
-        for S, w in zip(subsets, weights):
-            pS = sum(p[i - 1] for i in S)
-            wS = [(w * L).numerator * math.comb(pS, e) for e in range(pS + 1)]
-            for (r, m), c in _minor_series(n, S, Rmax).terms.items():
+        for S in itertools.combinations(range(1, n + 1), k):
+            cS, pS = math.prod(c[i - 1] for i in S), sum(p[i - 1] for i in S)
+            wS = [cS * math.comb(pS, e) for e in range(pS + 1)]
+            for (r, m), x in _minor_series(n, S, Rmax).terms.items():
                 if r:
-                    mul_into(acc[r].setdefault(m, [0] * width), wS, (c.numerator,))
-        for r in range(1, Rmax + 1):
-            out[(k, r)] = ZhPoly(acc[r])
+                    mul_into(acc[r].setdefault(m, [0] * width), wS, (x,))
+        out.update({(k, r): ZhPoly(terms) for r, terms in acc.items()})
     return out
 
 
@@ -200,8 +173,8 @@ def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly | ZhPoly], dmax:
                           ) -> List[List[CommPoly | ZhPoly]]:
     """Spanning sets of the graded components of degree 0..dmax: the nonzero
     products of sigma_k^(r) by total Fourier degree (each sigma_k^(r) is
-    deg1-homogeneous of degree r), with 1 in degree 0; over Z[h] for the
-    curve of ``classical_bethe_curve``."""
+    deg1-homogeneous of degree r), with 1 in degree 0; over Z[h] for a
+    curve of ``classical_bethe``, over Q for its value at h = 0."""
     return degree_buckets([(sigma[key], key[1]) for key in sorted(sigma)], dmax)
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra, letter, monomial
 from .errors import RegularityError, ValidationError
 from .linalg import echelon
-from .scalars import Scalar, SymPoly, parse_rational, ratstr
+from .scalars import parse_rational, ratstr
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Sparse = Dict[Tuple[int, int], object]  # {(i, j): nonzero entry}, Fraction or CommPoly
@@ -324,17 +324,16 @@ def matrix_algebra(name: str, labels: Sequence[str], size: int, matrices: Sequen
 
 
 class TorusElement:
-    """A diagonal torus element of gl_n, stored by its diagonal entries
-    (rationals, or rationals with a formal parameter)."""
+    """A diagonal torus element of gl_n, stored by its rational diagonal entries."""
 
-    def __init__(self, entries: Sequence[Scalar]) -> None:
+    def __init__(self, entries: Sequence[int | str | Fraction]) -> None:
         # a float would carry its binary expansion into every coefficient
-        if not all(isinstance(e, (int, str, Fraction, SymPoly)) for e in entries):
+        if not all(isinstance(e, (int, str, Fraction)) for e in entries):
             raise ValidationError(f"torus entries {list(entries)!r} must be exact: "
-                                  "int, str, Fraction or SymPoly")
+                                  "int, str or Fraction")
         try:
-            self.entries = [e if isinstance(e, SymPoly) else Fraction(e) for e in entries]
-        except (ValueError, ZeroDivisionError) as exc:
+            self.entries = [parse_rational(str(e)) for e in entries]
+        except ValueError as exc:
             raise ValidationError(f"torus entry is not a rational: {exc}") from exc
         if not all(self.entries):
             raise ValidationError("torus entries must be invertible (nonzero)")
@@ -346,13 +345,6 @@ class TorusElement:
     @classmethod
     def identity(cls, n: int) -> "TorusElement":
         return cls(entries=[Fraction(1)] * n)
-
-    def is_regular(self) -> bool:
-        """True iff no root eigenvalue c_i / c_j equals 1: the entries are
-        pairwise distinct."""
-        n = len(self.entries)
-        return all(self.entries[i] - self.entries[j]
-                   for i in range(n) for j in range(i + 1, n))
 
 
 def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:

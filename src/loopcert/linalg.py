@@ -3,12 +3,11 @@ associated-bigraded blocks of doubly filtered spans, products of
 generators, and Grassmannian limits of parametrized subspace families as
 h -> 0.
 
-``echelon`` is the one elimination, on sparse rows ({column: entry}) read
-straight from the ``.terms`` of polynomials, so its cost follows the
-nonzeros rather than the width.  Rational rows are eliminated
-fraction-free over Z, each as integer numerators over the lcm of its
-denominators, and become ``Fraction``s once, at the output; rows over
-another exact field (``RatFunc``) run through the same loop.  Its (pivot
+``echelon`` is the one elimination, on sparse rows ({column: entry}) of
+rationals read straight from the ``.terms`` of polynomials, so its cost
+follows the nonzeros rather than the width.  Each row is eliminated
+fraction-free over Z, as integer numerators over the lcm of its
+denominators, and becomes ``Fraction``s once, at the output.  Its (pivot
 column, row) pairs are the one row format: a ``Subspace`` is those rows
 over an explicit ambient list, so equality of subspaces is equality of
 rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
@@ -32,29 +31,28 @@ from .errors import BoundsError
 from .scalars import mul_into, over_common_denominator
 
 T = TypeVar("T")
-Row = Dict[int, Any]  # {column: nonzero entry}
+Row = Dict[int, Any]  # {column: nonzero entry}, an int or a Fraction
 
 
 def echelon(rows: Iterable[Row]) -> List[Tuple[int, Row]]:
-    """Reduced row echelon form of sparse rows over any exact domain, as
-    (pivot column, row) pairs in pivot order; each row is one at its pivot
-    and zero at every other pivot column.  Empty rows are dropped, and the
-    rows passed in may be consumed (cleared in place).
+    """Reduced row echelon form of sparse rows of rationals (``int`` or
+    ``Fraction``), as (pivot column, row) pairs in pivot order; each row is
+    one at its pivot and zero at every other pivot column.  Empty rows are
+    dropped, and the rows passed in may be consumed (cleared in place).
 
-    A row of rationals (``int`` or ``Fraction``) enters as integer
-    numerators over the lcm of its denominators, which leaves its span
-    unchanged; the elimination is then fraction-free over Z, and each row
-    becomes ``Fraction``s once, divided by its pivot entry at the output.
-    The pivot is the smallest leading column, taken from its shortest row;
-    ``_clear`` clears its column from the other rows leading there, then
-    from the pivot rows above by back-substitution.  The RREF is unique, so
-    neither the choice of pivot row nor the scaling of rows changes the
-    result.  Entries must be nonzero; zero tests are truthiness.
+    A row enters as integer numerators over the lcm of its denominators,
+    which leaves its span unchanged; the elimination is then fraction-free
+    over Z, and each row becomes ``Fraction``s once, divided by its pivot
+    entry at the output.  The pivot is the smallest leading column, taken
+    from its shortest row; ``_clear`` clears its column from the other rows
+    leading there, then from the pivot rows above by back-substitution.
+    The RREF is unique, so neither the choice of pivot row nor the scaling
+    of rows changes the result.  Entries must be nonzero.
     """
     by_lead: Dict[int, List[Row]] = {}
     for r in rows:
         if r:
-            by_lead.setdefault(min(r), []).append(_numerators(r))
+            by_lead.setdefault(min(r), []).append(over_common_denominator(r)[0])
     leads = list(by_lead)
     heapq.heapify(leads)
     found: List[Tuple[int, Row]] = []
@@ -80,35 +78,23 @@ def echelon(rows: Iterable[Row]) -> List[Tuple[int, Row]]:
         for j in [j for j in row if j in reduced]:
             _clear(row, j, reduced[j])
         reduced[col] = row
-    return [(col, _monic(row, col)) for col, row in found]
-
-
-def _numerators(r: Row) -> Row:
-    """A row of rationals times the lcm of its denominators, as ``int``s;
-    an integer row, or a row over another domain, as it is."""
-    kinds = set(map(type, r.values()))
-    if kinds == {int} or not kinds <= {int, Fraction}:
-        return r
-    return over_common_denominator(r)[0]
-
+    return [(col, {j: Fraction(x, row[col]) for j, x in row.items()}) for col, row in found]
 
 def _clear(r: Row, col: int, pivot_row: Row) -> None:
     """r <- a r - b pivot_row in place, with (a, b) = (pivot_row[col],
-    r[col]) over their gcd and a > 0 when both are ``int``, so that r's
-    entry at col cancels; entries that cancel are dropped.  When the pivot
-    entry divides r[col] (always, for a pivot entry one), a = 1 and only the
-    pivot row's entries are touched; an integer row that was scaled is
-    divided by its content."""
+    r[col]) over their gcd and a > 0, so that r's entry at col cancels;
+    entries that cancel are dropped.  A pivot entry other than one is an
+    ``int``: ``echelon``'s rows are integers, and a ``Subspace``'s are monic.
+    When the pivot entry divides r[col], a = 1 and only the pivot row's
+    entries are touched; a row that was scaled is divided by its content."""
     b = r.pop(col)
     a = pivot_row[col]
-    if type(a) is int and type(b) is int:
-        g = math.gcd(a, b)
-        if a < 0:
-            g = -g
-        a, b = a // g, b // g
     if a != 1:
-        for j in r:
-            r[j] *= a
+        g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for j in r:
+                r[j] *= a
     for j, x in pivot_row.items():
         if j != col:
             y = r.get(j)
@@ -117,30 +103,20 @@ def _clear(r: Row, col: int, pivot_row: Row) -> None:
                 r[j] = y
             else:
                 del r[j]
-    if a != 1 and type(a) is int and r:
+    if a != 1 and r:
         g = math.gcd(*r.values())
         if g != 1:
             for j in r:
                 r[j] //= g
 
 
-def _monic(row: Row, col: int) -> Row:
-    """The row divided by its entry at col, as ``Fraction``s when it is an
-    integer row."""
-    u = row[col]
-    if type(u) is int:
-        return {j: Fraction(x, u) for j, x in row.items()}
-    return {j: x / u for j, x in row.items()}
-
-
 def rref(rows: List[List]) -> List[List]:
-    """Reduced row echelon form of a dense matrix over any exact field;
-    drops zero rows.  The dense adapter of ``echelon``: the gaps of each
-    output row hold the field's own zero, its pivot entry minus itself."""
+    """Reduced row echelon form of a dense matrix of rationals, as
+    ``Fraction``s; drops zero rows.  The dense adapter of ``echelon``."""
     ncols = len(rows[0]) if rows else 0
     out = []
     for col, row in echelon({j: x for j, x in enumerate(r) if x} for r in rows):
-        dense = [row[col] - row[col]] * ncols
+        dense = [Fraction(0)] * ncols
         for j, x in row.items():
             dense[j] = x
         out.append(dense)

@@ -1,19 +1,18 @@
-"""Exact scalar rings: rationals, Q[s] for a formal symbol s, and its fraction
-field; plus the one series kernel: ``Series``, a sparse combination of basis
-keys multiplied through a basis product, and ``leibniz_det``, the Leibniz
+"""Exact scalars: rationals, read by ``parse_rational`` and written by
+``ratstr``, and integer coefficient lists in h, multiplied by ``mul_into``;
+plus the one series kernel: ``Series``, a sparse combination of basis keys
+multiplied through a basis product, and ``leibniz_det``, the Leibniz
 expansion that every minor and column determinant in the package runs
 through.  The quantum minors of T(u), the minors of g(u) and Talalaev's
 cdet(d_z - L(z)) are all ``leibniz_det`` over ``Series`` entries; they differ
 only in the basis product they pass.
 
-Every coefficient in the package is either a ``fractions.Fraction``, a
-``SymPoly`` (polynomial in one formal symbol, e.g. ``eps`` or ``v``, with
-rational coefficients), or, on the path of ``limit``, an ascending list of
-integer coefficients in h, multiplied by ``mul_into`` alone.  Floats are
-never used.  ``RatFunc`` (quotients of ``SymPoly``) is reached by no
-certificate: limits eliminate over Z[h] mod h^K (``linalg.limit_subspace``).
-It is kept for the Q(eps) oracle test of ``echelon`` and for the benchmark's
-layer timers.
+Every coefficient in the package is a rational (``int`` or ``Fraction``)
+or, along the curve of ``families.classical_bethe``, an ascending list of
+integer coefficients in h.  Floats are never used.  ``SymPoly`` (polynomials
+in one formal symbol over Q) and ``RatFunc`` (their quotients) are reached
+by no certificate and by no other module; they are kept for their own tests
+and for the benchmark's layer timers.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import (Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar
 
-Q = Fraction
 T = TypeVar("T")
 
 
@@ -38,15 +35,17 @@ def ratstr(x: Fraction) -> str:
 
 def over_common_denominator(terms: Dict[T, Fraction]) -> Tuple[Dict[T, int], int]:
     """(integer numerators, L) with terms = numerators / L, L the lcm of the
-    denominators."""
+    denominators; integer terms are returned themselves, with L = 1."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
     lcm = math.lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (lcm // c.denominator) for k, c in terms.items()}, lcm
 
 
 def mul_into(out: List[int], a: Sequence[int], b: Sequence[int]) -> List[int]:
     """out += a * b for ascending coefficient lists, truncated to len(out);
-    returns out.  The one product over Z[h]: the curve of ``limit``
-    (``commpoly.ZhPoly``) and its h-adic elimination both run through it.
+    returns out.  The one product over Z[h]: the classical Bethe family
+    (``commpoly.ZhPoly``) and the h-adic elimination both run through it.
     Zero entries of ``a`` are skipped, so pass the sparser factor first."""
     n = len(out)
     for i, x in enumerate(a[:n]):
@@ -57,10 +56,26 @@ def mul_into(out: List[int], a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 
 def parse_rational(s: str) -> Fraction:
+    """The rational written as p, p/q or a decimal with an optional exponent;
+    ValueError if it is none, or if its numerator or denominator has more
+    digits than ``certify.BOUNDS["rationals"]["digits"]``.  More than twice
+    as many digits, or an exponent past it, is refused before ``Fraction``
+    reads the text, so no large power of ten is expanded."""
+    from .certify import BOUNDS  # the admission table, which imports this module
+    most = BOUNDS["rationals"]["digits"][1]
+    text = s.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    shift = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    past = (sum(map(str.isdecimal, mantissa)) > 2 * most
+            or (shift.isdecimal() and (len(shift) > len(str(most)) or int(shift) > most)))
     try:
-        return Fraction(s.strip())
+        x = None if past else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational from {s!r}") from exc
+    if x is None or max(abs(x.numerator), x.denominator) >= 10 ** most:
+        raise ValueError(f"rational {text[:40] + '...' * (len(text) > 40)!r} is past the "
+                         f"bound of {most} digits for a numerator or denominator")
+    return x
 
 
 class SymPoly:
@@ -199,16 +214,7 @@ class SymPoly:
         return " + ".join(parts)
 
 
-Scalar = Union[Fraction, SymPoly]
-
-
-def sc_str(c: Scalar) -> str:
-    if isinstance(c, SymPoly):
-        return f"({c!r})" if not c.is_constant() else ratstr(c.constant_term())
-    return ratstr(c)
-
-
-Join = Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, Scalar]]]
+Join = Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, Any]]]
 
 
 class Series:
@@ -222,7 +228,7 @@ class Series:
 
     __slots__ = ("terms", "join")
 
-    def __init__(self, terms: Dict[Hashable, Scalar], join: Join) -> None:
+    def __init__(self, terms: Dict[Hashable, Any], join: Join) -> None:
         self.terms = terms
         self.join = join
 
@@ -239,14 +245,14 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         return self + other.scale(-1)
 
-    def scale(self, c: Scalar) -> "Series":
+    def scale(self, c) -> "Series":
         if not c:
             return Series({}, self.join)
         return Series({k: x * c for k, x in self.terms.items()}, self.join)
 
     def __mul__(self, other: "Series") -> "Series":
         join = self.join
-        out: Dict[Hashable, Scalar] = {}
+        out: Dict[Hashable, Any] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c = c1 * c2
@@ -343,7 +349,7 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def from_scalar(cls, c: Scalar, symbol: str) -> "RatFunc":
+    def from_scalar(cls, c: Fraction | SymPoly, symbol: str) -> "RatFunc":
         if isinstance(c, SymPoly):
             return cls(c, SymPoly.const(c.symbol, 1))
         return cls(SymPoly.const(symbol, c), SymPoly.const(symbol, 1))

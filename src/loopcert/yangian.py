@@ -160,14 +160,13 @@ def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
     """
     if len(C.entries) != ctx.n:
         raise ValidationError("C must be diagonal with n entries")
-    cs = [Fraction(c) for c in C.entries]
     out: Dict[Tuple[int, int], NCPoly] = {}
     for k in range(1, ctx.n + 1):
         series = Series({}, truncated_join(Nmax, operator.add))
         for subset in itertools.combinations(range(1, ctx.n + 1), k):
             weight = Fraction(1)
             for i in subset:
-                weight *= cs[i - 1]
+                weight *= C.entries[i - 1]
             series = series + quantum_minor(ctx, subset, subset, Nmax).scale(weight)
         for s in range(1, Nmax + 1):
             out[(k, s)] = u_coefficient(ctx, series, s)

@@ -8,7 +8,7 @@ import pytest
 from loopcert import certify, envelop
 from loopcert.commpoly import LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import TorusElement, preset
+from loopcert.liealg import preset
 from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
@@ -107,14 +107,14 @@ class TestSuites:
     def test_theorem_B_generic_dims_check_can_fail(self, monkeypatch):
         # negative control: drop sigma_n^(1) from the curve, and so from its
         # value B(C0) at h = 0
-        real = certify.classical_bethe_curve
+        real = certify.classical_bethe
 
         def drop_one(n, *args):
             sigma = real(n, *args)
             del sigma[(n, 1)]
             return sigma
 
-        monkeypatch.setattr(certify, "classical_bethe_curve", drop_one)
+        monkeypatch.setattr(certify, "classical_bethe", drop_one)
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
         check = rep.checks[0]
         assert not check.passed
@@ -124,8 +124,8 @@ class TestSuites:
         # negative control: drop sigma_n^(1) from the Bethe family
         real = certify.classical_bethe
 
-        def drop_one(n, C, Rmax):
-            sigma = real(n, C, Rmax)
+        def drop_one(n, *args):
+            sigma = real(n, *args)
             del sigma[(n, 1)]
             return sigma
 
@@ -138,8 +138,8 @@ class TestSuites:
     def test_poincare_lower_bound_check_can_fail(self, monkeypatch):
         # negative control: drop every sigma_k^(1) from the Bethe family
         real = certify.classical_bethe
-        monkeypatch.setattr(certify, "classical_bethe", lambda n, C, Rmax: {
-            key: p for key, p in real(n, C, Rmax).items() if key[1] != 1})
+        monkeypatch.setattr(certify, "classical_bethe", lambda *args: {
+            key: p for key, p in real(*args).items() if key[1] != 1})
         rep = certify.poincare_bethe(2, ["1", "2"], 3)
         check = rep.checks[1]
         assert not check.passed
@@ -231,8 +231,8 @@ class TestSuites:
         from loopcert.linalg import Subspace
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=3)
         loop = LoopAlgebra(preset("gl2"), 3)
-        sig0 = classical_bethe(2, TorusElement.diagonal([1, 1]), 3)
-        buckets = bethe_component_polys(sig0, 3)
+        sig0 = classical_bethe(2, [1, 1], [0, 0], 3)
+        buckets = bethe_component_polys({k: s.at_zero() for k, s in sig0.items()}, 3)
         for d in (1, 2, 3):
             at_zero = Subspace.span_of(buckets[d],
                                        loop.component_monomials(d)).dim

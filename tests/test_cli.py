@@ -98,9 +98,10 @@ def _option(suite, name, value):
 
 
 # every range the CLI enforces, a per-n range once per n; the monomial count
-# of a centralizer component is checked by certify itself
+# of a centralizer component is checked by certify itself, and the digits of
+# a rational by scalars.parse_rational (test_oversized_rational_exit_two)
 RANGES = [(suite, name, n)
-          for suite, names in certify.BOUNDS.items()
+          for suite, names in certify.BOUNDS.items() if suite != "rationals"
           for name, (lo, hi) in names.items() if name != "monomials"
           for n in (sorted(hi) if isinstance(hi, dict) else [None])]
 
@@ -136,6 +137,53 @@ def test_bad_rational_exit_two(capsys):
     code = main(["verify-bethe", "--algebra", "gl2", "--C", "1,zebra",
                  "--max-deg", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["verify-bethe", "--algebra", "gl2", "--C", "1,,2", "--max-deg", "2"], "--C"),
+    (["limit", "--algebra", "gl2", "--C0", "1,1,", "--chi", ",1,-1"], "--C0"),
+    (["limit", "--algebra", "gl2", "--C0", "1,1", "--chi", ",1,-1"], "--chi"),
+    (["verify-soa", "--algebra", "sl3", "--chi", "1,2,-3,"], "--chi"),
+    (["eval-gaudin", "--algebra", "sl2", "--z", "0,1, ,4"], "--z"),
+    (["gens", "--family", "classical-bethe", "--algebra", "gl2", "--C", ","], "--C"),
+])
+def test_empty_entry_exit_two(capsys, argv, option):
+    # empty entries were dropped: --C 1,,2 certified diag(1, 2) and exited 0
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error [ValidationError]: {option} " in err and "has an empty entry" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bethe", "--algebra", "gl2", "--C", "1e100000,1", "--max-deg", "3"],
+    ["verify-bethe", "--algebra", "gl2", "--C", "1e3000000,1", "--max-deg", "2"],
+    ["gens", "--family", "classical-bethe", "--algebra", "gl3", "--C", "1e2500,1e2500,1"],
+    ["verify-bethe", "--algebra", "gl2", "--C", "1e1000,1", "--max-deg", "2"],
+    ["verify-bethe", "--algebra", "gl2", "--C", "1," + "7" * 1001, "--max-deg", "2"],
+    ["poincare", "--algebra", "gl2", "--C", "1/" + "7" * 1001 + ",1"],
+    ["limit", "--algebra", "gl2", "--C0", "1,1", "--chi", "1e-1001,0"],
+])
+def test_oversized_rational_exit_two(capsys, argv):
+    # ratstr raised past Python's 4300-digit int-to-str limit (exit 1), and
+    # Fraction("1e3000000") ran past 30 s expanding the power of ten
+    assert certify.BOUNDS["rationals"]["digits"] == (1, 1000)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error [ValidationError]: rational " in err and "past the bound of 1000 digits" in err
+
+
+def test_rationals_at_the_digit_bound_are_admitted(capsys):
+    # a product of four 1000-digit entries, or of their reciprocals, stays
+    # under the 4300 digits that ratstr can write
+    assert certify.BOUNDS["rationals"]["digits"] == (1, 1000)
+    big = "9" * 1000
+    code, out = run(["gens", "--family", "classical-bethe", "--algebra", "gl4", "--C",
+                     f"{big},{big},1/{big},1e999", "--max-deg", "1", "--json", "-"], capsys)
+    assert code == 0
+    gens = json.loads(out[out.index("{"):])["checks"][0]["details"]["generators"]
+    assert gens["sigma_4^(1)"].startswith(f"{10 ** 999 * (10 ** 1000 - 1)}*gamma[1,1;1]")
 
 
 def test_gens_dump(capsys):

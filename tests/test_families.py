@@ -3,16 +3,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.certify import _curve_exponents
+from loopcert.certify import _clear_denominators, _curve_exponents
 from loopcert.commpoly import CommPoly, LoopAlgebra, letter, mono_deg1, var_of
 from loopcert.errors import RegularityError
 from loopcert.families import (bethe_component_polys, centralizer_subalgebra,
-                               classical_bethe, classical_bethe_curve, diag_to_basis,
+                               classical_bethe, diag_to_basis,
                                directional_derivative, embed_subalgebra_poly, gamma_var,
                                gaudin_generators, invariant_component, soa_generators,
                                soa_jacobian_rank)
 from loopcert.liealg import TorusElement, centralizer, preset
-from loopcert.scalars import SymPoly
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -96,14 +95,19 @@ class TestSOA:
         assert soa_jacobian_rank(sl3, gens, pt) == 5
 
 
+def constant_bethe(n, c, Rmax):
+    """The classical Bethe family at the integer C = diag(c), over Q."""
+    return {key: s.at_zero() for key, s in classical_bethe(n, c, [0] * n, Rmax).items()}
+
+
 class TestClassicalBethe:
     def test_sigma1(self):
-        sig = classical_bethe(2, TorusElement.diagonal([1, 2]), 3)
+        sig = constant_bethe(2, [1, 2], 3)
         for r in range(1, 4):
             assert sig[(1, r)] == gamma_var(2, 1, 1, r) + gamma_var(2, 2, 2, r).scale(2)
 
     def test_sigma2_gl2(self):
-        sig = classical_bethe(2, TorusElement.diagonal([1, 2]), 2)
+        sig = constant_bethe(2, [1, 2], 2)
         assert sig[(2, 1)] == (gamma_var(2, 1, 1, 1) + gamma_var(2, 2, 2, 1)).scale(2)
         expected = (gamma_var(2, 1, 1, 2) + gamma_var(2, 2, 2, 2) +
                     gamma_var(2, 1, 1, 1) * gamma_var(2, 2, 2, 1) -
@@ -111,7 +115,7 @@ class TestClassicalBethe:
         assert sig[(2, 2)] == expected
 
     def test_component_spanning_sets(self):
-        sig = classical_bethe(2, TorusElement.diagonal([1, 2]), 2)
+        sig = constant_bethe(2, [1, 2], 2)
         polys = bethe_component_polys(sig, 2)[2]
         # sigma_1^(2), sigma_2^(2), and the three quadratic products
         assert len(polys) == 5
@@ -162,15 +166,9 @@ class TestCentralizerComponents:
 # -- the curve of limit over Z[h] ----------------------------------------------
 
 
-def rational_multiple(zp, p):
-    """The q in Q with zp = q * p, for a ``ZhPoly`` zp and a CommPoly p over
-    Q[h] (``SymPoly`` or rational coefficients); None if there is none."""
-    coeffs = {m: list(c.coeffs) if isinstance(c, SymPoly) else [F(c)] for m, c in p.terms.items()}
-    if not coeffs or zp.terms.keys() != coeffs.keys():
-        return None
-    m, e = next(iter(coeffs.items()))
-    q = F(zp.terms[m][0]) / e[0] if e[0] else F(zp.terms[m][-1]) / e[-1]
-    return q if all(zp.terms[m] == [q * x for x in e] for m, e in coeffs.items()) else None
+def at(z, t):
+    """A ``ZhPoly`` read at h = t, as a CommPoly over Z."""
+    return CommPoly({m: sum(x * t ** i for i, x in enumerate(c)) for m, c in z.terms.items()})
 
 
 nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -191,16 +189,19 @@ def curves(draw):
 @settings(max_examples=15, deadline=None)
 @given(curves())
 def test_integer_curve_spans_match_sympoly_curve(case):
-    """Each product of ``classical_bethe_curve`` over Z[h] is a nonzero
-    rational multiple of the product it stands for of ``classical_bethe`` at
-    C(h) = C0 diag((1+h)^p) with ``SymPoly`` entries, so every component
-    spans the same subspace over Q(h)."""
+    """The curve of ``classical_bethe`` over Z[h] is the family of the
+    polynomial C(h) = L C0 diag((1+h)^p), L the lcm of the denominators of
+    C0: each of its products, read at h = t for t = 0..D past its degree D
+    in h, is the same product of the constant family at C = L C0 (1+t)^p
+    (dropping the products that vanish at h = t, as the constant family
+    lists none that vanish)."""
     n, c0, chi, dmax = case
     p, _ = _curve_exponents(chi)
-    h = SymPoly("h", [1, 1])
-    Ch = TorusElement([c * h ** e for c, e in zip(c0, p)])
-    ref = bethe_component_polys(classical_bethe(n, Ch, dmax), dmax)
-    got = bethe_component_polys(classical_bethe_curve(n, c0, p, dmax), dmax)
-    for d in range(dmax + 1):
-        assert len(got[d]) == len(ref[d])
-        assert all(rational_multiple(a, b) for a, b in zip(got[d], ref[d]))
+    c, _ = _clear_denominators(c0)
+    got = bethe_component_polys(classical_bethe(n, c, p, dmax), dmax)
+    degree = max(len(e) - 1 for comp in got for z in comp for e in z.terms.values())
+    for t in range(degree + 1):
+        ct = [x * (1 + t) ** e for x, e in zip(c, p)]
+        ref = bethe_component_polys(constant_bethe(n, ct, dmax), dmax)
+        for d in range(dmax + 1):
+            assert [q for q in (at(z, t) for z in got[d]) if q] == ref[d]

@@ -9,8 +9,8 @@ import pytest
 from loopcert.certify import _bideg, _curve_exponents, dump_generators
 from loopcert.commpoly import LoopAlgebra
 from loopcert.envelop import talalaev_generators
-from loopcert.families import (bethe_component_polys, classical_bethe, classical_bethe_curve,
-                               embed_subalgebra_poly, gamma_label, gaudin_generators)
+from loopcert.families import (bethe_component_polys, classical_bethe, embed_subalgebra_poly,
+                               gamma_label, gaudin_generators)
 from loopcert.liealg import TorusElement, centralizer, preset
 from loopcert.linalg import bigraded_block, degree_buckets, limit_subspace, Subspace
 from loopcert.yangian import bethe_generators, yangian
@@ -31,12 +31,20 @@ def test_tau_coefficients(n, entries):
 
 @pytest.mark.parametrize("n,entries,smax", [(3, [1, 1, 2], 3), (2, [1, 2], 4)])
 def test_classical_bethe_coefficients(n, entries, smax):
-    sigma = classical_bethe(n, TorusElement.diagonal(entries), smax)
-    got = {f"sigma_{k}^({r})": p.render(gamma_label(n))
+    sigma = classical_bethe(n, entries, [0] * n, smax)
+    got = {f"sigma_{k}^({r})": p.at_zero().render(gamma_label(n))
            for (k, r), p in sorted(sigma.items())}
     name = f"classical_bethe_gl{n}_S{smax}_C{'_'.join(map(str, entries))}.json"
     expected = json.loads((GOLDEN / name).read_text())
     assert got == expected
+
+
+def test_classical_bethe_rational_C():
+    """``gens --family classical-bethe`` at a rational C: the family is built
+    at L C, L the lcm of the denominators, and each sigma_k divided by L^k."""
+    got = dump_generators("classical-bethe", n=3, C=["1/2", "2/3", "3"], smax=3)
+    name = "classical_bethe_gl3_S3_C1over2_2over3_3.json"
+    assert got.checks[0].details["generators"] == json.loads((GOLDEN / name).read_text())
 
 
 @pytest.mark.parametrize("n,R", [(2, 3), (3, 2)])
@@ -78,8 +86,8 @@ def subspace_json(S: Subspace) -> dict:
 def poincare_gl3_rows() -> Subspace:
     """The degree-4 component of the classical Bethe subalgebra of gl3 at
     C = diag(1, 2, 3), as ``poincare --cutoff 4`` spans it."""
-    sigma = classical_bethe(3, TorusElement.diagonal([1, 2, 3]), 4)
-    buckets = bethe_component_polys(sigma, 4)
+    sigma = classical_bethe(3, [1, 2, 3], [0, 0, 0], 4)
+    buckets = bethe_component_polys({k: s.at_zero() for k, s in sigma.items()}, 4)
     return Subspace.span_of(buckets[4], LoopAlgebra(preset("gl3"), 4).component_monomials(4))
 
 
@@ -113,7 +121,7 @@ def test_limit_subspace_rows(name, n, c0, chi, dmax):
     """The exact canonical rows of the ``limit`` components along
     C0 exp(eps chi), degrees 1..dmax, chained as the suite chains them."""
     exponents, _ = _curve_exponents([Fraction(x) for x in chi])
-    curve = bethe_component_polys(classical_bethe_curve(n, c0, exponents, dmax), dmax)
+    curve = bethe_component_polys(classical_bethe(n, c0, exponents, dmax), dmax)
     loop = LoopAlgebra(preset(f"gl{n}"), dmax)
     got, K = {}, 4
     for d in range(1, dmax + 1):

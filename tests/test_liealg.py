@@ -6,7 +6,7 @@ import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
 from loopcert.errors import BoundsError, ValidationError
-from loopcert.families import classical_bethe
+from loopcert.certify import dump_generators
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
                              gl_algebra, load_config, matrix_algebra, preset,
                              root_pairing)
@@ -218,26 +218,24 @@ class TestValidation:
 
 
 class TestTorus:
-    def test_regularity(self):
-        assert TorusElement.diagonal([1, 2, 3]).is_regular()
-        assert not TorusElement.diagonal([1, 1, 2]).is_regular()
-        assert not TorusElement.identity(3).is_regular()
-
     def test_zero_entry_rejected(self):
         with pytest.raises(ValidationError):
             TorusElement.diagonal([1, 0])
 
     def test_entries_exact(self):
-        h = SymPoly("h", [1, 1])
-        entries = TorusElement.diagonal([2, "1/10", F(3, 4), h]).entries
-        assert entries == [F(2), F(1, 10), F(3, 4), h]
-        assert all(type(e) is F for e in entries[:3]) and entries[3] is h
-        # a float would carry its binary expansion into every coefficient
-        for bad in (0.1, 1.0, "x"):
+        entries = TorusElement.diagonal([2, "1/10", F(3, 4)]).entries
+        assert entries == [F(2), F(1, 10), F(3, 4)]
+        assert all(type(e) is F for e in entries)
+        # a float would carry its binary expansion into every coefficient; a
+        # formal parameter is no entry; a string is read by parse_rational,
+        # which refuses a power of ten past its digit bound unexpanded
+        for bad in (0.1, 1.0, "x", SymPoly("h", [1, 1]), "1e3000000"):
             with pytest.raises(ValidationError):
                 TorusElement.diagonal([bad, 1])
-        sigma = classical_bethe(2, TorusElement.diagonal(["1/10", 1]), 1)
-        assert sigma[(1, 1)].render() == "1/10*x0[0] + 1*x3[0]"
+        listing = dump_generators("classical-bethe", n=2, C=["1/10", 1], smax=1)
+        assert listing.checks[0].details["generators"] == {
+            "sigma_1^(1)": "1/10*gamma[1,1;1] + 1*gamma[2,2;1]",
+            "sigma_2^(1)": "1/10*gamma[1,1;1] + 1/10*gamma[2,2;1]"}
 
 
 class TestCentralizer:
@@ -368,6 +366,10 @@ def _bad_coeff(d):
     d["invariants"][0]["terms"][0]["coeff"] = "one half"
 
 
+def _huge_coeff(d):
+    d["form"][0][2] = "1e3000000"
+
+
 def _invariant_index_7(d):
     d["invariants"][0]["terms"][0]["monomial"] = [[7, 2]]
 
@@ -392,6 +394,7 @@ def _cartan_index_9(d):
     (_drop_root_e, "malformed algebra config: 'e'"),
     (_drop_terms, "malformed algebra config: 'terms'"),
     (_bad_coeff, "cannot parse rational from 'one half'"),
+    (_huge_coeff, "rational '1e3000000' is past the bound of 1000 digits"),
     (_invariant_index_7, "invariant index 7 outside 0..2"),
     (_root_e_9, "root e index 9 outside 0..2"),
     (_multiplicity_0, "invariant multiplicity 0 is not positive"),

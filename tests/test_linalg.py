@@ -12,7 +12,6 @@ from loopcert.envelop import enveloping_context
 from loopcert.linalg import (Subspace, bigraded_block, degree_buckets,
                              free_series_coeffs, generator_products,
                              limit_subspace, relations, rref)
-from loopcert.scalars import SymPoly
 from loopcert.yangian import f1_monomial_count
 
 M1, M2, M3 = (monomial([(a, 0)]) for a in range(3))
@@ -91,14 +90,16 @@ class TestFreeSeries:
             assert series == [f1_monomial_count(n, d) for d in range(5)]
 
 
-def zh(p):
-    """A CommPoly over Z[eps] (``SymPoly`` or integral coefficients) as the
-    ``ZhPoly`` rows that ``limit_subspace`` takes."""
-    return ZhPoly({m: [int(x) for x in (c.coeffs if isinstance(c, SymPoly) else (c,))]
-                   for m, c in p.terms.items()})
-
-
-EPS = SymPoly.gen("eps")
+def zsum(*vectors):
+    """The sum of ``ZhPoly`` vectors, coefficient list by coefficient list."""
+    out = {}
+    for v in vectors:
+        for m, c in v.terms.items():
+            acc = out.setdefault(m, [])
+            acc.extend([0] * (len(c) - len(acc)))
+            for i, x in enumerate(c):
+                acc[i] += x
+    return ZhPoly(out)
 
 
 class TestLimits:
@@ -199,14 +200,13 @@ unimodular_entries = st.integers(-2, 2)
 def test_limit_invariant_under_unimodular_change(a, b, c):
     """Changing the spanning set by a Z[eps]-matrix invertible at eps = 0
     leaves the limit fixed."""
-    v1 = CommPoly({M1: F(1), M2: EPS, M3: F(2)})
-    v2 = CommPoly({M2: EPS + 1, M3: EPS ** 2})
-    base, _ = limit_subspace(AMB, [zh(v1), zh(v2)])
+    v1 = ZhPoly({M1: [1], M2: [0, 1], M3: [2]})
+    v2 = ZhPoly({M2: [1, 1], M3: [0, 0, 1]})
+    base, _ = limit_subspace(AMB, [v1, v2])
     # transform matrix [[1, a+b*eps], [c*eps, 1]]: determinant is 1 at eps = 0
-    coeff = EPS * b + a
-    w1 = v1 + v2.scale(coeff)
-    w2 = v2 + v1.scale(EPS * c)
-    got, _ = limit_subspace(AMB, [zh(w1), zh(w2)])
+    w1 = zsum(v1, ZhPoly({"": [a, b]}) * v2)
+    w2 = zsum(v2, ZhPoly({"": [0, c]}) * v1)
+    got, _ = limit_subspace(AMB, [w1, w2])
     assert got == base
 
 

@@ -2,8 +2,8 @@
 (``echelon``, on sparse rows, and its dense adapter ``rref``), the kernels
 read off it and membership in its rows (``Subspace.residue``), against
 sympy's independent rational linear algebra on small random ``Fraction``
-matrices, on wide sparse ones, on their rows as integers and rescaled, and
-over Q(h); and the h-adic limit engine ``limit_subspace`` against sympy's
+matrices, on wide sparse ones, and on their rows as integers and rescaled;
+and the h-adic limit engine ``limit_subspace`` against sympy's
 minors of small random families over Q[h]."""
 
 import itertools
@@ -18,7 +18,6 @@ sympy = pytest.importorskip("sympy")
 from loopcert.commpoly import ZhPoly  # noqa: E402
 from loopcert.linalg import (Subspace, _clear, bigraded_block, echelon,  # noqa: E402
                              limit_subspace, relations, rref)
-from loopcert.scalars import RatFunc, SymPoly  # noqa: E402
 
 # sparse entries with small numerators and denominators
 entry = st.one_of(st.just(F(0)), st.just(F(0)),
@@ -275,38 +274,6 @@ def test_bigraded_blocks_match_definition(case):
         eq, ref = reference_block(bidegs, rows, d, j)
         assert blk.ambient == tuple(eq)
         assert dense([r for _, r in blk.rows], len(eq)) == ref
-
-
-def test_rref_over_rational_functions_matches_sympy():
-    """rref over Q(h): a zero column, and a row (h times the first) that
-    cancels; every output entry, zeros included, is a ``RatFunc``."""
-    from sympy.polys.matrices import DomainMatrix
-
-    hp = SymPoly.gen("h")
-
-    def rf(c):
-        return RatFunc.from_scalar(c, "h")
-
-    rows = [[rf(1), rf(0), rf(hp), rf(hp + 1)],
-            [rf(hp), rf(0), rf(hp * hp), rf(hp * hp + hp)],
-            [rf(0), rf(0), rf(1), rf(1) / rf(hp + 1)]]
-    out = rref(rows)
-    assert all(type(x) is RatFunc for r in out for x in r)
-
-    h = sympy.Symbol("h")
-
-    def to_expr(x):
-        num, den = (sum((sympy.Rational(c.numerator, c.denominator) * h ** i
-                         for i, c in enumerate(p.coeffs)), sympy.Integer(0))
-                    for p in (x.num, x.den))
-        return num / den
-
-    M = sympy.Matrix([[to_expr(x) for x in r] for r in rows])
-    R, pivots = DomainMatrix.from_Matrix(M).convert_to(sympy.QQ.frac_field(h)).rref()
-    ref = R.to_Matrix()[:len(pivots), :]
-    assert len(out) == len(pivots) == 2
-    assert all(sympy.cancel(to_expr(out[i][j]) - ref[i, j]) == 0
-               for i in range(2) for j in range(4))
 
 
 # -- eps -> 0 limits against Pluecker coordinates ---------------------------------

@@ -21,6 +21,35 @@ def test_ratstr_roundtrip():
         parse_rational("x")
 
 
+@pytest.mark.parametrize("text,value", [
+    ("9" * 1000, 10 ** 1000 - 1), ("-1/" + "9" * 1000, F(-1, 10 ** 1000 - 1)),
+    ("1e999", 10 ** 999), ("2.5e-998", F(25, 10 ** 999)),
+    ("0." + "0" * 998 + "1", F(1, 10 ** 999)),
+])
+def test_parse_rational_admits_the_digit_bound(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e1000", "1" + "0" * 1000, "3/" + "1" * 1001, "1e-1000",
+                                  "0." + "0" * 999 + "1"])
+def test_parse_rational_refuses_past_the_digit_bound(text):
+    with pytest.raises(ValueError, match="past the bound of 1000 digits"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e1001", "1E+3000000", "1e-" + "9" * 5000, "7" * 2001,
+                                  "1/" + "3" * 2001])
+def test_parse_rational_refuses_past_the_bound_unread(monkeypatch, text):
+    # the text is measured before Fraction reads it, so no power of ten past
+    # the bound is built: Fraction("1e3000000") ran past 30 s
+    def unread(*args):
+        raise AssertionError("Fraction read the text")
+
+    monkeypatch.setattr("loopcert.scalars.Fraction", unread)
+    with pytest.raises(ValueError, match="past the bound of 1000 digits"):
+        parse_rational(text)
+
+
 def test_sympoly_basic():
     eps = SymPoly.gen("eps")
     p = (1 + eps) * (1 - eps)
