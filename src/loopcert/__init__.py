@@ -10,8 +10,8 @@ truncation, all over exact rationals.
 """
 
 from .commpoly import CommPoly, LoopAlgebra, ZhPoly
-from .envelop import (NCPoly, PBWContext, current_context, enveloping_context,
-                      gaudin_evaluation, talalaev_generators, tensor_context)
+from .envelop import (NCPoly, PBWContext, current_context, gaudin_evaluation,
+                      talalaev_generators, tensor_context)
 from .errors import (BoundsError, LoopcertError, RegularityError,
                      TruncationError, ValidationError)
 from .families import classical_bethe, gaudin_generators, soa_generators
@@ -28,8 +28,8 @@ __all__ = [
     "LieAlgebraData", "LoopAlgebra", "LoopcertError", "NCPoly", "PBWContext",
     "RegularityError", "Subspace", "TorusElement", "TruncationError",
     "ValidationError", "YangianContext", "ZhPoly", "bethe_generators",
-    "centralizer", "classical_bethe", "current_context", "enveloping_context",
-    "gaudin_evaluation", "gaudin_generators", "gr1", "gr2", "limit_subspace",
-    "load_config", "preset", "quantum_minor", "soa_generators",
-    "talalaev_generators", "tensor_context", "yangian",
+    "centralizer", "classical_bethe", "current_context", "gaudin_evaluation",
+    "gaudin_generators", "gr1", "gr2", "limit_subspace", "load_config",
+    "preset", "quantum_minor", "soa_generators", "talalaev_generators",
+    "tensor_context", "yangian",
 ]

@@ -28,9 +28,7 @@ from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algeb
 from .linalg import (Subspace, bigraded_block, degree_buckets,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
-from .yangian import (bethe_generators, f1_monomial_count,
-                      f1_monomial_count_enumerated, gr2, rtt_relation_checks,
-                      yangian)
+from .yangian import bethe_generators, gr2, rtt_relation_checks, yangian
 
 
 # -- admission ------------------------------------------------------------------------------
@@ -53,13 +51,14 @@ BOUNDS = {
     # degree 5 has 33440 and takes about 9 s and 303 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
     "poincare bethe": {"cutoff": (1, 6)},  # gl4: 16 s and 189 MB
-    # n is read from glN with no preset behind it; gl4 at cutoff 8: 6.8 s and
-    # 15 MB, while gl9 took 60 s at cutoff 5 and gl30 ran past 100 s at cutoff 4
-    "poincare gr1": {"n": (1, 4), "cutoff": (1, 8)},
     # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
     # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
     # took 7.8 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
-    "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4})},
+    # curve degree: sum(p - min p) (_curve_exponents), the degree in h of
+    # sigma_n, checked by verify_theorem_B before the curve is built; at the
+    # deg bounds and C0 = E, 100 took 78 s and 298 MB (gl2), 57 s (gl3) and
+    # 62 s (gl4); gl2 took 178 s and 456 MB at 136, and 127 s at 1999 (--deg 2)
+    "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4}), "curve degree": (0, 100)},
     # n points need kmax >= 2(n-1), so kmax 8 admits 5, and the most points are
     # admitted only without an invariant of degree >= 3: sl3 took 121 s and
     # 290 MB with four points and ran past 200 s and 3 GB with five
@@ -282,17 +281,6 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     return Report("poincare", {"n": n, "C": entries, "cutoff": cutoff}, checks)
 
 
-def poincare_gr1_count(n: int, cutoff: int) -> Report:
-    """PBW monomial count of gr1 Y(gl_n) against prod_r (1-q^r)^(-n^2)."""
-    ctx = yangian(n, cutoff)
-    series = [f1_monomial_count(n, d) for d in range(cutoff + 1)]
-    counted = [f1_monomial_count_enumerated(ctx, d) for d in range(cutoff + 1)]
-    return Report("poincare", {"n": n, "family": "gr1-monomials", "cutoff": cutoff}, [
-        Check(name=f"gr1 Y(gl{n}) monomial count matches prod (1-q^r)^(-{n * n})",
-              details={"series": series, "enumerated": counted},
-              witness=None if series == counted else f"{series} != {counted}")])
-
-
 # -- 4. bihamiltonian Gaudin family ---------------------------------------------------------
 
 
@@ -509,8 +497,8 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
     """The (dim+rk)/2 derivative generators Poisson-commute and are
     algebraically independent (Jacobian rank at a random rational point)."""
     alg = resolve_algebra(alg_name)
-    chi = diag_to_basis(alg, parse_entries(chi_diag))
-    gens = soa_generators(alg, chi)
+    chi_diag = parse_entries(chi_diag)
+    gens = soa_generators(alg, diag_to_basis(alg, chi_diag))
     loop = LoopAlgebra(alg, 1)
     bad = _first_failing(loop.pairwise_brackets([g.poly for g in gens], (0,)))
     checks = [Check(
@@ -535,8 +523,7 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
         details={"rank": rank, "expected": len(gens), "seed": seed,
                  "resampled": resamples},
         witness=None if rank == len(gens) else f"rank {rank} < {len(gens)}"))
-    return Report("verify-soa", {"algebra": alg_name, "chi": parse_entries(chi_diag),
-                                 "seed": seed}, checks)
+    return Report("verify-soa", {"algebra": alg_name, "chi": chi_diag, "seed": seed}, checks)
 
 
 # -- 10. limits (Theorem B) -----------------------------------------------------------------------
@@ -567,9 +554,13 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     chi_diag = parse_entries(chi_diag)
     if len(c0) != n or len(chi_diag) != n:
         raise ValidationError(f"C0 and chi need {n} diagonal entries each")
+    exponents, g_over_m = _curve_exponents(chi_diag)
+    lo, hi = BOUNDS["limit"]["curve degree"]
+    if not lo <= sum(exponents) <= hi:
+        raise BoundsError(f"curve degree sum(p - min p) = {sum(exponents)} outside "
+                          f"documented bounds [{lo}, {hi}]")
     gl = preset(f"gl{n}")
     loop = LoopAlgebra(gl, max(dmax, 1))
-    exponents, g_over_m = _curve_exponents(chi_diag)
     C0 = TorusElement.diagonal(c0)
     # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
     # (c0_i, p_i) are

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-deg", type=int, default=4)
 
     p = add("poincare", "graded component dimensions")
-    p.add_argument("--family", choices=["bethe", "gr1"], default="bethe")
+    p.add_argument("--family", choices=["bethe"], default="bethe")
     p.add_argument("--algebra", default="gl2")
     p.add_argument("--C", default=None)
     p.add_argument("--cutoff", type=int, default=4)
@@ -172,15 +172,11 @@ def run(args: argparse.Namespace) -> certify.Report:
         return certify.verify_theorem_A(n, _parse_list(args.C, "--C"),
                                         _bounded(args.max_deg, key, "max-deg"))
     if cmd == "poincare":
-        key = f"poincare {args.family}"
-        if args.family == "gr1":
-            n = _bounded(_gl_size(args.algebra), key, "n")
-            return certify.poincare_gr1_count(n, _bounded(args.cutoff, key, "cutoff"))
         n = _gl_size(args.algebra)
         if args.C is None:
             raise LoopcertError("poincare --family bethe needs --C")
         return certify.poincare_bethe(n, _parse_list(args.C, "--C"),
-                                      _bounded(args.cutoff, key, "cutoff"))
+                                      _bounded(args.cutoff, "poincare bethe", "cutoff"))
     if cmd == "limit":
         n = _bounded(_gl_size(args.algebra), cmd, "n")
         return certify.verify_theorem_B(n, _parse_list(args.C0, "--C0"),

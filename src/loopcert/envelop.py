@@ -235,15 +235,6 @@ class NCPoly:
 # -- concrete contexts -----------------------------------------------------------
 
 
-@functools.cache
-def enveloping_context(alg: LieAlgebraData) -> PBWContext:
-    """U(g) with generators in basis order."""
-    def bracket(i: int, j: int) -> Terms:
-        return {chr(d): c for d, c in alg.bracket_coeffs(i, j).items()}
-
-    return PBWContext(list(range(alg.dim)), bracket, labels=alg.labels)
-
-
 def _loop_context(alg: LieAlgebraData, n: int, product: Callable[[int, int], int | None],
                   label: Callable[[str, int], str]) -> PBWContext:
     """U(g ox A) for a commutative A with basis b_0..b_(n-1) whose products

@@ -35,7 +35,6 @@ from .commpoly import CommPoly, monomial
 from .envelop import NCPoly, PBWContext, Terms, current_context, word
 from .errors import TruncationError, ValidationError
 from .liealg import TorusElement, gl_algebra
-from .linalg import free_series_coeffs
 from .scalars import Series, leibniz_det, truncated_join
 
 GenKey = Tuple[int, int, int]  # (r, i, j), r >= 1, 1-based matrix indices
@@ -258,26 +257,3 @@ def rtt_relation_checks(n: int, order: int) -> List[Tuple[Tuple[int, int, int, i
                         acc[w] = acc.get(w, 0) + sign
                 results.append(((i, j, k, l, a, b), not ctx.normalize_terms(acc)))
     return results
-
-
-def f1_monomial_count(n: int, d: int) -> int:
-    """Number of PBW monomials of F1-weight exactly d, by direct enumeration."""
-    degs = [r for r in range(1, d + 1) for _ in range(n * n)]
-    return free_series_coeffs(degs, d)[d]
-
-
-def f1_monomial_count_enumerated(ctx: YangianContext, d: int) -> int:
-    """The same count by explicitly walking nondecreasing words."""
-    gens = [g for g in range(len(ctx.gens)) if ctx.gens[g][0] <= d]
-    count = 0
-    stack = [(0, d)]
-    while stack:
-        i, rem = stack.pop()
-        if rem == 0:
-            count += 1
-            continue
-        for g in range(i, len(gens)):
-            r = ctx.gens[gens[g]][0]
-            if r <= rem:
-                stack.append((g, rem - r))
-    return count

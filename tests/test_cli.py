@@ -78,14 +78,13 @@ SUITES = {
     "gr theorem-A": ("verify_theorem_A", ["gr", "--comparison", "theorem-A", "--C", "1"]),
     "gr centralizer": ("verify_centralizer", ["gr", "--comparison", "centralizer"]),
     "poincare bethe": ("poincare_bethe", ["poincare", "--family", "bethe", "--C", "1"]),
-    "poincare gr1": ("poincare_gr1_count", ["poincare", "--family", "gr1"]),
     "limit": ("verify_theorem_B", ["limit", "--C0", "1", "--chi", "1"]),
     "eval-gaudin": ("verify_eval_gaudin", ["eval-gaudin", "--z", "0"]),
     "gens bethe": ("dump_generators", ["gens", "--family", "classical-bethe"]),
     "gens gaudin": ("dump_generators", ["gens", "--family", "gaudin"]),
     "gens talalaev": ("dump_generators", ["gens", "--family", "talalaev"]),
 }
-GL_N = {"verify-bethe", "poincare gr1", "limit", "gens bethe"}  # n from --algebra glN
+GL_N = {"verify-bethe", "limit", "gens bethe"}  # n from --algebra glN
 
 
 def _option(suite, name, value):
@@ -98,11 +97,13 @@ def _option(suite, name, value):
 
 
 # every range the CLI enforces, a per-n range once per n; the monomial count
-# of a centralizer component is checked by certify itself, and the digits of
-# a rational by scalars.parse_rational (test_oversized_rational_exit_two)
+# of a centralizer component and the degree of a limit curve are checked by
+# certify itself (test_gr_centralizer_past_measured_bound_exit_two,
+# test_limit_curve_degree_past_measured_bound_exit_two), and the digits of a
+# rational by scalars.parse_rational (test_oversized_rational_exit_two)
 RANGES = [(suite, name, n)
           for suite, names in certify.BOUNDS.items() if suite != "rationals"
-          for name, (lo, hi) in names.items() if name != "monomials"
+          for name, (lo, hi) in names.items() if name not in ("monomials", "curve degree")
           for n in (sorted(hi) if isinstance(hi, dict) else [None])]
 
 
@@ -270,16 +271,16 @@ def test_gens_bethe_default_C(family, n, capsys):
 
 
 @pytest.mark.parametrize("argv, suite", [
-    (["poincare", "--family", "gr1", "--algebra", "gl30", "--cutoff", "4"], "poincare_gr1_count"),
-    (["poincare", "--family", "gr1", "--algebra", "gl5", "--cutoff", "1"], "poincare_gr1_count"),
+    (["verify-bethe", "--algebra", "gl30", "--C", "1"], "verify_bethe"),
+    (["limit", "--algebra", "gl5", "--C0", "1", "--chi", "1"], "verify_theorem_B"),
     (["gens", "--family", "classical-bethe", "--algebra", "gl8", "--max-deg", "6"],
      "dump_generators"),
     (["gens", "--family", "bethe", "--algebra", "gl5", "--max-deg", "1"], "dump_generators"),
-    (["poincare", "--family", "gr1", "--algebra", "gl0", "--cutoff", "1"], "poincare_gr1_count"),
+    (["verify-bethe", "--algebra", "gl0", "--C", "1"], "verify_bethe"),
 ])
 def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
-    # gl9 at cutoff 5 took a minute and gl30 ran past 100 s: refused before
-    # any generator is built
+    # n is read from glN with no preset behind it, and classical-bethe ran
+    # past 60 s at gl8: refused before any generator is built
     def no_run(*args, **kwargs):
         raise AssertionError(f"{suite} ran")
 
@@ -288,6 +289,33 @@ def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
     err = capsys.readouterr().err
     assert code == 2
     assert "BoundsError" in err and "outside documented bounds [1, 4]" in err
+
+
+def test_poincare_gr1_family_exit_two(capsys):
+    # gr1 is no family: its monomial count compared two enumerations of the
+    # same words and certified nothing about Y(gl_n)
+    with pytest.raises(SystemExit) as exc:
+        main(["poincare", "--family", "gr1", "--algebra", "gl2", "--cutoff", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gr1'" in capsys.readouterr().err
+
+
+def test_limit_curve_degree_past_measured_bound_exit_two(monkeypatch, capsys):
+    # chi = (k + 1, 1) gives the curve diag((1+h)^k, 1) of degree k in h;
+    # (1+h)^(10^30 - 1) cannot be built, so the degree is refused first
+    def no_build(*args):
+        raise AssertionError("the curve was built")
+
+    monkeypatch.setattr("loopcert.certify.classical_bethe", no_build)
+    hi = certify.BOUNDS["limit"]["curve degree"][1]
+    argv = ["limit", "--algebra", "gl2", "--C0", "1,2", "--deg", "1", "--chi"]
+    assert main(argv + ["1e30,1"]) == 2
+    err = capsys.readouterr().err
+    assert (f"BoundsError]: curve degree sum(p - min p) = {10 ** 30 - 1} outside "
+            f"documented bounds [0, {hi}]") in err
+    assert main(argv + [f"{hi + 2},1"]) == 2
+    with pytest.raises(AssertionError, match="the curve was built"):
+        main(argv + [f"{hi + 1},1"])
 
 
 def test_gr_centralizer_past_measured_bound_exit_two(monkeypatch, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from loopcert.envelop import _weyl_join, enveloping_context, word
+from loopcert.envelop import _weyl_join, current_context, word
 from loopcert.liealg import preset
 from loopcert.scalars import RatFunc, Series, SymPoly, leibniz_det, parse_rational, ratstr
 from loopcert.yangian import t_series, yangian
@@ -121,8 +121,8 @@ def test_leibniz_det_matches_cofactor_expansion(m):
 
 def test_leibniz_det_multiplies_in_column_order():
     # noncommuting entries: the column determinant a00 a11 - a10 a01
-    ctx = enveloping_context(preset("sl2"))
-    e, h, f = (ctx.gen(a) for a in range(3))
+    ctx = current_context(preset("sl2"), 1)
+    e, h, f = (ctx.gen((0, a)) for a in range(3))
     a = [[e, h], [f, e + h]]
     got = leibniz_det(2, lambda i, j: a[i][j])
     assert got == a[0][0] * a[1][1] - a[1][0] * a[0][1]

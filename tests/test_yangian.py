@@ -8,9 +8,8 @@ from loopcert.commpoly import CommPoly
 from loopcert.envelop import NCPoly, current_context, word
 from loopcert.errors import TruncationError
 from loopcert.liealg import TorusElement, preset
-from loopcert.yangian import (YangianContext, bethe_generators, f1_degree, f1_monomial_count,
-                              f1_monomial_count_enumerated, f2_degree, gr1, gr2,
-                              quantum_minor, rtt_relation_checks, u_coefficient,
+from loopcert.yangian import (YangianContext, bethe_generators, f1_degree, f2_degree, gr1,
+                              gr2, quantum_minor, rtt_relation_checks, u_coefficient,
                               yangian)
 
 
@@ -218,10 +217,3 @@ class TestGradedMaps:
         p = Y2.t(1, 1, 3) * Y2.t(1, 2, 2)
         assert f1_degree(Y2, p) == 5
         assert f2_degree(Y2, p) == 3
-
-
-def test_pbw_poincare_count():
-    for n, d in [(2, 4), (3, 3)]:
-        ctx = yangian(n, d)
-        for dd in range(d + 1):
-            assert f1_monomial_count(n, dd) == f1_monomial_count_enumerated(ctx, dd)
