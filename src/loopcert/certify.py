@@ -6,6 +6,13 @@ Every check is exact rational arithmetic; a failing check carries a minimal
 witness (a nonzero normal form, or a dimension mismatch with a witness
 vector).  Randomized steps (the Jacobian evaluation point) take an explicit
 seed and log resampling events instead of hiding them.
+
+The PBW commutativity sweeps (``verify_bethe``, ``verify_eval_gaudin`` and
+``verify_talalaev``) bracket the reduced echelon basis of the family's span
+(``_span_basis``), not the family: the commutator is bilinear, so a family
+commutes pairwise iff that basis does, and the basis is usually far sparser
+than the family.  Only when a basis pair fails are the family's own pairs
+bracketed, to find the witness: the first failing pair in index order.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
                        soa_generators, soa_jacobian_rank)
 from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algebra
-from .linalg import (Subspace, bigraded_block, degree_buckets,
+from .linalg import (Subspace, bigraded_block, degree_buckets, echelon,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import bethe_generators, gr2, rtt_relation_checks, yangian
@@ -40,10 +47,13 @@ from .yangian import bethe_generators, gr2, rtt_relation_checks, yangian
 # key; verify_centralizer and verify_eval_gaudin read their measured rules here.
 BOUNDS = {
     "verify-rtt": {"n": (1, 3), "order": (1, 6)},  # 0.2 s and 21 MB at the bounds
-    # max-deg: time and memory grow 6-10x per degree; gl3 took 43 s and 827 MB
-    # at 7, gl4 29 s and 430 MB at 5, and at 6 ran out of 3 GB after 183 s.
-    # The pool forks all of its workers at once.
-    "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 64)},
+    # max-deg: time and memory grow 6-10x per degree; gl3 took 25 s and 814 MB
+    # at 7, gl4 18 s and 408 MB at 5, and at 6 ran out of 3 GB after 183 s.
+    # workers: the pool forks all of its workers at once; at gl3 degree 7,
+    # pools of 2, 4 and 8 peaked at 1157, 1429 and 1833 MB summed over their
+    # workers (the largest worker 590, 530 and 532 MB), and 8 is the largest
+    # pool measured
+    "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
     "verify-gaudin": {"kmax": (0, 6)},  # sl3 and gl3: about 3 s and 28 MB
     "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 4.0 s, 166 MB
     "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 1.4 s and 49 MB
@@ -59,9 +69,9 @@ BOUNDS = {
     # deg bounds and C0 = E, 100 took 78 s and 298 MB (gl2), 57 s (gl3) and
     # 62 s (gl4); gl2 took 178 s and 456 MB at 136, and 127 s at 1999 (--deg 2)
     "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4}), "curve degree": (0, 100)},
-    # n points need kmax >= 2(n-1), so kmax 8 admits 5, and the most points are
-    # admitted only without an invariant of degree >= 3: sl3 took 121 s and
-    # 290 MB with four points and ran past 200 s and 3 GB with five
+    # n points need kmax >= 2(n-1), so kmax 8 admits 5; verify_eval_gaudin
+    # admits fewer past invariant degree 2: sl3 took 10 s and 231 MB with four
+    # points and 105 s and 848 MB with five, and gl4 56 s and 1237 MB with two
     "eval-gaudin": {"number of --z points": (1, 5), "kmax": (1, 8)},
     # bethe and classical-bethe: gl4 at max-deg 6 under 1 s and 20 MB;
     # classical-bethe ran past 60 s at gl8
@@ -176,6 +186,28 @@ def _first_failing(brackets: Iterable[tuple]) -> Optional[tuple]:
     return min((b for b in brackets if b[-1]), key=lambda b: b[:-1], default=None)
 
 
+def _span_basis(elems: Sequence[NCPoly]) -> List[NCPoly]:
+    """The reduced echelon basis of span(elems), as normalized ``NCPoly``s.
+    Its columns are the words of elems ordered by (len(w), w) descending, so
+    each row's pivot is its largest word."""
+    if not elems:
+        return []
+    words = sorted({w for p in elems for w in p.terms}, key=lambda w: (len(w), w), reverse=True)
+    index = {w: j for j, w in enumerate(words)}
+    ctx = elems[0].ctx
+    return [NCPoly(ctx, {words[j]: c for j, c in row.items()}, normalized=True)
+            for _, row in echelon({index[w]: c for w, c in p.terms.items()} for p in elems)]
+
+
+def _first_noncommuting(elems: Sequence[NCPoly]) -> Optional[tuple]:
+    """``_first_failing(_commutators(elems))``, decided on ``_span_basis(elems)``
+    first: elems commute pairwise iff that basis does, and only a basis pair
+    that fails sends the sweep back to the pairs of elems for the witness."""
+    if not any(c for _, _, c in _commutators(_span_basis(elems))):
+        return None
+    return _first_failing(_commutators(elems))
+
+
 # -- 1. RTT relation oracle -------------------------------------------------------------
 
 
@@ -194,20 +226,24 @@ def verify_rtt(n: int, order: int) -> Report:
 
 
 def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Report:
-    """All pairwise commutators of tau_k^(s), s <= smax, are exactly zero;
-    with workers > 1 the pairs run in a pool of min(workers, #pairs)
-    processes, each building the taus once."""
+    """All pairwise commutators of tau_k^(s), s <= smax, are exactly zero.
+    The sweep runs over the pairs of ``_span_basis`` of the taus, and over
+    the pairs of taus only when a basis pair fails, for the listing and the
+    witness.  With workers > 1 both sweeps run in one pool of at most
+    min(workers, #basis pairs) processes, never more than the measured
+    bound, each building the taus and their basis once."""
     entries = parse_entries(entries)
     _build_taus(n, entries, smax)
     pairs = list(itertools.combinations(sorted(_taus), 2))
-    workers = min(workers, len(pairs))
+    basis_pairs = list(itertools.combinations(range(len(_tau_basis)), 2))
+    workers = min(workers, BOUNDS["verify-bethe"]["workers"][1], len(basis_pairs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=_build_taus,
                                  initargs=(n, entries, smax)) as pool:
-            comms = list(pool.map(_tau_commutator, pairs))
+            comms = _bethe_sweep(pool.map, pairs, basis_pairs)
     else:
-        comms = list(map(_tau_commutator, pairs))
+        comms = _bethe_sweep(map, pairs, basis_pairs)
     nonzero = [(ka, kb, w) for (ka, kb), w in zip(pairs, comms) if w != "0"]
     pair_listing = [{"pair": f"tau_{ka[0]}^({ka[1]}) vs tau_{kb[0]}^({kb[1]})", "commutator": w}
                     for (ka, kb), w in zip(pairs, comms)]
@@ -223,13 +259,31 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
 
 
 _taus: dict = {}  # tau_k^(s) of the running verify-bethe job, by (k, s)
+_tau_basis: List[NCPoly] = []  # _span_basis of the taus, in key order
 
 
 def _build_taus(n: int, entries: List[Fraction], smax: int) -> None:
-    """Build the taus ``_tau_commutator`` reads: once per job, and once per
-    pool worker as its initializer."""
-    global _taus
+    """Build the taus and their basis that the sweeps read: once per job,
+    and once per pool worker as its initializer; echelon is deterministic,
+    so every worker holds the same basis."""
+    global _taus, _tau_basis
     _taus = bethe_generators(yangian(n, 2 * smax), TorusElement.diagonal(entries), smax)
+    _tau_basis = _span_basis([_taus[k] for k in sorted(_taus)])
+
+
+def _bethe_sweep(mapper, pairs, basis_pairs) -> List[str]:
+    """The rendered commutator of every pair of taus: all "0" when every
+    pair of basis rows commutes, else mapped over the tau pairs.  Every
+    result is read, so no error raised in a pool worker goes unseen."""
+    if any(list(mapper(_basis_pair_fails, basis_pairs))):
+        return list(mapper(_tau_commutator, pairs))
+    return ["0"] * len(pairs)
+
+
+def _basis_pair_fails(pair) -> bool:
+    """Whether basis rows i and j of the taus fail to commute."""
+    i, j = pair
+    return bool(_tau_basis[i].commutator(_tau_basis[j]))
 
 
 def _tau_commutator(pair) -> str:
@@ -385,7 +439,7 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
     equal gr2 of the quantum Bethe family at C = E through F1-degree dmax."""
     cur = current_context(gl_algebra(n), R)
     tal = talalaev_generators(n, R)
-    bad = _first_failing(_commutators([p for _, _, p in tal]))
+    bad = _first_noncommuting([p for _, _, p in tal])
     npairs = math.comb(len(tal), 2)
     checks = [Check(
         name=f"talalaev gl{n} R={R}: {npairs} pairwise commutators vanish",
@@ -451,17 +505,19 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
         raise ValidationError(f"eval-gaudin with {n} points needs a degree-2 invariant, whose "
                               f"family spans the Gaudin Hamiltonians; {alg_name} has "
                               f"invariant degrees {degrees}")
-    # the most points the CLI admits need kmax = 8: with an invariant of
-    # degree >= 3 that ran past 200 s and 3 GB (sl3, five points)
+    # fewer points are admitted as the top invariant degree rises, each rule
+    # decided by counting before anything is built and naming its measurement
     most = BOUNDS["eval-gaudin"]["number of --z points"][1]
-    if n >= most and max(degrees) >= 3:
-        raise BoundsError(f"eval-gaudin with {n} points (kmax {2 * n - 2}) is past the measured "
-                          f"bound for {alg_name}, whose invariant degrees {degrees} reach 3: "
-                          f"sl3 ran past 200 s and 3 GB; at most {most - 1} points are admitted")
+    for deg, points, seen in ((4, 3, "gl4 with three points ran out of 3 GB after 42 s"),
+                              (3, most, "sl3 with five points took 105 s and 848 MB")):
+        if n >= points and max(degrees) >= deg:
+            raise BoundsError(f"eval-gaudin with {n} points (kmax {2 * n - 2}) is past the "
+                              f"measured bound for {alg_name}, whose invariant degrees {degrees} "
+                              f"reach {deg}: {seen}; at most {points - 1} points are admitted")
     gens = gaudin_generators(alg, kmax, kmax + 1)
     tctx = tensor_context(alg, n)
     images = [gaudin_evaluation(alg, g.poly, zs, tctx) for g in gens]
-    bad = _first_failing(_commutators(images))
+    bad = _first_noncommuting(images)
     checks = [Check(
         name=f"eval-gaudin {alg_name} n={n}: {math.comb(len(images), 2)} image pairs commute",
         details={"z": zs, "generators": [g.label for g in gens]},

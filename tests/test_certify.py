@@ -1,14 +1,17 @@
 import importlib
 import json
+import math
 import multiprocessing
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcert import certify, envelop
 from loopcert.commpoly import LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.liealg import preset
+from loopcert.linalg import Subspace
 from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
@@ -335,6 +338,31 @@ class TestSuites:
         with pytest.raises(BoundsError, match=f"5 points .* past the measured bound for {alg}"):
             certify.verify_eval_gaudin(alg, ["0", "1", "2", "3", "4"], kmax=8)
 
+    @pytest.mark.parametrize("zs", [["0", "1", "2"], ["0", "1", "2", "3"]])
+    def test_eval_gaudin_three_points_refused_past_degree_three(self, zs, monkeypatch):
+        # with an invariant of degree 4, three points at kmax 4 ran out of
+        # 3 GB (gl4): refused before any generator is built
+        def built(*args):
+            raise AssertionError("gaudin_generators called for a refused job")
+
+        monkeypatch.setattr(certify, "gaudin_generators", built)
+        with pytest.raises(BoundsError, match=f"{len(zs)} points .* past the measured bound for "
+                                              r"gl4, whose invariant degrees \[1, 2, 3, 4\] "
+                                              "reach 4: .*; at most 2 points are admitted"):
+            certify.verify_eval_gaudin("gl4", zs, kmax=2 * len(zs) - 2)
+
+    def test_eval_gaudin_two_points_admitted_at_degree_four(self, monkeypatch):
+        # the job passes the refusals and reaches the generators
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(certify, "gaudin_generators", built)
+        with pytest.raises(Built):
+            certify.verify_eval_gaudin("gl4", ["0", "1"], kmax=2)
+
     def test_soa_rank_check_can_fail(self, monkeypatch):
         # negative control: the last generator replaced by twice the first,
         # so the Jacobian is one short of full rank at every point
@@ -473,3 +501,92 @@ class TestPBWNegativeControls:
         check = rep.checks[1]
         assert not check.passed
         assert check.witness == "H_1 not in span"
+
+
+# -- the span-basis sweep ---------------------------------------------------------------
+
+# (context, number of its first letters used): in yangian(2, 4) the four
+# t^(1), so words of length <= 2 have F1-weight <= 2 and no commutator of two
+# of them passes the weight bound
+_CONTEXTS = {
+    "U(sl2)": (lambda: envelop.current_context(preset("sl2"), 1), 3),
+    "U(gl2)^2": (lambda: envelop.tensor_context(preset("gl2"), 2), 8),
+    "Y(gl2)": (lambda: ymod.yangian(2, 4), 4),
+}
+_small = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def _families(draw):
+    """A family over one of the contexts: random elements of words of length
+    <= 2, linear combinations of 1, a and a*a for one linear element a,
+    scalar multiples of earlier members (zero among them), and optionally one
+    letter first and last."""
+    build, k = _CONTEXTS[draw(st.sampled_from(sorted(_CONTEXTS)))]
+    ctx = build()
+    letters = [chr(i) for i in range(k)]
+    words = [""] + letters + [x + y for x in letters for y in letters]
+    a = envelop.NCPoly(ctx, draw(st.dictionaries(st.sampled_from(letters), _small,
+                                                 min_size=1, max_size=3)))
+    seeds = [ctx.one(), a, a * a]
+    randoms = st.dictionaries(st.sampled_from(words), _small, max_size=3).map(
+        lambda t: envelop.NCPoly(ctx, t))
+    combos = st.lists(_small, min_size=3, max_size=3).map(
+        lambda cs: seeds[0].scale(cs[0]) + seeds[1].scale(cs[1]) + seeds[2].scale(cs[2]))
+    family = draw(st.lists(st.one_of(combos, randoms) if draw(st.booleans()) else combos,
+                           max_size=4))
+    for i, s in draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([F(1), F(-2), F(0)])),
+                              max_size=3)):
+        if family:
+            family.insert(i % (len(family) + 1), family[i % len(family)].scale(s))
+    if draw(st.booleans()):
+        x = envelop.NCPoly(ctx, {draw(st.sampled_from(letters)): F(1)})
+        family = [x] + family + [x]
+    return family
+
+
+class TestSpanBasis:
+    @settings(max_examples=120, deadline=None)
+    @given(_families())
+    def test_basis_spans_the_family_and_decides_alike(self, family):
+        rows = certify._span_basis(family)
+        words = sorted({w for p in family for w in p.terms})
+        assert Subspace.span_of(rows, words) == Subspace.span_of(family, words)
+        assert len(rows) == Subspace.span_of(family, words).dim
+        # each row is one at its largest word, which no other row holds
+        for r in rows:
+            top = max(r.terms, key=lambda w: (len(w), w))
+            assert r.terms[top] == 1
+            assert all(top not in other.terms for other in rows if other is not r)
+        assert certify._first_noncommuting(family) == \
+            certify._first_failing(certify._commutators(family))
+
+    def test_empty_and_single_families(self):
+        assert certify._span_basis([]) == []
+        assert certify._first_noncommuting([]) is None
+        x = envelop.current_context(preset("sl2"), 1).gen((0, 0))
+        assert certify._span_basis([x.scale(F(-2, 3))]) == [x]
+        assert certify._first_noncommuting([x]) is None
+
+    @pytest.mark.parametrize("suite, args", [
+        (certify.verify_bethe, (2, ["1", "2"], 3)),
+        (certify.verify_eval_gaudin, ("sl3", ["0", "1"], 3)),
+    ])
+    def test_passing_sweep_brackets_each_basis_pair_once(self, monkeypatch, suite, args):
+        real_basis, real_commutator = certify._span_basis, envelop.NCPoly.commutator
+        sizes, calls = [], []
+
+        def basis(elems):
+            rows = real_basis(elems)
+            sizes.append(len(rows))
+            return rows
+
+        def commutator(self, other):
+            calls.append(1)
+            return real_commutator(self, other)
+
+        monkeypatch.setattr(certify, "_span_basis", basis)
+        monkeypatch.setattr(envelop.NCPoly, "commutator", commutator)
+        assert suite(*args).passed
+        assert len(sizes) == 1 and 1 < sizes[0]
+        assert len(calls) == math.comb(sizes[0], 2)

@@ -253,6 +253,14 @@ def test_eval_gaudin_five_points_sl3_exit_two(capsys):
     assert "BoundsError" in err and "at most 4 points are admitted" in err
 
 
+def test_eval_gaudin_three_points_gl4_exit_two(capsys):
+    code = main(["eval-gaudin", "--algebra", "gl4", "--z", "0,1,2", "--kmax", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BoundsError" in err and "gl4 with three points ran out of 3 GB" in err
+    assert "at most 2 points are admitted" in err
+
+
 def test_eval_gaudin_without_quadratic_invariant_exit_two(capsys):
     code = main(["eval-gaudin", "--algebra", "gl1", "--z", "0,1", "--kmax", "2"])
     err = capsys.readouterr().err
@@ -415,7 +423,8 @@ def test_missing_config_exit_two(tmp_path, capsys):
     assert "cannot read algebra config" in err
 
 
-@pytest.mark.parametrize("flag", ["0", "100000"])
+@pytest.mark.parametrize("flag", ["0", str(certify.BOUNDS["verify-bethe"]["workers"][1] + 1),
+                                  "100000"])
 def test_workers_out_of_bounds_exit_two(monkeypatch, capsys, flag):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
