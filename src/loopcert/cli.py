@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "of loop algebras and Yangians.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", default=None,
-                        help="write the JSON report to PATH ('-' for stdout)")
+                        help="write the JSON report to PATH ('-': stdout, the summary to stderr)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, help_):
@@ -213,8 +213,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.json not in (None, "-"):
             _check_json_target(args.json)
         report = run(args)
-        for line in report.summary_lines():
-            print(line)
+        for line in report.summary_lines():  # with --json -, stdout is the report alone
+            print(line, file=sys.stderr if args.json == "-" else sys.stdout)
         if args.json is not None:
             payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
             if args.json == "-":

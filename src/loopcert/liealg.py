@@ -25,8 +25,8 @@ import os
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, letter, monomial
-from .errors import RegularityError, ValidationError
+from .commpoly import CommPoly, LoopAlgebra, monomial
+from .errors import BoundsError, RegularityError, ValidationError
 from .linalg import echelon
 from .scalars import parse_rational, ratstr
 
@@ -456,9 +456,11 @@ def _basis_index(a, dim: int, what: str) -> int:
 
 def algebra_from_dict(data: dict) -> LieAlgebraData:
     try:
-        dim = int(data["dim"])
-        if dim > 0:
-            letter(dim - 1, 0)  # a loop algebra needs a letter per basis index
+        from .certify import BOUNDS  # the admission table, which imports this module
+        lo, hi = BOUNDS["config"]["dim"]
+        if not lo <= (dim := int(data["dim"])) <= hi:  # validate makes ~1.5 dim^3 lookups
+            raise BoundsError(f"config dim = {dim} outside documented bounds [{lo}, {hi}]: "
+                              "validating gl12's structure constants (dim 144) took 12.8 s")
         labels = list(data["labels"])
         brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for a, b, d, c in data["brackets"]:

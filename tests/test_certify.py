@@ -2,13 +2,14 @@ import importlib
 import json
 import math
 import multiprocessing
+import types
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcert import certify, envelop
-from loopcert.commpoly import LoopAlgebra
+from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.liealg import preset
 from loopcert.linalg import Subspace
@@ -16,6 +17,43 @@ from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
 ymod = importlib.import_module("loopcert.yangian")
+
+
+def spy_span_checks(monkeypatch):
+    """The (check, left side, right side, render) of every ``_span_check``
+    that the suites make from now on."""
+    calls = []
+    real = certify._span_check
+
+    def spy(name, left, right, render):
+        calls.append((real(name, left, right, render), left, right, render))
+        return calls[-1][0]
+
+    monkeypatch.setattr(certify, "_span_check", spy)
+    return calls
+
+
+def assert_witness_vectors(calls):
+    """Some span check failed, and each FAIL's witness names both dims and a
+    vector, read back from its text, that lies in the side it names and not
+    in the other."""
+    failed = [call for call in calls if not call[0].passed]
+    assert failed
+    for check, (a, A), (b, B), render in failed:
+        dims, _, rest = check.witness.partition(": ")
+        assert dims == f"dims {A.dim} vs {B.dim}"
+        side, _, rest = rest.partition(" holds ")
+        text, _, other = rest.rpartition(" outside ")
+        assert (side, other) in ((a, b), (b, a))
+        inside, outside = (A, B) if side == a else (B, A)
+        # each ambient label as render writes it in a term with coefficient 1
+        label = {render({m: F(1)}).split("*", 1)[1]: m for m in A.ambient}
+        terms = {}
+        for term in text.split(" + "):
+            c, mono = term.split("*", 1)
+            terms[label[mono]] = F(c)
+        vector = types.SimpleNamespace(terms=terms)
+        assert inside.contains_poly(vector) and not outside.contains_poly(vector)
 
 
 class TestReportPlumbing:
@@ -102,10 +140,26 @@ class TestSuites:
         real = certify.soa_generators
         monkeypatch.setattr(certify, "soa_generators",
                             lambda alg, chi: real(alg, chi)[:-1])
+        calls = spy_span_checks(monkeypatch)
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
         assert rep.checks[0].passed
-        failed = [c for c in rep.checks[1:] if not c.passed]
-        assert failed and all(c.witness for c in failed)
+        assert [c for c, *_ in calls] == rep.checks[1:]
+        assert_witness_vectors(calls)
+
+    def test_theorem_B_product_check_names_a_vector_at_equal_dims(self, monkeypatch):
+        # negative control: d_chi^1 Phi_2 = 2 e11[0] - 2 e22[0] replaced by
+        # e12[0], of the same degree, so both sides keep their dims and only a
+        # vector can tell them apart (the witness read "dims 2 vs 2" before)
+        real = certify.soa_generators
+        monkeypatch.setattr(certify, "soa_generators", lambda alg, chi: real(alg, chi)[:-1] + [
+            real(alg, chi)[-1]._replace(poly=CommPoly.variable(1, 0))])
+        calls = spy_span_checks(monkeypatch)
+        rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=2)
+        assert rep.checks[0].passed
+        assert [c.witness for c in rep.checks[1:]] == [
+            "dims 2 vs 2: limit holds 1*e11[0] outside product",
+            "dims 5 vs 5: limit holds 1*e11[0]^2 outside product"]
+        assert_witness_vectors(calls)
 
     def test_theorem_B_generic_dims_check_can_fail(self, monkeypatch):
         # negative control: drop sigma_n^(1) from the curve, and so from its
@@ -153,28 +207,31 @@ class TestSuites:
         real = certify.gaudin_generators
         monkeypatch.setattr(certify, "gaudin_generators",
                             lambda *args: real(*args)[:-1])
+        calls = spy_span_checks(monkeypatch)
         rep = certify.verify_theorem_A(2, ["1", "2"], 3)
-        failed = [c for c in rep.checks if not c.passed]
-        assert failed and all(c.witness for c in failed)
+        assert [c for c, *_ in calls] == rep.checks
+        assert_witness_vectors(calls)
 
     def test_talalaev_span_check_can_fail(self, monkeypatch):
         # negative control: drop one cdet generator
         real = certify.talalaev_generators
         monkeypatch.setattr(certify, "talalaev_generators",
                             lambda *args, **kw: real(*args, **kw)[1:])
+        calls = spy_span_checks(monkeypatch)
         rep = certify.verify_talalaev(2, 2, 3)
         assert rep.checks[0].passed
-        failed = [c for c in rep.checks[1:] if not c.passed]
-        assert failed and all(c.witness for c in failed)
+        assert [c for c, *_ in calls] == rep.checks[1:]
+        assert_witness_vectors(calls)
 
     def test_centralizer_check_can_fail(self, monkeypatch):
         # negative control: drop one Gaudin generator
         real = certify.gaudin_generators
         monkeypatch.setattr(certify, "gaudin_generators",
                             lambda *args: real(*args)[:-1])
+        calls = spy_span_checks(monkeypatch)
         rep = certify.verify_centralizer("sl2", 4)
-        failed = [c for c in rep.checks if not c.passed]
-        assert failed and all(c.witness for c in failed)
+        assert [c for c, *_ in calls] == rep.checks
+        assert_witness_vectors(calls)
 
     def test_gaudin_check_can_fail(self, monkeypatch):
         # negative control: add x_e[1], which brackets nontrivially with omega

@@ -99,10 +99,12 @@ def _option(suite, name, value):
 # every range the CLI enforces, a per-n range once per n; the monomial count
 # of a centralizer component and the degree of a limit curve are checked by
 # certify itself (test_gr_centralizer_past_measured_bound_exit_two,
-# test_limit_curve_degree_past_measured_bound_exit_two), and the digits of a
-# rational by scalars.parse_rational (test_oversized_rational_exit_two)
+# test_limit_curve_degree_past_measured_bound_exit_two), the digits of a
+# rational by scalars.parse_rational (test_oversized_rational_exit_two), and
+# the dim of a config algebra by liealg.algebra_from_dict
+# (test_config_past_dim_bound_exit_two)
 RANGES = [(suite, name, n)
-          for suite, names in certify.BOUNDS.items() if suite != "rationals"
+          for suite, names in certify.BOUNDS.items() if suite not in ("rationals", "config")
           for name, (lo, hi) in names.items() if name not in ("monomials", "curve degree")
           for n in (sorted(hi) if isinstance(hi, dict) else [None])]
 
@@ -183,7 +185,7 @@ def test_rationals_at_the_digit_bound_are_admitted(capsys):
     code, out = run(["gens", "--family", "classical-bethe", "--algebra", "gl4", "--C",
                      f"{big},{big},1/{big},1e999", "--max-deg", "1", "--json", "-"], capsys)
     assert code == 0
-    gens = json.loads(out[out.index("{"):])["checks"][0]["details"]["generators"]
+    gens = json.loads(out)["checks"][0]["details"]["generators"]
     assert gens["sigma_4^(1)"].startswith(f"{10 ** 999 * (10 ** 1000 - 1)}*gamma[1,1;1]")
 
 
@@ -191,7 +193,7 @@ def test_gens_dump(capsys):
     code, out = run(["gens", "--family", "classical-bethe", "--algebra", "gl2",
                      "--C", "1,2", "--max-deg", "2", "--json", "-"], capsys)
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     gens = payload["checks"][0]["details"]["generators"]
     assert gens["sigma_1^(1)"] == "1*gamma[1,1;1] + 2*gamma[2,2;1]"
 
@@ -200,9 +202,21 @@ def test_poincare_table(capsys):
     code, out = run(["poincare", "--family", "bethe", "--algebra", "gl2",
                      "--C", "1,2", "--cutoff", "3", "--json", "-"], capsys)
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     dims = payload["checks"][0]["details"]["dims"]
     assert dims == [1, 2, 5, 10]
+
+
+def test_json_stdout_is_the_report_alone(capsys):
+    # the summary lines went to stdout ahead of the payload, so that
+    # `--json - | python3 -m json.tool` failed; they go to stderr now
+    code = main(["verify-rtt", "--n", "1", "--order", "1", "--json", "-"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["pass"] is True
+    assert captured.out.startswith("{") and captured.out.endswith("}\n")
+    assert captured.err.splitlines() == ["[PASS] rtt entrywise identity n=1 through u^-1 v^-1",
+                                         "=> verify-rtt: all checks passed"]
 
 
 def test_limit_cli(capsys):
@@ -274,7 +288,7 @@ def test_gens_bethe_default_C(family, n, capsys):
     # without --C the torus element is diag(1, ..., n)
     code, out = run(["gens", "--family", family, "--algebra", f"gl{n}", "--json", "-"], capsys)
     assert code == 0
-    report = json.loads(out[out.index("{"):])
+    report = json.loads(out)
     assert report["params"]["C"] == [str(i) for i in range(1, n + 1)]
 
 
@@ -402,6 +416,23 @@ def test_rank_zero_config_exit_two(tmp_path, capsys, config, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "ValidationError" in err and "rank must be positive, got 0" in err
+
+
+def test_config_past_dim_bound_exit_two(monkeypatch, tmp_path, capsys):
+    # refused by its dim, before the form is built or validate runs
+    def no_validate(self):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr("loopcert.liealg.LieAlgebraData.validate", no_validate)
+    dim = certify.BOUNDS["config"]["dim"][1] + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": dim, "labels": [], "brackets": [], "form": [],
+                                "rank": 1, "exponents": [0], "cartan": []}), encoding="utf-8")
+    code = main(["verify-gaudin", "--algebra", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"BoundsError]: config dim = {dim} outside documented bounds" in err
+    assert "took 12.8 s" in err
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from loopcert.certify import _bideg, _curve_exponents, dump_generators
+from loopcert.cli import main
 from loopcert.commpoly import LoopAlgebra
 from loopcert.envelop import talalaev_generators
 from loopcert.families import (bethe_component_polys, classical_bethe, embed_subalgebra_poly,
@@ -128,3 +129,18 @@ def test_limit_subspace_rows(name, n, c0, chi, dmax):
         lim, K = limit_subspace(loop.component_monomials(d), curve[d], K)
         got[str(d)] = subspace_json(lim)
     assert got == json.loads((GOLDEN / name).read_text())
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("report_gr_centralizer_sl2_d6.json", "gr --comparison centralizer --algebra sl2 --max-deg 6"),
+    ("report_gr_theorem_A_gl3_C1_1_2_d4.json",
+     "gr --comparison theorem-A --algebra gl3 --C 1,1,2 --max-deg 4"),
+    ("report_talalaev_n2_R3_d5.json", "verify-talalaev --n 2 --R 3 --max-deg 5"),
+    ("report_limit_gl2_C0_1_1_chi_1_-1_d4.json", "limit --algebra gl2 --C0 1,1 --chi 1,-1 --deg 4"),
+])
+def test_span_suite_reports(name, argv, tmp_path):
+    """The ``--json`` reports of the four span suites, byte for byte: a
+    passing span check reports the dims of its two sides and nothing more."""
+    path = tmp_path / name
+    assert main(argv.split() + ["--json", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()

@@ -6,7 +6,7 @@ import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
 from loopcert.errors import BoundsError, ValidationError
-from loopcert.certify import dump_generators
+from loopcert.certify import BOUNDS, dump_generators
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
                              gl_algebra, load_config, matrix_algebra, preset,
                              root_pairing)
@@ -409,20 +409,26 @@ def test_malformed_config_rejected(corrupt, message):
         algebra_from_dict(data)
 
 
-def test_config_past_letter_bound_refused_before_validate(monkeypatch):
+def test_config_past_dim_bound_refused_before_validate(monkeypatch):
     # validate makes about 1.5 dim^3 bracket lookups even for an abelian
-    # algebra (a 300-dimensional one ran past 60 s in it), and a basis index
-    # past 255 has no letter, so no suite could run such a config
+    # algebra (28.6 s at dim 256, which the letter bound admitted), so the dim
+    # is read against its measured bound before the form is built
     def abelian(dim):
         return {"dim": dim, "labels": [f"x{a}" for a in range(dim)], "brackets": [],
                 "form": [[a, a, "1"] for a in range(dim)], "rank": dim,
                 "exponents": [0] * dim, "cartan": list(range(dim))}
 
+    lo, hi = BOUNDS["config"]["dim"]
     validated = []
     monkeypatch.setattr(LieAlgebraData, "validate", lambda self: validated.append(self.dim))
-    assert algebra_from_dict(abelian(256)).dim == 256
-    with pytest.raises(BoundsError, match=r"x256\[0\] has no letter"):
-        algebra_from_dict(abelian(257))
-    with pytest.raises(BoundsError, match=r"x299\[0\] has no letter"):
-        algebra_from_dict(abelian(300))
-    assert validated == [256]
+    assert algebra_from_dict(abelian(hi)).dim == hi
+    assert validated == [hi]
+
+    def no_validate(self):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr(LieAlgebraData, "validate", no_validate)
+    for dim in (hi + 1, 256, 257, 300):
+        with pytest.raises(BoundsError, match=rf"config dim = {dim} outside documented bounds "
+                                              rf"\[{lo}, {hi}\]: .* took 12.8 s"):
+            algebra_from_dict(abelian(dim))
