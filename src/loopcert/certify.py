@@ -82,8 +82,13 @@ BOUNDS = {
     # of n <= 4 entries stays under the 4300-digit int-to-str limit, which
     # ratstr hit; 1e3000000 ran past 30 s in Fraction
     "rationals": {"digits": (1, 1000)},
-    # a config's dim, read by algebra_from_dict: validate took 6.1 s at gl11's 121, 12.8 s at 144
-    "config": {"dim": (0, 121)},
+    # config, read by algebra_from_dict before anything is built: dim, the number
+    # of basis matrices, whose pairs the closure check multiplies: gl11's matrix
+    # units (121) load in 0.3-0.5 s with block degrees 1..4, gl16's (256) in 2.1 s,
+    # and gl11 in a unitriangular basis in 23-30 s; degree, the largest invariant
+    # degree of a block, as tr X^k is built at load: gl11 took 2.2 s with
+    # degrees 1..5 and 31 s and 310 MB with 1..6, gl8 28 s with 1..7
+    "config": {"dim": (0, 121), "degree": (1, 6)},
 }
 
 
@@ -367,7 +372,8 @@ def verify_gaudin(alg_name: str, kmax: int) -> Report:
               details={"generators": [g.label for g in gens],
                        "pairs_checked": npairs},
               witness=None if bad is None else
-              f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}}_{bad[2]} = {bad[3].render()}")])
+              f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}}_{bad[2]} = "
+              f"{_loop_text(alg)(bad[3].terms)}")])
 
 
 # -- 5. centralizer characterization ----------------------------------------------------------
@@ -562,7 +568,7 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
         details={"generators": [g.label for g in gens],
                  "count_expected": (alg.dim + alg.rank) // 2},
         witness=None if bad is None else
-        f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}} = {bad[3].render()}")]
+        f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}} = {_loop_text(alg)(bad[3].terms)}")]
 
     rng = random.Random(seed)
     resamples = 0

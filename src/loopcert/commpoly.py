@@ -46,9 +46,10 @@ from .scalars import mul_into, over_common_denominator, ratstr
 Var = Tuple[int, int]  # (basis index a, t-degree r)
 Monomial = str  # sorted letters, one per factor
 
-# Letters per t-degree: the presets have dim <= 16 and the CLI's t-degrees
-# stay below 20, so 256 leaves room for gl16 and config algebras up to dim
-# 256, at t-degrees up to sys.maxunicode // 256 = 4351; past that, BoundsError.
+# Letters per t-degree: the presets have dim <= 16, a config's number of
+# matrices is capped at 121 (BOUNDS["config"]["dim"]) and the CLI's t-degrees
+# stay below 20, so 256 leaves room for gl16, at t-degrees up to
+# sys.maxunicode // 256 = 4351; past that, BoundsError.
 B = 256
 
 
@@ -295,7 +296,7 @@ class LoopAlgebra:
     """S(g[t]) truncated at t-degree < R, with both Poisson brackets and D.
 
     ``alg`` must expose ``dim``, ``bracket_coeffs(a, b) -> dict d -> Fraction``
-    and ``gram_inverse()`` (see ``liealg.LieAlgebraData``).
+    and ``gram_inv`` (see ``liealg.LieAlgebraData``).
     """
 
     def __init__(self, alg, R: int) -> None:
@@ -402,7 +403,7 @@ class LoopAlgebra:
         return self._casimir_element(1)
 
     def _casimir_element(self, r: int) -> CommPoly:
-        ginv = self.alg.gram_inverse()
+        ginv = self.alg.gram_inv
         out: Dict[Monomial, Fraction] = defaultdict(int)
         for a in range(self.alg.dim):
             for b in range(self.alg.dim):

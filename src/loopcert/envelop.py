@@ -320,7 +320,7 @@ def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction],
 
 def casimir_tensor(alg: LieAlgebraData, tctx: PBWContext, i: int, j: int) -> NCPoly:
     """Omega_ij = sum_a x_a^(i) x^{a,(j)} acting in copies i, j."""
-    ginv = alg.gram_inverse()
+    ginv = alg.gram_inv
     raw: Terms = {}
     for a in range(alg.dim):
         for b in range(alg.dim):

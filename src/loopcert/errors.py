@@ -6,7 +6,7 @@ class LoopcertError(Exception):
 
 
 class ValidationError(LoopcertError):
-    """Structural data failed a construction-time check (Jacobi, form, ...)."""
+    """Structural data failed a construction-time check (closure, form, ...)."""
 
 
 class TruncationError(LoopcertError):

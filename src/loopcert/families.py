@@ -63,13 +63,11 @@ def directional_derivative(alg: LieAlgebraData, chi: Sequence[Fraction],
 
 
 def diag_to_basis(alg: LieAlgebraData, entries: Sequence[Fraction]) -> List[Fraction]:
-    """Coordinates of a diagonal matrix in the basis of a matrix algebra."""
-    if alg.realization is None:
-        raise ValidationError("needs a matrix realization")
-    if len(entries) != alg.realization.size:
+    """Coordinates of a diagonal matrix in the basis of the algebra."""
+    if len(entries) != alg.size:
         raise ValidationError("wrong number of diagonal entries")
     diag = {(i, i): x for i, x in enumerate(map(Fraction, entries)) if x}
-    return alg.realization.coordinates(diag, "diagonal matrix is not in the algebra")
+    return alg.coordinates(diag, "diagonal matrix is not in the algebra")
 
 
 def cartan_coords(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[Fraction]:

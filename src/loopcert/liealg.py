@@ -1,20 +1,19 @@
-"""Lie algebra data: structure constants, invariant form, torus elements,
+"""Lie algebra data: matrix algebras with the trace form, torus elements,
 centralizers and invariant polynomial generators.
 
-Every matrix algebra (the gl_n and sl_n presets, ``gl_algebra(n)`` and the
-centralizers z(C)) is built by one constructor, ``matrix_algebra``, from a
-basis of matrices E_a and a list of (block of matrix indices, invariant
-degrees).  Over sparse ``{(i, j): entry}`` matrices it derives the trace
-form, the dual basis E^a, exact coordinates of a matrix in the basis
-(``MatrixRealization.coordinates``), the bracket table from commutators,
-and the invariants tr(X_B^k) of the generic matrix X = sum_a x_a E^a
+Every algebra, preset or config, is a ``LieAlgebraData``: a basis of
+sparse ``{(i, j): entry}`` matrices E_a and a list of (block of matrix
+indices, invariant degrees).  From the matrices it derives the trace form,
+the dual basis E^a, exact coordinates of a matrix in the basis
+(``coordinates``), the bracket table from commutators, and, on first use,
+the invariants tr(X_B^k) of the generic matrix X = sum_a x_a E^a
 restricted to each block B.  The paper-level assumption of an orthonormal
 basis is relaxed to an arbitrary nondegenerate invariant form with dual
-bases, so all arithmetic stays rational.  Arbitrary algebras are accepted
-from config files and validated (indices, antisymmetry, Jacobi, form
-invariance) at construction; a matrix algebra skips the Jacobi and
-invariance checks, which its construction proves.  ``bracket_coeffs`` is
-the one way structure constants are applied.
+bases, so all arithmetic stays rational.  Jacobi and the form's
+ad-invariance hold by construction; ``validate`` checks what outside input
+can break: closure under the commutator, a nondegenerate form, the label
+count, a positive rank and supplied invariants.  ``bracket_coeffs`` is the
+one way structure constants are applied.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .commpoly import CommPoly, LoopAlgebra, monomial
 from .errors import BoundsError, RegularityError, ValidationError
 from .linalg import echelon
-from .scalars import parse_rational, ratstr
+from .scalars import parse_rational
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Sparse = Dict[Tuple[int, int], object]  # {(i, j): nonzero entry}, Fraction or CommPoly
@@ -71,51 +70,6 @@ def _trace_pair(A: Sparse, B: Sparse, zero=Fraction(0)):
     return sum((x * B[(j, i)] for (i, j), x in A.items() if (j, i) in B), zero)
 
 
-class MatrixRealization:
-    """A basis E_a of n x n matrices, held sparse, with its trace form
-    <E_a, E_b> = tr(E_a E_b) and the dual basis E^a = sum_b ginv[b][a] E_b,
-    so that <E_a, E^b> = delta_ab."""
-
-    def __init__(self, size: int, matrices: Sequence[Sparse]) -> None:
-        self.size = size
-        self.sparse = [{ij: Fraction(x) for ij, x in M.items() if x} for M in matrices]
-        self.gram = tuple(tuple(_trace_pair(A, B) for B in self.sparse) for A in self.sparse)
-        self.gram_inv = mat_inverse(self.gram)
-        self.duals = [_combine(col, self.sparse) for col in zip(*self.gram_inv)]
-
-    def coordinates(self, A: Sparse, message: str) -> List[Fraction]:
-        """The c with sum_a c_a E_a = A, read off as c_a = <A, E^a>; raises
-        ``ValidationError(message)`` unless they reproduce A exactly, that
-        is unless A lies in the span."""
-        coords = [_trace_pair(A, D) for D in self.duals]
-        if _combine(coords, self.sparse) != A:
-            raise ValidationError(message)
-        return coords
-
-    def trace_invariants(self, blocks) -> List["InvariantPolynomial"]:
-        """tr(X_B^k) for each (block B, degrees) and k in degrees, where X_B
-        is the generic matrix X = sum_a x_a E^a restricted to the rows and
-        columns in B, read off as tr(X_B^(k-1) X_B) after k - 1 products."""
-        X: Dict[Tuple[int, int], CommPoly] = {}
-        for a, D in enumerate(self.duals):
-            for ij, c in D.items():
-                X[ij] = X.get(ij, CommPoly()) + CommPoly.variable(a, 0).scale(c)
-        out = []
-        for blk, degrees in blocks:
-            XB = {(i, j): p for (i, j), p in X.items() if i in blk and j in blk}
-            power = {(i, i): CommPoly.const(1) for i in blk}  # X_B^(k-1)
-            for k in range(1, max(degrees) + 1):
-                if k in degrees:
-                    tr = _trace_pair(power, XB, CommPoly())
-                    if tr.is_zero():
-                        raise ValidationError(f"trace power {k} vanishes identically")
-                    out.append(InvariantPolynomial(tr, k))
-                if k < max(degrees):
-                    power = _mat_mul(power, XB, CommPoly())
-        out.sort(key=lambda p: p.degree)
-        return out
-
-
 class RootDatum(NamedTuple):
     """One root: its functional on the Cartan (coordinates in the Cartan
     basis of the ambient algebra) and the indices of e_alpha, e_{-alpha}."""
@@ -133,44 +87,72 @@ class InvariantPolynomial(NamedTuple):
 
 
 class LieAlgebraData:
-    """Validated structure-constant presentation of a finite-dimensional
-    Lie algebra with a nondegenerate invariant form."""
+    """The Lie algebra spanned by sparse ``size`` x ``size`` ``matrices`` E_a,
+    with the trace form <E_a, E_b> = tr(E_a E_b) and the dual basis
+    E^a = sum_b gram_inv[b][a] E_b, so that <E_a, E^b> = delta_ab.
 
-    def __init__(
-        self,
-        dim: int,
-        labels: Sequence[str],
-        brackets: Dict[Tuple[int, int], Dict[int, Fraction]],
-        gram: Sequence[Sequence[Fraction]],
-        rank: int,
-        exponents: Sequence[int],
-        cartan_indices: Sequence[int],
-        root_data: Optional[List[RootDatum]] = None,
-        realization: Optional[MatrixRealization] = None,
-        name: str = "custom",
-        gl_size: Optional[int] = None,
-        ambient_indices: Optional[List[int]] = None,
-        invariants: Optional[List[InvariantPolynomial]] = None,
-    ) -> None:
-        self.dim = dim
-        self.labels = list(labels)
-        self._brackets = {k: {d: Fraction(c) for d, c in v.items() if c != 0}
-                          for k, v in brackets.items()}
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        self.rank = rank
-        self.exponents = list(exponents)
-        self.cartan_indices = list(cartan_indices)
-        self.root_data = root_data or []
-        self.realization = realization
+    ``blocks`` lists (block of matrix indices, invariant degrees); the
+    invariant generators are tr(X_B^k), so the rank is their number and the
+    exponents are their degrees minus one.  ``invariants``, if given,
+    replace them and must have the same degrees.
+    """
+
+    def __init__(self, name: str, labels: Sequence[str], size: int,
+                 matrices: Sequence[Sparse], cartan_indices: Sequence[int],
+                 root_data: List[RootDatum], blocks, gl_size: Optional[int] = None,
+                 ambient_indices: Optional[List[int]] = None,
+                 invariants: Optional[List[InvariantPolynomial]] = None) -> None:
         self.name = name
+        self.labels = list(labels)
+        self.size = size
+        self.matrices = [{ij: Fraction(x) for ij, x in M.items() if x} for M in matrices]
+        self.dim = len(self.matrices)
+        self.cartan_indices = list(cartan_indices)
+        self.root_data = root_data
+        self.blocks = blocks
+        degrees = sorted(k for _, ks in blocks for k in ks)
+        self.rank = len(degrees)
+        self.exponents = [k - 1 for k in degrees]
         self.gl_size = gl_size  # n when this is gl_n in the matrix-unit basis
         self.ambient_indices = ambient_indices  # embedding into a parent algebra
-        self._gram_inv: Optional[Matrix] = realization.gram_inv if realization else None
         self._invariants = invariants
-        self._invariants_checked = False
         self.validate()
 
-    # -- structure access ----------------------------------------------------
+    def validate(self) -> None:
+        """The checks on outside input: the label count, a nondegenerate
+        trace form, closure under the commutator (which yields the bracket
+        table), a positive rank and any supplied invariants.  Jacobi,
+        antisymmetry and ad-invariance of the form hold by construction for
+        commutators of matrices under the trace form."""
+        if len(self.labels) != self.dim:
+            raise ValidationError("labels length != dim")
+        mats = self.matrices
+        self.gram = tuple(tuple(_trace_pair(A, B) for B in mats) for A in mats)
+        self.gram_inv = mat_inverse(self.gram)
+        # the echelon rows of [E_a | e_a], E_a flattened to i * size + j and
+        # e_a at column size^2 + a, keyed by pivot: they express a matrix in
+        # the basis at the cost of its entries' rows, however dense the duals
+        self._rows = dict(echelon({**{i * self.size + j: x for (i, j), x in M.items()},
+                                   self.size ** 2 + a: 1} for a, M in enumerate(mats)))
+        self._brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
+                comm = _combine((1, -1), (_mat_mul(mats[a], mats[b]), _mat_mul(mats[b], mats[a])))
+                if comm:
+                    coords = self.coordinates(comm, "matrices are not closed under bracket")
+                    self._brackets[(a, b)] = {d: c for d, c in enumerate(coords) if c}
+        if self.rank < 1:
+            raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
+                                  "built from the rank's invariant generators")
+        if self._invariants is not None:
+            if sorted(p.degree for p in self._invariants) != [m + 1 for m in self.exponents]:
+                raise ValidationError("invariant degrees do not match the blocks' degrees")
+            loop = LoopAlgebra(self, R=1)
+            for inv in self._invariants:
+                for a in range(self.dim):
+                    if not loop.poisson0(CommPoly.variable(a, 0), inv.poly).is_zero():
+                        raise ValidationError(
+                            f"polynomial of degree {inv.degree} is not ad-invariant")
 
     def bracket_coeffs(self, a: int, b: int) -> Dict[int, Fraction]:
         """[x_a, x_b] as a sparse coefficient vector."""
@@ -184,140 +166,51 @@ class LieAlgebraData:
             return {d: -x for d, x in c.items()}
         return {}
 
-    def gram_inverse(self) -> Matrix:
-        if self._gram_inv is None:
-            self._gram_inv = mat_inverse(self.gram)
-        return self._gram_inv
-
-    # -- validation ------------------------------------------------------------
-
-    def validate(self) -> None:
-        n = self.dim
-        if len(self.labels) != n:
-            raise ValidationError("labels length != dim")
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
-            raise ValidationError("form must be a dim x dim matrix")
-        for a in range(n):
-            for b in range(n):
-                if self.gram[a][b] != self.gram[b][a]:
-                    raise ValidationError("form is not symmetric")
-        self.gram_inverse()  # raises if degenerate
-        for (a, b), cs in self._brackets.items():
-            if not all(0 <= i < n for i in (a, b, *cs)):
-                raise ValidationError(f"bracket index outside 0..{n - 1} at ({a},{b})")
-            if a == b and cs:
-                raise ValidationError(f"nonzero bracket [{a},{a}]")
-            rev = self._brackets.get((b, a))
-            if rev is not None:
-                for d in set(cs) | set(rev):
-                    if cs.get(d, Fraction(0)) != -rev.get(d, Fraction(0)):
-                        raise ValidationError(f"bracket not antisymmetric at ({a},{b})")
-        # commutators of matrices and the trace form satisfy Jacobi and
-        # ad-invariance by construction, so only a config algebra is checked
-        if self.realization is None:
-            bc = self.bracket_coeffs
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for c in range(b + 1, n):
-                        # [[a,b],c] + [[b,c],a] + [[c,a],b], expanded in the basis
-                        acc: Dict[int, Fraction] = {}
-                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                            for d, cd in bc(x, y).items():
-                                for e, ce in bc(d, z).items():
-                                    acc[e] = acc.get(e, 0) + cd * ce
-                        if any(acc.values()):
-                            raise ValidationError(f"Jacobi identity fails on triple ({a},{b},{c})")
-            # ad-invariance of the form: <[x,y],z> + <y,[x,z]> = 0
-            g = self.gram
-            for a in range(n):
-                for b in range(n):
-                    ab = bc(a, b).items()
-                    for c in range(n):
-                        s = sum(cd * g[d][c] for d, cd in ab) + \
-                            sum(cd * g[b][d] for d, cd in bc(a, c).items())
-                        if s != 0:
-                            raise ValidationError(f"form is not ad-invariant at ({a},{b},{c})")
-        if self.rank < 1:
-            raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
-                                  "built from the rank's invariant generators")
-        if len(self.exponents) != self.rank:
-            raise ValidationError("number of exponents != rank")
-
-    # -- invariant generators ----------------------------------------------------
+    def coordinates(self, A: Sparse, message: str) -> List[Fraction]:
+        """The c with sum_a c_a E_a = A: the sum over A's entries at pivots of
+        the entry times its echelon row, whose matrix part must give back A
+        and whose tags are c; raises ``ValidationError(message)`` unless A
+        lies in the span."""
+        n2 = self.size ** 2
+        flat = {i * self.size + j: x for (i, j), x in A.items()}
+        acc: Dict[int, Fraction] = {}
+        for col, x in flat.items():
+            for k, y in self._rows.get(col, {}).items():
+                acc[k] = acc.get(k, 0) + x * y
+        if {k: v for k, v in acc.items() if k < n2 and v} != flat:
+            raise ValidationError(message)
+        return [acc.get(n2 + a, Fraction(0)) for a in range(self.dim)]
 
     def invariant_generators(self) -> List[InvariantPolynomial]:
-        """Free generators of S(g)^g: the trace invariants of a matrix
-        algebra, else those supplied in the config; checked on first use."""
+        """Free generators of S(g)^g: the supplied invariants, else the
+        trace invariants, built on first use."""
         if self._invariants is None:
-            raise ValidationError(
-                f"no built-in invariants for algebra {self.name!r}; supply them in config")
-        if not self._invariants_checked:
-            self._check_invariants(self._invariants)
-            self._invariants_checked = True
+            self._invariants = self._trace_invariants()
         return self._invariants
 
-    def _check_invariants(self, invs: List[InvariantPolynomial]) -> None:
-        if len(invs) != self.rank:
-            raise ValidationError("number of invariant generators != rank")
-        degs = sorted(p.degree for p in invs)
-        if degs != sorted(m + 1 for m in self.exponents):
-            raise ValidationError("invariant degrees do not match exponents + 1")
-        loop = LoopAlgebra(self, R=1)
-        for inv in invs:
-            for a in range(self.dim):
-                if not loop.poisson0(CommPoly.variable(a, 0), inv.poly).is_zero():
-                    raise ValidationError(
-                        f"polynomial of degree {inv.degree} is not ad-invariant")
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_config(self) -> dict:
-        brackets = []
-        for (a, b), cs in sorted(self._brackets.items()):
-            for d, c in sorted(cs.items()):
-                brackets.append([a, b, d, ratstr(c)])
-        form = []
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                if self.gram[a][b] != 0:
-                    form.append([a, b, ratstr(self.gram[a][b])])
-        return {
-            "dim": self.dim,
-            "labels": self.labels,
-            "brackets": brackets,
-            "form": form,
-            "rank": self.rank,
-            "exponents": self.exponents,
-            "cartan": self.cartan_indices,
-        }
-
-
-def matrix_algebra(name: str, labels: Sequence[str], size: int, matrices: Sequence[Sparse],
-                   cartan_indices: Sequence[int], root_data: List[RootDatum],
-                   blocks, **kw) -> LieAlgebraData:
-    """The Lie algebra spanned by sparse ``size`` x ``size`` ``matrices``, with the trace form.
-
-    ``blocks`` lists (block of matrix indices, invariant degrees); the
-    invariant generators are tr(X_B^k), so the rank is their number and the
-    exponents are their degrees minus one.  Raises ``ValidationError`` if a
-    commutator leaves the span.
-    """
-    real = MatrixRealization(size, matrices)
-    dim = len(matrices)
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            comm = _combine((1, -1), (_mat_mul(real.sparse[a], real.sparse[b]),
-                                      _mat_mul(real.sparse[b], real.sparse[a])))
-            if comm:
-                coords = real.coordinates(comm, "matrices are not closed under bracket")
-                brackets[(a, b)] = {d: c for d, c in enumerate(coords) if c}
-    degrees = sorted(k for _, ks in blocks for k in ks)
-    return LieAlgebraData(
-        dim=dim, labels=labels, brackets=brackets, gram=real.gram, rank=len(degrees),
-        exponents=[k - 1 for k in degrees], cartan_indices=cartan_indices,
-        root_data=root_data, realization=real, name=name,
-        invariants=real.trace_invariants(blocks), **kw)
+    def _trace_invariants(self) -> List[InvariantPolynomial]:
+        """tr(X_B^k) for each (block B, degrees) and k in degrees, where X_B
+        is the generic matrix X = sum_a x_a E^a restricted to the rows and
+        columns in B, read off as tr(X_B^(k-1) X_B) after k - 1 products."""
+        X: Dict[Tuple[int, int], CommPoly] = {}
+        for a, D in enumerate(_combine(col, self.matrices) for col in zip(*self.gram_inv)):
+            for ij, c in D.items():
+                X[ij] = X.get(ij, CommPoly()) + CommPoly.variable(a, 0).scale(c)
+        out = []
+        for blk, degrees in self.blocks:
+            XB = {(i, j): p for (i, j), p in X.items() if i in blk and j in blk}
+            power = {(i, i): CommPoly.const(1) for i in blk}  # X_B^(k-1)
+            top = max(degrees, default=0)
+            for k in range(1, top + 1):
+                if k in degrees:
+                    tr = _trace_pair(power, XB, CommPoly())
+                    if tr.is_zero():
+                        raise ValidationError(f"trace power {k} vanishes identically")
+                    out.append(InvariantPolynomial(tr, k))
+                if k < top:
+                    power = _mat_mul(power, XB, CommPoly())
+        out.sort(key=lambda p: p.degree)
+        return out
 
 
 # -- torus elements ---------------------------------------------------------------
@@ -381,7 +274,7 @@ def _gl_units(n: int, blocks: List[List[int]], name: str,
         alpha=tuple(Fraction(int(d == i)) - Fraction(int(d == j)) for d in range(n)),
         e_idx=pos[i * n + j], f_idx=pos[j * n + i])
         for blk in blocks for i in blk for j in blk if i != j]
-    return matrix_algebra(
+    return LieAlgebraData(
         name, [f"e{a // n + 1}{a % n + 1}" for a in keep],
         n, [{divmod(a, n): 1} for a in keep], [pos[i * n + i] for i in range(n)],
         roots, [(blk, range(1, len(blk) + 1)) for blk in blocks],
@@ -408,7 +301,7 @@ def _sl_preset(n: int) -> LieAlgebraData:
             - Fraction(int(d == j)) + Fraction(int(d + 1 == j))
             for d in range(n - 1))
         roots.append(RootDatum(alpha=alpha, e_idx=idx[(i, j)], f_idx=idx[(j, i)]))
-    return matrix_algebra(f"sl{n}", labels, n, mats,
+    return LieAlgebraData(f"sl{n}", labels, n, mats,
                           list(range(len(upper), len(upper) + n - 1)), roots,
                           [(range(n), range(2, n + 1))])
 
@@ -446,31 +339,43 @@ def resolve_algebra(spec: str) -> LieAlgebraData:
     return preset(spec)
 
 
-def _basis_index(a, dim: int, what: str) -> int:
-    """int(a), which a config must give in 0..dim-1."""
+def _basis_index(a, n: int, what: str) -> int:
+    """int(a), which a config must give in 0..n-1: a basis index (n = dim)
+    or a matrix row or column (n = size)."""
     i = int(a)
-    if not 0 <= i < dim:
-        raise ValidationError(f"{what} index {i} outside 0..{dim - 1}")
+    if not 0 <= i < n:
+        raise ValidationError(f"{what} index {i} outside 0..{n - 1}")
     return i
 
 
 def algebra_from_dict(data: dict) -> LieAlgebraData:
+    """A config algebra, the span of sparse ``size`` x ``size`` matrices, built
+    as a preset is (README, "Custom algebras"); its invariants are built, or
+    the supplied ones checked, at load."""
     try:
+        if "brackets" in data or "form" in data:
+            raise ValidationError(
+                "structure constants ('brackets', 'form') are no longer read: a config gives "
+                "'size', 'matrices', 'labels', 'cartan' and 'blocks' (README, \"Custom algebras\")")
         from .certify import BOUNDS  # the admission table, which imports this module
         lo, hi = BOUNDS["config"]["dim"]
-        if not lo <= (dim := int(data["dim"])) <= hi:  # validate makes ~1.5 dim^3 lookups
+        if not lo <= (dim := len(data["matrices"])) <= hi:
             raise BoundsError(f"config dim = {dim} outside documented bounds [{lo}, {hi}]: "
-                              "validating gl12's structure constants (dim 144) took 12.8 s")
+                              "closure multiplies every pair of basis matrices, and gl11 (dim 121) "
+                              "in a unitriangular basis took 23-30 s to load")
+        size = int(data["size"])
+        blocks = [([_basis_index(i, size, "block") for i in blk], [int(k) for k in degrees])
+                  for blk, degrees in data["blocks"]]
+        if any(len(set(degrees)) < len(degrees) for _, degrees in blocks):
+            raise ValidationError("a block repeats an invariant degree: its trace powers "
+                                  "would count twice in the rank")
+        lo, hi = BOUNDS["config"]["degree"]
+        for k in (k for _, degrees in blocks for k in degrees if not lo <= k <= hi):
+            raise BoundsError(f"config block degree {k} outside documented bounds [{lo}, {hi}]: "
+                              "tr X^k is built at load, and gl11 took 31 s with degrees 1..6")
+        matrices = [{(_basis_index(i, size, "matrix entry"), _basis_index(j, size, "matrix entry")):
+                     parse_rational(str(x)) for i, j, x in M} for M in data["matrices"]]
         labels = list(data["labels"])
-        brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for a, b, d, c in data["brackets"]:
-            brackets.setdefault((int(a), int(b)), {})[int(d)] = parse_rational(str(c))
-        gram = [[Fraction(0)] * dim for _ in range(dim)]
-        for a, b, c in data["form"]:
-            a, b = (_basis_index(x, dim, "form") for x in (a, b))
-            gram[a][b] = gram[b][a] = parse_rational(str(c))
-        rank = int(data["rank"])
-        exponents = [int(e) for e in data["exponents"]]
         cartan = [_basis_index(c, dim, "cartan") for c in data["cartan"]]
         roots = [RootDatum(alpha=tuple(parse_rational(str(x)) for x in r["alpha"]),
                            e_idx=_basis_index(r["e"], dim, "root e"),
@@ -492,12 +397,9 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
                 invs.append(InvariantPolynomial(CommPoly(terms), int(spec["degree"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed algebra config: {exc}") from exc
-    alg = LieAlgebraData(
-        dim=dim, labels=labels, brackets=brackets, gram=gram, rank=rank,
-        exponents=exponents, cartan_indices=cartan, root_data=roots,
-        name=str(data.get("name", "custom")), invariants=invs)
-    if invs is not None:
-        alg.invariant_generators()  # reject non-invariant user input
+    alg = LieAlgebraData(str(data.get("name", "custom")), labels, size, matrices, cartan, roots,
+                         blocks, invariants=invs)
+    alg.invariant_generators()  # a trace power that vanishes is refused at load
     return alg
 
 

@@ -273,6 +273,20 @@ class TestSuites:
         assert not check.passed
         assert "x_e[0]" in check.witness and check.witness.split(" = ")[1] != "0"
 
+    def test_gaudin_and_soa_witnesses_use_labels(self, monkeypatch):
+        # a bracket in a FAIL's witness names variables as gens and the span
+        # witnesses do, label[r]; it read x0[0]*x1[1] before
+        from loopcert.commpoly import CommPoly
+        from loopcert.families import FamilyElement
+        real_gaudin, real_soa = certify.gaudin_generators, certify.soa_generators
+        x_e = [FamilyElement(CommPoly.variable(0, r), f"x_e[{r}]", r + 1, r) for r in (0, 1)]
+        monkeypatch.setattr(certify, "gaudin_generators", lambda *a: real_gaudin(*a) + [x_e[1]])
+        monkeypatch.setattr(certify, "soa_generators", lambda *a: real_soa(*a) + [x_e[0]])
+        assert certify.verify_gaudin("sl2", 1).checks[0].witness == \
+            "{D^0 Phi_1, x_e[1]}_0 = -2*e12[0]*h1[1] + 2*h1[0]*e12[1]"
+        assert certify.verify_soa("sl2", ["1", "-1"], seed=0).checks[0].witness == \
+            "{d_chi^1 Phi_1, x_e[0]} = 4*e12[0]"
+
     def test_limit_dims_dominate_irregular_member(self):
         # filtered-limit dimensions are never below those of the family
         # member at eps = 0 (the smaller, irregular subalgebra)

@@ -388,19 +388,22 @@ def test_config_algebra_suites(tmp_path, capsys):
     assert code == 0 and "all checks passed" in out
 
 
-def test_config_algebra_without_matrices_soa_exit_two(tmp_path, capsys):
-    code = main(["verify-soa", "--algebra", _readme_algebra(tmp_path), "--chi", "1,-1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "ValidationError" in err and "matrix realization" in err
+def test_config_algebra_soa_matches_preset(tmp_path, capsys):
+    # the README config is sl2's matrices, so its shift-of-argument checks
+    # report what the preset's do (a config had no matrices to place chi in)
+    details = []
+    for algebra in (_readme_algebra(tmp_path), "sl2"):
+        code, out = run(["verify-soa", "--algebra", algebra, "--chi", "1,-1", "--json", "-"],
+                        capsys)
+        assert code == 0
+        details.append([c["details"] for c in json.loads(out)["checks"]])
+    assert details[0] == details[1] and len(details[0]) == 2
 
 
 RANK_ZERO = {
-    "dim0": {"dim": 0, "labels": [], "brackets": [], "form": [], "rank": 0,
-             "exponents": [], "cartan": []},
-    "abelian3": {"dim": 3, "labels": ["a", "b", "c"], "brackets": [],
-                 "form": [[0, 0, 1], [1, 1, 1], [2, 2, 1]], "rank": 0,
-                 "exponents": [], "cartan": []},
+    "dim0": {"size": 0, "matrices": [], "labels": [], "cartan": [], "blocks": []},
+    "abelian3": {"size": 3, "matrices": [[[a, a, "1"]] for a in range(3)],
+                 "labels": ["a", "b", "c"], "cartan": [], "blocks": []},
 }
 
 
@@ -418,21 +421,22 @@ def test_rank_zero_config_exit_two(tmp_path, capsys, config, argv):
     assert "ValidationError" in err and "rank must be positive, got 0" in err
 
 
-def test_config_past_dim_bound_exit_two(monkeypatch, tmp_path, capsys):
-    # refused by its dim, before the form is built or validate runs
-    def no_validate(self):
-        raise AssertionError("validate ran")
+def _no_algebra(*args, **kw):
+    raise AssertionError("an algebra was built")
 
-    monkeypatch.setattr("loopcert.liealg.LieAlgebraData.validate", no_validate)
+
+def test_config_past_dim_bound_exit_two(monkeypatch, tmp_path, capsys):
+    # refused by its number of matrices, before any of them is read
+    monkeypatch.setattr("loopcert.liealg.LieAlgebraData.__init__", _no_algebra)
     dim = certify.BOUNDS["config"]["dim"][1] + 1
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"dim": dim, "labels": [], "brackets": [], "form": [],
-                                "rank": 1, "exponents": [0], "cartan": []}), encoding="utf-8")
+    path.write_text(json.dumps({"size": 1, "matrices": [[]] * dim, "labels": [], "cartan": [],
+                                "blocks": [[[0], [1]]]}), encoding="utf-8")
     code = main(["verify-gaudin", "--algebra", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert f"BoundsError]: config dim = {dim} outside documented bounds" in err
-    assert "took 12.8 s" in err
+    assert "took 23-30 s" in err
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):

@@ -144,10 +144,9 @@ def _readme_sl2r():
 
 # sl2r with its first basis vector halved: [x, f] = h/2 and (x, f) = 1/2
 SL2_HALF = {
-    "name": "sl2-half", "dim": 3, "labels": ["x", "h", "f"],
-    "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1/2"], [1, 2, 2, "-2"]],
-    "form": [[0, 2, "1/2"], [1, 1, "2"]],
-    "rank": 1, "exponents": [1], "cartan": [1]}
+    "name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
+    "matrices": [[[0, 1, "1/2"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
+    "cartan": [1], "blocks": [[[0, 1], [2]]]}
 ALGEBRAS = {"sl2": lambda: sl2, "gl2": lambda: preset("gl2"), "sl2r": _readme_sl2r,
             "sl2-half": lambda: algebra_from_dict(SL2_HALF)}
 R_SMALL = 4

@@ -171,10 +171,9 @@ def test_commuting_letters_cache_at_most_L_words(L):
 # sl2 in the basis (x, h, f) with x = e/2: [x, f] = h/2 and (x, f) = 1/2,
 # the only structure constants with a denominator that any test reaches
 sl2_half = algebra_from_dict({
-    "name": "sl2-half", "dim": 3, "labels": ["x", "h", "f"],
-    "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1/2"], [1, 2, 2, "-2"]],
-    "form": [[0, 2, "1/2"], [1, 1, "2"]],
-    "rank": 1, "exponents": [1], "cartan": [1]})
+    "name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
+    "matrices": [[[0, 1, "1/2"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
+    "cartan": [1], "blocks": [[[0, 1], [2]]]})
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 tensor_terms = st.dictionaries(
@@ -261,7 +260,7 @@ class TestGaudinEvaluation:
         zs = [F(0), F(1)]
         tctx = tensor_context(sl2, 2)
         got = gaudin_evaluation(sl2, loop.Omega(), zs, tctx)
-        ginv = sl2.gram_inverse()
+        ginv = sl2.gram_inv
         expected = tctx.zero()
         for a in range(sl2.dim):
             for b in range(sl2.dim):
@@ -297,7 +296,7 @@ class TestGaudinEvaluation:
             if k:
                 q = loop.derivation_D(q)
             gens.append(ev_cl(q))
-        ginv = sl2.gram_inverse()
+        ginv = sl2.gram_inv
 
         def omega_pair(i, j):
             out = CommPoly()

@@ -58,7 +58,7 @@ class TestSOA:
         rng = random.Random(3)
         coords = [F(rng.randint(-5, 5)) for _ in range(sl3.dim)]
         size = 3
-        mats = sl3.realization.sparse
+        mats = sl3.matrices
         X0 = [[sum(coords[a] * mats[a].get((i, j), 0) for a in range(sl3.dim))
                for j in range(size)] for i in range(size)]
         chi_m = [[F(int(i == j)) * [1, 2, -3][i] for j in range(size)]

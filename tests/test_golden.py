@@ -144,3 +144,32 @@ def test_span_suite_reports(name, argv, tmp_path):
     path = tmp_path / name
     assert main(argv.split() + ["--json", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# sl2 with x = E12/2 in place of e: [x, f] = h/2 and (x, f) = 1/2
+SL2_HALF = {"name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
+            "matrices": [[[0, 1, "1/2"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
+            "cartan": [1], "blocks": [[[0, 1], [2]]]}
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("report_config_sl2r_verify_gaudin_k2.json", "verify-gaudin --algebra sl2r.json --kmax 2"),
+    ("report_config_sl2r_gr_centralizer_d4.json",
+     "gr --comparison centralizer --algebra sl2r.json --max-deg 4"),
+    ("report_config_sl2r_eval_gaudin_z0_1_k2.json",
+     "eval-gaudin --algebra sl2r.json --z 0,1 --kmax 2"),
+    ("report_config_sl2r_gens_gaudin.json", "gens --family gaudin --algebra sl2r.json"),
+    ("report_config_sl2_half_verify_gaudin_k2.json",
+     "verify-gaudin --algebra sl2-half.json --kmax 2"),
+])
+def test_config_reports(name, argv, tmp_path, monkeypatch):
+    """The ``--json`` reports of config algebras given as matrices, byte for
+    byte: the README's sl2r and sl2-half, recorded when a config gave
+    structure constants, a form and its invariant instead."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "sl2r.json").write_text(readme.split("```json\n", 1)[1].split("```", 1)[0],
+                                        encoding="utf-8")
+    (tmp_path / "sl2-half.json").write_text(json.dumps(SL2_HALF), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split() + ["--json", "report.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / name).read_bytes()

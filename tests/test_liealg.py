@@ -7,9 +7,9 @@ import pytest
 from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
 from loopcert.errors import BoundsError, ValidationError
 from loopcert.certify import BOUNDS, dump_generators
+from loopcert.cli import main
 from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
-                             gl_algebra, load_config, matrix_algebra, preset,
-                             root_pairing)
+                             gl_algebra, load_config, preset, root_pairing)
 from loopcert.scalars import SymPoly
 
 
@@ -68,9 +68,9 @@ def test_gl_closed_form_matches_matrices(n):
 
 def _dense_matrices(alg):
     """The basis matrices of a matrix algebra as dense lists of rows."""
-    size = alg.realization.size
+    size = alg.size
     return [[[M.get((i, j), F(0)) for j in range(size)] for i in range(size)]
-            for M in alg.realization.sparse]
+            for M in alg.matrices]
 
 
 def _trace_power_by_tuples(alg, k, indices):
@@ -78,9 +78,9 @@ def _trace_power_by_tuples(alg, k, indices):
     expanded over every index tuple (a_1..a_k) as
     tr(E^{a_1} ... E^{a_k}) x_{a_1} ... x_{a_k}, with dense matrices: the
     definition, at |indices|^k matrix products."""
-    size = alg.realization.size
+    size = alg.size
     mats = _dense_matrices(alg)
-    ginv = alg.gram_inverse()
+    ginv = alg.gram_inv
     duals = [[[sum(ginv[b][a] * mats[b][i][j] for b in range(alg.dim))
                for j in range(size)] for i in range(size)] for a in range(alg.dim)]
 
@@ -107,7 +107,7 @@ def test_invariants_match_tuple_expansion(name, C):
     has one block B per group of equal entries of C, degrees 1..|B|, whose
     basis elements are the matrix units inside B x B."""
     alg = preset(name)
-    size = alg.realization.size
+    size = alg.size
     if C is None:
         blocks = [(range(size), range(2 if name.startswith("sl") else 1, size + 1))]
     else:
@@ -130,12 +130,12 @@ def test_non_subalgebra_rejected():
     [E12, E21] = E11 - E22 lies outside their span."""
     e12, e21 = {(0, 1): F(1)}, {(1, 0): F(1)}
     with pytest.raises(ValidationError, match="not closed under bracket"):
-        matrix_algebra("bad", ["e12", "e21"], 2, [e12, e21], [], [], [([0, 1], [1, 2])])
+        LieAlgebraData("bad", ["e12", "e21"], 2, [e12, e21], [], [], [([0, 1], [1, 2])])
 
 
 def test_coordinates_are_exact():
     """A matrix's coordinates reproduce it; one outside the span raises."""
-    sl2 = preset("sl2").realization
+    sl2 = preset("sl2")
     assert sl2.coordinates({(0, 0): F(3), (1, 1): F(-3), (0, 1): F(2)}, "x") == \
         [F(2), F(3), F(0)]
     with pytest.raises(ValidationError, match="^outside$"):
@@ -153,68 +153,21 @@ class TestValidation:
         ("gl4", None), ("gl5", None), ("gl3", (1, 1, 2)), ("gl3", (1, 2, 3)),
         ("gl4", (1, 1, 2, 2))])
     def test_matrix_algebras_validate_as_configs(self, name, C):
-        # validate skips Jacobi and ad-invariance for a matrix algebra, whose
-        # construction proves them; its table and form, read back as a config
-        # algebra, pass every check
+        # a matrix algebra written as a config loads through algebra_from_dict
+        # into the same bracket table, form, roots and invariants
         alg = gl_algebra(5) if name == "gl5" else preset(name)
         if C is not None:
             alg = centralizer(alg, TorusElement.diagonal(C))
-        cfg = algebra_from_dict(alg.to_config())
-        assert cfg.realization is None and cfg.dim == alg.dim
-
-    def test_jacobi_rejected(self):
-        # a fake "algebra" violating Jacobi: [a,b]=c, [a,c]=b, [b,c]=a
-        with pytest.raises(ValidationError):
-            LieAlgebraData(
-                dim=3, labels=["a", "b", "c"],
-                brackets={(0, 1): {2: F(1)}, (0, 2): {1: F(1)}, (1, 2): {0: F(1)}},
-                gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
-                rank=1, exponents=[1], cartan_indices=[0])
-
-    def test_jacobi_rejected_with_invariant_form(self):
-        # f_012 = f_034 = 1 is totally antisymmetric, so the identity form is
-        # ad-invariant, but [[x1,x2],x3] + [[x2,x3],x1] + [[x3,x1],x2] = x4
-        with pytest.raises(ValidationError, match=r"Jacobi identity fails on triple \(1,2,3\)"):
-            LieAlgebraData(
-                dim=5, labels=list("abcde"),
-                brackets={(0, 1): {2: F(1)}, (0, 2): {1: F(-1)}, (1, 2): {0: F(1)},
-                          (0, 3): {4: F(1)}, (0, 4): {3: F(-1)}, (3, 4): {0: F(1)}},
-                gram=[[F(int(i == j)) for j in range(5)] for i in range(5)],
-                rank=1, exponents=[1], cartan_indices=[0])
-
-    def test_form_not_ad_invariant_rejected(self):
-        # sl2 with [e,h] = -2e, [e,f] = h, [h,f] = -2f and the identity form:
-        # <[e,e],h> + <e,[e,h]> = -2 <e,e> != 0
-        with pytest.raises(ValidationError, match=r"not ad-invariant at \(0,0,1\)"):
-            LieAlgebraData(
-                dim=3, labels=["e", "h", "f"],
-                brackets={(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}},
-                gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
-                rank=1, exponents=[1], cartan_indices=[1])
-
-    def test_perturbed_structure_constant_rejected(self):
-        cfg = preset("sl3").to_config()
-        assert algebra_from_dict(cfg).dim == 8  # the unperturbed table validates
-        for k in range(len(cfg["brackets"])):
-            bad = json.loads(json.dumps(cfg))
-            a, b, d, c = bad["brackets"][k]
-            bad["brackets"][k] = [a, b, d, str(F(c) + 1)]
-            with pytest.raises(ValidationError, match="Jacobi|ad-invariant"):
-                algebra_from_dict(bad)
-
-    def test_bracket_index_out_of_range_rejected(self):
-        with pytest.raises(ValidationError, match="outside 0..1"):
-            LieAlgebraData(
-                dim=2, labels=["a", "b"], brackets={(0, 1): {2: F(1)}},
-                gram=[[F(1), F(0)], [F(0), F(1)]],
-                rank=2, exponents=[0, 0], cartan_indices=[0, 1])
+        cfg = algebra_from_dict(json.loads(json.dumps(_as_config(alg))))
+        assert cfg._brackets == alg._brackets and cfg.gram == alg.gram
+        assert cfg.root_data == alg.root_data
+        assert cfg.invariant_generators() == alg.invariant_generators()
 
     def test_degenerate_form_rejected(self):
-        with pytest.raises(ValidationError):
-            LieAlgebraData(
-                dim=2, labels=["a", "b"], brackets={},
-                gram=[[F(1), F(0)], [F(0), F(0)]],
-                rank=2, exponents=[0, 0], cartan_indices=[0, 1])
+        # strictly upper-triangular matrices are closed but trace-orthogonal
+        with pytest.raises(ValidationError, match="singular matrix"):
+            LieAlgebraData("n3", ["e12", "e13", "e23"], 3,
+                           [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}], [], [], [([0, 1, 2], [1])])
 
 
 class TestTorus:
@@ -306,47 +259,59 @@ class TestRootData:
         assert 0 not in vals
 
 
+def _as_config(alg):
+    """A matrix algebra written in the config schema."""
+    return {"name": alg.name, "size": alg.size, "labels": alg.labels,
+            "matrices": [[[i, j, str(x)] for (i, j), x in M.items()] for M in alg.matrices],
+            "cartan": alg.cartan_indices,
+            "roots": [{"alpha": [str(x) for x in r.alpha], "e": r.e_idx, "f": r.f_idx}
+                      for r in alg.root_data],
+            "blocks": [[list(blk), list(degrees)] for blk, degrees in alg.blocks]}
+
+
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
         sl2 = preset("sl2")
-        cfg = sl2.to_config()
         path = tmp_path / "sl2.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(_as_config(sl2)))
         loaded = load_config(str(path))
         assert loaded.dim == 3
         assert loaded.bracket_coeffs(0, 2) == sl2.bracket_coeffs(0, 2)
 
     def test_rational_coefficients(self):
         data = {
-            "dim": 2, "labels": ["x", "y"], "brackets": [],
-            "form": [[0, 0, "1/2"], [1, 1, "3"]],
-            "rank": 2, "exponents": [0, 0], "cartan": [0, 1],
+            "size": 2, "labels": ["x", "y"], "matrices": [[[0, 0, "1/2"]], [[1, 1, "3"]]],
+            "cartan": [0, 1], "blocks": [[[0], [1]], [[1], [1]]],
         }
         alg = algebra_from_dict(data)
-        assert alg.gram[0][0] == F(1, 2)
+        assert alg.gram[0][0] == F(1, 4)
+        assert [p.poly for p in alg.invariant_generators()] == [
+            CommPoly.variable(0, 0).scale(2), CommPoly.variable(1, 0).scale(F(1, 3))]
 
     def test_bad_invariant_rejected(self):
-        data = {
-            "dim": 3, "labels": ["e", "h", "f"],
-            "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1"], [1, 2, 2, "-2"]],
-            "form": [[0, 2, "1"], [1, 1, "2"]],
-            "rank": 1, "exponents": [1], "cartan": [1],
-            "invariants": [
-                {"degree": 2, "terms": [{"monomial": [[1, 2]], "coeff": "1"}]}
-            ],
-        }
-        with pytest.raises(ValidationError):
+        data = _sl2r()
+        data["invariants"] = [{"degree": 2, "terms": [{"monomial": [[1, 2]], "coeff": "1"}]}]
+        with pytest.raises(ValidationError, match="not ad-invariant"):
             algebra_from_dict(data)  # h^2 alone is not ad-invariant
+
+    def test_supplied_invariants_replace_trace_powers(self):
+        # the README's example invariant of sl2r is tr X^2 itself
+        data = _sl2r()
+        supplied = algebra_from_dict(data).invariant_generators()
+        del data["invariants"]
+        assert algebra_from_dict(data).invariant_generators() == supplied
+        data["blocks"] = [[[0, 1], [2, 4]]]
+        with pytest.raises(ValidationError, match="invariant degrees do not match"):
+            algebra_from_dict({**data, "invariants": _sl2r()["invariants"]})
 
 
 def _sl2r():
-    """The README's sl2-rescaled config."""
+    """The README's sl2r config, with its roots and its invariant supplied."""
     return {
-        "dim": 3, "labels": ["e", "h", "f"],
-        "brackets": [[0, 1, 0, "-2"], [0, 2, 1, "1"], [1, 2, 2, "-2"]],
-        "form": [[0, 2, "1"], [1, 1, "2"]],
-        "rank": 1, "exponents": [1], "cartan": [1],
-        "roots": [{"alpha": ["2"], "e": 0, "f": 2}],
+        "size": 2, "labels": ["e", "h", "f"],
+        "matrices": [[[0, 1, "1"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
+        "cartan": [1], "roots": [{"alpha": ["2"], "e": 0, "f": 2}],
+        "blocks": [[[0, 1], [2]]],
         "invariants": [
             {"degree": 2, "terms": [{"monomial": [[1, 2]], "coeff": "1/2"},
                                     {"monomial": [[0, 1], [2, 1]], "coeff": "2"}]}
@@ -367,7 +332,7 @@ def _bad_coeff(d):
 
 
 def _huge_coeff(d):
-    d["form"][0][2] = "1e3000000"
+    d["matrices"][0][0][2] = "1e3000000"
 
 
 def _invariant_index_7(d):
@@ -382,12 +347,31 @@ def _multiplicity_0(d):
     d["invariants"][0]["terms"][1]["monomial"] = [[0, 1], [2, 0]]
 
 
-def _form_index_7(d):
-    d["form"][0] = [0, 7, "1"]
+def _matrix_index_7(d):
+    d["matrices"][0][0] = [0, 7, "1"]
 
 
 def _cartan_index_9(d):
     d["cartan"] = [9]
+
+
+def _not_closed(d):
+    # (E12, E11, E21): [E12, E21] = E11 - E22 leaves the span
+    d["matrices"][1] = [[0, 0, "1"]]
+
+
+def _upper_triangular(d):
+    # E12, E13, E23 are closed, and every trace pairing among them is zero
+    d["size"], d["matrices"] = 3, [[[0, 1, "1"]], [[0, 2, "1"]], [[1, 2, "1"]]]
+
+
+def _repeated_degree(d):
+    # one tr X^2 would be built for a rank of 2, and verify-soa passed on it
+    d["blocks"] = [[[0, 1], [2, 2]]]
+
+
+def _old_schema(d):
+    d["brackets"] = [[0, 1, 0, "-2"], [0, 2, 1, "1"], [1, 2, 2, "-2"]]
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -398,37 +382,56 @@ def _cartan_index_9(d):
     (_invariant_index_7, "invariant index 7 outside 0..2"),
     (_root_e_9, "root e index 9 outside 0..2"),
     (_multiplicity_0, "invariant multiplicity 0 is not positive"),
-    (_form_index_7, "form index 7 outside 0..2"),
+    (_matrix_index_7, "matrix entry index 7 outside 0..1"),
     (_cartan_index_9, "cartan index 9 outside 0..2"),
+    (_not_closed, "matrices are not closed under bracket"),
+    (_upper_triangular, "singular matrix"),
+    (_repeated_degree, "a block repeats an invariant degree"),
+    (_old_schema, "structure constants .* are no longer read: a config gives 'size', 'matrices'"),
 ])
-def test_malformed_config_rejected(corrupt, message):
+def test_malformed_config_rejected(tmp_path, capsys, corrupt, message):
     data = _sl2r()
     assert algebra_from_dict(json.loads(json.dumps(data))).dim == 3
     corrupt(data)
     with pytest.raises(ValidationError, match=message):
         algebra_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify-gaudin", "--algebra", str(path), "--kmax", "1"]) == 2
+    assert "error [ValidationError]" in capsys.readouterr().err
+
+
+def _nothing_built(*args, **kw):
+    raise AssertionError("an algebra was built")
 
 
 def test_config_past_dim_bound_refused_before_validate(monkeypatch):
-    # validate makes about 1.5 dim^3 bracket lookups even for an abelian
-    # algebra (28.6 s at dim 256, which the letter bound admitted), so the dim
-    # is read against its measured bound before the form is built
+    # diagonal matrices and no block: the bound admits its own dim, and
+    # validate then refuses rank 0; past it, not even the matrices are read
     def abelian(dim):
-        return {"dim": dim, "labels": [f"x{a}" for a in range(dim)], "brackets": [],
-                "form": [[a, a, "1"] for a in range(dim)], "rank": dim,
-                "exponents": [0] * dim, "cartan": list(range(dim))}
+        return {"size": dim, "matrices": [[[a, a, "1"]] for a in range(dim)],
+                "labels": [f"x{a}" for a in range(dim)], "cartan": list(range(dim)),
+                "blocks": []}
 
     lo, hi = BOUNDS["config"]["dim"]
-    validated = []
-    monkeypatch.setattr(LieAlgebraData, "validate", lambda self: validated.append(self.dim))
-    assert algebra_from_dict(abelian(hi)).dim == hi
-    assert validated == [hi]
-
-    def no_validate(self):
-        raise AssertionError("validate ran")
-
-    monkeypatch.setattr(LieAlgebraData, "validate", no_validate)
+    with pytest.raises(ValidationError, match="rank must be positive, got 0"):
+        algebra_from_dict(abelian(hi))
+    monkeypatch.setattr(LieAlgebraData, "__init__", _nothing_built)
     for dim in (hi + 1, 256, 257, 300):
         with pytest.raises(BoundsError, match=rf"config dim = {dim} outside documented bounds "
-                                              rf"\[{lo}, {hi}\]: .* took 12.8 s"):
+                                              rf"\[{lo}, {hi}\]: .* took 23-30 s"):
             algebra_from_dict(abelian(dim))
+
+
+def test_config_degree_bound_refused_before_anything_is_built(monkeypatch):
+    lo, hi = BOUNDS["config"]["degree"]
+    data = _sl2r()
+    del data["invariants"]
+    data["blocks"] = [[[0, 1], [hi]]]
+    assert [p.degree for p in algebra_from_dict(data).invariant_generators()] == [hi]
+    monkeypatch.setattr(LieAlgebraData, "__init__", _nothing_built)
+    for k in (lo - 1, hi + 1):
+        data["blocks"] = [[[0, 1], [2, k]]]
+        with pytest.raises(BoundsError, match=rf"config block degree {k} outside documented "
+                                              rf"bounds \[{lo}, {hi}\]: .* took 31 s"):
+            algebra_from_dict(data)

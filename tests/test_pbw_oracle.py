@@ -53,7 +53,7 @@ def identity(n):
 def representation(alg_name, kind, size):
     """(context, rho of each generator in the context's order, matrix size)."""
     alg = preset(alg_name)
-    mats, m = alg.realization.sparse, alg.realization.size
+    mats, m = alg.matrices, alg.size
     if kind == "current":
         ctx = current_context(alg, size)
         shift = [{(k + r, k): F(1) for k in range(size - r)} for r in range(size)]  # N^r
