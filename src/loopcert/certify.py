@@ -250,14 +250,15 @@ def verify_rtt(n: int, order: int) -> Report:
 
 def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Report:
     """All pairwise commutators of tau_k^(s), s <= smax, are exactly zero.
-    The sweep runs over the pairs of ``_span_basis`` of the taus, and over
-    the pairs of taus only when a basis pair fails, for the listing and the
-    witness.  With workers > 1 both sweeps run in one pool of at most
-    min(workers, #basis pairs) processes, never more than the measured
-    bound, each building the taus and their basis once."""
+    The sweep runs over the pairs of ``_span_basis`` of the taus, normalized
+    matrix-major, and over the pairs of r-major taus only when a basis pair
+    fails, for the listing and the witness.  With workers > 1 both sweeps
+    run in one pool of at most min(workers, #basis pairs) processes, never
+    more than the measured bound, each building the basis once."""
     entries = parse_entries(entries)
     _build_taus(n, entries, smax)
-    pairs = list(itertools.combinations(sorted(_taus), 2))
+    keys = itertools.product(range(1, n + 1), range(1, smax + 1))
+    pairs = list(itertools.combinations(keys, 2))
     basis_pairs = list(itertools.combinations(range(len(_tau_basis)), 2))
     workers = min(workers, BOUNDS["verify-bethe"]["workers"][1], len(basis_pairs))
     if workers > 1:
@@ -281,17 +282,21 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
                   {"n": n, "C": entries, "smax": smax}, checks)
 
 
-_taus: dict = {}  # tau_k^(s) of the running verify-bethe job, by (k, s)
-_tau_basis: List[NCPoly] = []  # _span_basis of the taus, in key order
+_job: tuple = ()  # (n, entries, smax) of the running verify-bethe job
+_tau_basis: List[NCPoly] = []  # _span_basis of its taus, in key order
+_taus: dict = {}  # its r-major tau_k^(s) by (k, s), built for a FAIL's listing
 
 
 def _build_taus(n: int, entries: List[Fraction], smax: int) -> None:
-    """Build the taus and their basis that the sweeps read: once per job,
-    and once per pool worker as its initializer; echelon is deterministic,
-    so every worker holds the same basis."""
-    global _taus, _tau_basis
-    _taus = bethe_generators(yangian(n, 2 * smax), TorusElement.diagonal(entries), smax)
-    _tau_basis = _span_basis([_taus[k] for k in sorted(_taus)])
+    """Build the basis that the sweep reads, from taus normalized in the
+    matrix-major Yangian, which rewrites less: once per job, and once per
+    pool worker as its initializer; echelon is deterministic, so every
+    worker holds the same basis."""
+    global _job, _tau_basis, _taus
+    _job, _taus = (n, entries, smax), {}
+    taus = bethe_generators(yangian(n, 2 * smax, matrix_major=True),
+                            TorusElement.diagonal(entries), smax)
+    _tau_basis = _span_basis([taus[k] for k in sorted(taus)])
 
 
 def _bethe_sweep(mapper, pairs, basis_pairs) -> List[str]:
@@ -310,7 +315,12 @@ def _basis_pair_fails(pair) -> bool:
 
 
 def _tau_commutator(pair) -> str:
-    """[tau_a, tau_b] for a pair of keys (a, b), rendered; "0" iff they commute."""
+    """[tau_a, tau_b] for a pair of keys (a, b), rendered in r-major words;
+    "0" iff they commute.  The first call of a job builds the r-major taus."""
+    global _taus
+    if not _taus:
+        n, entries, smax = _job
+        _taus = bethe_generators(yangian(n, 2 * smax), TorusElement.diagonal(entries), smax)
     ka, kb = pair
     return _taus[ka].commutator(_taus[kb]).render()
 

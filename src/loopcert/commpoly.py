@@ -110,9 +110,6 @@ class CommPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def max_tdeg(self) -> int:
-        return max((ord(m[-1]) // B for m in self.terms if m), default=-1)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "CommPoly") -> "CommPoly":

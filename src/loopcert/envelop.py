@@ -47,7 +47,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
-from .commpoly import CommPoly, var_of
+from .commpoly import CommPoly, mono_deg2, var_of
 from .errors import ValidationError
 from .liealg import LieAlgebraData, preset
 from .scalars import Series, leibniz_det, over_common_denominator, ratstr
@@ -291,31 +291,34 @@ def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction],
                       tctx: PBWContext | None = None) -> NCPoly:
     """Evaluation x[r] -> sum_i z_i^r x^(i) into U(g)^{tensor n}.
 
-    Accepts a CommPoly (symmetrized first) or an NCPoly over a current
-    context.  Repeated evaluation points are rejected.
+    Accepts a CommPoly (symmetrized first, in a current context that keeps
+    every bracket [x[r], y[s]] of its monomials) or an NCPoly over a current
+    context.  Each word expands over the copies into raw tensor words, and
+    all of them are normalized once.  Repeated evaluation points are
+    rejected.
     """
     zs = [Fraction(z) for z in zs]
-    n = len(zs)
-    if len(set(zs)) != n:
+    if len(set(zs)) != len(zs):
         raise ValidationError("evaluation points must be pairwise distinct")
     if tctx is None:
-        tctx = tensor_context(alg, n)
+        tctx = tensor_context(alg, len(zs))
     if isinstance(p, CommPoly):
-        R = p.max_tdeg() + 1
-        p = symmetrize(current_context(alg, max(R, 1)), p)
-    out = tctx.zero()
+        R = max(map(mono_deg2, p.terms), default=0) + 1
+        p = symmetrize(current_context(alg, R), p)
+    images: Dict[str, list] = {}  # letter -> [(tensor letter, coefficient)]
+    raw: Terms = {}
     for w, c in p.terms.items():
-        factor = tctx.one().scale(c)
+        partial = {"": c}
         for g in w:
-            r, a = p.ctx.gens[ord(g)]
-            letter: Terms = {}
-            for copy in range(n):
-                coeff = zs[copy] ** r
-                if coeff != 0:
-                    letter[chr(tctx.index[(copy, a)])] = coeff
-            factor = factor * NCPoly(tctx, letter)
-        out = out + factor
-    return out
+            image = images.get(g)
+            if image is None:
+                r, a = p.ctx.gens[ord(g)]
+                image = images[g] = [(chr(tctx.index[(copy, a)]), zr)
+                                     for copy, zr in enumerate(z ** r for z in zs) if zr]
+            partial = {u + x: cu * cx for u, cu in partial.items() for x, cx in image}
+        for u, cu in partial.items():
+            raw[u] = raw.get(u, 0) + cu
+    return NCPoly(tctx, raw)
 
 
 def casimir_tensor(alg: LieAlgebraData, tctx: PBWContext, i: int, j: int) -> NCPoly:
@@ -356,9 +359,9 @@ def talalaev_generators(n: int, R: int):
     ctx = current_context(preset(f"gl{n}"), R)
 
     def entry(i: int, j: int) -> Series:
-        terms = {(0, 1, ""): Fraction(1)} if i == j else {}
+        terms = {(0, 1, ""): 1} if i == j else {}
         for r in range(R):
-            terms[(r + 1, 0, chr(ctx.index[(r, i * n + j)]))] = Fraction(-1)
+            terms[(r + 1, 0, chr(ctx.index[(r, i * n + j)]))] = -1
         return Series(terms, _weyl_join)
 
     coeffs: Dict[Tuple[int, int], Terms] = {}

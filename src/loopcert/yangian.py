@@ -41,15 +41,26 @@ GenKey = Tuple[int, int, int]  # (r, i, j), r >= 1, 1-based matrix indices
 
 
 class YangianContext(PBWContext):
-    """PBW context for Y(gl_n) words of F1-weight <= max_weight."""
+    """PBW context for Y(gl_n) words of F1-weight <= max_weight.
 
-    def __init__(self, n: int, max_weight: int) -> None:
+    Letters sort r-major, as (r, i, j), the order every rendered Yangian word
+    and ``gr2``'s letter map read.  With ``matrix_major`` they sort as
+    (i, j, r).  By the PBW theorem the ordered words are a basis in either
+    order, so a zero test may normalize in whichever rewrites less, and
+    matrix-major rewrites less: every word of [t_ij^(r), t_kl^(s)] is
+    already ordered whenever (k, j) < (i, l), whatever r, s and p are, while
+    r-major puts t_kj^(r+s-p) before t_il^(p-1) for every p >= 2.
+    """
+
+    def __init__(self, n: int, max_weight: int, matrix_major: bool = False) -> None:
         self.n = n
         self.max_weight = max_weight
         gens: List[GenKey] = [(r, i, j)
                               for r in range(1, max_weight + 1)
                               for i in range(1, n + 1)
                               for j in range(1, n + 1)]
+        if matrix_major:
+            gens.sort(key=lambda g: (g[1], g[2], g[0]))
         labels = [f"t[{i},{j};{r}]" for (r, i, j) in gens]
         self._weights = [r for r, _, _ in gens]
         super().__init__(gens, self._yangian_bracket, labels=labels)
@@ -101,9 +112,11 @@ class YangianContext(PBWContext):
 
 
 @functools.cache
-def yangian(n: int, max_weight: int) -> YangianContext:
-    """The context of Y(gl_n) at weight bound max_weight, one per (n, max_weight)."""
-    return YangianContext(n, max_weight)
+def yangian(n: int, max_weight: int, *, matrix_major: bool = False) -> YangianContext:
+    """The context of Y(gl_n) at weight bound max_weight, one per arguments;
+    ``matrix_major`` is passed only as True, as the cache keys on how it is
+    passed."""
+    return YangianContext(n, max_weight, matrix_major)
 
 
 def f1_degree(ctx: YangianContext, p: NCPoly) -> int:
@@ -120,14 +133,15 @@ def f2_degree(ctx: YangianContext, p: NCPoly) -> int:
 
 def t_series(ctx: YangianContext, i: int, j: int, Nmax: int, shift: int = 0) -> Series:
     """t_ij(u - shift) = delta_ij + sum_r t_ij^(r) (u - shift)^(-r), through
-    u^(-Nmax), with keys (s, word).  Words multiply by concatenation and stay
-    raw until ``u_coefficient``, which keeps the minor expansion cheap."""
-    terms = {(0, ""): Fraction(1)} if i == j else {}
+    u^(-Nmax), with keys (s, word) and ``int`` coefficients.  Words multiply
+    by concatenation and stay raw until ``u_coefficient``, which keeps the
+    minor expansion cheap."""
+    terms = {(0, ""): 1} if i == j else {}
     for r in range(1, Nmax + 1):
         gi = ctx.index[(r, i, j)]
         # (u-m)^(-r) = sum_c C(r-1+c, c) m^c u^(-r-c)
         for c in range(0, Nmax - r + 1):
-            coeff = Fraction(math.comb(r - 1 + c, c)) * Fraction(shift) ** c
+            coeff = math.comb(r - 1 + c, c) * shift ** c
             if coeff != 0:
                 key = (r + c, chr(gi))
                 terms[key] = terms.get(key, 0) + coeff
@@ -196,7 +210,8 @@ def gr2(ctx: YangianContext, p: NCPoly, R: int) -> NCPoly:
     """Top-F2 part with t_ij^(r) -> e_ij[r-1] in U(gl_n ox C[t]/t^R).
 
     A word holding some t^(r) with r > R maps to 0, as e[r-1] = 0 there.
-    The letter map preserves generator order, so normal words stay normal.
+    The letter map preserves the r-major generator order, so normal words of
+    an r-major ``ctx`` stay normal.
     """
     tgt = current_context(gl_algebra(ctx.n), R)
     top = f2_degree(ctx, p)
@@ -221,7 +236,7 @@ def rtt_relation_checks(n: int, order: int) -> List[Tuple[Tuple[int, int, int, i
     clearing the (u-v)^(-1) pole of the Yang R-matrix.  Returns one record
     per (i, j, k, l, a, b) with the boolean outcome.
     """
-    ctx = yangian(n, 2 * (order + 1))
+    ctx = yangian(n, 2 * (order + 1), matrix_major=True)  # only zero tests are read
 
     def pair_word(i1, j1, r1, i2, j2, r2):
         # the word of t_{i1 j1}^(r1) t_{i2 j2}^(r2) with t^(0) = delta, or

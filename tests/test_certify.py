@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from loopcert import certify, envelop
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import preset
+from loopcert.liealg import TorusElement, preset
 from loopcert.linalg import Subspace
 from loopcert.scalars import leibniz_det
 
@@ -457,6 +458,17 @@ class TestSuites:
         assert rep.checks[1].details["resampled"] == 0
 
 
+def r_major_witness(n, entries, smax):
+    """The witness of verify-bethe written from the taus of the r-major
+    Yangian, whose words every report renders: the sweep's matrix-major
+    order must not reach it."""
+    taus = ymod.bethe_generators(ymod.yangian(n, 2 * smax),
+                                 TorusElement.diagonal(certify.parse_entries(entries)), smax)
+    ka, kb = next((a, b) for a, b in itertools.combinations(sorted(taus), 2)
+                  if taus[a].commutator(taus[b]))
+    return f"[tau{ka}, tau{kb}] = {taus[ka].commutator(taus[kb]).render()}"
+
+
 class TestPBWNegativeControls:
     """Faults injected into the PBW suites must give FAIL with a witness.
 
@@ -504,7 +516,7 @@ class TestPBWNegativeControls:
         check = rep.checks[0]
         assert not check.passed
         assert check.details["nonzero_pairs"] > 0
-        assert check.witness.startswith("[tau") and check.witness.split(" = ")[1] != "0"
+        assert check.witness == r_major_witness(2, ["1", "2"], 3)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the fault reaches pool workers only through fork")
@@ -520,6 +532,7 @@ class TestPBWNegativeControls:
         par = certify.verify_bethe(2, ["1", "2"], 3, workers=2).checks[0]
         assert not seq.passed
         assert par == seq
+        assert par.witness == r_major_witness(2, ["1", "2"], 3)
 
     def test_talalaev_commutator_check_can_fail(self, monkeypatch):
         # e12[1] first and last: it commutes with QI_1^(1), QI_1^(2) and

@@ -254,6 +254,16 @@ class TestGaudinEvaluation:
             gaudin_evaluation(sl2, ctx.gen((1, FF)), zs)
         assert lhs == rhs
 
+    def test_symmetrization_keeps_brackets_past_each_letters_degree(self):
+        # sym(e[1] f[1]) = e[1] f[1] - h[2]/2: the bracket [e[1], f[1]] has
+        # t-degree 2, past that of either letter, and ev_z is defined on
+        # U(g[t]), so ev(p) = ev(sym p) with sym taken where h[2] survives
+        p = CommPoly.variable(E, 1) * CommPoly.variable(FF, 1)
+        zs = [F(0), F(1)]
+        got = gaudin_evaluation(sl2, p, zs)
+        assert got == gaudin_evaluation(sl2, symmetrize(current_context(sl2, 3), p), zs)
+        assert got.render() == "-1/2*h1(2) + 1*e12(2)*e21(2)"
+
     def test_omega_image_formula(self):
         # ev of Omega at (z1, z2): sum_a sym(x_a[0] x^a[1]) evaluated
         loop = LoopAlgebra(sl2, 2)

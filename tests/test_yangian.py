@@ -97,6 +97,40 @@ def test_confluence_association(keys):
     assert (a * b) * c == a * (b * c)
 
 
+class TestMatrixMajor:
+    """The matrix-major context normalizes the same algebra in another PBW order."""
+
+    @staticmethod
+    def in_r_major(Y, p):
+        # the words of p, letter by letter by key, normalized in Y
+        return NCPoly(Y, {word(Y.index[p.ctx.gens[ord(g)]] for g in w): c
+                          for w, c in p.terms.items()})
+
+    def test_letters_sort_as_i_j_r(self):
+        M = yangian(2, 3, matrix_major=True)
+        assert M.gens == sorted(M.gens, key=lambda g: (g[1], g[2], g[0]))
+        assert sorted(M.gens) == yangian(2, 3).gens
+
+    def test_bracket_words_ordered_when_kj_below_il(self):
+        M = YangianContext(3, 5, matrix_major=True)
+        for gi, (r, i, j) in enumerate(M.gens):
+            for gj, (s, k, l) in enumerate(M.gens):
+                if r + s - 1 <= M.max_weight and (k, j) < (i, l):
+                    assert all(list(w) == sorted(w) for w in M._yangian_bracket(gi, gj))
+
+    def test_taus_equal_r_major_taus(self):
+        for entries, smax in ([1, 2], 4), ([3, -1], 3), ([1, 2, 3], 3), ([1, 1, 2], 2):
+            n, C = len(entries), TorusElement.diagonal(entries)
+            Y = yangian(n, 2 * smax)
+            M = yangian(n, 2 * smax, matrix_major=True)
+            taus = bethe_generators(Y, C, smax)
+            mm = bethe_generators(M, C, smax)
+            assert set(mm) == set(taus)
+            assert any(p.terms != taus[key].terms for key, p in mm.items())
+            for key, p in mm.items():
+                assert self.in_r_major(Y, p) == taus[key]
+
+
 class TestRTT:
     def test_oracle_low_order(self):
         assert all(ok for _, ok in rtt_relation_checks(2, 2))
