@@ -7,12 +7,14 @@ witness: a nonzero normal form, a dimension mismatch, or a vector in one
 span and not the other (``_span_check``).  Randomized steps (the Jacobian
 evaluation point) take an explicit seed and log resampling events.
 
-The PBW commutativity sweeps (``verify_bethe``, ``verify_eval_gaudin`` and
-``verify_talalaev``) bracket the reduced echelon basis of the family's span
-(``_span_basis``), not the family: the commutator is bilinear, so a family
-commutes pairwise iff that basis does, and the basis is usually far sparser
-than the family.  Only when a basis pair fails are the family's own pairs
-bracketed, to find the witness: the first failing pair in index order.
+The PBW commutativity suites (``verify_bethe``, ``verify_eval_gaudin`` and
+``verify_talalaev``) share one sweep, ``_commutes``.  It brackets the
+reduced echelon basis of the family's span (``_span_basis``), not the
+family: the commutator is bilinear, so a family commutes pairwise iff that
+basis does, and the basis is usually far sparser than the family.
+``verify-bethe --workers`` sends the basis pairs to a process pool.  Only
+when a basis pair fails are the family's own pairs bracketed, in this
+process, for the witness: the first failing pair in index order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algeb
 from .linalg import (Subspace, bigraded_block, degree_buckets, echelon,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
-from .yangian import bethe_generators, gr2, rtt_relation_checks, yangian
+from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangian
 
 
 # -- admission ------------------------------------------------------------------------------
@@ -47,11 +49,11 @@ from .yangian import bethe_generators, gr2, rtt_relation_checks, yangian
 # key; verify_centralizer and verify_eval_gaudin read their measured rules here.
 BOUNDS = {
     "verify-rtt": {"n": (1, 3), "order": (1, 6)},  # 0.2 s and 21 MB at the bounds
-    # max-deg: time and memory grow 6-10x per degree; gl3 took 25 s and 814 MB
-    # at 7, gl4 18 s and 408 MB at 5, and at 6 ran out of 3 GB after 183 s.
-    # workers: the pool forks all of its workers at once; at gl3 degree 7,
-    # pools of 2, 4 and 8 peaked at 1157, 1429 and 1833 MB summed over their
-    # workers (the largest worker 590, 530 and 532 MB), and 8 is the largest
+    # max-deg: time and memory grow 6-10x per degree; gl3 took 5.0 s and 217 MB
+    # at 7, gl4 6.2 s and 278 MB at 5 and 61 s and 1.88 GB at 6.
+    # workers: the pool starts all of its workers at once; at gl3 degree 7,
+    # pools of 2, 4 and 8 peaked at 343, 512 and 728 MB summed over their
+    # workers (the largest worker 177, 147 and 147 MB), and 8 is the largest
     # pool measured
     "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
     "verify-gaudin": {"kmax": (0, 6)},  # sl3 and gl3: about 3 s and 28 MB
@@ -222,13 +224,31 @@ def _loop_text(alg) -> Callable[[dict], str]:
     return lambda terms: CommPoly(terms).render(lambda v: f"{alg.labels[v[0]]}[{v[1]}]")
 
 
+def _commutes(elems: Sequence[NCPoly], workers: int = 1) -> bool:
+    """Whether elems commute pairwise, decided on the pairs of
+    ``_span_basis(elems)``: elems commute iff that basis does.  With
+    workers > 1 the pairs go, pickled, to a pool of at most that many
+    processes, and every result is read, so no error raised in a worker goes
+    unseen."""
+    pairs = list(itertools.combinations(_span_basis(elems), 2))
+    workers = min(workers, len(pairs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            return not any(list(pool.map(_fails, pairs)))
+    return not any(map(_fails, pairs))
+
+
+def _fails(pair: Tuple[NCPoly, NCPoly]) -> bool:
+    """Whether the two elements of a pair fail to commute."""
+    a, b = pair
+    return bool(a.commutator(b))
+
+
 def _first_noncommuting(elems: Sequence[NCPoly]) -> Optional[tuple]:
-    """``_first_failing(_commutators(elems))``, decided on ``_span_basis(elems)``
-    first: elems commute pairwise iff that basis does, and only a basis pair
-    that fails sends the sweep back to the pairs of elems for the witness."""
-    if not any(c for _, _, c in _commutators(_span_basis(elems))):
-        return None
-    return _first_failing(_commutators(elems))
+    """``_first_failing(_commutators(elems))``, or None when ``_commutes(elems)``:
+    only a FAIL brackets the pairs of elems themselves, for the witness."""
+    return None if _commutes(elems) else _first_failing(_commutators(elems))
 
 
 # -- 1. RTT relation oracle -------------------------------------------------------------
@@ -250,24 +270,20 @@ def verify_rtt(n: int, order: int) -> Report:
 
 def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Report:
     """All pairwise commutators of tau_k^(s), s <= smax, are exactly zero.
-    The sweep runs over the pairs of ``_span_basis`` of the taus, normalized
-    matrix-major, and over the pairs of r-major taus only when a basis pair
-    fails, for the listing and the witness.  With workers > 1 both sweeps
-    run in one pool of at most min(workers, #basis pairs) processes, never
-    more than the measured bound, each building the basis once."""
+    The taus are built once, normalized matrix-major, which rewrites less,
+    and ``_commutes`` decides on them with at most ``workers`` processes,
+    never more than the measured bound.  Only a FAIL brackets every pair of
+    taus, in this process, each commutator written in r-major words
+    (``r_major``) for the listing and the witness."""
     entries = parse_entries(entries)
-    _build_taus(n, entries, smax)
-    keys = itertools.product(range(1, n + 1), range(1, smax + 1))
-    pairs = list(itertools.combinations(keys, 2))
-    basis_pairs = list(itertools.combinations(range(len(_tau_basis)), 2))
-    workers = min(workers, BOUNDS["verify-bethe"]["workers"][1], len(basis_pairs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, initializer=_build_taus,
-                                 initargs=(n, entries, smax)) as pool:
-            comms = _bethe_sweep(pool.map, pairs, basis_pairs)
+    taus = bethe_generators(yangian(n, 2 * smax, matrix_major=True),
+                            TorusElement.diagonal(entries), smax)
+    pairs = list(itertools.combinations(sorted(taus), 2))
+    if _commutes([taus[k] for k in sorted(taus)],
+                 min(workers, BOUNDS["verify-bethe"]["workers"][1])):
+        comms = ["0"] * len(pairs)
     else:
-        comms = _bethe_sweep(map, pairs, basis_pairs)
+        comms = [r_major(taus[ka].commutator(taus[kb])).render() for ka, kb in pairs]
     nonzero = [(ka, kb, w) for (ka, kb), w in zip(pairs, comms) if w != "0"]
     pair_listing = [{"pair": f"tau_{ka[0]}^({ka[1]}) vs tau_{kb[0]}^({kb[1]})", "commutator": w}
                     for (ka, kb), w in zip(pairs, comms)]
@@ -280,49 +296,6 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
         f"[tau{nonzero[0][0]}, tau{nonzero[0][1]}] = {nonzero[0][2]}")]
     return Report("verify-bethe",
                   {"n": n, "C": entries, "smax": smax}, checks)
-
-
-_job: tuple = ()  # (n, entries, smax) of the running verify-bethe job
-_tau_basis: List[NCPoly] = []  # _span_basis of its taus, in key order
-_taus: dict = {}  # its r-major tau_k^(s) by (k, s), built for a FAIL's listing
-
-
-def _build_taus(n: int, entries: List[Fraction], smax: int) -> None:
-    """Build the basis that the sweep reads, from taus normalized in the
-    matrix-major Yangian, which rewrites less: once per job, and once per
-    pool worker as its initializer; echelon is deterministic, so every
-    worker holds the same basis."""
-    global _job, _tau_basis, _taus
-    _job, _taus = (n, entries, smax), {}
-    taus = bethe_generators(yangian(n, 2 * smax, matrix_major=True),
-                            TorusElement.diagonal(entries), smax)
-    _tau_basis = _span_basis([taus[k] for k in sorted(taus)])
-
-
-def _bethe_sweep(mapper, pairs, basis_pairs) -> List[str]:
-    """The rendered commutator of every pair of taus: all "0" when every
-    pair of basis rows commutes, else mapped over the tau pairs.  Every
-    result is read, so no error raised in a pool worker goes unseen."""
-    if any(list(mapper(_basis_pair_fails, basis_pairs))):
-        return list(mapper(_tau_commutator, pairs))
-    return ["0"] * len(pairs)
-
-
-def _basis_pair_fails(pair) -> bool:
-    """Whether basis rows i and j of the taus fail to commute."""
-    i, j = pair
-    return bool(_tau_basis[i].commutator(_tau_basis[j]))
-
-
-def _tau_commutator(pair) -> str:
-    """[tau_a, tau_b] for a pair of keys (a, b), rendered in r-major words;
-    "0" iff they commute.  The first call of a job builds the r-major taus."""
-    global _taus
-    if not _taus:
-        n, entries, smax = _job
-        _taus = bethe_generators(yangian(n, 2 * smax), TorusElement.diagonal(entries), smax)
-    ka, kb = pair
-    return _taus[ka].commutator(_taus[kb]).render()
 
 
 # -- 3. size / Poincare series ---------------------------------------------------------------

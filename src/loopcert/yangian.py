@@ -50,11 +50,16 @@ class YangianContext(PBWContext):
     matrix-major rewrites less: every word of [t_ij^(r), t_kl^(s)] is
     already ordered whenever (k, j) < (i, l), whatever r, s and p are, while
     r-major puts t_kj^(r+s-p) before t_il^(p-1) for every p >= 2.
+
+    A context pickles as its ``yangian`` cache key, so a process that
+    unpickles an ``NCPoly`` reads the context it already holds, or builds
+    its own.
     """
 
     def __init__(self, n: int, max_weight: int, matrix_major: bool = False) -> None:
         self.n = n
         self.max_weight = max_weight
+        self.matrix_major = matrix_major
         gens: List[GenKey] = [(r, i, j)
                               for r in range(1, max_weight + 1)
                               for i in range(1, n + 1)
@@ -110,13 +115,32 @@ class YangianContext(PBWContext):
     def t(self, i: int, j: int, r: int) -> NCPoly:
         return self.gen((r, i, j))
 
+    def __reduce__(self):
+        return _yangian, (self.n, self.max_weight, self.matrix_major)
+
 
 @functools.cache
-def yangian(n: int, max_weight: int, *, matrix_major: bool = False) -> YangianContext:
-    """The context of Y(gl_n) at weight bound max_weight, one per arguments;
-    ``matrix_major`` is passed only as True, as the cache keys on how it is
-    passed."""
+def _yangian(n: int, max_weight: int, matrix_major: bool) -> YangianContext:
     return YangianContext(n, max_weight, matrix_major)
+
+
+def yangian(n: int, max_weight: int, *, matrix_major: bool = False) -> YangianContext:
+    """The context of Y(gl_n) at weight bound max_weight: one per (n,
+    max_weight, letter order), however the order is passed."""
+    return _yangian(n, max_weight, matrix_major)
+
+
+yangian.cache_clear = _yangian.cache_clear
+
+
+def r_major(p: NCPoly) -> NCPoly:
+    """An element of a matrix-major context, normal-ordered in the r-major
+    context of the same n and weight bound.  Each letter is renamed to the
+    letter of its key: ordered words are a basis in either order (PBW), so
+    the result is p's unique r-major normal form."""
+    Y = yangian(p.ctx.n, p.ctx.max_weight)
+    letters = {i: chr(Y.index[key]) for i, key in enumerate(p.ctx.gens)}
+    return NCPoly(Y, {w.translate(letters): c for w, c in p.terms.items()})
 
 
 def f1_degree(ctx: YangianContext, p: NCPoly) -> int:

@@ -2,9 +2,12 @@ import importlib
 import itertools
 import json
 import math
-import multiprocessing
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,15 +461,46 @@ class TestSuites:
         assert rep.checks[1].details["resampled"] == 0
 
 
-def r_major_witness(n, entries, smax):
-    """The witness of verify-bethe written from the taus of the r-major
-    Yangian, whose words every report renders: the sweep's matrix-major
-    order must not reach it."""
-    taus = ymod.bethe_generators(ymod.yangian(n, 2 * smax),
+def r_major_taus(n, entries, smax):
+    """The taus of verify-bethe built in the r-major Yangian, whose words
+    every report renders: the sweep's matrix-major order must not reach
+    the report."""
+    return ymod.bethe_generators(ymod.yangian(n, 2 * smax),
                                  TorusElement.diagonal(certify.parse_entries(entries)), smax)
+
+
+def r_major_witness(n, entries, smax):
+    """The witness of verify-bethe written from ``r_major_taus``."""
+    taus = r_major_taus(n, entries, smax)
     ka, kb = next((a, b) for a, b in itertools.combinations(sorted(taus), 2)
                   if taus[a].commutator(taus[b]))
     return f"[tau{ka}, tau{kb}] = {taus[ka].commutator(taus[kb]).render()}"
+
+
+def wrong_shift(ctx, rows, cols, Nmax):
+    """Quantum minors with column c at u + c instead of u - c."""
+    rows, cols = list(rows), list(cols)
+    return leibniz_det(len(rows), lambda a, c: ymod.t_series(
+        ctx, rows[a], cols[c], Nmax, shift=-c))
+
+
+# the wrong-shift control under the spawn start method, in a fresh process:
+# the fault is set in the parent only, as a spawned worker runs none of this
+SPAWN_CONTROL = """
+import importlib, json, multiprocessing
+multiprocessing.set_start_method("spawn", force=True)
+from loopcert import certify
+from loopcert.scalars import leibniz_det
+ymod = importlib.import_module("loopcert.yangian")
+
+def wrong_shift(ctx, rows, cols, Nmax):
+    rows, cols = list(rows), list(cols)
+    return leibniz_det(len(rows), lambda a, c: ymod.t_series(
+        ctx, rows[a], cols[c], Nmax, shift=-c))
+
+ymod.quantum_minor = wrong_shift
+print(json.dumps([certify.verify_bethe(2, ["1", "2"], 3, workers=w).to_dict() for w in (1, 2)]))
+"""
 
 
 class TestPBWNegativeControls:
@@ -505,34 +539,47 @@ class TestPBWNegativeControls:
         assert check.witness.startswith("first failing (i,j,k,l,a,b) = ")
 
     def test_bethe_check_can_fail(self, monkeypatch):
-        # quantum minors with column c at u + c instead of u - c
-        def wrong_shift(ctx, rows, cols, Nmax):
-            rows, cols = list(rows), list(cols)
-            return leibniz_det(len(rows), lambda a, c: ymod.t_series(
-                ctx, rows[a], cols[c], Nmax, shift=-c))
-
         monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)
         rep = certify.verify_bethe(2, ["1", "2"], 3)
         check = rep.checks[0]
         assert not check.passed
         assert check.details["nonzero_pairs"] > 0
         assert check.witness == r_major_witness(2, ["1", "2"], 3)
+        # every pair of the listing, zero or not, as the r-major taus render it
+        taus = r_major_taus(2, ["1", "2"], 3)
+        assert check.details["pairs"] == [
+            {"pair": f"tau_{a[0]}^({a[1]}) vs tau_{b[0]}^({b[1]})",
+             "commutator": taus[a].commutator(taus[b]).render()}
+            for a, b in itertools.combinations(sorted(taus), 2)]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the fault reaches pool workers only through fork")
     def test_bethe_check_fails_alike_under_workers(self, monkeypatch):
-        # the wrong-shift fault of test_bethe_check_can_fail, in a pool
-        def wrong_shift(ctx, rows, cols, Nmax):
-            rows, cols = list(rows), list(cols)
-            return leibniz_det(len(rows), lambda a, c: ymod.t_series(
-                ctx, rows[a], cols[c], Nmax, shift=-c))
+        # the taus are built once, in this process, so the fault reaches the
+        # pool under any start method
+        parent = os.getpid()
+        calls = []
+
+        def counted(*args):
+            assert os.getpid() == parent
+            calls.append(args)
+            return ymod.bethe_generators(*args)
 
         monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)
+        monkeypatch.setattr(certify, "bethe_generators", counted)
         seq = certify.verify_bethe(2, ["1", "2"], 3, workers=1).checks[0]
         par = certify.verify_bethe(2, ["1", "2"], 3, workers=2).checks[0]
         assert not seq.passed
         assert par == seq
         assert par.witness == r_major_witness(2, ["1", "2"], 3)
+        assert len(calls) == 2
+
+    def test_bethe_check_fails_alike_under_spawn(self):
+        src = Path(certify.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", SPAWN_CONTROL], check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True).stdout
+        seq, par = json.loads(out)
+        assert not seq["pass"]
+        assert par == seq
 
     def test_talalaev_commutator_check_can_fail(self, monkeypatch):
         # e12[1] first and last: it commutes with QI_1^(1), QI_1^(2) and

@@ -137,10 +137,13 @@ def test_limit_subspace_rows(name, n, c0, chi, dmax):
      "gr --comparison theorem-A --algebra gl3 --C 1,1,2 --max-deg 4"),
     ("report_talalaev_n2_R3_d5.json", "verify-talalaev --n 2 --R 3 --max-deg 5"),
     ("report_limit_gl2_C0_1_1_chi_1_-1_d4.json", "limit --algebra gl2 --C0 1,1 --chi 1,-1 --deg 4"),
+    ("report_bethe_gl3_C1_2_3_d4.json", "verify-bethe --algebra gl3 --C 1,2,3 --max-deg 4"),
 ])
 def test_span_suite_reports(name, argv, tmp_path):
-    """The ``--json`` reports of the four span suites, byte for byte: a
-    passing span check reports the dims of its two sides and nothing more."""
+    """The ``--json`` reports of the four span suites and of verify-bethe,
+    byte for byte: a passing span check reports the dims of its two sides
+    and nothing more, and a passing verify-bethe lists every pair of taus
+    with the commutator "0"."""
     path = tmp_path / name
     assert main(argv.split() + ["--json", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / name).read_bytes()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,8 @@ from loopcert.envelop import NCPoly, current_context, word
 from loopcert.errors import TruncationError
 from loopcert.liealg import TorusElement, preset
 from loopcert.yangian import (YangianContext, bethe_generators, f1_degree, f2_degree, gr1,
-                              gr2, quantum_minor, rtt_relation_checks, u_coefficient,
-                              yangian)
+                              gr2, quantum_minor, r_major, rtt_relation_checks,
+                              u_coefficient, yangian)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,17 @@ class TestMatrixMajor:
             assert set(mm) == set(taus)
             assert any(p.terms != taus[key].terms for key, p in mm.items())
             for key, p in mm.items():
-                assert self.in_r_major(Y, p) == taus[key]
+                assert r_major(p) == self.in_r_major(Y, p) == taus[key]
+
+    def test_one_context_per_letter_order(self):
+        Y, M = yangian(2, 4), yangian(2, 4, matrix_major=True)
+        assert Y is yangian(2, 4, matrix_major=False)
+        assert M is not Y and M.matrix_major and not Y.matrix_major
+        # a pickled context is the cached one, and so is an element's
+        for ctx in Y, M:
+            assert pickle.loads(pickle.dumps(ctx)) is ctx
+            p = ctx.t(1, 2, 1) * ctx.t(2, 1, 2)
+            assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestRTT:
