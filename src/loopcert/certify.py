@@ -56,13 +56,13 @@ BOUNDS = {
     # workers (the largest worker 177, 147 and 147 MB), and 8 is the largest
     # pool measured
     "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
-    "verify-gaudin": {"kmax": (0, 6)},  # sl3 and gl3: about 3 s and 28 MB
+    "verify-gaudin": {"kmax": (0, 6)},  # sl3 1.3 s and 24 MB, gl3 1.4 s and 27 MB
     "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 4.0 s, 166 MB
-    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 1.4 s and 49 MB
+    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.8 s and 40 MB
     # monomials in one deg1-component, counted before anything is built: gl4 at
-    # degree 5 has 33440 and takes about 9 s and 303 MB; at degree 6 it has 155584
+    # degree 5 has 33440 and takes 4.5 s and 304 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
-    "poincare bethe": {"cutoff": (1, 6)},  # gl4: 16 s and 189 MB
+    "poincare bethe": {"cutoff": (1, 6)},  # gl4: 9.4 s and 153 MB
     # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
     # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
     # took 7.8 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
@@ -72,8 +72,9 @@ BOUNDS = {
     # 62 s (gl4); gl2 took 178 s and 456 MB at 136, and 127 s at 1999 (--deg 2)
     "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4}), "curve degree": (0, 100)},
     # n points need kmax >= 2(n-1), so kmax 8 admits 5; verify_eval_gaudin
-    # admits fewer past invariant degree 2: sl3 took 10 s and 231 MB with four
-    # points and 105 s and 848 MB with five, and gl4 56 s and 1237 MB with two
+    # admits fewer past invariant degree 2: sl3 took 7.4 s and 231 MB with four
+    # points (105 s and 848 MB with five, in an earlier sitting), and gl4 34 s
+    # and 1237 MB with two
     "eval-gaudin": {"number of --z points": (1, 5), "kmax": (1, 8)},
     # bethe and classical-bethe: gl4 at max-deg 6 under 1 s and 20 MB;
     # classical-bethe ran past 60 s at gl8
@@ -86,8 +87,9 @@ BOUNDS = {
     "rationals": {"digits": (1, 1000)},
     # config, read by algebra_from_dict before anything is built: dim, the number
     # of basis matrices, whose pairs the closure check multiplies: gl11's matrix
-    # units (121) load in 0.3-0.5 s with block degrees 1..4, gl16's (256) in 2.1 s,
-    # and gl11 in a unitriangular basis in 23-30 s; degree, the largest invariant
+    # units (121) load in 0.3-0.4 s with block degrees 1..4, gl16's (256) in 0.7-0.8 s,
+    # and gl11 in a unitriangular basis in 2.3-2.8 s (25-32 s with every matrix
+    # entry and coordinate a Fraction); degree, the largest invariant
     # degree of a block, as tr X^k is built at load: gl11 took 2.2 s with
     # degrees 1..5 and 31 s and 310 MB with 1..6, gl8 28 s with 1..7
     "config": {"dim": (0, 121), "degree": (1, 6)},
@@ -314,7 +316,7 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     C = TorusElement.diagonal(entries)
     gl = preset(f"gl{n}")
     buckets = bethe_component_polys(_constant_bethe(n, C, cutoff), cutoff)
-    loop = LoopAlgebra(gl, max(cutoff, 1))
+    loop = LoopAlgebra(gl)
     dims = [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
                   for d in range(1, cutoff + 1)]
     z = centralizer(gl, C)
@@ -343,10 +345,8 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
 def verify_gaudin(alg_name: str, kmax: int) -> Report:
     """D^k Phi_i pairwise commute under both brackets (and hence the pencil)."""
     alg = resolve_algebra(alg_name)
-    maxdeg = max(m + 1 for m in alg.exponents) + kmax
-    R = 2 * maxdeg  # brackets of two generators stay below this t-degree
-    loop = LoopAlgebra(alg, R)
-    gens = gaudin_generators(alg, kmax, R)
+    loop = LoopAlgebra(alg)
+    gens = gaudin_generators(alg, kmax)
     bad = _first_failing(loop.pairwise_brackets([g.poly for g in gens], (0, 1)))
     npairs = math.comb(len(gens), 2)
     return Report("verify-gaudin", {"algebra": alg_name, "kmax": kmax}, [
@@ -377,10 +377,10 @@ def verify_centralizer(alg_name: str, dmax: int) -> Report:
             raise BoundsError(
                 f"gr centralizer: the deg1 = {d} component of {alg_name} has {size} monomials, "
                 f"past the {most} of the largest one measured to finish")
-    loop = LoopAlgebra(alg, dmax + 2)
+    loop = LoopAlgebra(alg)
     Om = loop.Omega()
     mindeg = min(m + 1 for m in alg.exponents)
-    gens = [(g.poly, g.deg1) for g in gaudin_generators(alg, max(0, dmax - mindeg), dmax + 2)]
+    gens = [(g.poly, g.deg1) for g in gaudin_generators(alg, max(0, dmax - mindeg))]
     buckets = degree_buckets(gens, dmax)
     checks = [_span_check(
         f"Omega-centralizer (invariant, bracket 0) == Gaudin component, deg1={d}",
@@ -407,8 +407,8 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     buckets = bethe_component_polys(_constant_bethe(n, C, rmax), rmax)
     z = centralizer(gl, C)
     zbuckets = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
-                               for g in gaudin_generators(z, rmax - 1, rmax)], rmax)
-    loop = LoopAlgebra(gl, rmax)
+                               for g in gaudin_generators(z, rmax - 1)], rmax)
+    loop = LoopAlgebra(gl)
     checks = []
     for d in range(1, rmax + 1):
         ambient = loop.component_monomials(d)
@@ -503,9 +503,8 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
             raise BoundsError(f"eval-gaudin with {n} points (kmax {2 * n - 2}) is past the "
                               f"measured bound for {alg_name}, whose invariant degrees {degrees} "
                               f"reach {deg}: {seen}; at most {points - 1} points are admitted")
-    gens = gaudin_generators(alg, kmax, kmax + 1)
-    tctx = tensor_context(alg, n)
-    images = [gaudin_evaluation(alg, g.poly, zs, tctx) for g in gens]
+    gens = gaudin_generators(alg, kmax)
+    images = [gaudin_evaluation(alg, g.poly, zs) for g in gens]
     bad = _first_noncommuting(images)
     checks = [Check(
         name=f"eval-gaudin {alg_name} n={n}: {math.comb(len(images), 2)} image pairs commute",
@@ -517,6 +516,7 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
     # invariants (the centre of a gl_n preset adds a degree-1 invariant)
     quad = [img for img, g in zip(images, gens)
             if g.deg1 - g.deg2 == 2]
+    tctx = tensor_context(alg, n)
     hams = []
     for i in range(n):
         h = tctx.zero()
@@ -544,7 +544,7 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
     alg = resolve_algebra(alg_name)
     chi_diag = parse_entries(chi_diag)
     gens = soa_generators(alg, diag_to_basis(alg, chi_diag))
-    loop = LoopAlgebra(alg, 1)
+    loop = LoopAlgebra(alg)
     bad = _first_failing(loop.pairwise_brackets([g.poly for g in gens], (0,)))
     checks = [Check(
         name=f"soa {alg_name}: {len(gens)} generators, {math.comb(len(gens), 2)} pairs commute",
@@ -605,7 +605,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
         raise BoundsError(f"curve degree sum(p - min p) = {sum(exponents)} outside "
                           f"documented bounds [{lo}, {hi}]")
     gl = preset(f"gl{n}")
-    loop = LoopAlgebra(gl, max(dmax, 1))
+    loop = LoopAlgebra(gl)
     C0 = TorusElement.diagonal(c0)
     # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
     # (c0_i, p_i) are
@@ -661,7 +661,7 @@ def dump_generators(family: str, **kw) -> Report:
     elif family in ("gaudin", "soa"):
         alg = resolve_algebra(kw["algebra"])
         if family == "gaudin":
-            gens = gaudin_generators(alg, kw["kmax"], kw["kmax"] + 1 + max(alg.exponents))
+            gens = gaudin_generators(alg, kw["kmax"])
         else:
             params["chi"] = parse_entries(kw["chi"])
             gens = soa_generators(alg, diag_to_basis(alg, params["chi"]))

@@ -18,11 +18,10 @@ denominators and builds one ``Fraction`` per output term.  ``ZhPoly`` holds
 the classical Bethe family over Z[h] (``families.classical_bethe``):
 coefficients as integer lists in h, multiplied by ``scalars.mul_into``, and
 read at h = 0 as a ``CommPoly``.  The two Poisson
-brackets and the derivation D live on ``LoopAlgebra``, which couples a
-structure-constant table (an ``int`` where the denominator is 1) with a
-truncation level R (max t-degree, exclusive).  Operations that would
-create a t-degree >= R raise ``TruncationError`` instead of silently
-dropping terms.
+brackets and the derivation D live on ``LoopAlgebra``, which reads the
+bracket table of its Lie algebra as it is (``int`` where the denominator
+is 1).  S(g[t]) is graded and a polynomial has finitely many t-degrees, so
+nothing is truncated.
 
 ``_derive`` is every derivation, {p, q} = sum_v dp/dv * {v, q} too: each
 dp/dv comes from ``partials`` in integers over the lcm of p's denominators,
@@ -40,7 +39,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import BoundsError, TruncationError
+from .errors import BoundsError
 from .scalars import mul_into, over_common_denominator, ratstr
 
 Var = Tuple[int, int]  # (basis index a, t-degree r)
@@ -290,20 +289,16 @@ def weighted_words(weights: Sequence[int], dmax: int, exact: bool = False
 
 
 class LoopAlgebra:
-    """S(g[t]) truncated at t-degree < R, with both Poisson brackets and D.
+    """S(g[t]), with both Poisson brackets and D.
 
-    ``alg`` must expose ``dim``, ``bracket_coeffs(a, b) -> dict d -> Fraction``
+    ``alg`` must expose ``dim``, ``bracket_coeffs(a, b) -> dict d -> coefficient``
     and ``gram_inv`` (see ``liealg.LieAlgebraData``).
     """
 
-    def __init__(self, alg, R: int) -> None:
-        if R < 1:
-            raise ValueError("truncation level R must be >= 1")
-        letter(alg.dim - 1, R - 1)  # every variable has a letter
+    def __init__(self, alg) -> None:
+        letter(alg.dim - 1, 0)  # every basis index has a letter
         self.alg = alg
-        self.R = R
-        self._brackets = {(a, b): {d: c.numerator if c.denominator == 1 else c
-                                   for d, c in alg.bracket_coeffs(a, b).items()}
+        self._brackets = {(a, b): alg.bracket_coeffs(a, b)
                           for a in range(alg.dim) for b in range(alg.dim)}
         self._components: Dict[int, Tuple[Monomial, ...]] = {}
 
@@ -317,12 +312,9 @@ class LoopAlgebra:
         out: Dict[Monomial, Fraction] = defaultdict(int)
         for w, dw in dq.items():
             s, b = divmod(ord(w), B)
-            cs, t = self._brackets[a, b], r + s + shift
-            if cs and t >= self.R:
-                raise TruncationError(
-                    f"bracket output t-degree {t} exceeds truncation R={self.R}")
-            for d, cd in cs.items():
-                x = chr(t * B + d)
+            t = (r + s + shift) * B
+            for d, cd in self._brackets[a, b].items():
+                x = chr(t + d)
                 for m, c in dw.items():
                     i = bisect_right(m, x)
                     out[m[:i] + x + m[i:]] += cd * c
@@ -351,9 +343,8 @@ class LoopAlgebra:
     def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
         """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
         distinct variable x_b[r] of m adds its multiplicity times m without
-        it times [x_a, x_b][r].  The t-degree is unchanged, so nothing
-        truncates.  The coefficients are sums over the bracket table, so
-        ``int``s where its entries are."""
+        it times [x_a, x_b][r].  The coefficients are sums over the bracket
+        table, so ``int``s where its entries are."""
         out: Dict[Tuple[int, Monomial], Fraction] = defaultdict(int)
         for i, v in enumerate(m):
             if i and m[i - 1] == v:
@@ -379,13 +370,7 @@ class LoopAlgebra:
 
     def derivation_D(self, p: CommPoly) -> CommPoly:
         """D(x[n]) = (n+1) x[n+1], extended as a derivation."""
-        def raise_degree(v: str) -> Dict[Monomial, Fraction]:
-            r = ord(v) // B + 1
-            if r >= self.R:
-                raise TruncationError(
-                    f"D output t-degree {r} exceeds truncation R={self.R}")
-            return {chr(ord(v) + B): r}
-        return _derive(partials(p), raise_degree, 1)
+        return _derive(partials(p), lambda v: {chr(ord(v) + B): ord(v) // B + 1}, 1)
 
     # -- canonical quadratic invariants --------------------------------------
 
@@ -395,8 +380,6 @@ class LoopAlgebra:
 
     def Omega(self) -> CommPoly:
         """Loop-raised Casimir sum_a x_a[0] x^a[1]; satisfies D(omega) = 2*Omega."""
-        if self.R < 2:
-            raise TruncationError("Omega needs R >= 2")
         return self._casimir_element(1)
 
     def _casimir_element(self, r: int) -> CommPoly:
@@ -410,12 +393,12 @@ class LoopAlgebra:
     # -- ambient component bases ---------------------------------------------
 
     def component_monomials(self, d: int) -> Tuple[Monomial, ...]:
-        """Monomial basis of the deg1 = d component within truncation R, in
-        the monomial order, which on one deg1 is ``str`` order; built once
-        per d."""
+        """Monomial basis of the deg1 = d component, in the monomial order,
+        which on one deg1 is ``str`` order; built once per d.  A variable
+        x_a[r] has deg1 r + 1, so its t-degree r is below d."""
         comp = self._components.get(d)
         if comp is None:
-            vs = [chr(r * B + a) for r in range(min(self.R, d)) for a in range(self.alg.dim)]
+            vs = [chr(r * B + a) for r in range(d) for a in range(self.alg.dim)]
             words = weighted_words([ord(v) // B + 1 for v in vs], d, exact=True)
             comp = self._components[d] = tuple(sorted("".join(vs[i] for i in w) for w in words))
         return comp

@@ -14,8 +14,9 @@ holds normal forms of whole words only: the raw words given to
 ``normalize_terms`` and the bracket words met on the way, never the partly
 sorted words in between.
 
-Rewriting runs in integers: a bracket coefficient with denominator 1 is
-stored as ``int``, so for integral structure constants (every preset and
+Rewriting runs in integers: a context reads its brackets as they are, and
+``LieAlgebraData``'s table and the Yangian's brackets hold ``int`` where the
+denominator is 1, so for integral structure constants (every preset and
 the Yangian) a word's normal form is integral; other algebras mix ``int``
 and ``Fraction``.  ``normalize_terms`` takes integer numerators over one
 denominator, accumulates normal forms, and divides once at the end.  An
@@ -83,13 +84,6 @@ class PBWContext:
     def zero(self) -> "NCPoly":
         return NCPoly(self, {})
 
-    def _bracket(self, h: str, x: str) -> Terms:
-        """[h, x] for letters h, x into the bracket cache, integral
-        coefficients as ``int``."""
-        br = self._br_cache[(h, x)] = {w: c.numerator if c.denominator == 1 else c
-                                       for w, c in self.bracket_fn(ord(h), ord(x)).items()}
-        return br
-
     def normal_form(self, word: Word) -> Terms:
         """The normal form of ``word`` by one-step insertion, memoized on the
         whole word; the words on the way to it are not memoized."""
@@ -112,7 +106,7 @@ class PBWContext:
                 h = w[i]
                 br = brackets.get((h, x))
                 if br is None:
-                    br = self._bracket(h, x)
+                    br = brackets[h, x] = self.bracket_fn(ord(h), ord(x))
                 if br:
                     pre, post = w[:i], w[i + 1:k] + rest
                     for bw, c in br.items():
@@ -287,8 +281,7 @@ def symmetrize(ctx: PBWContext, p: CommPoly) -> NCPoly:
 # -- Gaudin evaluation -------------------------------------------------------------
 
 
-def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction],
-                      tctx: PBWContext | None = None) -> NCPoly:
+def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction]) -> NCPoly:
     """Evaluation x[r] -> sum_i z_i^r x^(i) into U(g)^{tensor n}.
 
     Accepts a CommPoly (symmetrized first, in a current context that keeps
@@ -300,8 +293,7 @@ def gaudin_evaluation(alg: LieAlgebraData, p, zs: Sequence[Fraction],
     zs = [Fraction(z) for z in zs]
     if len(set(zs)) != len(zs):
         raise ValidationError("evaluation points must be pairwise distinct")
-    if tctx is None:
-        tctx = tensor_context(alg, len(zs))
+    tctx = tensor_context(alg, len(zs))
     if isinstance(p, CommPoly):
         R = max(map(mono_deg2, p.terms), default=0) + 1
         p = symmetrize(current_context(alg, R), p)

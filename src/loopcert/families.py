@@ -38,9 +38,9 @@ class FamilyElement(NamedTuple):
 # -- universal Gaudin family ---------------------------------------------------------
 
 
-def gaudin_generators(alg: LieAlgebraData, kmax: int, R: int) -> List[FamilyElement]:
+def gaudin_generators(alg: LieAlgebraData, kmax: int) -> List[FamilyElement]:
     """D^k Phi_i for 0 <= k <= kmax; commutative under both brackets."""
-    loop = LoopAlgebra(alg, R)
+    loop = LoopAlgebra(alg)
     out = []
     for idx, inv in enumerate(alg.invariant_generators()):
         p = inv.poly

@@ -7,7 +7,10 @@ indices, invariant degrees).  From the matrices it derives the trace form,
 the dual basis E^a, exact coordinates of a matrix in the basis
 (``coordinates``), the bracket table from commutators, and, on first use,
 the invariants tr(X_B^k) of the generic matrix X = sum_a x_a E^a
-restricted to each block B.  The paper-level assumption of an orthonormal
+restricted to each block B.  Matrix entries and bracket coefficients are
+``int`` where the denominator is 1, and the table holds [x_a, x_b] and
+[x_b, x_a] both, so ``commpoly.LoopAlgebra`` and the PBW contexts of
+``envelop`` read it as it is.  The paper-level assumption of an orthonormal
 basis is relaxed to an arbitrary nondegenerate invariant form with dual
 bases, so all arithmetic stays rational.  Jacobi and the form's
 ad-invariance hold by construction; ``validate`` checks what outside input
@@ -44,7 +47,13 @@ def mat_inverse(A: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in R)
 
 
-def _mat_mul(A: Sparse, B: Sparse, zero=Fraction(0)) -> Sparse:
+def _integral(x):
+    """x as an ``int`` where its denominator is 1, else as it is: the one
+    normalization of matrix entries and bracket coefficients."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _mat_mul(A: Sparse, B: Sparse, zero=0) -> Sparse:
     rows: Dict[int, list] = {}
     for (j, k), y in B.items():
         rows.setdefault(j, []).append((k, y))
@@ -65,7 +74,7 @@ def _combine(coeffs: Sequence[Fraction], mats: Sequence[Sparse]) -> Sparse:
     return {ij: v for ij, v in out.items() if v}
 
 
-def _trace_pair(A: Sparse, B: Sparse, zero=Fraction(0)):
+def _trace_pair(A: Sparse, B: Sparse, zero=0):
     """tr(A B)."""
     return sum((x * B[(j, i)] for (i, j), x in A.items() if (j, i) in B), zero)
 
@@ -105,7 +114,8 @@ class LieAlgebraData:
         self.name = name
         self.labels = list(labels)
         self.size = size
-        self.matrices = [{ij: Fraction(x) for ij, x in M.items() if x} for M in matrices]
+        self.matrices = [{ij: _integral(Fraction(x)) for ij, x in M.items() if x}
+                         for M in matrices]
         self.dim = len(self.matrices)
         self.cartan_indices = list(cartan_indices)
         self.root_data = root_data
@@ -131,23 +141,26 @@ class LieAlgebraData:
         self.gram_inv = mat_inverse(self.gram)
         # the echelon rows of [E_a | e_a], E_a flattened to i * size + j and
         # e_a at column size^2 + a, keyed by pivot: they express a matrix in
-        # the basis at the cost of its entries' rows, however dense the duals
-        self._rows = dict(echelon({**{i * self.size + j: x for (i, j), x in M.items()},
-                                   self.size ** 2 + a: 1} for a, M in enumerate(mats)))
+        # the basis at the cost of its entries' rows, however dense the duals;
+        # integral entries as ``int``, so integral coordinates cost no Fraction
+        rows = echelon({**{i * self.size + j: x for (i, j), x in M.items()},
+                        self.size ** 2 + a: 1} for a, M in enumerate(mats))
+        self._rows = {col: {k: _integral(y) for k, y in row.items()} for col, row in rows}
         self._brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 comm = _combine((1, -1), (_mat_mul(mats[a], mats[b]), _mat_mul(mats[b], mats[a])))
                 if comm:
                     coords = self.coordinates(comm, "matrices are not closed under bracket")
-                    self._brackets[(a, b)] = {d: c for d, c in enumerate(coords) if c}
+                    br = self._brackets[a, b] = {d: _integral(c) for d, c in enumerate(coords) if c}
+                    self._brackets[b, a] = {d: -c for d, c in br.items()}
         if self.rank < 1:
             raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
                                   "built from the rank's invariant generators")
         if self._invariants is not None:
             if sorted(p.degree for p in self._invariants) != [m + 1 for m in self.exponents]:
                 raise ValidationError("invariant degrees do not match the blocks' degrees")
-            loop = LoopAlgebra(self, R=1)
+            loop = LoopAlgebra(self)
             for inv in self._invariants:
                 for a in range(self.dim):
                     if not loop.poisson0(CommPoly.variable(a, 0), inv.poly).is_zero():
@@ -155,16 +168,9 @@ class LieAlgebraData:
                             f"polynomial of degree {inv.degree} is not ad-invariant")
 
     def bracket_coeffs(self, a: int, b: int) -> Dict[int, Fraction]:
-        """[x_a, x_b] as a sparse coefficient vector."""
-        if a == b:
-            return {}
-        c = self._brackets.get((a, b))
-        if c is not None:
-            return c
-        c = self._brackets.get((b, a))
-        if c is not None:
-            return {d: -x for d, x in c.items()}
-        return {}
+        """[x_a, x_b] as a sparse coefficient vector, ``int`` where the
+        denominator is 1; the table is shared, so do not modify it."""
+        return self._brackets.get((a, b), {})
 
     def coordinates(self, A: Sparse, message: str) -> List[Fraction]:
         """The c with sum_a c_a E_a = A: the sum over A's entries at pivots of
@@ -362,7 +368,7 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
         if not lo <= (dim := len(data["matrices"])) <= hi:
             raise BoundsError(f"config dim = {dim} outside documented bounds [{lo}, {hi}]: "
                               "closure multiplies every pair of basis matrices, and gl11 (dim 121) "
-                              "in a unitriangular basis took 23-30 s to load")
+                              "in a unitriangular basis took 2.3-2.8 s to load")
         size = int(data["size"])
         blocks = [([_basis_index(i, size, "block") for i in blk], [int(k) for k in degrees])
                   for blk, degrees in data["blocks"]]

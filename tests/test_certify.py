@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from loopcert import certify, envelop
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import TorusElement, preset
+from loopcert.liealg import TorusElement, load_config, preset
 from loopcert.linalg import Subspace
 from loopcert.scalars import leibniz_det
 
@@ -299,7 +299,7 @@ class TestSuites:
         from loopcert.liealg import preset
         from loopcert.linalg import Subspace
         rep = certify.verify_theorem_B(2, ["1", "1"], ["1", "-1"], dmax=3)
-        loop = LoopAlgebra(preset("gl2"), 3)
+        loop = LoopAlgebra(preset("gl2"))
         sig0 = classical_bethe(2, [1, 1], [0, 0], 3)
         buckets = bethe_component_polys({k: s.at_zero() for k, s in sig0.items()}, 3)
         for d in (1, 2, 3):
@@ -382,7 +382,7 @@ class TestSuites:
     def test_centralizer_component_bound(self):
         # gl4 degree 5 (33440 monomials) is the largest component measured to
         # finish
-        loop = LoopAlgebra(preset("gl4"), 6)
+        loop = LoopAlgebra(preset("gl4"))
         assert len(loop.component_monomials(5)) == certify.BOUNDS["gr centralizer"]["monomials"][1]
 
     def test_centralizer_refused_before_any_component_is_built(self, monkeypatch):
@@ -397,7 +397,7 @@ class TestSuites:
 
     @pytest.mark.parametrize("alg,dmax", [("sl2", 6), ("sl3", 6), ("gl3", 6), ("gl4", 5)])
     def test_component_sizes_count_the_components(self, alg, dmax):
-        loop = LoopAlgebra(preset(alg), dmax + 2)
+        loop = LoopAlgebra(preset(alg))
         assert certify._component_sizes(loop.alg.dim, dmax) == \
             [len(loop.component_monomials(d)) for d in range(dmax + 1)]
 
@@ -453,6 +453,18 @@ class TestSuites:
         check = rep.checks[1]
         assert not check.passed
         assert check.witness == "rank 4 < 5"
+
+    def test_soa_rank_check_fails_on_dependent_sp4_invariants(self):
+        # negative control with nothing patched: sp4_dependent.json is sp4.json
+        # with tr X^2 and (tr X^2)^2 supplied as its invariants, of the blocks'
+        # degrees 2 and 4; they commute, but they are algebraically dependent
+        data = Path(__file__).parent / "data"
+        q = load_config(str(data / "sp4.json")).invariant_generators()[0].poly
+        assert [p.poly for p in load_config(str(data / "sp4_dependent.json"))
+                .invariant_generators()] == [q, q * q]
+        rep = certify.verify_soa(str(data / "sp4_dependent.json"), ["1", "3", "-1", "-3"], seed=0)
+        assert rep.checks[0].passed
+        assert rep.checks[1].witness == "rank 2 < 6"
 
     def test_soa_details_record_seed(self):
         rep = certify.verify_soa("sl2", ["1", "-1"], seed=5)

@@ -436,7 +436,7 @@ def test_config_past_dim_bound_exit_two(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"BoundsError]: config dim = {dim} outside documented bounds" in err
-    assert "took 23-30 s" in err
+    assert "took 2.3-2.8 s" in err
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):

@@ -4,13 +4,14 @@ import sys
 from collections import defaultdict
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcert.commpoly import (B, CommPoly, LoopAlgebra, ZhPoly, letter, mono_deg1,
                                mono_deg2, mono_mul, monomial, var_of, weighted_words)
-from loopcert.errors import BoundsError, TruncationError
+from loopcert.errors import BoundsError
 from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
 from loopcert.liealg import algebra_from_dict, preset
 
@@ -29,7 +30,7 @@ def bidegrees(p):
 
 @pytest.fixture(scope="module")
 def loop():
-    return LoopAlgebra(sl2, R=8)
+    return LoopAlgebra(sl2)
 
 
 class TestPoissonBrackets:
@@ -58,20 +59,6 @@ class TestPoissonBrackets:
         total = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
         assert total.is_zero()
 
-    def test_truncation_error(self):
-        tight = LoopAlgebra(sl2, R=2)
-        with pytest.raises(TruncationError):
-            tight.poisson1(var(E, 0), var(FF, 1))
-
-    def test_truncation_only_on_nonzero_brackets(self):
-        # [h, h] = 0 and [e11, e22] = 0: no output term, so nothing to truncate
-        tight = LoopAlgebra(sl2, R=2)
-        assert tight.poisson1(var(H, 1), var(H, 1)).is_zero()
-        gl2 = LoopAlgebra(preset("gl2"), R=2)
-        assert gl2.poisson1(var(0, 1), var(3, 1)).is_zero()
-        with pytest.raises(TruncationError):
-            gl2.poisson1(var(0, 1), var(1, 0))
-
     def test_bracket_bihomogeneous(self, loop):
         p = var(E, 1) * var(H, 0)  # bidegree (3, 1)
         q = var(FF, 2)             # bidegree (3, 2)
@@ -93,7 +80,7 @@ small_polys = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(small_polys, small_polys, small_polys)
 def test_jacobi_and_antisymmetry_random(p, q, r):
-    loop = LoopAlgebra(sl2, R=12)
+    loop = LoopAlgebra(sl2)
     for br in (loop.poisson0, loop.poisson1):
         assert (br(p, q) + br(q, p)).is_zero()
         assert (br(p, br(q, r)) + br(q, br(r, p)) + br(r, br(p, q))).is_zero()
@@ -103,7 +90,7 @@ def test_jacobi_exhaustive_sl2_generators():
     """Exhaustive Jacobi over all generator triples with t-degree <= 3,
     for both brackets and the (1,1) pencil member."""
     import itertools
-    loop = LoopAlgebra(sl2, R=12)
+    loop = LoopAlgebra(sl2)
     gens = [var(a, r) for a in range(3) for r in range(4)]
     brackets = [loop.poisson0, loop.poisson1,
                 lambda x, y: loop.poisson0(x, y) + loop.poisson1(x, y)]
@@ -115,7 +102,7 @@ def test_jacobi_exhaustive_sl2_generators():
 @settings(max_examples=40, deadline=None)
 @given(small_polys, small_polys, small_polys)
 def test_leibniz_random(p, q, r):
-    loop = LoopAlgebra(sl2, R=12)
+    loop = LoopAlgebra(sl2)
     assert loop.poisson0(p, q * r) == loop.poisson0(p, q) * r + q * loop.poisson0(p, r)
 
 
@@ -149,7 +136,8 @@ SL2_HALF = {
     "cartan": [1], "blocks": [[[0, 1], [2]]]}
 ALGEBRAS = {"sl2": lambda: sl2, "gl2": lambda: preset("gl2"), "sl2r": _readme_sl2r,
             "sl2-half": lambda: algebra_from_dict(SL2_HALF)}
-R_SMALL = 4
+# t-degrees of the drawn polynomials: their brackets reach t-degree 2 TMAX + 1
+TMAX = 3
 
 
 def _partial(p, a, r):
@@ -165,25 +153,18 @@ def _partial(p, a, r):
 def test_poisson_matches_partial_derivative_formula(name, shift, data):
     """{p, q}_k = sum_{u, v} dp/du * dq/dv * {u, v}_k, with the generator
     brackets {x_a[r], x_b[s]}_k = [x_a, x_b][r + s + k] built from
-    bracket_coeffs directly; a TruncationError exactly when one of them
-    reaches t-degree R."""
+    bracket_coeffs directly, at every t-degree they reach."""
     alg = ALGEBRAS[name]()
-    p = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
-    q = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
-    loop = LoopAlgebra(alg, R=R_SMALL)
-    expected, overflow = CommPoly(), False
+    p = data.draw(_monomial_polys(alg.dim, TMAX))
+    q = data.draw(_monomial_polys(alg.dim, TMAX))
+    expected = CommPoly()
     for a, r in {var_of(ch) for m in p.terms for ch in m}:
         for b, s in {var_of(ch) for m in q.terms for ch in m}:
             cs = alg.bracket_coeffs(a, b)
-            overflow |= bool(cs) and r + s + shift >= R_SMALL
             uv = sum((var(d, r + s + shift).scale(c) for d, c in cs.items()), CommPoly())
             expected = expected + _partial(p, a, r) * _partial(q, b, s) * uv
-    bracket = (loop.poisson0, loop.poisson1)[shift]
-    if overflow:
-        with pytest.raises(TruncationError):
-            bracket(p, q)
-    else:
-        assert bracket(p, q) == expected
+    loop = LoopAlgebra(alg)
+    assert (loop.poisson0, loop.poisson1)[shift](p, q) == expected
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -192,7 +173,7 @@ def test_coadjoint_images_match_poisson0(name):
     call per basis index, on whole components (Fraction brackets too).  The
     images are sums over the bracket table, so ``int`` exactly where its
     entries are: on an integral table every coefficient is an ``int``."""
-    loop = LoopAlgebra(ALGEBRAS[name](), R=3)
+    loop = LoopAlgebra(ALGEBRAS[name]())
     integral = all(type(c) is int for cs in loop._brackets.values() for c in cs.values())
     for d in range(4):
         comp = loop.component_monomials(d)
@@ -205,7 +186,7 @@ def test_coadjoint_images_match_poisson0(name):
             assert {type(c) for c in got.values()} <= ({int} if integral else {int, F})
 
 
-def _reference_poisson(loop, p, q, shift):
+def _reference_poisson(alg, p, q, shift):
     """The Leibniz extension of {x_a[r], x_b[s]} = [x_a, x_b][r + s + shift]
     over every pair of terms and every pair of their variables, in Fraction
     arithmetic."""
@@ -214,12 +195,8 @@ def _reference_poisson(loop, p, q, shift):
         for m2, c2 in q.terms.items():
             for i, (a, r) in enumerate(map(var_of, m1)):
                 for j, (b, s) in enumerate(map(var_of, m2)):
-                    cs = loop.alg.bracket_coeffs(a, b)
-                    if not cs:
-                        continue
+                    cs = alg.bracket_coeffs(a, b)
                     tdeg = r + s + shift
-                    if tdeg >= loop.R:
-                        raise TruncationError(f"t-degree {tdeg}")
                     rest = m1[:i] + m1[i + 1:] + m2[:j] + m2[j + 1:]
                     for d, cd in cs.items():
                         mono = mono_mul(rest, letter(d, tdeg))
@@ -233,18 +210,11 @@ def _reference_poisson(loop, p, q, shift):
 @given(data=st.data())
 def test_poisson_matches_term_pair_reference(name, shift, data):
     alg = ALGEBRAS[name]()
-    p = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
-    q = data.draw(_monomial_polys(alg.dim, R_SMALL - 1))
-    loop = LoopAlgebra(alg, R=R_SMALL)
-    bracket = (loop.poisson0, loop.poisson1)[shift]
-    try:
-        expected = _reference_poisson(loop, p, q, shift)
-    except TruncationError:
-        with pytest.raises(TruncationError):
-            bracket(p, q)
-        return
-    got = bracket(p, q)
-    assert got.terms == expected.terms
+    p = data.draw(_monomial_polys(alg.dim, TMAX))
+    q = data.draw(_monomial_polys(alg.dim, TMAX))
+    loop = LoopAlgebra(alg)
+    got = (loop.poisson0, loop.poisson1)[shift](p, q)
+    assert got.terms == _reference_poisson(alg, p, q, shift).terms
     assert all(type(c) is F for c in got.terms.values())
 
 
@@ -315,21 +285,21 @@ def test_pairwise_brackets_match_fresh_loop_algebra(family):
     with them nonzero."""
     alg = preset("sl3")
     if family == "gaudin":
-        R, shifts = 10, (0, 1)
-        gens = gaudin_generators(alg, 2, R)
+        shifts = (0, 1)
+        gens = gaudin_generators(alg, 2)
         extra = [var(0, 1), var(3, 2) * var(5, 0), var(7, 0) * var(1, 1) * var(1, 1)]
     else:
-        R, shifts = 1, (0,)
+        shifts = (0,)
         gens = soa_generators(alg, diag_to_basis(alg, [F(1), F(2), F(-3)]))
         extra = [var(0, 0), var(3, 0) * var(5, 0), var(7, 0) * var(1, 0) * var(1, 0)]
     polys = [extra[0]] + [g.poly for g in gens] + extra[1:]
-    got = list(LoopAlgebra(alg, R).pairwise_brackets(polys, shifts))
+    got = list(LoopAlgebra(alg).pairwise_brackets(polys, shifts))
     n = len(polys)
     assert sorted(key for *key, _ in got) == [
         [i, j, s] for i in range(n) for j in range(i + 1, n) for s in shifts]
     nonzero = 0
     for i, j, s, bracket in got:
-        fresh = LoopAlgebra(alg, R)
+        fresh = LoopAlgebra(alg)
         assert bracket.terms == (fresh.poisson0, fresh.poisson1)[s](polys[i], polys[j]).terms
         nonzero += bool(bracket)
     assert nonzero >= n
@@ -339,11 +309,10 @@ def test_pairwise_brackets_match_fresh_loop_algebra(family):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_pairwise_brackets_match_poisson(name, data):
-    # t-degrees up to 1, so no bracket reaches R_SMALL
     alg = ALGEBRAS[name]()
-    polys = [data.draw(_monomial_polys(alg.dim, 1)) for _ in range(4)]
-    loop = LoopAlgebra(alg, R=R_SMALL)
-    expected = {(i, j, s): _reference_poisson(loop, polys[i], polys[j], s).terms
+    polys = [data.draw(_monomial_polys(alg.dim, TMAX)) for _ in range(4)]
+    loop = LoopAlgebra(alg)
+    expected = {(i, j, s): _reference_poisson(alg, polys[i], polys[j], s).terms
                 for i in range(4) for j in range(i + 1, 4) for s in (0, 1)}
     got = {(i, j, s): p.terms for i, j, s, p in loop.pairwise_brackets(polys, (0, 1))}
     assert got == expected
@@ -364,11 +333,6 @@ class TestDerivation:
         q = var(H, 0) ** 2
         assert loop.derivation_D(p * q) == \
             loop.derivation_D(p) * q + p * loop.derivation_D(q)
-
-    def test_overflow(self):
-        tight = LoopAlgebra(sl2, R=2)
-        with pytest.raises(TruncationError):
-            tight.derivation_D(var(E, 1))
 
 
 class TestCasimirs:
@@ -419,12 +383,12 @@ def test_enumerate_monomials_weights():
     assert list(weighted_words(weights, 2, exact=True)) == exact
     assert len(exact) == 4
     # the sl2 component of deg1 = 2: 6 quadratics in x[0] and 3 variables x[1]
-    assert len(LoopAlgebra(sl2, 3).component_monomials(2)) == 9
-    # each component is every multiset of variables of t-degree < R with
-    # deg1 = d, in the reference order
+    assert len(LoopAlgebra(sl2).component_monomials(2)) == 9
+    # each component is every multiset of variables with deg1 = d, in the
+    # reference order; a variable x_a[r] has deg1 r + 1, so r < d
     for name, dmax in [("sl2", 5), ("gl2", 4), ("gl3", 3)]:
-        loop = LoopAlgebra(preset(name), 3)
-        variables = [(a, r) for a in range(loop.alg.dim) for r in range(loop.R)]
+        loop = LoopAlgebra(preset(name))
+        variables = [(a, r) for a in range(loop.alg.dim) for r in range(dmax)]
         for d in range(dmax + 1):
             brute = {tuple(sorted(c)) for k in range(d + 1)
                      for c in itertools.combinations_with_replacement(variables, k)
@@ -459,7 +423,7 @@ def test_letter_bounds():
     with pytest.raises(BoundsError):
         CommPoly.variable(B, 0)
     with pytest.raises(BoundsError):
-        LoopAlgebra(sl2, rmax + 2)
+        LoopAlgebra(SimpleNamespace(dim=B + 1))
 
 
 @pytest.mark.parametrize("weight", [0, -1])

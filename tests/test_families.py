@@ -19,20 +19,20 @@ E, H, FF = 0, 1, 2
 
 class TestGaudinGenerators:
     def test_sl2_first_two(self):
-        loop = LoopAlgebra(sl2, 3)
-        gens = gaudin_generators(sl2, 1, 3)
+        loop = LoopAlgebra(sl2)
+        gens = gaudin_generators(sl2, 1)
         assert [g.label for g in gens] == ["D^0 Phi_1", "D^1 Phi_1"]
         assert gens[0].poly == loop.omega()
         assert gens[1].poly == loop.Omega().scale(2)
 
     def test_k0_is_invariants(self):
-        gens = gaudin_generators(preset("sl3"), 0, 1)
+        gens = gaudin_generators(preset("sl3"), 0)
         invs = preset("sl3").invariant_generators()
         assert [g.poly for g in gens] == [p.poly for p in invs]
 
     def test_bracket1_with_D2(self):
-        loop = LoopAlgebra(sl2, 8)
-        gens = gaudin_generators(sl2, 2, 8)
+        loop = LoopAlgebra(sl2)
+        gens = gaudin_generators(sl2, 2)
         phi, d2phi = gens[0].poly, gens[2].poly
         assert loop.poisson1(phi, d2phi).is_zero()
 
@@ -142,7 +142,7 @@ class TestClassicalBethe:
 
 class TestCentralizerComponents:
     def test_invariant_component_dims(self):
-        loop = LoopAlgebra(sl2, 4)
+        loop = LoopAlgebra(sl2)
         # deg1 = 2 invariants of S(sl2[t]): only omega
         inv2 = invariant_component(loop, 2)
         assert len(inv2) == 1
@@ -151,7 +151,7 @@ class TestCentralizerComponents:
         assert len(inv3) == 1
 
     def test_constants_component(self):
-        loop = LoopAlgebra(sl2, 3)
+        loop = LoopAlgebra(sl2)
         sub = centralizer_subalgebra(loop, loop.omega(), 0)
         assert sub.dim == 1
 

@@ -89,7 +89,7 @@ def poincare_gl3_rows() -> Subspace:
     C = diag(1, 2, 3), as ``poincare --cutoff 4`` spans it."""
     sigma = classical_bethe(3, [1, 2, 3], [0, 0, 0], 4)
     buckets = bethe_component_polys({k: s.at_zero() for k, s in sigma.items()}, 4)
-    return Subspace.span_of(buckets[4], LoopAlgebra(preset("gl3"), 4).component_monomials(4))
+    return Subspace.span_of(buckets[4], LoopAlgebra(preset("gl3")).component_monomials(4))
 
 
 def theorem_a_gl3_block() -> Subspace:
@@ -98,8 +98,8 @@ def theorem_a_gl3_block() -> Subspace:
     gl = preset("gl3")
     z = centralizer(gl, TorusElement.diagonal([1, 1, 2]))
     zgens = [(embed_subalgebra_poly(z, g.poly), g.deg1)
-             for g in gaudin_generators(z, 3, 4) if g.deg1 <= 4]
-    ambient = LoopAlgebra(gl, 4).component_monomials(4)
+             for g in gaudin_generators(z, 3) if g.deg1 <= 4]
+    ambient = LoopAlgebra(gl).component_monomials(4)
     bidegs = [_bideg(m) for m in ambient]
     return bigraded_block(degree_buckets(zgens, 4)[4], ambient, bidegs, 4)[0]
 
@@ -123,7 +123,7 @@ def test_limit_subspace_rows(name, n, c0, chi, dmax):
     C0 exp(eps chi), degrees 1..dmax, chained as the suite chains them."""
     exponents, _ = _curve_exponents([Fraction(x) for x in chi])
     curve = bethe_component_polys(classical_bethe(n, c0, exponents, dmax), dmax)
-    loop = LoopAlgebra(preset(f"gl{n}"), dmax)
+    loop = LoopAlgebra(preset(f"gl{n}"))
     got, K = {}, 4
     for d in range(1, dmax + 1):
         lim, K = limit_subspace(loop.component_monomials(d), curve[d], K)
@@ -164,15 +164,23 @@ SL2_HALF = {"name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
     ("report_config_sl2r_gens_gaudin.json", "gens --family gaudin --algebra sl2r.json"),
     ("report_config_sl2_half_verify_gaudin_k2.json",
      "verify-gaudin --algebra sl2-half.json --kmax 2"),
+    ("report_config_sp4_verify_soa_chi1_3_-1_-3.json",
+     "verify-soa --algebra sp4.json --chi 1,3,-1,-3"),
+    ("report_config_sp4_verify_gaudin_k2.json", "verify-gaudin --algebra sp4.json --kmax 2"),
+    ("report_config_sp4_gr_centralizer_d4.json",
+     "gr --comparison centralizer --algebra sp4.json --max-deg 4"),
 ])
 def test_config_reports(name, argv, tmp_path, monkeypatch):
     """The ``--json`` reports of config algebras given as matrices, byte for
     byte: the README's sl2r and sl2-half, recorded when a config gave
-    structure constants, a form and its invariant instead."""
+    structure constants, a form and its invariant instead, and sp4 = so5
+    (``tests/data/sp4.json``, outside type A), recorded when ``LoopAlgebra``
+    still took a truncation level."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (tmp_path / "sl2r.json").write_text(readme.split("```json\n", 1)[1].split("```", 1)[0],
                                         encoding="utf-8")
     (tmp_path / "sl2-half.json").write_text(json.dumps(SL2_HALF), encoding="utf-8")
+    (tmp_path / "sp4.json").write_bytes((Path(__file__).parent / "data" / "sp4.json").read_bytes())
     monkeypatch.chdir(tmp_path)
     assert main(argv.split() + ["--json", "report.json"]) == 0
     assert (tmp_path / "report.json").read_bytes() == (GOLDEN / name).read_bytes()

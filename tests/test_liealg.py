@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -45,25 +46,48 @@ class TestBracket:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gl_closed_form_matches_matrices(n):
     """In the matrix-unit basis E_ij = index i*n + j, the builder's gl_n
-    brackets are [E_ij, E_kl] = d_jk E_il - d_li E_kj and its form is
-    tr(E_ij E_kl) = d_jk d_il, down to the key order of the sparse table."""
-    brackets = {}
-    for a in range(n * n):
-        i, j = divmod(a, n)
-        for b in range(a + 1, n * n):
-            k, l = divmod(b, n)
-            coeffs = {}
-            if j == k:
-                coeffs[i * n + l] = F(1)
-            if l == i:
-                coeffs[k * n + j] = F(-1)
-            if coeffs:
-                brackets[(a, b)] = dict(sorted(coeffs.items()))
+    brackets are [E_ij, E_kl] = d_jk E_il - d_li E_kj, for every ordered
+    pair, and its form is tr(E_ij E_kl) = d_jk d_il."""
     gl = preset(f"gl{n}")
-    assert [(k, list(v.items())) for k, v in gl._brackets.items()] == \
-        [(k, list(v.items())) for k, v in brackets.items()]
+    for a, b in itertools.product(range(n * n), repeat=2):
+        (i, j), (k, l) = divmod(a, n), divmod(b, n)
+        expected = {}
+        if j == k:
+            expected[i * n + l] = 1
+        if l == i:
+            expected[k * n + j] = expected.get(k * n + j, 0) - 1
+        assert gl.bracket_coeffs(a, b) == {d: c for d, c in expected.items() if c}
     assert gl.gram == tuple(tuple(F(int(j == k and i == l)) for k in range(n) for l in range(n))
                             for i in range(n) for j in range(n))
+
+
+# sl2 with x = E12/2 in place of e: [x, f] = h/2
+SL2_HALF = {"name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
+            "matrices": [[[0, 1, "1/2"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
+            "cartan": [1], "blocks": [[[0, 1], [2]]]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset("sl3"), lambda: preset("gl3"),
+    lambda: centralizer(preset("gl3"), TorusElement.diagonal([1, 1, 2])),
+    lambda: load_config(str(Path(__file__).parent / "data" / "sp4.json")),
+    lambda: algebra_from_dict(SL2_HALF)], ids=["sl3", "gl3", "z_gl3", "sp4", "sl2-half"])
+def test_bracket_table_holds_both_orientations(build):
+    """bracket_coeffs(b, a) is the negative of bracket_coeffs(a, b), each
+    read off the table, and every coefficient and matrix entry is an ``int``
+    where its denominator is 1: LoopAlgebra and the PBW contexts read them
+    as they are."""
+    alg = build()
+    fractions = 0
+    for a, b in itertools.product(range(alg.dim), repeat=2):
+        ab = alg.bracket_coeffs(a, b)
+        assert alg.bracket_coeffs(b, a) == {d: -c for d, c in ab.items()}
+        assert all(type(c) is (int if c.denominator == 1 else F) for c in ab.values())
+        fractions += sum(type(c) is F for c in ab.values())
+    assert all(type(x) is (int if x.denominator == 1 else F)
+               for M in alg.matrices for x in M.values())
+    # sl2-half has one non-integral coefficient, [x, f] = h/2, in each orientation
+    assert fractions == (2 if alg.name == "sl2-half" else 0)
 
 
 def _dense_matrices(alg):
@@ -236,7 +260,7 @@ class TestInvariants:
     def test_ad_invariance(self):
         for name in ("sl2", "gl2", "sl3", "gl3"):
             alg = preset(name)
-            loop = LoopAlgebra(alg, 1)
+            loop = LoopAlgebra(alg)
             for inv in alg.invariant_generators():
                 for a in range(alg.dim):
                     assert loop.poisson0(CommPoly.variable(a, 0), inv.poly).is_zero()
@@ -419,7 +443,7 @@ def test_config_past_dim_bound_refused_before_validate(monkeypatch):
     monkeypatch.setattr(LieAlgebraData, "__init__", _nothing_built)
     for dim in (hi + 1, 256, 257, 300):
         with pytest.raises(BoundsError, match=rf"config dim = {dim} outside documented bounds "
-                                              rf"\[{lo}, {hi}\]: .* took 23-30 s"):
+                                              rf"\[{lo}, {hi}\]: .* took 2\.3-2\.8 s"):
             algebra_from_dict(abelian(dim))
 
 

@@ -68,8 +68,8 @@ class TestGeneratedComponents:
 
     def test_sl2_gaudin_deg4_partition_count(self):
         sl2 = preset("sl2")
-        loop = LoopAlgebra(sl2, 4)
-        gens = [(g.poly, g.deg1) for g in gaudin_generators(sl2, 2, 4)]
+        loop = LoopAlgebra(sl2)
+        gens = [(g.poly, g.deg1) for g in gaudin_generators(sl2, 2)]
         comp = Subspace.span_of(degree_buckets(gens, 4)[4], loop.component_monomials(4))
         # free on generators of degrees 2,3,4: q^4 coefficient of
         # prod_{r>=2}(1-q^r)^{-1} is 2 (2+2 and 4)

@@ -10,6 +10,14 @@ slot i of n.  Each extends to an algebra map rho, so rho of the normal form
 of a raw word is the product of rho over its letters.  These
 representations are not faithful, so a pass does not prove a normal form,
 but a mismatch is a witness.
+
+``yangian(n, W)`` is checked the same way, in both letter orders, through
+the tensor product of evaluation modules at points z_1..z_N:
+rho(t_ij(u)) = [L_1(u) ... L_N(u)]_ij with L_a(u)_ij = delta_ij +
+E_ij^(a) / (u - z_a), E_ij^(a) the matrix unit in slot a of (C^n)^{ox N},
+and rho(t_ij^(r)) the u^(-r) coefficient.  With E_ji in place of E_ij the
+map is no algebra map, and the words disagree: a control that the oracle
+can fail.
 """
 
 import functools
@@ -20,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcert.envelop import current_context, tensor_context
 from loopcert.liealg import preset
+from loopcert.yangian import yangian
 
 # (preset, context, size): U(g[t]/t^R) at R = size, or U(g)^{ox n} at n = size
 CASES = [(alg, kind, size) for alg in ("sl2", "gl2", "sl3")
@@ -49,6 +58,14 @@ def identity(n):
     return {(i, i): F(1) for i in range(n)}
 
 
+def in_slot(M, i, n, m):
+    """I ox ... ox M ox ... ox I, M of size m in slot i of n."""
+    out = {(0, 0): F(1)}
+    for slot in range(n):
+        out = kron(out, M if slot == i else identity(m), m)
+    return out
+
+
 @functools.cache
 def representation(alg_name, kind, size):
     """(context, rho of each generator in the context's order, matrix size)."""
@@ -59,13 +76,7 @@ def representation(alg_name, kind, size):
         shift = [{(k + r, k): F(1) for k in range(size - r)} for r in range(size)]  # N^r
         return ctx, [kron(mats[a], shift[r], size) for r, a in ctx.gens], m * size
     ctx = tensor_context(alg, size)
-    images = []
-    for i, a in ctx.gens:
-        M = {(0, 0): F(1)}
-        for slot in range(size):
-            M = kron(M, mats[a] if slot == i else identity(m), m)
-        images.append(M)
-    return ctx, images, m ** size
+    return ctx, [in_slot(mats[a], i, size, m) for i, a in ctx.gens], m ** size
 
 
 def rho(case, word):
@@ -103,3 +114,88 @@ def test_random_words(case, data):
     letters = st.integers(0, len(representation(*case)[0].gens) - 1)
     word = data.draw(st.lists(letters, min_size=3, max_size=6))
     assert_normal_form_matches(case, "".join(map(chr, word)))
+
+
+# (n, letter order): Y(gl_n) at weight bound W, evaluated at the points ZS
+W = 6
+ZS = (F(1), F(3))
+YCASES = [(n, order) for n in (2, 3) for order in ("r-major", "matrix-major")]
+YIDS = [f"gl{n}-{order}" for n, order in YCASES]
+
+
+def yangian_context(n, order):
+    return yangian(n, W, matrix_major=order == "matrix-major")
+
+
+@functools.cache
+def evaluation_images(n, transpose=False):
+    """{(r, i, j): rho(t_ij^(r))} for r <= W, 1-based i and j, read off the
+    product L_1(u) ... L_N(u) as u^(-k) coefficients, k <= W; with
+    ``transpose``, E_ji in place of E_ij."""
+    m = n ** len(ZS)
+    T = [[{0: identity(m)} if i == j else {} for j in range(n)] for i in range(n)]
+    for a, z in enumerate(ZS):
+        # 1/(u - z) = sum_{k >= 1} z^(k-1) u^(-k)
+        E = [[in_slot({(j, i) if transpose else (i, j): F(1)}, a, len(ZS), n) for j in range(n)]
+             for i in range(n)]
+        new = [[{k: dict(M) for k, M in T[i][j].items()} for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    for k, M in T[i][l].items():
+                        P = mat_mul(M, E[l][j])
+                        for kk in range(1, W - k + 1):
+                            acc = new[i][j].setdefault(k + kk, {})
+                            for ij, x in P.items():
+                                acc[ij] = acc.get(ij, 0) + x * z ** (kk - 1)
+        T = new
+    return {(r, i + 1, j + 1): {ij: x for ij, x in T[i][j].get(r, {}).items() if x}
+            for r in range(1, W + 1) for i in range(n) for j in range(n)}
+
+
+def yangian_mismatch(n, order, word, transpose=False):
+    """Whether rho of the normal form of ``word`` differs from the product
+    of rho over its letters."""
+    ctx = yangian_context(n, order)
+    images = evaluation_images(n, transpose)
+    m = n ** len(ZS)
+
+    def rho_word(w):
+        M = identity(m)
+        for letter in w:
+            M = mat_mul(M, images[ctx.gens[ord(letter)]])
+        return M
+
+    got = {}
+    for v, c in ctx.normalize_terms({word: 1}).items():
+        for ij, x in rho_word(v).items():
+            got[ij] = got.get(ij, 0) + c * x
+    return {ij: x for ij, x in got.items() if x} != rho_word(word)
+
+
+def letter_pairs(n, order):
+    ctx = yangian_context(n, order)
+    return [chr(g) + chr(h) for g in range(len(ctx.gens)) for h in range(len(ctx.gens))
+            if ctx.word_weight(chr(g) + chr(h)) <= W]
+
+
+@pytest.mark.parametrize("n,order", YCASES, ids=YIDS)
+def test_yangian_every_letter_pair(n, order):
+    assert [w for w in letter_pairs(n, order) if yangian_mismatch(n, order, w)] == []
+
+
+@pytest.mark.parametrize("n,order", YCASES, ids=YIDS)
+def test_yangian_oracle_fails_on_transposed_units(n, order):
+    assert any(yangian_mismatch(n, order, w, transpose=True) for w in letter_pairs(n, order))
+
+
+@pytest.mark.parametrize("n,order", YCASES, ids=YIDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_yangian_random_words(n, order, data):
+    # letters of weight r <= W - 2 in words of 3 to 5 letters, total weight <= W
+    ctx = yangian_context(n, order)
+    word = "".join(data.draw(st.lists(
+        st.sampled_from([chr(g) for g, (r, _, _) in enumerate(ctx.gens) if r <= W - 2]),
+        min_size=3, max_size=5).filter(lambda w: ctx.word_weight("".join(w)) <= W)))
+    assert not yangian_mismatch(n, order, word)
