@@ -15,8 +15,7 @@ from .envelop import (NCPoly, PBWContext, current_context, gaudin_evaluation,
 from .errors import (BoundsError, LoopcertError, RegularityError,
                      TruncationError, ValidationError)
 from .families import classical_bethe, gaudin_generators, soa_generators
-from .liealg import (InvariantPolynomial, LieAlgebraData, TorusElement,
-                     centralizer, load_config, preset)
+from .liealg import InvariantPolynomial, LieAlgebraData, centralizer, load_config, preset
 from .linalg import Subspace, limit_subspace
 from .yangian import (YangianContext, bethe_generators, gr1, gr2,
                       quantum_minor, yangian)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsError", "CommPoly", "InvariantPolynomial",
     "LieAlgebraData", "LoopAlgebra", "LoopcertError", "NCPoly", "PBWContext",
-    "RegularityError", "Subspace", "TorusElement", "TruncationError",
+    "RegularityError", "Subspace", "TruncationError",
     "ValidationError", "YangianContext", "ZhPoly", "bethe_generators",
     "centralizer", "classical_bethe", "current_context", "gaudin_evaluation",
     "gaudin_generators", "gr1", "gr2", "limit_subspace", "load_config",

@@ -33,7 +33,7 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
                        soa_generators, soa_jacobian_rank)
-from .liealg import TorusElement, centralizer, gl_algebra, preset, resolve_algebra
+from .liealg import centralizer, gl_algebra, preset, resolve_algebra
 from .linalg import (Subspace, bigraded_block, degree_buckets, echelon,
                      free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
@@ -161,10 +161,24 @@ def _jsonable(x):
 
 
 def parse_entries(spec: Sequence) -> List[Fraction]:
+    """The entries of ``spec`` as exact rationals: each an ``int``, a
+    ``Fraction`` or a ``str`` read by ``parse_rational``.  A float would carry
+    its binary expansion into every coefficient, so it is refused, as is
+    anything else."""
+    if not all(isinstance(e, (int, str, Fraction)) for e in spec):
+        raise ValidationError(f"entries {list(spec)!r} must be exact: int, str or Fraction")
     try:
         return [parse_rational(str(e)) for e in spec]
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def parse_torus(spec: Sequence) -> List[Fraction]:
+    """The diagonal entries C_1..C_n of a torus element C, each nonzero."""
+    C = parse_entries(spec)
+    if not all(C):
+        raise ValidationError("torus entries must be invertible (nonzero)")
+    return C
 
 
 def _clear_denominators(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -173,9 +187,9 @@ def _clear_denominators(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
     return list(nums.values()), L
 
 
-def _constant_bethe(n: int, C: TorusElement, Rmax: int) -> Dict[Tuple[int, int], CommPoly]:
+def _constant_bethe(n: int, C: Sequence[Fraction], Rmax: int) -> Dict[Tuple[int, int], CommPoly]:
     """sigma_k^(r)(L C) = L^k sigma_k^(r)(C), L the lcm of C's denominators."""
-    sigma = classical_bethe(n, _clear_denominators(C.entries)[0], [0] * n, Rmax)
+    sigma = classical_bethe(n, _clear_denominators(C)[0], [0] * n, Rmax)
     return {key: s.at_zero() for key, s in sigma.items()}
 
 
@@ -277,9 +291,8 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
     never more than the measured bound.  Only a FAIL brackets every pair of
     taus, in this process, each commutator written in r-major words
     (``r_major``) for the listing and the witness."""
-    entries = parse_entries(entries)
-    taus = bethe_generators(yangian(n, 2 * smax, matrix_major=True),
-                            TorusElement.diagonal(entries), smax)
+    entries = parse_torus(entries)
+    taus = bethe_generators(yangian(n, 2 * smax, matrix_major=True), entries, smax)
     pairs = list(itertools.combinations(sorted(taus), 2))
     if _commutes([taus[k] for k in sorted(taus)],
                  min(workers, BOUNDS["verify-bethe"]["workers"][1])):
@@ -312,14 +325,13 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     (reductive conventions), and they dominate the free series built from
     the ambient gl_n exponents, which is the universal-in-C lower bound.
     """
-    entries = parse_entries(entries)
-    C = TorusElement.diagonal(entries)
+    entries = parse_torus(entries)
     gl = preset(f"gl{n}")
-    buckets = bethe_component_polys(_constant_bethe(n, C, cutoff), cutoff)
+    buckets = bethe_component_polys(_constant_bethe(n, entries, cutoff), cutoff)
     loop = LoopAlgebra(gl)
     dims = [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
                   for d in range(1, cutoff + 1)]
-    z = centralizer(gl, C)
+    z = centralizer(n, entries)
     expected = free_series_coeffs([m + 1 + k for m in z.exponents for k in range(cutoff)], cutoff)
     lower = free_series_coeffs([m + 1 + k for m in gl.exponents for k in range(cutoff)], cutoff)
     checks = [
@@ -401,11 +413,10 @@ def _bideg(m) -> Tuple[int, int]:
 def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     """Leading-term spans of the classical Bethe family equal the Gaudin
     family of the centralizer, per bidegree, through deg1 = rmax."""
-    entries = parse_entries(entries)
+    entries = parse_torus(entries)
     gl = preset(f"gl{n}")
-    C = TorusElement.diagonal(entries)
-    buckets = bethe_component_polys(_constant_bethe(n, C, rmax), rmax)
-    z = centralizer(gl, C)
+    buckets = bethe_component_polys(_constant_bethe(n, entries, rmax), rmax)
+    z = centralizer(n, entries)
     zbuckets = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
                                for g in gaudin_generators(z, rmax - 1)], rmax)
     loop = LoopAlgebra(gl)
@@ -439,7 +450,7 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
 
     # bigraded span comparison against gr2 of quantum Bethe at C = E
     ctx = yangian(n, dmax)
-    taus = bethe_generators(ctx, TorusElement.identity(n), dmax)
+    taus = bethe_generators(ctx, [1] * n, dmax)
     tau_list = [(p, s) for (k, s), p in sorted(taus.items()) if not p.is_zero()]
     Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
@@ -595,7 +606,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     h = (g/m) eps + O(eps^2), Q[[h]] = Q[[eps]] and the limits at 0 agree.
     The curve is built over Z[h] (``classical_bethe``), at C0 scaled to integers.
     """
-    c0 = parse_entries(c0)
+    c0 = parse_torus(c0)
     chi_diag = parse_entries(chi_diag)
     if len(c0) != n or len(chi_diag) != n:
         raise ValidationError(f"C0 and chi need {n} diagonal entries each")
@@ -606,7 +617,6 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
                           f"documented bounds [{lo}, {hi}]")
     gl = preset(f"gl{n}")
     loop = LoopAlgebra(gl)
-    C0 = TorusElement.diagonal(c0)
     # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
     # (c0_i, p_i) are
     if len(set(zip(c0, exponents))) < n:
@@ -627,7 +637,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
                  "dims": dims, "expected": expected},
         witness=None if dims == expected else f"dims {dims} != expected {expected}")]
 
-    z = centralizer(gl, C0)
+    z = centralizer(n, c0)
     chi_z = diag_to_basis(z, chi_diag)
     # B(C0) * A_chi is spanned by the products of both generator lists; the
     # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L^k
@@ -649,13 +659,12 @@ def dump_generators(family: str, **kw) -> Report:
     params = dict(kw)
     if family in ("bethe", "classical-bethe"):
         n, smax = kw["n"], kw["smax"]
-        params["C"] = parse_entries(kw["C"])
-        C = TorusElement.diagonal(params["C"])
+        C = params["C"] = parse_torus(kw["C"])
         if family == "bethe":
             taus = bethe_generators(yangian(n, smax), C, smax)
             listing = {f"tau_{k}^({s})": p.render() for (k, s), p in sorted(taus.items())}
         else:
-            L, lbl = _clear_denominators(C.entries)[1], gamma_label(n)
+            L, lbl = _clear_denominators(C)[1], gamma_label(n)
             listing = {f"sigma_{k}^({s})": p.scale(Fraction(1, L ** k)).render(lbl)
                        for (k, s), p in sorted(_constant_bethe(n, C, smax).items())}
     elif family in ("gaudin", "soa"):

@@ -1,5 +1,5 @@
-"""Lie algebra data: matrix algebras with the trace form, torus elements,
-centralizers and invariant polynomial generators.
+"""Lie algebra data: matrix algebras with the trace form, centralizers of
+diagonal elements in gl_n and invariant polynomial generators.
 
 Every algebra, preset or config, is a ``LieAlgebraData``: a basis of
 sparse ``{(i, j): entry}`` matrices E_a and a list of (block of matrix
@@ -108,7 +108,7 @@ class LieAlgebraData:
 
     def __init__(self, name: str, labels: Sequence[str], size: int,
                  matrices: Sequence[Sparse], cartan_indices: Sequence[int],
-                 root_data: List[RootDatum], blocks, gl_size: Optional[int] = None,
+                 root_data: List[RootDatum], blocks,
                  ambient_indices: Optional[List[int]] = None,
                  invariants: Optional[List[InvariantPolynomial]] = None) -> None:
         self.name = name
@@ -123,7 +123,6 @@ class LieAlgebraData:
         degrees = sorted(k for _, ks in blocks for k in ks)
         self.rank = len(degrees)
         self.exponents = [k - 1 for k in degrees]
-        self.gl_size = gl_size  # n when this is gl_n in the matrix-unit basis
         self.ambient_indices = ambient_indices  # embedding into a parent algebra
         self._invariants = invariants
         self.validate()
@@ -219,60 +218,31 @@ class LieAlgebraData:
         return out
 
 
-# -- torus elements ---------------------------------------------------------------
+# -- centralizers and presets ----------------------------------------------------------
 
 
-class TorusElement:
-    """A diagonal torus element of gl_n, stored by its rational diagonal entries."""
+def centralizer(n: int, C: Sequence[Fraction]) -> LieAlgebraData:
+    """z(C), the fixed subalgebra of Ad(C) in gl_n for C = diag(C_1..C_n):
+    the matrix units E_ij with C_i = C_j, one block per group of equal
+    entries of C.
 
-    def __init__(self, entries: Sequence[int | str | Fraction]) -> None:
-        # a float would carry its binary expansion into every coefficient
-        if not all(isinstance(e, (int, str, Fraction)) for e in entries):
-            raise ValidationError(f"torus entries {list(entries)!r} must be exact: "
-                                  "int, str or Fraction")
-        try:
-            self.entries = [parse_rational(str(e)) for e in entries]
-        except ValueError as exc:
-            raise ValidationError(f"torus entry is not a rational: {exc}") from exc
-        if not all(self.entries):
-            raise ValidationError("torus entries must be invertible (nonzero)")
-
-    @classmethod
-    def diagonal(cls, entries) -> "TorusElement":
-        return cls(entries=entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "TorusElement":
-        return cls(entries=[Fraction(1)] * n)
-
-
-def centralizer(alg: LieAlgebraData, C: TorusElement) -> LieAlgebraData:
-    """Fixed subalgebra of Ad(C): the matrix units E_ij of gl_n with
-    C_i = C_j, one block per group of equal entries of C.
-
-    Conventions for the reductive output: rank equals rank of the ambient
-    algebra; exponents are those of the derived subalgebra padded with zeros.
+    Conventions for the reductive output: rank equals rank of gl_n;
+    exponents are those of the derived subalgebra padded with zeros.
     """
-    if alg.gl_size is None:
-        raise ValidationError("centralizer is implemented for gl_n presets with diagonal C")
-    n = alg.gl_size
-    if len(C.entries) != n:
+    if len(C) != n:
         raise ValidationError("torus entry count != n")
     blocks: List[List[int]] = []
     for i in range(n):
         if not any(i in blk for blk in blocks):
-            blocks.append([j for j in range(n) if not C.entries[i] - C.entries[j]])
-    return _gl_units(n, blocks, f"z_{alg.name}(" + ",".join(str(e) for e in C.entries) + ")")
+            blocks.append([j for j in range(n) if C[i] == C[j]])
+    return _gl_units(n, blocks, f"z_gl{n}(" + ",".join(str(e) for e in C) + ")")
 
 
-# -- presets ------------------------------------------------------------------------
-
-
-def _gl_units(n: int, blocks: List[List[int]], name: str,
-              gl_size: Optional[int] = None) -> LieAlgebraData:
+def _gl_units(n: int, blocks: List[List[int]], name: str) -> LieAlgebraData:
     """The matrix units E_ij of gl_n with i and j in one block, in the order
-    of their gl_n index i*n + j; invariants tr X_B^k, k = 1..|B|.  One
-    block of all n indices is gl_n itself, else the result embeds into gl_n."""
+    of their gl_n index i*n + j; invariants tr X_B^k, k = 1..|B|.  The
+    result embeds into gl_n by these indices, its ``ambient_indices``: the
+    identity when one block holds all n indices and the result is gl_n."""
     block = {i: b for b, blk in enumerate(blocks) for i in blk}
     keep = [i * n + j for i in range(n) for j in range(n) if block[i] == block[j]]
     pos = {amb: k for k, amb in enumerate(keep)}
@@ -283,8 +253,7 @@ def _gl_units(n: int, blocks: List[List[int]], name: str,
     return LieAlgebraData(
         name, [f"e{a // n + 1}{a % n + 1}" for a in keep],
         n, [{divmod(a, n): 1} for a in keep], [pos[i * n + i] for i in range(n)],
-        roots, [(blk, range(1, len(blk) + 1)) for blk in blocks],
-        gl_size=gl_size, ambient_indices=None if gl_size else keep)
+        roots, [(blk, range(1, len(blk) + 1)) for blk in blocks], ambient_indices=keep)
 
 
 @functools.cache
@@ -324,7 +293,7 @@ def preset(name: str) -> LieAlgebraData:
 @functools.cache
 def gl_algebra(n: int) -> LieAlgebraData:
     """gl_n with the trace form, for any n >= 1."""
-    return _gl_units(n, [list(range(n))], f"gl{n}", gl_size=n)
+    return _gl_units(n, [list(range(n))], f"gl{n}")
 
 
 def load_config(path: str) -> LieAlgebraData:

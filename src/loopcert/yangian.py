@@ -15,11 +15,11 @@ Quantum minors are ``scalars.leibniz_det`` over ``Series`` entries with keys
 (s, word) for u^(-s) times a raw word; ``u_coefficient`` reads the u^(-s)
 coefficient as a normal-ordered ``NCPoly``.
 
-Truncation discipline: a context carries a weight bound N on the total
-superscript sum of any single word; products exceeding it raise
-``TruncationError`` (nothing is dropped silently).  Commutator rewriting
-strictly lowers the weight, so certificates that fit at the product level
-never overflow mid-computation.
+Truncation discipline: a context's weight bound N fixes its letters,
+t_ij^(r) for r <= N.  No word is weighed: rewriting lowers the weight, so a
+bracket is the only place a letter past N can be asked for, and
+``_yangian_bracket`` raises ``TruncationError`` there.  Nothing is dropped;
+a word past N whose rewriting needs no such letter normalizes exactly.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from typing import Dict, List, Sequence, Tuple
 from .commpoly import CommPoly, monomial
 from .envelop import NCPoly, PBWContext, Terms, current_context, word
 from .errors import TruncationError, ValidationError
-from .liealg import TorusElement, gl_algebra
+from .liealg import gl_algebra
 from .scalars import Series, leibniz_det, truncated_join
 
 GenKey = Tuple[int, int, int]  # (r, i, j), r >= 1, 1-based matrix indices
 
 
 class YangianContext(PBWContext):
-    """PBW context for Y(gl_n) words of F1-weight <= max_weight.
+    """PBW context for Y(gl_n) on the letters t_ij^(r), r <= max_weight.
 
     Letters sort r-major, as (r, i, j), the order every rendered Yangian word
     and ``gr2``'s letter map read.  With ``matrix_major`` they sort as
@@ -71,13 +71,16 @@ class YangianContext(PBWContext):
         super().__init__(gens, self._yangian_bracket, labels=labels)
 
     def _yangian_bracket(self, gi: int, gj: int) -> Dict[str, int]:
-        """[t_ij^(r), t_kl^(s)] with ``int`` coefficients."""
+        """[t_ij^(r), t_kl^(s)] with ``int`` coefficients; ``TruncationError``
+        if a word with a letter t^(q), q > N, which the context lacks, keeps a
+        nonzero coefficient (in [t_ii^(r), t_ii^(s)] the two cancel)."""
         r, i, j = self.gens[gi]
         s, k, l = self.gens[gj]
-        out: Dict[str, int] = {}
+        out: Dict[str | Tuple[GenKey, ...], int] = {}
 
         def put(c: int, *keys: GenKey):
-            w = word(self.index[key] for key in keys)
+            # a word past N has no letters: it is kept as its keys
+            w = keys if max(keys)[0] > self.max_weight else word(self.index[key] for key in keys)
             out[w] = out.get(w, 0) + c
 
         for p in range(1, min(r, s) + 1):
@@ -93,24 +96,14 @@ class YangianContext(PBWContext):
                     put(-1, (r + s - p, k, j))
             else:
                 put(-1, (r + s - p, k, j), (p - 1, i, l))
+        for w, c in out.items():
+            if c and type(w) is tuple:
+                raise TruncationError(f"[{self.labels[gi]}, {self.labels[gj]}] needs a letter "
+                                      f"t^({max(w)[0]}), past truncation N={self.max_weight}")
         return {w: c for w, c in out.items() if c != 0}
 
     def word_weight(self, w: str) -> int:
         return sum(map(self._weights.__getitem__, map(ord, w)))
-
-    def normalize_terms(self, terms: Terms, den: int = 1) -> Terms:
-        # a word in the normal-form cache passed this check as a raw word, or
-        # is a word of the bracket expansion of one, of lower F1-weight
-        # ([t^(r), t^(s)] has weight r + s - 1): only cache misses are checked
-        cached = self._nf_cache
-        for w in terms:
-            if w in cached:
-                continue
-            wt = self.word_weight(w)
-            if wt > self.max_weight:
-                raise TruncationError(
-                    f"word of F1-weight {wt} exceeds truncation N={self.max_weight}")
-        return super().normalize_terms(terms, den)
 
     def t(self, i: int, j: int, r: int) -> NCPoly:
         return self.gen((r, i, j))
@@ -188,14 +181,14 @@ def quantum_minor(ctx: YangianContext, rows: Sequence[int], cols: Sequence[int],
     return leibniz_det(k, lambda a, c: t_series(ctx, rows[a], cols[c], Nmax, shift=c))
 
 
-def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
+def bethe_generators(ctx: YangianContext, C: Sequence[Fraction], Nmax: int
                      ) -> Dict[Tuple[int, int], NCPoly]:
-    """tau_k^(s) for 1 <= k <= n, 1 <= s <= Nmax.
+    """tau_k^(s) for 1 <= k <= n, 1 <= s <= Nmax, for C = diag(C_1..C_n).
 
     tau_k(u, C) = sum over k-subsets S of (prod_{i in S} c_i) qminor_{S,S}(u);
     all pairwise commutators vanish within the truncation weight.
     """
-    if len(C.entries) != ctx.n:
+    if len(C) != ctx.n:
         raise ValidationError("C must be diagonal with n entries")
     out: Dict[Tuple[int, int], NCPoly] = {}
     for k in range(1, ctx.n + 1):
@@ -203,7 +196,7 @@ def bethe_generators(ctx: YangianContext, C: TorusElement, Nmax: int
         for subset in itertools.combinations(range(1, ctx.n + 1), k):
             weight = Fraction(1)
             for i in subset:
-                weight *= C.entries[i - 1]
+                weight *= C[i - 1]
             series = series + quantum_minor(ctx, subset, subset, Nmax).scale(weight)
         for s in range(1, Nmax + 1):
             out[(k, s)] = u_coefficient(ctx, series, s)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from loopcert import certify, envelop
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import TorusElement, load_config, preset
+from loopcert.liealg import load_config, preset
 from loopcert.linalg import Subspace
 from loopcert.scalars import leibniz_det
 
@@ -477,8 +477,7 @@ def r_major_taus(n, entries, smax):
     """The taus of verify-bethe built in the r-major Yangian, whose words
     every report renders: the sweep's matrix-major order must not reach
     the report."""
-    return ymod.bethe_generators(ymod.yangian(n, 2 * smax),
-                                 TorusElement.diagonal(certify.parse_entries(entries)), smax)
+    return ymod.bethe_generators(ymod.yangian(n, 2 * smax), certify.parse_torus(entries), smax)
 
 
 def r_major_witness(n, entries, smax):

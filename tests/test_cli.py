@@ -159,6 +159,22 @@ def test_empty_entry_exit_two(capsys, argv, option):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify-bethe", "--algebra", "gl2", "--C", "1,0", "--max-deg", "2"],
+    ["poincare", "--algebra", "gl2", "--C", "1,0"],
+    ["gr", "--comparison", "theorem-A", "--algebra", "gl2", "--C", "1,0"],
+    ["gens", "--family", "bethe", "--algebra", "gl2", "--C", "1,0"],
+    ["gens", "--family", "classical-bethe", "--algebra", "gl2", "--C", "1,0"],
+    ["limit", "--algebra", "gl2", "--C0", "0,1", "--chi", "1,2", "--deg", "2"],
+])
+def test_zero_torus_entry_exit_two(capsys, argv):
+    # C and C0 are torus elements: a zero entry is no invertible diagonal
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error [ValidationError]: " in err and "invertible" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["verify-bethe", "--algebra", "gl2", "--C", "1e100000,1", "--max-deg", "3"],
     ["verify-bethe", "--algebra", "gl2", "--C", "1e3000000,1", "--max-deg", "2"],
     ["gens", "--family", "classical-bethe", "--algebra", "gl3", "--C", "1e2500,1e2500,1"],

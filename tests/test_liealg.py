@@ -7,10 +7,11 @@ import pytest
 
 from loopcert.commpoly import CommPoly, LoopAlgebra, monomial
 from loopcert.errors import BoundsError, ValidationError
-from loopcert.certify import BOUNDS, dump_generators
+from loopcert.certify import (BOUNDS, dump_generators, parse_entries, parse_torus,
+                              verify_eval_gaudin, verify_soa)
 from loopcert.cli import main
-from loopcert.liealg import (LieAlgebraData, TorusElement, algebra_from_dict, centralizer,
-                             gl_algebra, load_config, preset, root_pairing)
+from loopcert.liealg import (LieAlgebraData, algebra_from_dict, centralizer, gl_algebra,
+                             load_config, preset, root_pairing)
 from loopcert.scalars import SymPoly
 
 
@@ -69,7 +70,7 @@ SL2_HALF = {"name": "sl2-half", "size": 2, "labels": ["x", "h", "f"],
 
 @pytest.mark.parametrize("build", [
     lambda: preset("sl3"), lambda: preset("gl3"),
-    lambda: centralizer(preset("gl3"), TorusElement.diagonal([1, 1, 2])),
+    lambda: centralizer(3, [1, 1, 2]),
     lambda: load_config(str(Path(__file__).parent / "data" / "sp4.json")),
     lambda: algebra_from_dict(SL2_HALF)], ids=["sl3", "gl3", "z_gl3", "sp4", "sl2-half"])
 def test_bracket_table_holds_both_orientations(build):
@@ -135,7 +136,7 @@ def test_invariants_match_tuple_expansion(name, C):
     if C is None:
         blocks = [(range(size), range(2 if name.startswith("sl") else 1, size + 1))]
     else:
-        alg = centralizer(alg, TorusElement.diagonal(C))
+        alg = centralizer(size, C)
         groups = [[i for i in range(size) if C[i] == c] for c in dict.fromkeys(C)]
         blocks = [(blk, range(1, len(blk) + 1)) for blk in groups]
     expected = []
@@ -181,7 +182,7 @@ class TestValidation:
         # into the same bracket table, form, roots and invariants
         alg = gl_algebra(5) if name == "gl5" else preset(name)
         if C is not None:
-            alg = centralizer(alg, TorusElement.diagonal(C))
+            alg = centralizer(alg.size, C)
         cfg = algebra_from_dict(json.loads(json.dumps(_as_config(alg))))
         assert cfg._brackets == alg._brackets and cfg.gram == alg.gram
         assert cfg.root_data == alg.root_data
@@ -195,20 +196,30 @@ class TestValidation:
 
 
 class TestTorus:
+    """A torus element C is its diagonal entries, parsed once by
+    ``parse_torus``; chi and z are parsed by ``parse_entries``."""
+
     def test_zero_entry_rejected(self):
-        with pytest.raises(ValidationError):
-            TorusElement.diagonal([1, 0])
+        for C in ([1, 0], ["0", "2"], [F(0), 1]):
+            with pytest.raises(ValidationError, match=r"^torus entries must be invertible"):
+                parse_torus(C)
+        assert parse_entries([1, 0]) == [1, 0]  # chi and z may hold a zero
 
     def test_entries_exact(self):
-        entries = TorusElement.diagonal([2, "1/10", F(3, 4)]).entries
-        assert entries == [F(2), F(1, 10), F(3, 4)]
-        assert all(type(e) is F for e in entries)
+        for parse in (parse_torus, parse_entries):
+            entries = parse([2, "1/10", F(3, 4)])
+            assert entries == [F(2), F(1, 10), F(3, 4)]
+            assert all(type(e) is F for e in entries)
         # a float would carry its binary expansion into every coefficient; a
         # formal parameter is no entry; a string is read by parse_rational,
         # which refuses a power of ten past its digit bound unexpanded
         for bad in (0.1, 1.0, "x", SymPoly("h", [1, 1]), "1e3000000"):
-            with pytest.raises(ValidationError):
-                TorusElement.diagonal([bad, 1])
+            for refuse in (lambda: parse_torus([bad, 1]), lambda: parse_entries([bad, 1]),
+                           lambda: verify_eval_gaudin("sl2", [0, bad], 2),
+                           lambda: verify_soa("sl3", [bad, 1, -3], 0),
+                           lambda: dump_generators("soa", algebra="sl2", chi=[bad, -1])):
+                with pytest.raises(ValidationError):
+                    refuse()
         listing = dump_generators("classical-bethe", n=2, C=["1/10", 1], smax=1)
         assert listing.checks[0].details["generators"] == {
             "sigma_1^(1)": "1/10*gamma[1,1;1] + 1*gamma[2,2;1]",
@@ -217,8 +228,7 @@ class TestTorus:
 
 class TestCentralizer:
     def test_block_case(self):
-        gl3 = preset("gl3")
-        z = centralizer(gl3, TorusElement.diagonal([1, 1, 2]))
+        z = centralizer(3, [1, 1, 2])
         assert z.dim == 5
         assert z.rank == 3
         assert sorted(z.exponents) == [0, 0, 1]
@@ -226,19 +236,21 @@ class TestCentralizer:
 
     def test_regular_case_is_cartan(self):
         gl3 = preset("gl3")
-        z = centralizer(gl3, TorusElement.diagonal([1, 2, 3]))
+        z = centralizer(3, [1, 2, 3])
         assert z.dim == gl3.rank
         assert all(not z.bracket_coeffs(a, b) for a in range(3) for b in range(3))
 
     def test_identity_case(self):
         gl2 = preset("gl2")
-        z = centralizer(gl2, TorusElement.identity(2))
+        z = centralizer(2, [1, 1])
         assert z.dim == gl2.dim
         assert sorted(z.exponents) == [0, 1]
+        # z(E) = gl_n embeds into gl_n by the identity, as limit at C0 = E reads it
+        assert z.ambient_indices == gl2.ambient_indices == list(range(gl2.dim))
+        assert z._brackets == gl2._brackets
 
     def test_output_validates(self):
-        gl4 = preset("gl4")
-        z = centralizer(gl4, TorusElement.diagonal([1, 1, 2, 2]))
+        z = centralizer(4, [1, 1, 2, 2])
         z.validate()
         assert z.dim == 8
 

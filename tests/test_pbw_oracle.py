@@ -18,17 +18,35 @@ E_ij^(a) / (u - z_a), E_ij^(a) the matrix unit in slot a of (C^n)^{ox N},
 and rho(t_ij^(r)) the u^(-r) coefficient.  With E_ji in place of E_ij the
 map is no algebra map, and the words disagree: a control that the oracle
 can fail.
+
+Two builders are checked against the same representations.  rho of
+``bethe_generators``' tau_k^(s) must equal sum_S c_S [u^-s] of the column
+determinant sum_sigma sgn sigma prod_c rho(T)_{S_sigma(c) S_c}(u - c), where
+rho(T(u - c)) is read off the points shifted by c; with u + c in the
+quantum minors it must not.  rho of ``symmetrize(ctx, p)`` in
+U(g[t]/t^R) must equal sum_m c_m (1/k!) sum_sigma of the products of rho
+over the k letters of m in sigma order; the identity permutation alone
+must not.
 """
 
 import functools
+import importlib
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcert.envelop import current_context, tensor_context
+from loopcert.commpoly import var_of
+from loopcert.envelop import current_context, symmetrize, tensor_context
+from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
-from loopcert.yangian import yangian
+from loopcert.scalars import leibniz_det
+from loopcert.yangian import bethe_generators, yangian
+
+# the module, which the package's ``yangian`` function shadows as an attribute
+ymod = importlib.import_module("loopcert.yangian")
 
 # (preset, context, size): U(g[t]/t^R) at R = size, or U(g)^{ox n} at n = size
 CASES = [(alg, kind, size) for alg in ("sl2", "gl2", "sl3")
@@ -79,22 +97,23 @@ def representation(alg_name, kind, size):
     return ctx, [in_slot(mats[a], i, size, m) for i, a in ctx.gens], m ** size
 
 
-def rho(case, word):
-    """The product of rho over the letters of a word."""
-    _, images, n = representation(*case)
-    M = identity(n)
-    for letter in word:
-        M = mat_mul(M, images[ord(letter)])
-    return M
+def rho_terms(terms, image, m):
+    """sum_w c_w times the product of ``image`` over the letters of w, for
+    {word: c} and matrices of size m."""
+    out = {}
+    for w, c in terms.items():
+        M = identity(m)
+        for letter in w:
+            M = mat_mul(M, image(letter))
+        for ij, x in M.items():
+            out[ij] = out.get(ij, 0) + c * x
+    return {ij: x for ij, x in out.items() if x}
 
 
 def assert_normal_form_matches(case, word):
-    ctx = representation(*case)[0]
-    got = {}
-    for v, c in ctx.normal_form(word).items():
-        for ij, x in rho(case, v).items():
-            got[ij] = got.get(ij, 0) + c * x
-    assert {ij: x for ij, x in got.items() if x} == rho(case, word), word
+    ctx, images, m = representation(*case)
+    image = lambda letter: images[ord(letter)]  # noqa: E731
+    assert rho_terms(ctx.normal_form(word), image, m) == rho_terms({word: 1}, image, m), word
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -128,16 +147,16 @@ def yangian_context(n, order):
 
 
 @functools.cache
-def evaluation_images(n, transpose=False):
+def evaluation_images(n, transpose=False, points=ZS):
     """{(r, i, j): rho(t_ij^(r))} for r <= W, 1-based i and j, read off the
-    product L_1(u) ... L_N(u) as u^(-k) coefficients, k <= W; with
-    ``transpose``, E_ji in place of E_ij."""
-    m = n ** len(ZS)
+    product L_1(u) ... L_N(u) at the z_a of ``points`` as u^(-k)
+    coefficients, k <= W; with ``transpose``, E_ji in place of E_ij."""
+    m = n ** len(points)
     T = [[{0: identity(m)} if i == j else {} for j in range(n)] for i in range(n)]
-    for a, z in enumerate(ZS):
+    for a, z in enumerate(points):
         # 1/(u - z) = sum_{k >= 1} z^(k-1) u^(-k)
-        E = [[in_slot({(j, i) if transpose else (i, j): F(1)}, a, len(ZS), n) for j in range(n)]
-             for i in range(n)]
+        E = [[in_slot({(j, i) if transpose else (i, j): F(1)}, a, len(points), n)
+              for j in range(n)] for i in range(n)]
         new = [[{k: dict(M) for k, M in T[i][j].items()} for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -158,19 +177,9 @@ def yangian_mismatch(n, order, word, transpose=False):
     of rho over its letters."""
     ctx = yangian_context(n, order)
     images = evaluation_images(n, transpose)
+    image = lambda letter: images[ctx.gens[ord(letter)]]  # noqa: E731
     m = n ** len(ZS)
-
-    def rho_word(w):
-        M = identity(m)
-        for letter in w:
-            M = mat_mul(M, images[ctx.gens[ord(letter)]])
-        return M
-
-    got = {}
-    for v, c in ctx.normalize_terms({word: 1}).items():
-        for ij, x in rho_word(v).items():
-            got[ij] = got.get(ij, 0) + c * x
-    return {ij: x for ij, x in got.items() if x} != rho_word(word)
+    return rho_terms(ctx.normalize_terms({word: 1}), image, m) != rho_terms({word: 1}, image, m)
 
 
 def letter_pairs(n, order):
@@ -199,3 +208,119 @@ def test_yangian_random_words(n, order, data):
         st.sampled_from([chr(g) for g, (r, _, _) in enumerate(ctx.gens) if r <= W - 2]),
         min_size=3, max_size=5).filter(lambda w: ctx.word_weight("".join(w)) <= W)))
     assert not yangian_mismatch(n, order, word)
+
+
+# tau_k^(s) for s <= S at C = diag(C), in both letter orders
+S = 3
+TAU_CASES = [(n, C, order) for n, C in ((2, (1, 2)), (3, (1, 2, 3)), (3, (1, 1, 2)))
+             for order in ("r-major", "matrix-major")]
+TAU_IDS = [f"gl{n}-C{''.join(map(str, C))}-{order}" for n, C, order in TAU_CASES]
+
+
+def series_mul(A, B):
+    """The product of u^(-1)-series {power: matrix}, through u^(-S)."""
+    out = {}
+    for r, M in A.items():
+        for q, N in B.items():
+            if r + q <= S:
+                acc = out.setdefault(r + q, {})
+                for ij, x in mat_mul(M, N).items():
+                    acc[ij] = acc.get(ij, 0) + x
+    return out
+
+
+@functools.cache
+def quantum_minor_taus(n, C):
+    """{(k, s): sum_S c_S [u^-s] sum_sigma sgn sigma prod_c rho(T)_{S_sigma(c) S_c}(u - c)}
+    over the k-subsets S of 1..n, c_S the product of the C_i over S, each
+    factor rho(T(u - c)) the product of the L_a at the points z_a + c."""
+    m = n ** len(ZS)
+    shifted = [evaluation_images(n, points=tuple(z + c for z in ZS)) for c in range(n)]
+
+    def entry(i, j, c):
+        series = {r: shifted[c][r, i, j] for r in range(1, S + 1)}
+        return {0: identity(m), **series} if i == j else series
+
+    taus = {}
+    for k in range(1, n + 1):
+        total = {}
+        for sub in itertools.combinations(range(1, n + 1), k):
+            weight = math.prod(C[i - 1] for i in sub)
+            for perm in itertools.permutations(range(k)):
+                sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                term = {0: identity(m)}
+                for c in range(k):
+                    term = series_mul(term, entry(sub[perm[c]], sub[c], c))
+                for s, M in term.items():
+                    acc = total.setdefault(s, {})
+                    for ij, x in M.items():
+                        acc[ij] = acc.get(ij, 0) + sign * weight * x
+        for s in range(1, S + 1):
+            taus[k, s] = {ij: x for ij, x in total.get(s, {}).items() if x}
+    return taus
+
+
+def rho_taus(n, C, order):
+    """{(k, s): rho(tau_k^(s))} of ``bethe_generators``."""
+    ctx = yangian_context(n, order)
+    images = evaluation_images(n)
+    image = lambda letter: images[ctx.gens[ord(letter)]]  # noqa: E731
+    return {key: rho_terms(p.terms, image, n ** len(ZS))
+            for key, p in bethe_generators(ctx, list(C), S).items()}
+
+
+def wrong_shift(ctx, rows, cols, Nmax):
+    """Quantum minors with column c at u + c instead of u - c, the fault
+    that ``tests/test_certify.py`` injects into ``verify-bethe``."""
+    rows, cols = list(rows), list(cols)
+    return leibniz_det(len(rows), lambda a, c: ymod.t_series(
+        ctx, rows[a], cols[c], Nmax, shift=-c))
+
+
+@pytest.mark.parametrize("n,C,order", TAU_CASES, ids=TAU_IDS)
+def test_bethe_taus_are_quantum_minor_sums(n, C, order):
+    assert rho_taus(n, C, order) == quantum_minor_taus(n, C)
+
+
+@pytest.mark.parametrize("n,C,order", TAU_CASES, ids=TAU_IDS)
+def test_bethe_oracle_fails_on_wrong_shift(monkeypatch, n, C, order):
+    monkeypatch.setattr(ymod, "quantum_minor", wrong_shift)
+    got, expected = rho_taus(n, C, order), quantum_minor_taus(n, C)
+    assert [key for key in expected if got[key] != expected[key]]
+
+
+# symmetrize in U(g[t]/t^R) on the Gaudin generators D^k Phi_i, k <= KMAX,
+# whose t-degrees k stay below R
+KMAX, R = 2, 3
+SYM_ALGEBRAS = ["sl2", "sl3"]
+
+
+def symmetrized_images(alg_name, p, permute=True):
+    """sum_m c_m (1/k!) sum_sigma prod rho(letters of m in sigma order), or
+    with ``permute`` off the identity permutation alone: c_m prod rho."""
+    ctx, images, m = representation(alg_name, "current", R)
+    image = lambda key: images[ctx.index[key]]  # noqa: E731
+    terms = {}
+    for mono, c in p.terms.items():
+        keys = [(r, a) for a, r in map(var_of, mono)]
+        orders = list(itertools.permutations(keys)) if permute else [keys]
+        for order in orders:
+            terms[tuple(order)] = terms.get(tuple(order), 0) + F(c) / len(orders)
+    return rho_terms(terms, image, m)
+
+
+def rho_symmetrize(alg_name, p):
+    ctx, images, m = representation(alg_name, "current", R)
+    return rho_terms(symmetrize(ctx, p).terms, lambda letter: images[ord(letter)], m)
+
+
+@pytest.mark.parametrize("alg_name", SYM_ALGEBRAS)
+def test_symmetrize_is_the_symmetrized_product(alg_name):
+    for g in gaudin_generators(preset(alg_name), KMAX):
+        assert rho_symmetrize(alg_name, g.poly) == symmetrized_images(alg_name, g.poly), g.label
+
+
+@pytest.mark.parametrize("alg_name", SYM_ALGEBRAS)
+def test_symmetrize_oracle_fails_on_one_order(alg_name):
+    assert any(rho_symmetrize(alg_name, g.poly) != symmetrized_images(alg_name, g.poly, False)
+               for g in gaudin_generators(preset(alg_name), KMAX))
