@@ -4,8 +4,10 @@ the acceptance tests).
 
 Every check is exact rational arithmetic; a failing check carries a minimal
 witness: a nonzero normal form, a dimension mismatch, or a vector in one
-span and not the other (``_span_check``).  Randomized steps (the Jacobian
-evaluation point) take an explicit seed and log resampling events.
+span and not the other (``_span_check``).  The Jacobian evaluation points
+are seeded: ``verify_soa`` takes the seed and logs resampling events;
+``poincare_bethe`` seeds 0, and its point only decides whether a PASS is
+proven there or by elimination, so its report does not depend on it.
 
 The PBW commutativity suites (``verify_bethe``, ``verify_eval_gaudin`` and
 ``verify_talalaev``) share one sweep, ``_commutes``.  It brackets the
@@ -35,7 +37,8 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        soa_generators, soa_jacobian_rank)
 from .liealg import centralizer, gl_algebra, preset, resolve_algebra
 from .linalg import (Subspace, bigraded_block, degree_buckets, echelon,
-                     free_series_coeffs, generator_products, limit_subspace)
+                     free_series_coeffs, generator_products, jacobian_pivots,
+                     limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangian
 
@@ -62,7 +65,10 @@ BOUNDS = {
     # monomials in one deg1-component, counted before anything is built: gl4 at
     # degree 5 has 33440 and takes 4.5 s and 304 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
-    "poincare bethe": {"cutoff": (1, 6)},  # gl4: 9.4 s and 153 MB
+    # cutoff: the bound is the elimination's, which a FAIL still runs (gl4 at
+    # regular C: 9.6-14.7 s and 153 MB at 6); a PASS, proven by a Jacobian
+    # rank at one point, took at most 0.3 s in process at cutoff 10
+    "poincare bethe": {"cutoff": (1, 6)},
     # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
     # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
     # took 7.8 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
@@ -316,6 +322,46 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
 # -- 3. size / Poincare series ---------------------------------------------------------------
 
 
+def _free_at_a_point(sigma: Dict[Tuple[int, int], CommPoly], degrees: Sequence[int]) -> bool:
+    """Whether the sigma_k^(r) are proven to generate the polynomial algebra
+    on generators of the given degrees, r being the degree of sigma_k^(r).
+
+    Walked by degree, the sigmas that raise the Jacobian rank at a seeded
+    integer point (``jacobian_pivots``) are algebraically independent, so
+    their products are linearly independent.  When their degrees are
+    ``degrees`` and every other sigma lies in the span of the products of
+    theirs in its degree, the sigmas generate the same algebra, free on
+    them.  A point is resampled, at most 20 times, while the rank is short.
+    False when it stays short, or when a degree or a membership does not
+    match; full rank alone proves nothing when a sigma is missing."""
+    keys = sorted(sigma, key=lambda key: key[::-1])
+    polys, degs = [sigma[key] for key in keys], [r for _, r in keys]
+    letters = sorted({ch for p in polys for m in p.terms for ch in m})
+    rng = random.Random(0)
+    for _ in range(20):
+        kept = jacobian_pivots(polys, {v: rng.randint(-50, 50) for v in letters})
+        if len(kept) >= len(degrees):
+            break
+    if sorted(degs[i] for i in kept) != sorted(degrees):
+        return False
+    dropped = sorted(set(range(len(polys))) - set(kept))
+    if not dropped:
+        return True
+    buckets = degree_buckets([(polys[i], degs[i]) for i in kept], max(degs[i] for i in dropped))
+    spans = {d: Subspace.span_of(buckets[d], sorted({m for p in buckets[d] for m in p.terms}))
+             for d in {degs[i] for i in dropped}}
+    return all(spans[degs[i]].contains_poly(polys[i]) for i in dropped)
+
+
+def _eliminated_dims(sigma: Dict[Tuple[int, int], CommPoly], loop: LoopAlgebra,
+                     cutoff: int) -> List[int]:
+    """The dimensions of the graded components of degree 0..cutoff of the
+    algebra the sigmas generate, each the rank of the products in its degree."""
+    buckets = bethe_component_polys(sigma, cutoff)
+    return [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
+                  for d in range(1, cutoff + 1)]
+
+
 def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     """Graded dimensions of the classical Bethe subalgebra against the free
     predictions.
@@ -324,16 +370,19 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     sets {m_i+1, m_i+2, ...} for the exponents of the centralizer z(C)
     (reductive conventions), and they dominate the free series built from
     the ambient gl_n exponents, which is the universal-in-C lower bound.
+    The first is proven by a Jacobian rank at one point
+    (``_free_at_a_point``); only when that proof fails are the dimensions
+    found by eliminating every product, which gives a FAIL its witness.
     """
     entries = parse_torus(entries)
     gl = preset(f"gl{n}")
-    buckets = bethe_component_polys(_constant_bethe(n, entries, cutoff), cutoff)
-    loop = LoopAlgebra(gl)
-    dims = [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
-                  for d in range(1, cutoff + 1)]
+    sigma = _constant_bethe(n, entries, cutoff)
     z = centralizer(n, entries)
-    expected = free_series_coeffs([m + 1 + k for m in z.exponents for k in range(cutoff)], cutoff)
+    degrees = [d for m in z.exponents for k in range(cutoff) if (d := m + 1 + k) <= cutoff]
+    expected = free_series_coeffs(degrees, cutoff)
     lower = free_series_coeffs([m + 1 + k for m in gl.exponents for k in range(cutoff)], cutoff)
+    dims = (expected if _free_at_a_point(sigma, degrees)
+            else _eliminated_dims(sigma, LoopAlgebra(gl), cutoff))
     checks = [
         Check(
             name=f"poincare gl{n} C=diag({','.join(map(ratstr, entries))}): free series on "
@@ -570,7 +619,7 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
     for _ in range(20):
         point = {(a, 0): Fraction(rng.randint(-20, 20), rng.randint(1, 7))
                  for a in range(alg.dim)}
-        rank = soa_jacobian_rank(alg, gens, point)
+        rank = soa_jacobian_rank(gens, point)
         if rank == len(gens):
             break
         resamples += 1

@@ -10,6 +10,8 @@ enter any computation.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -17,6 +19,9 @@ from typing import List, Optional
 
 from . import certify
 from .errors import BoundsError, LoopcertError, OutputError, ValidationError
+
+# a job's caches die with the process: skip the cyclic collection at exit
+atexit.register(gc.freeze)
 
 
 def _parse_list(spec: str, option: str) -> List[str]:

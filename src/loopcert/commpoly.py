@@ -169,9 +169,9 @@ class CommPoly:
     # -- structure -----------------------------------------------------------
 
     def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
-        """The value at a point keyed by letter; absent letters are 0."""
-        return sum((c * math.prod(point.get(ch, 0) for ch in m)
-                    for m, c in self.terms.items()), Fraction(0))
+        """The value at a point keyed by letter; absent letters are 0.  An
+        ``int`` when the coefficients and the point are."""
+        return sum(c * math.prod(point.get(ch, 0) for ch in m) for m, c in self.terms.items())
 
     # -- serialization ---------------------------------------------------------
 

@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, letter,
-                       monomial, mono_mul, partials, var_of)
+                       monomial, mono_mul, var_of)
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, regular_cartan_check
-from .linalg import Subspace, degree_buckets, echelon, relations
+from .linalg import Subspace, degree_buckets, jacobian_pivots, relations
 from .scalars import Series, leibniz_det, mul_into, truncated_join
 
 
@@ -99,14 +99,10 @@ def soa_generators(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[FamilyE
     return out
 
 
-def soa_jacobian_rank(alg: LieAlgebraData, gens: List[FamilyElement],
-                      point: Dict[Tuple[int, int], Fraction]) -> int:
+def soa_jacobian_rank(gens: List[FamilyElement], point: Dict[Tuple[int, int], Fraction]) -> int:
     """Rank of the Jacobian of the family at a rational point of g, given by
-    its coordinates {(a, 0): x_a}; each row is scaled by its ``partials`` lcm."""
-    at = {letter(*v): x for v, x in point.items()}
-    return len(echelon({a: x for a in range(alg.dim)
-                        if (x := CommPoly(dp.get(letter(a, 0))).evaluate(at))}
-                       for dp, _ in (partials(g.poly) for g in gens)))
+    its coordinates {(a, 0): x_a}."""
+    return len(jacobian_pivots([g.poly for g in gens], {letter(*v): x for v, x in point.items()}))
 
 
 # -- classical Bethe family ------------------------------------------------------------

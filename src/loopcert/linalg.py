@@ -12,10 +12,12 @@ column, row) pairs are the one row format: a ``Subspace`` is those rows
 over an explicit ambient list, so equality of subspaces is equality of
 rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
 returns sparse vectors; ``rref``, a dense adapter that no suite calls, is
-the only dense code.  ``limit_subspace`` takes rows over Z[h] (``ZhPoly``)
-and eliminates them mod h^K instead, with minimum-valuation pivots, no
-division and a certified precision (``_hadic_pivots``), and hands the rows
-it finds at h = 0 to ``echelon``.
+the only dense code.  ``jacobian_pivots``, the one Jacobian rank, hands
+``echelon`` the gradients of polynomials at a point, one column each.
+``limit_subspace`` takes rows over Z[h] (``ZhPoly``) and eliminates them
+mod h^K instead, with minimum-valuation pivots, no division and a
+certified precision (``_hadic_pivots``), and hands the rows it finds at
+h = 0 to ``echelon``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
 
-from .commpoly import CommPoly, Monomial, ZhPoly, weighted_words
+from .commpoly import CommPoly, Monomial, ZhPoly, partials, weighted_words
 from .errors import BoundsError
 from .scalars import mul_into, over_common_denominator
 
@@ -204,6 +206,25 @@ class Subspace:
             if other.residue(r):
                 return dict(r)
         return None
+
+
+# -- algebraic independence ---------------------------------------------------------
+
+
+def jacobian_pivots(polys: Sequence[CommPoly], point: Dict[str, Any]) -> List[int]:
+    """Indices of the polys whose gradients at ``point`` (rationals keyed by
+    letter, absent letters 0) are independent of the earlier polys'
+    gradients, in order: the pivot columns of the Jacobian with a column per
+    poly, so their number is its rank at the point.  Each column is scaled by
+    its ``partials`` lcm, which moves no pivot, so at an integer point every
+    entry is an ``int``.  In characteristic 0 polynomials whose Jacobian has
+    full rank at some point are algebraically independent."""
+    rows: Dict[str, Row] = {}
+    for i, p in enumerate(polys):
+        for v, dv in partials(p)[0].items():
+            if x := CommPoly(dv).evaluate(point):
+                rows.setdefault(v, {})[i] = x
+    return [col for col, _ in echelon(rows.values())]
 
 
 # -- generated subalgebra components --------------------------------------------

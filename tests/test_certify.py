@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from loopcert import certify, envelop
 from loopcert.commpoly import CommPoly, LoopAlgebra
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import load_config, preset
-from loopcert.linalg import Subspace
+from loopcert.liealg import centralizer, load_config, preset
+from loopcert.linalg import Subspace, free_series_coeffs, jacobian_pivots
 from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
@@ -205,6 +205,50 @@ class TestSuites:
         check = rep.checks[1]
         assert not check.passed
         assert check.witness == "dims [1, 0, 2, 2] below bound [1, 1, 3, 5]"
+
+    def test_poincare_product_control_falls_back_and_fails(self, monkeypatch):
+        # negative control: sigma_2^(2) replaced by sigma_1^(1) sigma_2^(1), of
+        # the same degree; the Jacobian comes out one short at every point, and
+        # the elimination finds the dims for the witness
+        real = certify.classical_bethe
+
+        def product(n, *args):
+            sigma = real(n, *args)
+            sigma[(2, 2)] = sigma[(1, 1)] * sigma[(2, 1)]
+            return sigma
+
+        monkeypatch.setattr(certify, "classical_bethe", product)
+        sigma = certify._constant_bethe(2, [F(1), F(2)], 3)
+        point = {ch: 3 + ord(ch) % 7 for p in sigma.values() for m in p.terms for ch in m}
+        assert len(jacobian_pivots(list(sigma.values()), point)) == len(sigma) - 1
+        rep = certify.poincare_bethe(2, ["1", "2"], 3)
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.witness == "dims [1, 2, 4, 8] != expected [1, 2, 5, 10]"
+
+    @pytest.mark.parametrize("n,C", [(2, [1, 2]), (3, [1, 2, 3]), (3, [1, 1, 2]),
+                                     (4, [1, 1, 2, 2])])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    def test_poincare_jacobian_dims_match_elimination(self, n, C, cutoff):
+        # oracle: the dims the Jacobian proof asserts are the ones that
+        # eliminating every product finds
+        sigma = certify._constant_bethe(n, [F(c) for c in C], cutoff)
+        degrees = [d for m in centralizer(n, C).exponents for k in range(cutoff)
+                   if (d := m + 1 + k) <= cutoff]
+        assert certify._free_at_a_point(sigma, degrees)
+        assert free_series_coeffs(degrees, cutoff) == certify._eliminated_dims(
+            sigma, LoopAlgebra(preset(f"gl{n}")), cutoff)
+
+    @pytest.mark.parametrize("C", [["1", "2", "3"], ["1", "1", "2"], ["1", "1", "1"]])
+    def test_poincare_pass_eliminates_nothing(self, monkeypatch, C):
+        # a PASS is proven at a point: no product of every sigma is built and
+        # no component is enumerated
+        def eliminated(*args):
+            raise AssertionError("poincare eliminated")
+
+        monkeypatch.setattr(certify, "bethe_component_polys", eliminated)
+        monkeypatch.setattr(LoopAlgebra, "component_monomials", eliminated)
+        assert certify.poincare_bethe(3, C, 4).passed
 
     def test_theorem_A_check_can_fail(self, monkeypatch):
         # negative control: drop one Gaudin generator of z(C)

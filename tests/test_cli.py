@@ -3,10 +3,13 @@ import errno
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import loopcert
 from loopcert import certify
 from loopcert.cli import build_parser, main
 
@@ -545,3 +548,26 @@ def test_json_write_error_exit_two_leaves_no_file(monkeypatch, tmp_path, capsys)
     assert code == 2
     assert "OutputError" in err and "No space left on device" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-soa", "--algebra", "sl3", "--chi", "1,2,-3", "--json", "REPORT"],
+    ["poincare", "--algebra", "gl3", "--C", "1,1,2", "--cutoff", "3", "--json", "-"],
+    ["verify-bethe", "--algebra", "gl2", "--C", "1,2", "--max-deg", "2", "--workers", "2",
+     "--json", "REPORT"],
+    ["poincare", "--algebra", "gl2", "--C", "1,0"],
+])
+def test_fresh_process_matches_in_process_main(tmp_path, capsys, argv):
+    # the CLI freezes the collector at exit (atexit): a job run as its own
+    # process reports what main reports in this one, through its exit
+    def job(report):
+        return [str(report) if a == "REPORT" else a for a in argv]
+
+    code = main(job(tmp_path / "in.json"))
+    captured = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(loopcert.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "loopcert.cli", *job(tmp_path / "fresh.json")],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
+    if "REPORT" in argv:
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "in.json").read_bytes()

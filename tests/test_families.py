@@ -92,7 +92,7 @@ class TestSOA:
         rng = random.Random(11)
         pt = {(a, 0): F(rng.randint(-9, 9), rng.randint(1, 4))
               for a in range(sl3.dim)}
-        assert soa_jacobian_rank(sl3, gens, pt) == 5
+        assert soa_jacobian_rank(gens, pt) == 5
 
 
 def constant_bethe(n, c, Rmax):
