@@ -4,10 +4,14 @@ the acceptance tests).
 
 Every check is exact rational arithmetic; a failing check carries a minimal
 witness: a nonzero normal form, a dimension mismatch, or a vector in one
-span and not the other (``_span_check``).  The Jacobian evaluation points
-are seeded: ``verify_soa`` takes the seed and logs resampling events;
-``poincare_bethe`` seeds 0, and its point only decides whether a PASS is
-proven there or by elimination, so its report does not depend on it.
+span and not the other (``_span_check``).  A span is taken over its
+support (``_support``), the monomials or words its sides hold in the order
+of their component, since a column that no row holds changes no row; only
+the centralizer suite enumerates whole components.  The Jacobian points
+are drawn by one function, ``linalg.drawn_jacobian_pivots``, over the
+letters the family holds: ``verify_soa`` seeds it and logs resampling
+events; ``poincare_bethe`` seeds 0, and its point only decides whether a
+PASS is proven there or by elimination, so its report does not depend on it.
 
 The PBW commutativity suites (``verify_bethe``, ``verify_eval_gaudin`` and
 ``verify_talalaev``) share one sweep, ``_commutes``.  It brackets the
@@ -27,18 +31,17 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2, weighted_words
+from .commpoly import CommPoly, LoopAlgebra, mono_deg1, mono_deg2
 from .envelop import (NCPoly, casimir_tensor, current_context, gaudin_evaluation,
-                      talalaev_generators, tensor_context, word)
+                      talalaev_generators, tensor_context)
 from .errors import BoundsError, RegularityError, ValidationError
 from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
-                       soa_generators, soa_jacobian_rank)
+                       soa_generators)
 from .liealg import centralizer, gl_algebra, preset, resolve_algebra
-from .linalg import (Subspace, bigraded_block, degree_buckets, echelon,
-                     free_series_coeffs, generator_products, jacobian_pivots,
-                     limit_subspace)
+from .linalg import (Subspace, bigraded_block, degree_buckets, drawn_jacobian_pivots,
+                     echelon, free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangian
 
@@ -60,14 +63,15 @@ BOUNDS = {
     # pool measured
     "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
     "verify-gaudin": {"kmax": (0, 6)},  # sl3 1.3 s and 24 MB, gl3 1.4 s and 27 MB
-    "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 4.0 s, 166 MB
-    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.8 s and 40 MB
+    "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 2.5 s, 156 MB
+    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.38 s and 32 MB
     # monomials in one deg1-component, counted before anything is built: gl4 at
     # degree 5 has 33440 and takes 4.5 s and 304 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
     # cutoff: the bound is the elimination's, which a FAIL still runs (gl4 at
-    # regular C: 9.6-14.7 s and 153 MB at 6); a PASS, proven by a Jacobian
-    # rank at one point, took at most 0.3 s in process at cutoff 10
+    # regular C: 7.7-8.8 s and 135 MB at 6, alone in a fresh process); a PASS,
+    # proven by a Jacobian rank at one point, took at most 0.3 s in process at
+    # cutoff 10
     "poincare bethe": {"cutoff": (1, 6)},
     # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
     # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
@@ -224,6 +228,14 @@ def _span_basis(elems: Sequence[NCPoly]) -> List[NCPoly]:
             for _, row in echelon({index[w]: c for w, c in p.terms.items()} for p in elems)]
 
 
+def _support(*families: Iterable, key: Optional[Callable] = None) -> list:
+    """The monomials or words that the elements of the families hold, sorted
+    (by ``key``): the only columns where a span of them can be nonzero.
+    Sorted as their full component is, they give every echelon row, keyed by
+    label, that the full component gives."""
+    return sorted({m for family in families for p in family for m in p.terms}, key=key)
+
+
 def _span_check(name: str, left: Tuple[str, Subspace], right: Tuple[str, Subspace],
                 render: Callable[[dict], str]) -> Check:
     """Whether two (name, subspace) sides of one component have equal rows,
@@ -327,7 +339,7 @@ def _free_at_a_point(sigma: Dict[Tuple[int, int], CommPoly], degrees: Sequence[i
     on generators of the given degrees, r being the degree of sigma_k^(r).
 
     Walked by degree, the sigmas that raise the Jacobian rank at a seeded
-    integer point (``jacobian_pivots``) are algebraically independent, so
+    integer point (``drawn_jacobian_pivots``) are algebraically independent, so
     their products are linearly independent.  When their degrees are
     ``degrees`` and every other sigma lies in the span of the products of
     theirs in its degree, the sigmas generate the same algebra, free on
@@ -336,30 +348,23 @@ def _free_at_a_point(sigma: Dict[Tuple[int, int], CommPoly], degrees: Sequence[i
     match; full rank alone proves nothing when a sigma is missing."""
     keys = sorted(sigma, key=lambda key: key[::-1])
     polys, degs = [sigma[key] for key in keys], [r for _, r in keys]
-    letters = sorted({ch for p in polys for m in p.terms for ch in m})
-    rng = random.Random(0)
-    for _ in range(20):
-        kept = jacobian_pivots(polys, {v: rng.randint(-50, 50) for v in letters})
-        if len(kept) >= len(degrees):
-            break
+    kept, _ = drawn_jacobian_pivots(polys, len(degrees), random.Random(0))
     if sorted(degs[i] for i in kept) != sorted(degrees):
         return False
     dropped = sorted(set(range(len(polys))) - set(kept))
     if not dropped:
         return True
     buckets = degree_buckets([(polys[i], degs[i]) for i in kept], max(degs[i] for i in dropped))
-    spans = {d: Subspace.span_of(buckets[d], sorted({m for p in buckets[d] for m in p.terms}))
+    spans = {d: Subspace.span_of(buckets[d], _support(buckets[d]))
              for d in {degs[i] for i in dropped}}
     return all(spans[degs[i]].contains_poly(polys[i]) for i in dropped)
 
 
-def _eliminated_dims(sigma: Dict[Tuple[int, int], CommPoly], loop: LoopAlgebra,
-                     cutoff: int) -> List[int]:
+def _eliminated_dims(sigma: Dict[Tuple[int, int], CommPoly], cutoff: int) -> List[int]:
     """The dimensions of the graded components of degree 0..cutoff of the
     algebra the sigmas generate, each the rank of the products in its degree."""
     buckets = bethe_component_polys(sigma, cutoff)
-    return [1] + [Subspace.span_of(buckets[d], loop.component_monomials(d)).dim
-                  for d in range(1, cutoff + 1)]
+    return [1] + [Subspace.span_of(b, _support(b)).dim for b in buckets[1:]]
 
 
 def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
@@ -381,8 +386,7 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     degrees = [d for m in z.exponents for k in range(cutoff) if (d := m + 1 + k) <= cutoff]
     expected = free_series_coeffs(degrees, cutoff)
     lower = free_series_coeffs([m + 1 + k for m in gl.exponents for k in range(cutoff)], cutoff)
-    dims = (expected if _free_at_a_point(sigma, degrees)
-            else _eliminated_dims(sigma, LoopAlgebra(gl), cutoff))
+    dims = expected if _free_at_a_point(sigma, degrees) else _eliminated_dims(sigma, cutoff)
     checks = [
         Check(
             name=f"poincare gl{n} C=diag({','.join(map(ratstr, entries))}): free series on "
@@ -468,10 +472,9 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     z = centralizer(n, entries)
     zbuckets = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
                                for g in gaudin_generators(z, rmax - 1)], rmax)
-    loop = LoopAlgebra(gl)
     checks = []
     for d in range(1, rmax + 1):
-        ambient = loop.component_monomials(d)
+        ambient = _support(buckets[d], zbuckets[d])
         bidegs = [_bideg(m) for m in ambient]
         for j, (B, A) in enumerate(zip(bigraded_block(buckets[d], ambient, bidegs, d),
                                        bigraded_block(zbuckets[d], ambient, bidegs, d))):
@@ -504,31 +507,26 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
     Bprods = list(generator_products(tau_list, dmax, ctx.one()))
     tal_list = [(p, s) for (i, s, p) in tal if s <= dmax and not p.is_zero()]
     Tprods = list(generator_products(tal_list, dmax, cur.one()))
-    # (word, bidegree) per word of F1-degree <= dmax, each bidegree computed once
-    ywords = []
-    for w in map(word, weighted_words([r for r, _, _ in ctx.gens], dmax)):
-        d1 = sum(ctx.gens[ord(g)][0] for g in w)
-        ywords.append((w, (d1, d1 - len(w))))
-    cwords = []
-    for w in map(word, weighted_words([r + 1 for r, _ in cur.gens], dmax)):
-        d2 = sum(cur.gens[ord(g)][0] for g in w)
-        cwords.append((w, (d2 + len(w), d2)))
-
-    def block(vecs, words, d):
-        # vectors of filtration degree <= d have no word of deg1 > d
-        kept = [(w, b) for w, b in words if b[0] <= d]
-        return bigraded_block(vecs, [w for w, _ in kept], [b for _, b in kept], d)
-
+    # each block spans over the words its side holds; the gr2 side's span
+    # does not depend on the order of its words, and the talalaev side's rows
+    # are those of ``weighted_words``'s order (later letters first)
     for d in range(1, dmax + 1):
-        Bblocks = block([p for (p, dg) in Bprods if dg <= d], ywords, d)
-        Tblocks = block([p for (p, dg) in Tprods if dg <= d], cwords, d)
-        for j, (Bblock, Tblock) in enumerate(zip(Bblocks, Tblocks)):
-            # each row is bihomogeneous, so gr2 maps all of it
-            rows = [{Bblock.ambient[k]: c for k, c in row.items()} for _, row in Bblock.rows]
-            images = [gr2(ctx, NCPoly(ctx, terms, normalized=True), R) for terms in rows]
+        bethe = [p for p, dg in Bprods if dg <= d]
+        words = _support(bethe)
+        blocks = bigraded_block(bethe, words, [(ctx.word_weight(w), ctx.word_weight(w) - len(w))
+                                               for w in words], d)
+        # each row is bihomogeneous, so gr2 maps all of it
+        images = [[gr2(ctx, NCPoly(ctx, {B.ambient[k]: c for k, c in row.items()},
+                                   normalized=True), R) for _, row in B.rows] for B in blocks]
+        talalaev = [p for p, dg in Tprods if dg <= d]
+        words = _support(talalaev, *images, key=lambda w: [-ord(g) for g in w])
+        deg2 = [sum(cur.gens[ord(g)][0] for g in w) for w in words]
+        blocks = bigraded_block(talalaev, words, [(d2 + len(w), d2)
+                                                  for w, d2 in zip(words, deg2)], d)
+        for j, (T, gr2_bethe) in enumerate(zip(blocks, images)):
             checks.append(_span_check(
-                f"talalaev span == gr2 Bethe(E) at bidegree ({d},{j})", ("talalaev", Tblock),
-                ("gr2_bethe", Subspace.span_of(images, Tblock.ambient)),
+                f"talalaev span == gr2 Bethe(E) at bidegree ({d},{j})", ("talalaev", T),
+                ("gr2_bethe", Subspace.span_of(gr2_bethe, T.ambient)),
                 lambda terms: NCPoly(cur, terms, normalized=True).render()))
     return Report("verify-talalaev", {"n": n, "R": R, "dmax": dmax}, checks)
 
@@ -600,7 +598,7 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
 
 def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
     """The (dim+rk)/2 derivative generators Poisson-commute and are
-    algebraically independent (Jacobian rank at a random rational point)."""
+    algebraically independent (Jacobian rank at a seeded integer point)."""
     alg = resolve_algebra(alg_name)
     chi_diag = parse_entries(chi_diag)
     gens = soa_generators(alg, diag_to_basis(alg, chi_diag))
@@ -613,16 +611,9 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
         witness=None if bad is None else
         f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}} = {_loop_text(alg)(bad[3].terms)}")]
 
-    rng = random.Random(seed)
-    resamples = 0
-    rank = -1
-    for _ in range(20):
-        point = {(a, 0): Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-                 for a in range(alg.dim)}
-        rank = soa_jacobian_rank(gens, point)
-        if rank == len(gens):
-            break
-        resamples += 1
+    kept, resamples = drawn_jacobian_pivots([g.poly for g in gens], len(gens),
+                                            random.Random(seed))
+    rank = len(kept)
     checks.append(Check(
         name=f"soa {alg_name}: Jacobian rank {len(gens)} at a rational point",
         details={"rank": rank, "expected": len(gens), "seed": seed,
@@ -665,17 +656,24 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
         raise BoundsError(f"curve degree sum(p - min p) = {sum(exponents)} outside "
                           f"documented bounds [{lo}, {hi}]")
     gl = preset(f"gl{n}")
-    loop = LoopAlgebra(gl)
     # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
     # (c0_i, p_i) are
     if len(set(zip(c0, exponents))) < n:
         raise RegularityError("C0 exp(eps chi) is not regular for generic eps")
     sigma = classical_bethe(n, _clear_denominators(c0)[0], exponents, dmax)
     curve = bethe_component_polys(sigma, dmax)
-    # degree d starts at the precision that certified degree d - 1
+    z = centralizer(n, c0)
+    chi_z = diag_to_basis(z, chi_diag)
+    # B(C0) * A_chi is spanned by the products of both generator lists; the
+    # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L^k
+    prods = degree_buckets([(s.at_zero(), key[1]) for key, s in sorted(sigma.items())]
+                           + [(embed_subalgebra_poly(z, g.poly), g.deg1)
+                              for g in soa_generators(z, chi_z)], dmax)
+    # both sides of degree d span over the monomials either holds; degree d
+    # starts at the precision that certified degree d - 1
     limits, K = {}, 4
     for d in range(1, dmax + 1):
-        limits[d], K = limit_subspace(loop.component_monomials(d), curve[d], K)
+        limits[d], K = limit_subspace(_support(curve[d], prods[d]), curve[d], K)
 
     # the generic member of the curve is regular: n generators in each degree
     dims = [1] + [limits[d].dim for d in range(1, dmax + 1)]
@@ -685,16 +683,8 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
         details={"exponents": exponents, "g_over_m": g_over_m,
                  "dims": dims, "expected": expected},
         witness=None if dims == expected else f"dims {dims} != expected {expected}")]
-
-    z = centralizer(n, c0)
-    chi_z = diag_to_basis(z, chi_diag)
-    # B(C0) * A_chi is spanned by the products of both generator lists; the
-    # curve at h = 0 gives B(C0)'s, each sigma_k^(r)(C0) times L^k
-    prods = degree_buckets([(s.at_zero(), key[1]) for key, s in sorted(sigma.items())]
-                           + [(embed_subalgebra_poly(z, g.poly), g.deg1)
-                              for g in soa_generators(z, chi_z)], dmax)
     checks += [_span_check(f"limit == B(C0) * A_chi at deg1 = {d}", ("limit", limits[d]),
-                           ("product", Subspace.span_of(prods[d], loop.component_monomials(d))),
+                           ("product", Subspace.span_of(prods[d], limits[d].ambient)),
                            _loop_text(gl))
                for d in range(1, dmax + 1)]
     return Report("limit", {"n": n, "C0": c0, "chi": chi_diag, "dmax": dmax}, checks)

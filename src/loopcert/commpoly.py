@@ -32,7 +32,6 @@ through ``LoopAlgebra.pairwise_brackets``.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_right
 from collections import defaultdict
@@ -165,13 +164,6 @@ class CommPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    # -- structure -----------------------------------------------------------
-
-    def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
-        """The value at a point keyed by letter; absent letters are 0.  An
-        ``int`` when the coefficients and the point are."""
-        return sum(c * math.prod(point.get(ch, 0) for ch in m) for m, c in self.terms.items())
 
     # -- serialization ---------------------------------------------------------
 

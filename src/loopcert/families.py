@@ -20,11 +20,11 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, letter,
-                       monomial, mono_mul, var_of)
+from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, monomial,
+                       mono_mul, var_of)
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, regular_cartan_check
-from .linalg import Subspace, degree_buckets, jacobian_pivots, relations
+from .linalg import Subspace, degree_buckets, relations
 from .scalars import Series, leibniz_det, mul_into, truncated_join
 
 
@@ -97,12 +97,6 @@ def soa_generators(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[FamilyE
     if len(out) != expected:
         raise ValidationError(f"generator count {len(out)} != {expected}")
     return out
-
-
-def soa_jacobian_rank(gens: List[FamilyElement], point: Dict[Tuple[int, int], Fraction]) -> int:
-    """Rank of the Jacobian of the family at a rational point of g, given by
-    its coordinates {(a, 0): x_a}."""
-    return len(jacobian_pivots([g.poly for g in gens], {letter(*v): x for v, x in point.items()}))
 
 
 # -- classical Bethe family ------------------------------------------------------------

@@ -10,10 +10,15 @@ fraction-free over Z, as integer numerators over the lcm of its
 denominators, and becomes ``Fraction``s once, at the output.  Its (pivot
 column, row) pairs are the one row format: a ``Subspace`` is those rows
 over an explicit ambient list, so equality of subspaces is equality of
-rows, and membership is one reduction pass (``Subspace.residue``).  ``relations``
-returns sparse vectors; ``rref``, a dense adapter that no suite calls, is
-the only dense code.  ``jacobian_pivots``, the one Jacobian rank, hands
-``echelon`` the gradients of polynomials at a point, one column each.
+rows, and membership is one reduction pass (``Subspace.residue``).  A column
+that no row holds changes no echelon row, so an ambient list need only hold
+the labels its elements hold, in the component's order: the suites span
+over that support, and the rows keyed by label are the full component's.
+``relations`` returns sparse vectors; ``rref``, a dense adapter that no
+suite calls, is the only dense code.  ``jacobian_pivots``, the one Jacobian
+rank, hands ``echelon`` the gradients of polynomials at a point, one column
+each, and ``drawn_jacobian_pivots`` is the one draw of its points: seeded
+integers over the letters the polynomials hold, resampled at most 20 times.
 ``limit_subspace`` takes rows over Z[h] (``ZhPoly``) and eliminates them
 mod h^K instead, with minimum-valuation pivots, no division and a
 certified precision (``_hadic_pivots``), and hands the rows it finds at
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from fractions import Fraction
 from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Sequence,
                     Tuple, TypeVar)
@@ -222,9 +228,24 @@ def jacobian_pivots(polys: Sequence[CommPoly], point: Dict[str, Any]) -> List[in
     rows: Dict[str, Row] = {}
     for i, p in enumerate(polys):
         for v, dv in partials(p)[0].items():
-            if x := CommPoly(dv).evaluate(point):
+            if x := sum(c * math.prod(point.get(ch, 0) for ch in m) for m, c in dv.items()):
                 rows.setdefault(v, {})[i] = x
     return [col for col, _ in echelon(rows.values())]
+
+
+def drawn_jacobian_pivots(polys: Sequence[CommPoly], want: int, rng: random.Random
+                          ) -> Tuple[List[int], int]:
+    """``jacobian_pivots`` at integer points drawn by ``rng`` from [-50, 50],
+    an entry per letter the polys hold, in letter order (a letter they do not
+    hold changes no partial): at most 20 points, stopping at the first whose
+    rank reaches ``want``.  Returns that point's pivots, or the last point's,
+    and the number of points resampled, 20 when no rank reached ``want``."""
+    letters = sorted({ch for p in polys for m in p.terms for ch in m})
+    for resampled in range(20):
+        kept = jacobian_pivots(polys, {v: rng.randint(-50, 50) for v in letters})
+        if len(kept) >= want:
+            return kept, resampled
+    return kept, 20
 
 
 # -- generated subalgebra components --------------------------------------------

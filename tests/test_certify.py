@@ -13,14 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcert import certify, envelop
-from loopcert.commpoly import CommPoly, LoopAlgebra
+from loopcert.cli import main
+from loopcert.commpoly import CommPoly, LoopAlgebra, weighted_words
 from loopcert.errors import BoundsError, RegularityError, ValidationError
-from loopcert.liealg import centralizer, load_config, preset
-from loopcert.linalg import Subspace, free_series_coeffs, jacobian_pivots
+from loopcert.families import (bethe_component_polys, classical_bethe, diag_to_basis,
+                               embed_subalgebra_poly, gaudin_generators, soa_generators)
+from loopcert.liealg import centralizer, gl_algebra, load_config, preset
+from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, free_series_coeffs,
+                             generator_products, jacobian_pivots, limit_subspace)
 from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
 ymod = importlib.import_module("loopcert.yangian")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def spy_span_checks(monkeypatch):
@@ -58,6 +63,24 @@ def assert_witness_vectors(calls):
             terms[label[mono]] = F(c)
         vector = types.SimpleNamespace(terms=terms)
         assert inside.contains_poly(vector) and not outside.contains_poly(vector)
+
+
+def label_rows(S):
+    """The canonical rows of a subspace, keyed by ambient label."""
+    return [(S.ambient[col], {S.ambient[j]: c for j, c in row.items()}) for col, row in S.rows]
+
+
+def assert_support_matches(calls, full):
+    """The two sides of each span check, spanned over the labels they hold,
+    have the rows keyed by label of the same sides spanned over the full
+    component (``full``, in check order), and each such ambient is the full
+    one cut to its labels, in the full one's order."""
+    assert len(calls) == len(full)
+    for (_, (_, A), (_, B), _), sides in zip(calls, full):
+        for S, whole in zip((A, B), sides):
+            assert label_rows(S) == label_rows(whole)
+            held = set(S.ambient)
+            assert [m for m in whole.ambient if m in held] == list(S.ambient)
 
 
 class TestReportPlumbing:
@@ -236,8 +259,7 @@ class TestSuites:
         degrees = [d for m in centralizer(n, C).exponents for k in range(cutoff)
                    if (d := m + 1 + k) <= cutoff]
         assert certify._free_at_a_point(sigma, degrees)
-        assert free_series_coeffs(degrees, cutoff) == certify._eliminated_dims(
-            sigma, LoopAlgebra(preset(f"gl{n}")), cutoff)
+        assert free_series_coeffs(degrees, cutoff) == certify._eliminated_dims(sigma, cutoff)
 
     @pytest.mark.parametrize("C", [["1", "2", "3"], ["1", "1", "2"], ["1", "1", "1"]])
     def test_poincare_pass_eliminates_nothing(self, monkeypatch, C):
@@ -249,6 +271,101 @@ class TestSuites:
         monkeypatch.setattr(certify, "bethe_component_polys", eliminated)
         monkeypatch.setattr(LoopAlgebra, "component_monomials", eliminated)
         assert certify.poincare_bethe(3, C, 4).passed
+
+    @pytest.mark.parametrize("name,argv", [
+        ("report_gr_theorem_A_gl3_C1_1_2_d4.json",
+         "gr --comparison theorem-A --algebra gl3 --C 1,1,2 --max-deg 4"),
+        ("report_limit_gl2_C0_1_1_chi_1_-1_d4.json",
+         "limit --algebra gl2 --C0 1,1 --chi 1,-1 --deg 4"),
+        ("report_talalaev_n2_R3_d5.json", "verify-talalaev --n 2 --R 3 --max-deg 5"),
+    ])
+    def test_span_suites_enumerate_no_component(self, monkeypatch, tmp_path, name, argv):
+        # the span suites span over the monomials their sides hold: with no
+        # component enumerable, their reports are the golden ones
+        def enumerated(*args):
+            raise AssertionError("a component was enumerated")
+
+        monkeypatch.setattr(LoopAlgebra, "component_monomials", enumerated)
+        assert main(argv.split() + ["--json", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_poincare_fail_enumerates_no_component(self, monkeypatch):
+        # the fault of test_poincare_check_can_fail: the elimination that
+        # finds a FAIL's dims spans over the monomials the products hold
+        def enumerated(*args):
+            raise AssertionError("a component was enumerated")
+
+        real = certify.classical_bethe
+        monkeypatch.setattr(LoopAlgebra, "component_monomials", enumerated)
+        monkeypatch.setattr(certify, "classical_bethe", lambda n, *args: {
+            key: p for key, p in real(n, *args).items() if key != (n, 1)})
+        check = certify.poincare_bethe(2, ["1", "2"], 3).checks[0]
+        assert check.witness == "dims [1, 1, 3, 5] != expected [1, 2, 5, 10]"
+
+    def test_theorem_A_support_rows_match_full_component(self, monkeypatch):
+        calls = spy_span_checks(monkeypatch)
+        assert certify.verify_theorem_A(3, ["1", "1", "2"], 4).passed
+        buckets = bethe_component_polys(certify._constant_bethe(3, [F(1), F(1), F(2)], 4), 4)
+        z = centralizer(3, [1, 1, 2])
+        zbuckets = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
+                                   for g in gaudin_generators(z, 3)], 4)
+        loop = LoopAlgebra(preset("gl3"))
+        full = []
+        for d in range(1, 5):
+            ambient = loop.component_monomials(d)
+            bidegs = [certify._bideg(m) for m in ambient]
+            full += zip(bigraded_block(buckets[d], ambient, bidegs, d),
+                        bigraded_block(zbuckets[d], ambient, bidegs, d))
+        assert_support_matches(calls, full)
+
+    @pytest.mark.parametrize("n,c0,chi,dmax", [(2, [1, 1], [1, -1], 4),
+                                               (3, [1, 1, 2], [1, -1, 0], 3)])
+    def test_limit_support_rows_match_full_component(self, monkeypatch, n, c0, chi, dmax):
+        calls = spy_span_checks(monkeypatch)
+        assert certify.verify_theorem_B(n, c0, chi, dmax).passed
+        sigma = classical_bethe(n, c0, certify._curve_exponents([F(x) for x in chi])[0], dmax)
+        curve = bethe_component_polys(sigma, dmax)
+        z = centralizer(n, c0)
+        prods = degree_buckets([(s.at_zero(), key[1]) for key, s in sorted(sigma.items())]
+                               + [(embed_subalgebra_poly(z, g.poly), g.deg1)
+                                  for g in soa_generators(z, diag_to_basis(z, chi))], dmax)
+        loop = LoopAlgebra(preset(f"gl{n}"))
+        full, K = [], 4
+        for d in range(1, dmax + 1):
+            ambient = loop.component_monomials(d)
+            lim, K = limit_subspace(ambient, curve[d], K)
+            full.append((lim, Subspace.span_of(prods[d], ambient)))
+        assert_support_matches(calls, full)
+
+    def test_talalaev_support_rows_match_full_words(self, monkeypatch):
+        # the blocks over every word of weight <= d, as weighted_words lists them
+        n, R, dmax = 2, 3, 4
+        calls = spy_span_checks(monkeypatch)
+        assert certify.verify_talalaev(n, R, dmax).passed
+        ctx, cur = ymod.yangian(n, dmax), envelop.current_context(gl_algebra(n), R)
+        taus = ymod.bethe_generators(ctx, [1] * n, dmax)
+        bethe = list(generator_products([(p, s) for (_, s), p in sorted(taus.items()) if p],
+                                        dmax, ctx.one()))
+        tal = list(generator_products([(p, s) for _, s, p in envelop.talalaev_generators(n, R)
+                                       if s <= dmax and p], dmax, cur.one()))
+        ywords = [(w, (ctx.word_weight(w), ctx.word_weight(w) - len(w))) for w in
+                  map(envelop.word, weighted_words([r for r, _, _ in ctx.gens], dmax))]
+        cwords = [(w, (d2 + len(w), d2)) for w in
+                  map(envelop.word, weighted_words([r + 1 for r, _ in cur.gens], dmax))
+                  for d2 in [sum(cur.gens[ord(g)][0] for g in w)]]
+
+        def blocks(prods, words, d):
+            kept = [(w, b) for w, b in words if b[0] <= d]
+            return bigraded_block([p for p, dg in prods if dg <= d], [w for w, _ in kept],
+                                  [b for _, b in kept], d)
+
+        full = []
+        for d in range(1, dmax + 1):
+            for B, T in zip(blocks(bethe, ywords, d), blocks(tal, cwords, d)):
+                images = [ymod.gr2(ctx, envelop.NCPoly(ctx, {B.ambient[k]: c for k, c in row.items()},
+                                                       normalized=True), R) for _, row in B.rows]
+                full.append((T, Subspace.span_of(images, T.ambient)))
+        assert_support_matches(calls, full)
 
     def test_theorem_A_check_can_fail(self, monkeypatch):
         # negative control: drop one Gaudin generator of z(C)

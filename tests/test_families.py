@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +11,9 @@ from loopcert.errors import RegularityError
 from loopcert.families import (bethe_component_polys, centralizer_subalgebra,
                                classical_bethe, diag_to_basis,
                                directional_derivative, embed_subalgebra_poly, gamma_var,
-                               gaudin_generators, invariant_component, soa_generators,
-                               soa_jacobian_rank)
+                               gaudin_generators, invariant_component, soa_generators)
 from loopcert.liealg import centralizer, preset
+from loopcert.linalg import drawn_jacobian_pivots, jacobian_pivots
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -54,7 +56,6 @@ class TestSOA:
         chi = diag_to_basis(sl3, [1, 2, -3])
         phi3 = sl3.invariant_generators()[1].poly  # degree 3
         d1 = directional_derivative(sl3, chi, phi3)
-        import random
         rng = random.Random(3)
         coords = [F(rng.randint(-5, 5)) for _ in range(sl3.dim)]
         size = 3
@@ -73,7 +74,7 @@ class TestSOA:
                       for i in range(size) for j in range(size) for k in range(size))
         point = {letter(a, 0): sum(sl3.gram[a][b] * coords[b] for b in range(sl3.dim))
                  for a in range(sl3.dim)}
-        assert d1.evaluate(point) == lin
+        assert sum(c * math.prod(point[ch] for ch in m) for m, c in d1.terms.items()) == lin
 
     def test_count_and_labels(self):
         sl3 = preset("sl3")
@@ -86,13 +87,14 @@ class TestSOA:
             soa_generators(sl3, diag_to_basis(sl3, [1, 1, -2]))
 
     def test_jacobian_rank(self):
+        # full rank at the first integer point drawn, and at a rational point
         sl3 = preset("sl3")
-        gens = soa_generators(sl3, diag_to_basis(sl3, [1, 2, -3]))
-        import random
+        polys = [g.poly for g in soa_generators(sl3, diag_to_basis(sl3, [1, 2, -3]))]
+        assert drawn_jacobian_pivots(polys, 5, random.Random(11)) == ([0, 1, 2, 3, 4], 0)
         rng = random.Random(11)
-        pt = {(a, 0): F(rng.randint(-9, 9), rng.randint(1, 4))
+        pt = {letter(a, 0): F(rng.randint(-9, 9), rng.randint(1, 4))
               for a in range(sl3.dim)}
-        assert soa_jacobian_rank(gens, pt) == 5
+        assert len(jacobian_pivots(polys, pt)) == 5
 
 
 def constant_bethe(n, c, Rmax):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,8 @@ from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
 from loopcert.envelop import current_context
-from loopcert.linalg import (Subspace, bigraded_block, degree_buckets,
-                             free_series_coeffs, generator_products,
+from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, drawn_jacobian_pivots,
+                             free_series_coeffs, generator_products, jacobian_pivots,
                              limit_subspace, relations, rref)
 
 M1, M2, M3 = (monomial([(a, 0)]) for a in range(3))
@@ -74,6 +75,30 @@ class TestGeneratedComponents:
         # free on generators of degrees 2,3,4: q^4 coefficient of
         # prod_{r>=2}(1-q^r)^{-1} is 2 (2+2 and 4)
         assert comp.dim == free_series_coeffs([2, 3, 4], 4)[4] == 2
+
+
+class TestJacobian:
+    # x0 x1 and x0^2 + x1^2 have gradients (x1, x0) and (2 x0, 2 x1): rank 2
+    # exactly where x0^2 != x1^2
+    POLYS = [vec((M1 + M2, 1)), vec((M1 + M1, 1), (M2 + M2, 1))]
+
+    @pytest.mark.parametrize("point,pivots", [
+        ({M1: 1, M2: 2}, [0, 1]), ({M1: 3, M2: -3}, [0]), ({M1: 0, M2: 0}, []),
+        ({M1: F(1, 2), M2: F(1, 3)}, [0, 1]), ({M1: F(1, 2), M2: F(-1, 2)}, [0]),
+        ({M1: 2}, [0, 1]), ({M3: 5}, []),  # absent letters are 0
+    ])
+    def test_pivots_at_a_point(self, point, pivots):
+        assert jacobian_pivots(self.POLYS, point) == pivots
+
+    def test_draw_resamples_until_the_rank_is_reached(self):
+        # x0 and 2 x0 have rank 1 at every point: a rank of 2 is never
+        # reached, so every one of the 20 points is resampled
+        polys = [vec((M1, 1)), vec((M1, 2))]
+        assert drawn_jacobian_pivots(polys, 1, random.Random(0)) == ([0], 0)
+        assert drawn_jacobian_pivots(polys, 2, random.Random(0)) == ([0], 20)
+        # x0^2 is rank-deficient only at x0 = 0, which Random(88) draws first
+        assert random.Random(88).randint(-50, 50) == 0
+        assert drawn_jacobian_pivots([vec((M1 + M1, 1))], 1, random.Random(88)) == ([0], 1)
 
 
 class TestFreeSeries:
