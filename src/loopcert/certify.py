@@ -7,11 +7,11 @@ witness: a nonzero normal form, a dimension mismatch, or a vector in one
 span and not the other (``_span_check``).  A span is taken over its
 support (``_support``), the monomials or words its sides hold in the order
 of their component, since a column that no row holds changes no row; only
-the centralizer suite enumerates whole components.  The Jacobian points
-are drawn by one function, ``linalg.drawn_jacobian_pivots``, over the
-letters the family holds: ``verify_soa`` seeds it and logs resampling
-events; ``poincare_bethe`` seeds 0, and its point only decides whether a
-PASS is proven there or by elimination, so its report does not depend on it.
+the centralizer suite enumerates whole components.  Every freeness claim is
+proven by one Jacobian walk, ``linalg.free_generators``, which alone draws
+the points: ``verify_soa`` seeds it and logs resampling events;
+``poincare_bethe`` seeds 0, and its point only decides whether a PASS is
+proven there or by elimination, so its report does not depend on it.
 
 The PBW commutativity suites (``verify_bethe``, ``verify_eval_gaudin`` and
 ``verify_talalaev``) share one sweep, ``_commutes``.  It brackets the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,8 +39,8 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
                        soa_generators)
 from .liealg import centralizer, gl_algebra, preset, resolve_algebra
-from .linalg import (Subspace, bigraded_block, degree_buckets, drawn_jacobian_pivots,
-                     echelon, free_series_coeffs, generator_products, limit_subspace)
+from .linalg import (Subspace, bigraded_block, degree_buckets, echelon, free_generators,
+                     free_series_coeffs, generator_products, limit_subspace)
 from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangian
 
@@ -54,36 +53,36 @@ from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangia
 # option here before it calls a suite, and a refusal names the parameter by its
 # key; verify_centralizer and verify_eval_gaudin read their measured rules here.
 BOUNDS = {
-    "verify-rtt": {"n": (1, 3), "order": (1, 6)},  # 0.2 s and 21 MB at the bounds
-    # max-deg: time and memory grow 6-10x per degree; gl3 took 5.0 s and 217 MB
-    # at 7, gl4 6.2 s and 278 MB at 5 and 61 s and 1.88 GB at 6.
+    "verify-rtt": {"n": (1, 3), "order": (1, 6)},  # 0.22 s and 20 MB at the bounds
+    # max-deg: time and memory grow 6-10x per degree; gl3 took 7.0 s and 217 MB
+    # at 7, gl4 8.6 s and 278 MB at 5 and 61 s and 1.88 GB at 6.
     # workers: the pool starts all of its workers at once; at gl3 degree 7,
     # pools of 2, 4 and 8 peaked at 343, 512 and 728 MB summed over their
     # workers (the largest worker 177, 147 and 147 MB), and 8 is the largest
     # pool measured
     "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
-    "verify-gaudin": {"kmax": (0, 6)},  # sl3 1.3 s and 24 MB, gl3 1.4 s and 27 MB
-    "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 2.5 s, 156 MB
-    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.38 s and 32 MB
+    "verify-gaudin": {"kmax": (0, 6)},  # sl3 2.1 s and 24 MB, gl3 1.9 s and 27 MB
+    "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 2.7 s, 156 MB
+    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.57 s and 32 MB
     # monomials in one deg1-component, counted before anything is built: gl4 at
-    # degree 5 has 33440 and takes 4.5 s and 304 MB; at degree 6 it has 155584
+    # degree 5 has 33440 and takes 4.8 s and 304 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
     # cutoff: the bound is the elimination's, which a FAIL still runs (gl4 at
     # regular C: 7.7-8.8 s and 135 MB at 6, alone in a fresh process); a PASS,
     # proven by a Jacobian rank at one point, took at most 0.3 s in process at
     # cutoff 10
     "poincare bethe": {"cutoff": (1, 6)},
-    # deg at C0 = E, the slowest C0 tried: gl3 took 20 s at 5 and 190 s at 6,
-    # gl4 20 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
-    # took 7.8 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
+    # deg at C0 = E, the slowest C0 tried: gl3 took 14 s at 5 (190 s at 6),
+    # gl4 21 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
+    # took 7.5 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
     # curve degree: sum(p - min p) (_curve_exponents), the degree in h of
     # sigma_n, checked by verify_theorem_B before the curve is built; at the
-    # deg bounds and C0 = E, 100 took 78 s and 298 MB (gl2), 57 s (gl3) and
-    # 62 s (gl4); gl2 took 178 s and 456 MB at 136, and 127 s at 1999 (--deg 2)
+    # deg bounds and C0 = E, 100 took 53 s and 305 MB (gl2), 43 s (gl3) and
+    # 51 s (gl4); gl2 took 178 s and 456 MB at 136, and 127 s at 1999 (--deg 2)
     "limit": {"n": (1, 4), "deg": (1, {1: 8, 2: 8, 3: 5, 4: 4}), "curve degree": (0, 100)},
     # n points need kmax >= 2(n-1), so kmax 8 admits 5; verify_eval_gaudin
-    # admits fewer past invariant degree 2: sl3 took 7.4 s and 231 MB with four
-    # points (105 s and 848 MB with five, in an earlier sitting), and gl4 34 s
+    # admits fewer past invariant degree 2: sl3 took 6.8 s and 231 MB with four
+    # points (105 s and 848 MB with five, in an earlier sitting), and gl4 35 s
     # and 1237 MB with two
     "eval-gaudin": {"number of --z points": (1, 5), "kmax": (1, 8)},
     # bethe and classical-bethe: gl4 at max-deg 6 under 1 s and 20 MB;
@@ -334,32 +333,6 @@ def verify_bethe(n: int, entries: Sequence, smax: int, workers: int = 1) -> Repo
 # -- 3. size / Poincare series ---------------------------------------------------------------
 
 
-def _free_at_a_point(sigma: Dict[Tuple[int, int], CommPoly], degrees: Sequence[int]) -> bool:
-    """Whether the sigma_k^(r) are proven to generate the polynomial algebra
-    on generators of the given degrees, r being the degree of sigma_k^(r).
-
-    Walked by degree, the sigmas that raise the Jacobian rank at a seeded
-    integer point (``drawn_jacobian_pivots``) are algebraically independent, so
-    their products are linearly independent.  When their degrees are
-    ``degrees`` and every other sigma lies in the span of the products of
-    theirs in its degree, the sigmas generate the same algebra, free on
-    them.  A point is resampled, at most 20 times, while the rank is short.
-    False when it stays short, or when a degree or a membership does not
-    match; full rank alone proves nothing when a sigma is missing."""
-    keys = sorted(sigma, key=lambda key: key[::-1])
-    polys, degs = [sigma[key] for key in keys], [r for _, r in keys]
-    kept, _ = drawn_jacobian_pivots(polys, len(degrees), random.Random(0))
-    if sorted(degs[i] for i in kept) != sorted(degrees):
-        return False
-    dropped = sorted(set(range(len(polys))) - set(kept))
-    if not dropped:
-        return True
-    buckets = degree_buckets([(polys[i], degs[i]) for i in kept], max(degs[i] for i in dropped))
-    spans = {d: Subspace.span_of(buckets[d], _support(buckets[d]))
-             for d in {degs[i] for i in dropped}}
-    return all(spans[degs[i]].contains_poly(polys[i]) for i in dropped)
-
-
 def _eliminated_dims(sigma: Dict[Tuple[int, int], CommPoly], cutoff: int) -> List[int]:
     """The dimensions of the graded components of degree 0..cutoff of the
     algebra the sigmas generate, each the rank of the products in its degree."""
@@ -376,7 +349,7 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     (reductive conventions), and they dominate the free series built from
     the ambient gl_n exponents, which is the universal-in-C lower bound.
     The first is proven by a Jacobian rank at one point
-    (``_free_at_a_point``); only when that proof fails are the dimensions
+    (``free_generators``); only when that proof fails are the dimensions
     found by eliminating every product, which gives a FAIL its witness.
     """
     entries = parse_torus(entries)
@@ -386,7 +359,8 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     degrees = [d for m in z.exponents for k in range(cutoff) if (d := m + 1 + k) <= cutoff]
     expected = free_series_coeffs(degrees, cutoff)
     lower = free_series_coeffs([m + 1 + k for m in gl.exponents for k in range(cutoff)], cutoff)
-    dims = expected if _free_at_a_point(sigma, degrees) else _eliminated_dims(sigma, cutoff)
+    _, _, free = free_generators([(sigma[key], key[1]) for key in sorted(sigma)], degrees, 0)
+    dims = expected if free else _eliminated_dims(sigma, cutoff)
     checks = [
         Check(
             name=f"poincare gl{n} C=diag({','.join(map(ratstr, entries))}): free series on "
@@ -611,14 +585,13 @@ def verify_soa(alg_name: str, chi_diag: Sequence, seed: int) -> Report:
         witness=None if bad is None else
         f"{{{gens[bad[0]].label}, {gens[bad[1]].label}}} = {_loop_text(alg)(bad[3].terms)}")]
 
-    kept, resamples = drawn_jacobian_pivots([g.poly for g in gens], len(gens),
-                                            random.Random(seed))
-    rank = len(kept)
+    kept, resamples, free = free_generators([(g.poly, g.deg1) for g in gens],
+                                            [g.deg1 for g in gens], seed)
     checks.append(Check(
         name=f"soa {alg_name}: Jacobian rank {len(gens)} at a rational point",
-        details={"rank": rank, "expected": len(gens), "seed": seed,
+        details={"rank": len(kept), "expected": len(gens), "seed": seed,
                  "resampled": resamples},
-        witness=None if rank == len(gens) else f"rank {rank} < {len(gens)}"))
+        witness=None if free else f"rank {len(kept)} < {len(gens)}"))
     return Report("verify-soa", {"algebra": alg_name, "chi": chi_diag, "seed": seed}, checks)
 
 

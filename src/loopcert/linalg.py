@@ -17,8 +17,9 @@ over that support, and the rows keyed by label are the full component's.
 ``relations`` returns sparse vectors; ``rref``, a dense adapter that no
 suite calls, is the only dense code.  ``jacobian_pivots``, the one Jacobian
 rank, hands ``echelon`` the gradients of polynomials at a point, one column
-each, and ``drawn_jacobian_pivots`` is the one draw of its points: seeded
-integers over the letters the polynomials hold, resampled at most 20 times.
+each, and ``free_generators`` is the one Jacobian walk that proves a family
+free: it alone draws the points, seeded integers over the letters the
+polynomials hold, resampled at most 20 times.
 ``limit_subspace`` takes rows over Z[h] (``ZhPoly``) and eliminates them
 mod h^K instead, with minimum-valuation pivots, no division and a
 certified precision (``_hadic_pivots``), and hands the rows it finds at
@@ -233,19 +234,43 @@ def jacobian_pivots(polys: Sequence[CommPoly], point: Dict[str, Any]) -> List[in
     return [col for col, _ in echelon(rows.values())]
 
 
-def drawn_jacobian_pivots(polys: Sequence[CommPoly], want: int, rng: random.Random
-                          ) -> Tuple[List[int], int]:
-    """``jacobian_pivots`` at integer points drawn by ``rng`` from [-50, 50],
-    an entry per letter the polys hold, in letter order (a letter they do not
+def free_generators(gens: Sequence[Tuple[CommPoly, int]], wanted: Sequence[int], seed: int
+                    ) -> Tuple[List[int], int, bool]:
+    """Whether the (poly, degree) generators are proven to generate the
+    polynomial algebra free on generators of the ``wanted`` degrees.
+
+    The generators are walked by degree, in a stable sort, and the Jacobian
+    is taken at integer points drawn from [-50, 50] by ``Random(seed)``, one
+    entry per letter the polys hold, in letter order (a letter they do not
     hold changes no partial): at most 20 points, stopping at the first whose
-    rank reaches ``want``.  Returns that point's pivots, or the last point's,
-    and the number of points resampled, 20 when no rank reached ``want``."""
+    rank reaches ``len(wanted)``.  The generators kept there are
+    algebraically independent, so their products are linearly independent.
+    When their degrees are ``wanted`` and every other generator lies in the
+    span of the products of theirs in its degree, the generators generate
+    the same algebra, free on them.  Full rank alone proves nothing when a
+    generator is missing.
+
+    Returns the kept generators' indices into ``gens``, in walk order (their
+    number is the rank), the number of points resampled (20 when no rank reached
+    ``len(wanted)``) and whether freeness is proven."""
+    order = sorted(range(len(gens)), key=lambda i: gens[i][1])
+    polys = [gens[i][0] for i in order]
+    rng = random.Random(seed)
     letters = sorted({ch for p in polys for m in p.terms for ch in m})
     for resampled in range(20):
-        kept = jacobian_pivots(polys, {v: rng.randint(-50, 50) for v in letters})
-        if len(kept) >= want:
-            return kept, resampled
-    return kept, 20
+        pivots = jacobian_pivots(polys, {v: rng.randint(-50, 50) for v in letters})
+        if len(pivots) >= len(wanted):
+            break
+    else:
+        resampled = 20
+    kept = [order[j] for j in pivots]
+    if sorted(gens[i][1] for i in kept) != sorted(wanted):
+        return kept, resampled, False
+    dropped = [i for i in order if i not in kept]
+    buckets = degree_buckets([gens[i] for i in kept], max((gens[i][1] for i in dropped), default=0))
+    spans = {d: Subspace.span_of(buckets[d], sorted({m for p in buckets[d] for m in p.terms}))
+             for d in {gens[i][1] for i in dropped}}
+    return kept, resampled, all(spans[gens[i][1]].contains_poly(gens[i][0]) for i in dropped)
 
 
 # -- generated subalgebra components --------------------------------------------

@@ -19,8 +19,9 @@ from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.families import (bethe_component_polys, classical_bethe, diag_to_basis,
                                embed_subalgebra_poly, gaudin_generators, soa_generators)
 from loopcert.liealg import centralizer, gl_algebra, load_config, preset
-from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, free_series_coeffs,
-                             generator_products, jacobian_pivots, limit_subspace)
+from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, free_generators,
+                             free_series_coeffs, generator_products, jacobian_pivots,
+                             limit_subspace)
 from loopcert.scalars import leibniz_det
 
 # the module, which the package's ``yangian`` function shadows as an attribute
@@ -258,7 +259,7 @@ class TestSuites:
         sigma = certify._constant_bethe(n, [F(c) for c in C], cutoff)
         degrees = [d for m in centralizer(n, C).exponents for k in range(cutoff)
                    if (d := m + 1 + k) <= cutoff]
-        assert certify._free_at_a_point(sigma, degrees)
+        assert free_generators([(sigma[key], key[1]) for key in sorted(sigma)], degrees, 0)[2]
         assert free_series_coeffs(degrees, cutoff) == certify._eliminated_dims(sigma, cutoff)
 
     @pytest.mark.parametrize("C", [["1", "2", "3"], ["1", "1", "2"], ["1", "1", "1"]])

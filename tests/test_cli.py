@@ -371,6 +371,23 @@ def test_gr_centralizer_past_measured_bound_exit_two(monkeypatch, capsys):
     assert "BoundsError" in err and "155584 monomials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-soa", "--algebra", "sl3", "--chi=-1,3,-2"],
+    ["poincare", "--algebra", "gl2", "--C=-1,1", "--cutoff", "3"],
+    ["limit", "--algebra", "gl2", "--C0=-1,-1", "--chi=-1,1", "--deg", "2"],
+])
+def test_list_starting_with_a_minus_sign_takes_the_equals_form(capsys, argv):
+    # argparse reads a separate "-1,3,-2" as an option and exits 2 with a
+    # usage error; joined to its option by "=", the list is read as a value
+    code, out = run(argv, capsys)
+    assert code == 0 and "all checks passed" in out
+    spaced = [part for arg in argv for part in arg.split("=", 1)]
+    with pytest.raises(SystemExit) as exc:
+        main(spaced)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_readme_cli_lines_parse():
     # every documented command line names only options the parser has
     readme = Path(__file__).resolve().parents[1] / "README.md"

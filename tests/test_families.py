@@ -13,7 +13,7 @@ from loopcert.families import (bethe_component_polys, centralizer_subalgebra,
                                directional_derivative, embed_subalgebra_poly, gamma_var,
                                gaudin_generators, invariant_component, soa_generators)
 from loopcert.liealg import centralizer, preset
-from loopcert.linalg import drawn_jacobian_pivots, jacobian_pivots
+from loopcert.linalg import free_generators, jacobian_pivots
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2
@@ -89,8 +89,11 @@ class TestSOA:
     def test_jacobian_rank(self):
         # full rank at the first integer point drawn, and at a rational point
         sl3 = preset("sl3")
-        polys = [g.poly for g in soa_generators(sl3, diag_to_basis(sl3, [1, 2, -3]))]
-        assert drawn_jacobian_pivots(polys, 5, random.Random(11)) == ([0, 1, 2, 3, 4], 0)
+        gens = soa_generators(sl3, diag_to_basis(sl3, [1, 2, -3]))
+        degrees = [g.deg1 for g in gens]  # 2, 1, 3, 2, 1: walked 1, 4, 0, 3, 2
+        assert free_generators([(g.poly, g.deg1) for g in gens], degrees, 11) == (
+            [1, 4, 0, 3, 2], 0, True)
+        polys = [g.poly for g in gens]
         rng = random.Random(11)
         pt = {letter(a, 0): F(rng.randint(-9, 9), rng.randint(1, 4))
               for a in range(sl3.dim)}

@@ -10,7 +10,7 @@ from loopcert.errors import BoundsError
 from loopcert.families import gaudin_generators
 from loopcert.liealg import preset
 from loopcert.envelop import current_context
-from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, drawn_jacobian_pivots,
+from loopcert.linalg import (Subspace, bigraded_block, degree_buckets, free_generators,
                              free_series_coeffs, generator_products, jacobian_pivots,
                              limit_subspace, relations, rref)
 
@@ -93,12 +93,19 @@ class TestJacobian:
     def test_draw_resamples_until_the_rank_is_reached(self):
         # x0 and 2 x0 have rank 1 at every point: a rank of 2 is never
         # reached, so every one of the 20 points is resampled
-        polys = [vec((M1, 1)), vec((M1, 2))]
-        assert drawn_jacobian_pivots(polys, 1, random.Random(0)) == ([0], 0)
-        assert drawn_jacobian_pivots(polys, 2, random.Random(0)) == ([0], 20)
+        gens = [(vec((M1, 1)), 1), (vec((M1, 2)), 1)]
+        assert free_generators(gens, [1], 0) == ([0], 0, True)  # 2 x0 in span{x0}
+        assert free_generators(gens, [1, 1], 0) == ([0], 20, False)
         # x0^2 is rank-deficient only at x0 = 0, which Random(88) draws first
         assert random.Random(88).randint(-50, 50) == 0
-        assert drawn_jacobian_pivots([vec((M1 + M1, 1))], 1, random.Random(88)) == ([0], 1)
+        assert free_generators([(vec((M1 + M1, 1)), 2)], [2], 88) == ([0], 1, True)
+
+    def test_dropped_generator_outside_the_products_is_not_free(self):
+        # x0, x1^2 and x0 x1: x0 and x1^2 are kept, of the wanted degrees 1 and
+        # 2, but x0 x1 lies outside span{x0^2, x1^2}; Q[x0, x1^2, x0 x1] has 3
+        # monomials in degree 2 where the free series has 2
+        gens = [(vec((M1, 1)), 1), (vec((M2 + M2, 1)), 2), (vec((M1 + M2, 1)), 2)]
+        assert free_generators(gens, [1, 2], 0) == ([0, 1], 0, False)
 
 
 class TestFreeSeries:
