@@ -5,13 +5,14 @@ the acceptance tests).
 Every check is exact rational arithmetic; a failing check carries a minimal
 witness: a nonzero normal form, a dimension mismatch, or a vector in one
 span and not the other (``_span_check``).  A span is taken over its
-support (``_support``), the monomials or words its sides hold in the order
-of their component, since a column that no row holds changes no row; only
-the centralizer suite enumerates whole components.  Every freeness claim is
-proven by one Jacobian walk, ``linalg.free_generators``, which alone draws
-the points: ``verify_soa`` seeds it and logs resampling events;
-``poincare_bethe`` seeds 0, and its point only decides whether a PASS is
-proven there or by elimination, so its report does not depend on it.
+support (``linalg.support``), the monomials or words its sides hold in
+the order of their component, since a column that no row holds changes
+no row; only the centralizer suite enumerates whole components.  Every
+freeness claim is proven by one Jacobian walk, ``linalg.free_generators``,
+which alone draws the points: ``verify_soa`` seeds it and logs resampling
+events; ``poincare_bethe`` seeds 0, and its point only decides whether a
+PASS is proven there or by elimination, so its report does not depend on
+it.
 
 The PBW commutativity suites (``verify_bethe``, ``verify_eval_gaudin`` and
 ``verify_talalaev``) share one sweep, ``_commutes``.  It brackets the
@@ -38,9 +39,9 @@ from .families import (bethe_component_polys, centralizer_subalgebra,
                        classical_bethe, diag_to_basis,
                        embed_subalgebra_poly, gamma_label, gaudin_generators,
                        soa_generators)
-from .liealg import centralizer, gl_algebra, preset, resolve_algebra
+from .liealg import centralizer, gl_algebra, resolve_algebra
 from .linalg import (Subspace, bigraded_block, degree_buckets, echelon, free_generators,
-                     free_series_coeffs, generator_products, limit_subspace)
+                     free_series_coeffs, generator_products, limit_subspace, support)
 from .scalars import over_common_denominator, parse_rational, ratstr
 from .yangian import bethe_generators, gr2, r_major, rtt_relation_checks, yangian
 
@@ -63,7 +64,7 @@ BOUNDS = {
     "verify-bethe": {"n": (1, 4), "max-deg": (1, {1: 8, 2: 8, 3: 7, 4: 5}), "workers": (1, 8)},
     "verify-gaudin": {"kmax": (0, 6)},  # sl3 2.1 s and 24 MB, gl3 1.9 s and 27 MB
     "verify-talalaev": {"n": (1, 3), "R": (1, 4), "max-deg": (1, 6)},  # 2.7 s, 156 MB
-    "gr theorem-A": {"max-deg": (1, 5)},  # gl4: 0.57 s and 32 MB
+    "gr theorem-A": {"n": (1, 4), "max-deg": (1, 5)},  # gl4: 0.57 s and 32 MB
     # monomials in one deg1-component, counted before anything is built: gl4 at
     # degree 5 has 33440 and takes 4.8 s and 304 MB; at degree 6 it has 155584
     "gr centralizer": {"max-deg": (0, 6), "monomials": (0, 33440)},
@@ -71,7 +72,7 @@ BOUNDS = {
     # regular C: 7.7-8.8 s and 135 MB at 6, alone in a fresh process); a PASS,
     # proven by a Jacobian rank at one point, took at most 0.3 s in process at
     # cutoff 10
-    "poincare bethe": {"cutoff": (1, 6)},
+    "poincare bethe": {"n": (1, 4), "cutoff": (1, 6)},
     # deg at C0 = E, the slowest C0 tried: gl3 took 14 s at 5 (190 s at 6),
     # gl4 21 s at 4 (it ran past 200 s at 5 with the curve over Q[h]); gl2
     # took 7.5 s at 8, and gl1 and gl2 are capped at 8 as verify-bethe is
@@ -227,14 +228,6 @@ def _span_basis(elems: Sequence[NCPoly]) -> List[NCPoly]:
             for _, row in echelon({index[w]: c for w, c in p.terms.items()} for p in elems)]
 
 
-def _support(*families: Iterable, key: Optional[Callable] = None) -> list:
-    """The monomials or words that the elements of the families hold, sorted
-    (by ``key``): the only columns where a span of them can be nonzero.
-    Sorted as their full component is, they give every echelon row, keyed by
-    label, that the full component gives."""
-    return sorted({m for family in families for p in family for m in p.terms}, key=key)
-
-
 def _span_check(name: str, left: Tuple[str, Subspace], right: Tuple[str, Subspace],
                 render: Callable[[dict], str]) -> Check:
     """Whether two (name, subspace) sides of one component have equal rows,
@@ -337,7 +330,7 @@ def _eliminated_dims(sigma: Dict[Tuple[int, int], CommPoly], cutoff: int) -> Lis
     """The dimensions of the graded components of degree 0..cutoff of the
     algebra the sigmas generate, each the rank of the products in its degree."""
     buckets = bethe_component_polys(sigma, cutoff)
-    return [1] + [Subspace.span_of(b, _support(b)).dim for b in buckets[1:]]
+    return [1] + [Subspace.span_of(b, support(b)).dim for b in buckets[1:]]
 
 
 def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
@@ -353,7 +346,7 @@ def poincare_bethe(n: int, entries: Sequence, cutoff: int) -> Report:
     found by eliminating every product, which gives a FAIL its witness.
     """
     entries = parse_torus(entries)
-    gl = preset(f"gl{n}")
+    gl = gl_algebra(n)
     sigma = _constant_bethe(n, entries, cutoff)
     z = centralizer(n, entries)
     degrees = [d for m in z.exponents for k in range(cutoff) if (d := m + 1 + k) <= cutoff]
@@ -441,14 +434,14 @@ def verify_theorem_A(n: int, entries: Sequence, rmax: int) -> Report:
     """Leading-term spans of the classical Bethe family equal the Gaudin
     family of the centralizer, per bidegree, through deg1 = rmax."""
     entries = parse_torus(entries)
-    gl = preset(f"gl{n}")
+    gl = gl_algebra(n)
     buckets = bethe_component_polys(_constant_bethe(n, entries, rmax), rmax)
     z = centralizer(n, entries)
     zbuckets = degree_buckets([(embed_subalgebra_poly(z, g.poly), g.deg1)
                                for g in gaudin_generators(z, rmax - 1)], rmax)
     checks = []
     for d in range(1, rmax + 1):
-        ambient = _support(buckets[d], zbuckets[d])
+        ambient = support(buckets[d], zbuckets[d])
         bidegs = [_bideg(m) for m in ambient]
         for j, (B, A) in enumerate(zip(bigraded_block(buckets[d], ambient, bidegs, d),
                                        bigraded_block(zbuckets[d], ambient, bidegs, d))):
@@ -486,14 +479,14 @@ def verify_talalaev(n: int, R: int, dmax: int) -> Report:
     # are those of ``weighted_words``'s order (later letters first)
     for d in range(1, dmax + 1):
         bethe = [p for p, dg in Bprods if dg <= d]
-        words = _support(bethe)
+        words = support(bethe)
         blocks = bigraded_block(bethe, words, [(ctx.word_weight(w), ctx.word_weight(w) - len(w))
                                                for w in words], d)
         # each row is bihomogeneous, so gr2 maps all of it
         images = [[gr2(ctx, NCPoly(ctx, {B.ambient[k]: c for k, c in row.items()},
                                    normalized=True), R) for _, row in B.rows] for B in blocks]
         talalaev = [p for p, dg in Tprods if dg <= d]
-        words = _support(talalaev, *images, key=lambda w: [-ord(g) for g in w])
+        words = support(talalaev, *images, key=lambda w: [-ord(g) for g in w])
         deg2 = [sum(cur.gens[ord(g)][0] for g in w) for w in words]
         blocks = bigraded_block(talalaev, words, [(d2 + len(w), d2)
                                                   for w, d2 in zip(words, deg2)], d)
@@ -557,8 +550,7 @@ def verify_eval_gaudin(alg_name: str, zs: Sequence, kmax: int) -> Report:
                 h = h + casimir_tensor(alg, tctx, i, j).scale(
                     Fraction(1) / (zs[i] - zs[j]))
         hams.append(h)
-    words = sorted({w for p in quad + hams for w in p.terms} | {""})
-    span = Subspace.span_of(quad, words)
+    span = Subspace.span_of(quad, support(quad, hams))
     missing = [i for i, h in enumerate(hams) if not span.contains_poly(h)]
     checks.append(Check(
         name=f"quadratic span contains H_1..H_{n}",
@@ -628,7 +620,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     if not lo <= sum(exponents) <= hi:
         raise BoundsError(f"curve degree sum(p - min p) = {sum(exponents)} outside "
                           f"documented bounds [{lo}, {hi}]")
-    gl = preset(f"gl{n}")
+    gl = gl_algebra(n)
     # the entries c0_i (1+h)^(p_i) are nonzero, and two are equal iff their
     # (c0_i, p_i) are
     if len(set(zip(c0, exponents))) < n:
@@ -646,7 +638,7 @@ def verify_theorem_B(n: int, c0: Sequence, chi_diag: Sequence, dmax: int) -> Rep
     # starts at the precision that certified degree d - 1
     limits, K = {}, 4
     for d in range(1, dmax + 1):
-        limits[d], K = limit_subspace(_support(curve[d], prods[d]), curve[d], K)
+        limits[d], K = limit_subspace(support(curve[d], prods[d]), curve[d], K)
 
     # the generic member of the curve is regular: n generators in each degree
     dims = [1] + [limits[d].dim for d in range(1, dmax + 1)]

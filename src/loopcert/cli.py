@@ -171,13 +171,13 @@ def run(args: argparse.Namespace) -> certify.Report:
         key = f"gr {args.comparison}"
         if args.comparison == "centralizer":
             return certify.verify_centralizer(args.algebra, _bounded(args.max_deg, key, "max-deg"))
-        n = _gl_size(args.algebra)
+        n = _bounded(_gl_size(args.algebra), key, "n")
         if args.C is None:
             raise LoopcertError("gr --comparison theorem-A needs --C")
         return certify.verify_theorem_A(n, _parse_list(args.C, "--C"),
                                         _bounded(args.max_deg, key, "max-deg"))
     if cmd == "poincare":
-        n = _gl_size(args.algebra)
+        n = _bounded(_gl_size(args.algebra), "poincare bethe", "n")
         if args.C is None:
             raise LoopcertError("poincare --family bethe needs --C")
         return certify.poincare_bethe(n, _parse_list(args.C, "--C"),

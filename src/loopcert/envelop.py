@@ -50,7 +50,7 @@ from typing import Callable, Dict, Hashable, Iterable, Sequence, Tuple
 
 from .commpoly import CommPoly, mono_deg2, var_of
 from .errors import ValidationError
-from .liealg import LieAlgebraData, preset
+from .liealg import LieAlgebraData, gl_algebra
 from .scalars import Series, leibniz_det, over_common_denominator, ratstr
 
 Word = str  # letter i is chr(i)
@@ -348,7 +348,7 @@ def talalaev_generators(n: int, R: int):
     coefficient of the d_z^(n-i) part, normal-ordered in U(gl_n ox C[t]/t^R).
     The expansion is exact in z.
     """
-    ctx = current_context(preset(f"gl{n}"), R)
+    ctx = current_context(gl_algebra(n), R)
 
     def entry(i: int, j: int) -> Series:
         terms = {(0, 1, ""): 1} if i == j else {}

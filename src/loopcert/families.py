@@ -80,8 +80,7 @@ def soa_generators(alg: LieAlgebraData, chi: Sequence[Fraction]) -> List[FamilyE
     The generator count is (dim g + rk g)/2.
     """
     chi = [Fraction(x) for x in chi]
-    if alg.root_data:
-        regular_cartan_check(alg, cartan_coords(alg, chi))
+    regular_cartan_check(alg, cartan_coords(alg, chi))
     out = []
     for idx, inv in enumerate(alg.invariant_generators()):
         p = inv.poly

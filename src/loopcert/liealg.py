@@ -5,18 +5,20 @@ Every algebra, preset or config, is a ``LieAlgebraData``: a basis of
 sparse ``{(i, j): entry}`` matrices E_a and a list of (block of matrix
 indices, invariant degrees).  From the matrices it derives the trace form,
 the dual basis E^a, exact coordinates of a matrix in the basis
-(``coordinates``), the bracket table from commutators, and, on first use,
-the invariants tr(X_B^k) of the generic matrix X = sum_a x_a E^a
-restricted to each block B.  Matrix entries and bracket coefficients are
-``int`` where the denominator is 1, and the table holds [x_a, x_b] and
-[x_b, x_a] both, so ``commpoly.LoopAlgebra`` and the PBW contexts of
-``envelop`` read it as it is.  The paper-level assumption of an orthonormal
-basis is relaxed to an arbitrary nondegenerate invariant form with dual
-bases, so all arithmetic stays rational.  Jacobi and the form's
-ad-invariance hold by construction; ``validate`` checks what outside input
-can break: closure under the commutator, a nondegenerate form, the label
-count, a positive rank and supplied invariants.  ``bracket_coeffs`` is the
-one way structure constants are applied.
+(``coordinates``), the bracket table from commutators, the weights of the
+basis vectors that the Cartan elements act on by scalars (``weights``; the
+roots are the nonzero ones), and, on first use, the invariants tr(X_B^k) of
+the generic matrix X = sum_a x_a E^a restricted to each block B.  Matrix
+entries and bracket coefficients are ``int`` where the denominator is 1,
+and the table holds [x_a, x_b] and [x_b, x_a] both, so
+``commpoly.LoopAlgebra`` and the PBW contexts of ``envelop`` read it as it
+is.  The paper-level assumption of an orthonormal basis is relaxed to an
+arbitrary nondegenerate invariant form with dual bases, so all arithmetic
+stays rational.  Jacobi and the form's ad-invariance hold by construction;
+``validate`` checks what outside input can break: closure under the
+commutator, a nondegenerate form, the label count, a positive rank and
+supplied invariants.  ``bracket_coeffs`` is the one way structure constants
+are applied.  No root is typed: ``regular_cartan_check`` reads ``weights``.
 """
 
 from __future__ import annotations
@@ -79,15 +81,6 @@ def _trace_pair(A: Sparse, B: Sparse, zero=0):
     return sum((x * B[(j, i)] for (i, j), x in A.items() if (j, i) in B), zero)
 
 
-class RootDatum(NamedTuple):
-    """One root: its functional on the Cartan (coordinates in the Cartan
-    basis of the ambient algebra) and the indices of e_alpha, e_{-alpha}."""
-
-    alpha: Tuple[Fraction, ...]
-    e_idx: int
-    f_idx: int
-
-
 class InvariantPolynomial(NamedTuple):
     """Ad-invariant generator of S(g)^g, supported on t-degree-0 variables."""
 
@@ -107,8 +100,7 @@ class LieAlgebraData:
     """
 
     def __init__(self, name: str, labels: Sequence[str], size: int,
-                 matrices: Sequence[Sparse], cartan_indices: Sequence[int],
-                 root_data: List[RootDatum], blocks,
+                 matrices: Sequence[Sparse], cartan_indices: Sequence[int], blocks,
                  ambient_indices: Optional[List[int]] = None,
                  invariants: Optional[List[InvariantPolynomial]] = None) -> None:
         self.name = name
@@ -118,7 +110,6 @@ class LieAlgebraData:
                          for M in matrices]
         self.dim = len(self.matrices)
         self.cartan_indices = list(cartan_indices)
-        self.root_data = root_data
         self.blocks = blocks
         degrees = sorted(k for _, ks in blocks for k in ks)
         self.rank = len(degrees)
@@ -130,9 +121,9 @@ class LieAlgebraData:
     def validate(self) -> None:
         """The checks on outside input: the label count, a nondegenerate
         trace form, closure under the commutator (which yields the bracket
-        table), a positive rank and any supplied invariants.  Jacobi,
-        antisymmetry and ad-invariance of the form hold by construction for
-        commutators of matrices under the trace form."""
+        table and the weights), a positive rank and any supplied invariants.
+        Jacobi, antisymmetry and ad-invariance of the form hold by
+        construction for commutators of matrices under the trace form."""
         if len(self.labels) != self.dim:
             raise ValidationError("labels length != dim")
         mats = self.matrices
@@ -153,6 +144,10 @@ class LieAlgebraData:
                     coords = self.coordinates(comm, "matrices are not closed under bracket")
                     br = self._brackets[a, b] = {d: _integral(c) for d, c in enumerate(coords) if c}
                     self._brackets[b, a] = {d: -c for d, c in br.items()}
+        # x_b is a weight vector when [x_c, x_b] = alpha_c x_b for every Cartan x_c
+        cols = [[self.bracket_coeffs(c, b) for c in self.cartan_indices] for b in range(self.dim)]
+        self.weights = {b: tuple(br.get(b, 0) for br in col) for b, col in enumerate(cols)
+                        if all(br.keys() <= {b} for br in col)}
         if self.rank < 1:
             raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
                                   "built from the rank's invariant generators")
@@ -245,15 +240,10 @@ def _gl_units(n: int, blocks: List[List[int]], name: str) -> LieAlgebraData:
     identity when one block holds all n indices and the result is gl_n."""
     block = {i: b for b, blk in enumerate(blocks) for i in blk}
     keep = [i * n + j for i in range(n) for j in range(n) if block[i] == block[j]]
-    pos = {amb: k for k, amb in enumerate(keep)}
-    roots = [RootDatum(
-        alpha=tuple(Fraction(int(d == i)) - Fraction(int(d == j)) for d in range(n)),
-        e_idx=pos[i * n + j], f_idx=pos[j * n + i])
-        for blk in blocks for i in blk for j in blk if i != j]
     return LieAlgebraData(
         name, [f"e{a // n + 1}{a % n + 1}" for a in keep],
-        n, [{divmod(a, n): 1} for a in keep], [pos[i * n + i] for i in range(n)],
-        roots, [(blk, range(1, len(blk) + 1)) for blk in blocks], ambient_indices=keep)
+        n, [{divmod(a, n): 1} for a in keep], [keep.index(i * n + i) for i in range(n)],
+        [(blk, range(1, len(blk) + 1)) for blk in blocks], ambient_indices=keep)
 
 
 @functools.cache
@@ -266,18 +256,8 @@ def _sl_preset(n: int) -> LieAlgebraData:
             + [{ij: 1} for ij in lower])
     labels = ([f"e{i + 1}{j + 1}" for i, j in upper] + [f"h{i + 1}" for i in range(n - 1)]
               + [f"e{i + 1}{j + 1}" for i, j in lower])
-    idx = {ij: k for k, ij in enumerate(upper)}
-    idx.update({ij: len(upper) + n - 1 + k for k, ij in enumerate(lower)})
-    roots = []
-    for (i, j) in upper + lower:
-        # alpha(h_d) = delta_{d,i} - delta_{d,i+1} - (delta_{d,j} - delta_{d,j+1})
-        alpha = tuple(
-            Fraction(int(d == i)) - Fraction(int(d + 1 == i))
-            - Fraction(int(d == j)) + Fraction(int(d + 1 == j))
-            for d in range(n - 1))
-        roots.append(RootDatum(alpha=alpha, e_idx=idx[(i, j)], f_idx=idx[(j, i)]))
     return LieAlgebraData(f"sl{n}", labels, n, mats,
-                          list(range(len(upper), len(upper) + n - 1)), roots,
+                          list(range(len(upper), len(upper) + n - 1)),
                           [(range(n), range(2, n + 1))])
 
 
@@ -352,10 +332,6 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
                      parse_rational(str(x)) for i, j, x in M} for M in data["matrices"]]
         labels = list(data["labels"])
         cartan = [_basis_index(c, dim, "cartan") for c in data["cartan"]]
-        roots = [RootDatum(alpha=tuple(parse_rational(str(x)) for x in r["alpha"]),
-                           e_idx=_basis_index(r["e"], dim, "root e"),
-                           f_idx=_basis_index(r["f"], dim, "root f"))
-                 for r in data.get("roots", [])]
         invs = None
         if "invariants" in data:
             invs = []
@@ -372,19 +348,14 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
                 invs.append(InvariantPolynomial(CommPoly(terms), int(spec["degree"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed algebra config: {exc}") from exc
-    alg = LieAlgebraData(str(data.get("name", "custom")), labels, size, matrices, cartan, roots,
-                         blocks, invariants=invs)
+    alg = LieAlgebraData(str(data.get("name", "custom")), labels, size, matrices, cartan, blocks,
+                         invariants=invs)
     alg.invariant_generators()  # a trace power that vanishes is refused at load
     return alg
 
 
-def root_pairing(root: RootDatum, cartan_coords: Sequence[Fraction]) -> Fraction:
-    """alpha(h) for h given by its coordinates in the Cartan basis."""
-    return sum((a * c for a, c in zip(root.alpha, cartan_coords)), Fraction(0))
-
-
 def regular_cartan_check(alg: LieAlgebraData, cartan_coords: Sequence[Fraction]) -> None:
-    """Raise unless (alpha, chi) != 0 for every root."""
-    for root in alg.root_data:
-        if root_pairing(root, cartan_coords) == 0:
+    """Raise unless (alpha, chi) != 0 for every root, a nonzero weight."""
+    for alpha in filter(any, alg.weights.values()):
+        if sum(a * c for a, c in zip(alpha, cartan_coords)) == 0:
             raise RegularityError("vector lies on a root hyperplane")

@@ -13,7 +13,7 @@ over an explicit ambient list, so equality of subspaces is equality of
 rows, and membership is one reduction pass (``Subspace.residue``).  A column
 that no row holds changes no echelon row, so an ambient list need only hold
 the labels its elements hold, in the component's order: the suites span
-over that support, and the rows keyed by label are the full component's.
+over that support (``support``), and the rows keyed by label are the full component's.
 ``relations`` returns sparse vectors; ``rref``, a dense adapter that no
 suite calls, is the only dense code.  ``jacobian_pivots``, the one Jacobian
 rank, hands ``echelon`` the gradients of polynomials at a point, one column
@@ -32,8 +32,8 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Sequence,
-                    Tuple, TypeVar)
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .commpoly import CommPoly, Monomial, ZhPoly, partials, weighted_words
 from .errors import BoundsError
@@ -162,6 +162,14 @@ def relations(images: Sequence[Dict[Hashable, Any]]) -> List[Row]:
     return basis
 
 
+def support(*families: Iterable, key: Optional[Callable] = None) -> list:
+    """The monomials or words that the elements of the families hold, sorted
+    (by ``key``): the only columns where a span of them can be nonzero.
+    Sorted as their full component is, they give every echelon row, keyed by
+    label, that the full component gives."""
+    return sorted({m for family in families for p in family for m in p.terms}, key=key)
+
+
 class Subspace:
     """Subspace of a finite component: canonical ``echelon`` rows, (pivot
     column, {column: entry}) pairs in pivot order, over an explicit ambient
@@ -268,7 +276,7 @@ def free_generators(gens: Sequence[Tuple[CommPoly, int]], wanted: Sequence[int],
         return kept, resampled, False
     dropped = [i for i in order if i not in kept]
     buckets = degree_buckets([gens[i] for i in kept], max((gens[i][1] for i in dropped), default=0))
-    spans = {d: Subspace.span_of(buckets[d], sorted({m for p in buckets[d] for m in p.terms}))
+    spans = {d: Subspace.span_of(buckets[d], support(buckets[d]))
              for d in {gens[i][1] for i in dropped}}
     return kept, resampled, all(spans[gens[i][1]].contains_poly(gens[i][0]) for i in dropped)
 

@@ -87,7 +87,8 @@ SUITES = {
     "gens gaudin": ("dump_generators", ["gens", "--family", "gaudin"]),
     "gens talalaev": ("dump_generators", ["gens", "--family", "talalaev"]),
 }
-GL_N = {"verify-bethe", "limit", "gens bethe"}  # n from --algebra glN
+# n from --algebra glN
+GL_N = {"verify-bethe", "limit", "gens bethe", "gr theorem-A", "poincare bethe"}
 
 
 def _option(suite, name, value):
@@ -332,6 +333,27 @@ def test_gl_size_past_bethe_bound_exit_two(monkeypatch, capsys, argv, suite):
     assert "BoundsError" in err and "outside documented bounds [1, 4]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--algebra", "gl5", "--C", "1,2,3,4,5", "--cutoff", "2"],
+    ["gr", "--comparison", "theorem-A", "--algebra", "gl5", "--C", "1,1,2,2,3",
+     "--max-deg", "2"],
+])
+def test_gl5_refused_by_the_n_bound(capsys, argv):
+    # refused by BOUNDS before any suite runs, not by a failed preset lookup
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [BoundsError]: n = 5 outside documented bounds [1, 4]" in err
+
+
+def test_sp4_singular_chi_refused_by_derived_roots(capsys):
+    # sp4.json lists no roots: its weights, derived from the brackets, put
+    # chi = diag(1, 1, -1, -1) on the hyperplane of the root (1, -1)
+    sp4 = str(Path(__file__).parent / "data" / "sp4.json")
+    assert main(["verify-soa", "--algebra", sp4, "--chi=1,1,-1,-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error [RegularityError]: vector lies on a root hyperplane" in err
+
+
 def test_poincare_gr1_family_exit_two(capsys):
     # gr1 is no family: its monomial count compared two enumerations of the
     # same words and certified nothing about Y(gl_n)
@@ -476,9 +498,9 @@ def test_config_past_dim_bound_exit_two(monkeypatch, tmp_path, capsys):
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):
-    # a root without "e" raised KeyError (exit 1, as for a FAILed check)
+    # an invariant without "terms" raises KeyError (exit 1, as for a FAILed check)
     data = json.loads(Path(_readme_algebra(tmp_path)).read_text(encoding="utf-8"))
-    data["roots"] = [{"alpha": ["2"], "f": 2}]
+    data["invariants"] = [{"degree": 2}]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code = main(["verify-gaudin", "--algebra", str(path), "--kmax", "1"])

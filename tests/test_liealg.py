@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from loopcert.certify import (BOUNDS, dump_generators, parse_entries, parse_toru
                               verify_eval_gaudin, verify_soa)
 from loopcert.cli import main
 from loopcert.liealg import (LieAlgebraData, algebra_from_dict, centralizer, gl_algebra,
-                             load_config, preset, root_pairing)
+                             load_config, preset)
 from loopcert.scalars import SymPoly
 
 
@@ -179,20 +180,20 @@ class TestValidation:
         ("gl4", (1, 1, 2, 2))])
     def test_matrix_algebras_validate_as_configs(self, name, C):
         # a matrix algebra written as a config loads through algebra_from_dict
-        # into the same bracket table, form, roots and invariants
+        # into the same bracket table, form, weights and invariants
         alg = gl_algebra(5) if name == "gl5" else preset(name)
         if C is not None:
             alg = centralizer(alg.size, C)
         cfg = algebra_from_dict(json.loads(json.dumps(_as_config(alg))))
         assert cfg._brackets == alg._brackets and cfg.gram == alg.gram
-        assert cfg.root_data == alg.root_data
+        assert cfg.weights == alg.weights
         assert cfg.invariant_generators() == alg.invariant_generators()
 
     def test_degenerate_form_rejected(self):
         # strictly upper-triangular matrices are closed but trace-orthogonal
         with pytest.raises(ValidationError, match="singular matrix"):
             LieAlgebraData("n3", ["e12", "e13", "e23"], 3,
-                           [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}], [], [], [([0, 1, 2], [1])])
+                           [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}], [], [([0, 1, 2], [1])])
 
 
 class TestTorus:
@@ -278,12 +279,44 @@ class TestInvariants:
                     assert loop.poisson0(CommPoly.variable(a, 0), inv.poly).is_zero()
 
 
+def _roots(alg):
+    """The derived roots: {basis index: alpha} over the nonzero weights."""
+    return {b: alpha for b, alpha in alg.weights.items() if any(alpha)}
+
+
+def _pairing(alpha, cartan_coords):
+    return sum(a * c for a, c in zip(alpha, cartan_coords))
+
+
+def _typed_gl_roots(alg):
+    """The formula gl_n and z(C) once typed: alpha(E_dd) = delta_di - delta_dj
+    for E_ij, i != j in one block."""
+    n = alg.size
+    return {alg.labels.index(f"e{i + 1}{j + 1}"):
+            tuple(F(int(d == i)) - F(int(d == j)) for d in range(n))
+            for blk, _ in alg.blocks for i in blk for j in blk if i != j}
+
+
+def _typed_sl_roots(alg):
+    """The formula sl_n once typed: alpha(h_d) = delta_di - delta_(d+1)i
+    - (delta_dj - delta_(d+1)j) for e_ij, h_d = e_dd - e_(d+1)(d+1)."""
+    n = alg.size
+    return {alg.labels.index(f"e{i + 1}{j + 1}"):
+            tuple(F(int(d == i)) - F(int(d + 1 == i)) - F(int(d == j)) + F(int(d + 1 == j))
+                  for d in range(n - 1))
+            for i in range(n) for j in range(n) if i != j}
+
+
+# the roots tests/data/sp4.json typed as (alpha, e, f) before they were derived
+SP4_TYPED = [((1, -1), 0, 6), ((2, 0), 1, 7), ((0, 2), 2, 8), ((1, 1), 3, 9)]
+
+
 class TestRootData:
     def test_gl_pairings(self):
         gl3 = preset("gl3")
-        for root in gl3.root_data:
-            val = root_pairing(root, [F(1), F(2), F(4)])
-            assert val != 0  # 1,2,4 is regular
+        assert len(_roots(gl3)) == 6
+        for alpha in _roots(gl3).values():
+            assert _pairing(alpha, [F(1), F(2), F(4)]) != 0  # 1,2,4 is regular
 
     def test_sl3_pairings(self):
         sl3 = preset("sl3")
@@ -291,8 +324,40 @@ class TestRootData:
         from loopcert.families import cartan_coords, diag_to_basis
         chi = diag_to_basis(sl3, [1, 2, -3])
         cc = cartan_coords(sl3, chi)
-        vals = sorted(abs(root_pairing(r, cc)) for r in sl3.root_data)
-        assert 0 not in vals
+        assert len(_roots(sl3)) == 6
+        assert all(_pairing(alpha, cc) != 0 for alpha in _roots(sl3).values())
+
+    @pytest.mark.parametrize("build, typed", [
+        *((partial(gl_algebra, n), _typed_gl_roots) for n in range(1, 6)),
+        (partial(preset, "sl2"), _typed_sl_roots), (partial(preset, "sl3"), _typed_sl_roots),
+        (partial(centralizer, 3, [1, 1, 2]), _typed_gl_roots),
+        (partial(centralizer, 4, [1, 1, 2, 2]), _typed_gl_roots)],
+        ids=["gl1", "gl2", "gl3", "gl4", "gl5", "sl2", "sl3", "z(1,1,2)", "z(1,1,2,2)"])
+    def test_derived_roots_match_the_typed_formulas(self, build, typed):
+        # every basis vector is a weight vector, and the nonzero weights are
+        # the roots the presets once typed, both signs, at the same indices
+        alg = build()
+        assert sorted(alg.weights) == list(range(alg.dim))
+        assert _roots(alg) == typed(alg)
+
+    def test_sp4_roots_are_the_typed_ones_in_both_signs(self):
+        sp4 = load_config(str(Path(__file__).parent / "data" / "sp4.json"))
+        expected = {}
+        for alpha, e, f in SP4_TYPED:
+            expected[e], expected[f] = alpha, tuple(-a for a in alpha)
+        assert _roots(sp4) == expected
+
+    def test_stale_roots_key_is_ignored(self, tmp_path, capsys):
+        # a config's "roots" is no longer read: a wrong alpha, which refused
+        # every chi, leaves the derived weights and a regular chi as they are
+        data = json.loads((Path(__file__).parent / "data" / "sp4.json").read_text())
+        plain = algebra_from_dict(data)
+        data["roots"] = [{"alpha": ["0", "0"], "e": 0, "f": 6}]
+        assert algebra_from_dict(data).weights == plain.weights
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["verify-soa", "--algebra", str(path), "--chi", "1,3,-1,-3"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
 
 def _as_config(alg):
@@ -300,8 +365,6 @@ def _as_config(alg):
     return {"name": alg.name, "size": alg.size, "labels": alg.labels,
             "matrices": [[[i, j, str(x)] for (i, j), x in M.items()] for M in alg.matrices],
             "cartan": alg.cartan_indices,
-            "roots": [{"alpha": [str(x) for x in r.alpha], "e": r.e_idx, "f": r.f_idx}
-                      for r in alg.root_data],
             "blocks": [[list(blk), list(degrees)] for blk, degrees in alg.blocks]}
 
 
@@ -342,21 +405,17 @@ class TestConfigIO:
 
 
 def _sl2r():
-    """The README's sl2r config, with its roots and its invariant supplied."""
+    """The README's sl2r config, with its invariant supplied."""
     return {
         "size": 2, "labels": ["e", "h", "f"],
         "matrices": [[[0, 1, "1"]], [[0, 0, "1"], [1, 1, "-1"]], [[1, 0, "1"]]],
-        "cartan": [1], "roots": [{"alpha": ["2"], "e": 0, "f": 2}],
+        "cartan": [1],
         "blocks": [[[0, 1], [2]]],
         "invariants": [
             {"degree": 2, "terms": [{"monomial": [[1, 2]], "coeff": "1/2"},
                                     {"monomial": [[0, 1], [2, 1]], "coeff": "2"}]}
         ],
     }
-
-
-def _drop_root_e(d):
-    del d["roots"][0]["e"]
 
 
 def _drop_terms(d):
@@ -373,10 +432,6 @@ def _huge_coeff(d):
 
 def _invariant_index_7(d):
     d["invariants"][0]["terms"][0]["monomial"] = [[7, 2]]
-
-
-def _root_e_9(d):
-    d["roots"][0]["e"] = 9
 
 
 def _multiplicity_0(d):
@@ -411,12 +466,10 @@ def _old_schema(d):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_drop_root_e, "malformed algebra config: 'e'"),
     (_drop_terms, "malformed algebra config: 'terms'"),
     (_bad_coeff, "cannot parse rational from 'one half'"),
     (_huge_coeff, "rational '1e3000000' is past the bound of 1000 digits"),
     (_invariant_index_7, "invariant index 7 outside 0..2"),
-    (_root_e_9, "root e index 9 outside 0..2"),
     (_multiplicity_0, "invariant multiplicity 0 is not positive"),
     (_matrix_index_7, "matrix entry index 7 outside 0..1"),
     (_cartan_index_9, "cartan index 9 outside 0..2"),

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,7 @@ import pytest
 import loopcert
 from loopcert.commpoly import CommPoly
 from loopcert.families import FamilyElement
-from loopcert.liealg import InvariantPolynomial, RootDatum
+from loopcert.liealg import InvariantPolynomial
 
 
 def test_all_names_resolve():
@@ -38,7 +37,6 @@ def test_cli_import_loads_no_dataclasses():
 
 RECORDS = [
     (FamilyElement(CommPoly.variable(0, 1), "x_e[1]", 2, 1), "label"),
-    (RootDatum((F(2), F(-1)), 0, 1), "e_idx"),
     (InvariantPolynomial(CommPoly.variable(0, 0) ** 2, 2), "degree"),
 ]
 
