@@ -27,7 +27,9 @@ nothing is truncated.
 dp/dv comes from ``partials`` in integers over the lcm of p's denominators,
 each {v, q} once, in integers over q's, and the sum is divided once.  Every
 bracket of two polynomials, ``poisson0`` and ``poisson1`` included, goes
-through ``LoopAlgebra.pairwise_brackets``.
+through ``LoopAlgebra.pairwise_brackets``, and the coadjoint derivations
+{x_a[0], .}_0 of the invariant kernel (``families.centralizer_subalgebra``)
+through ``derivation``.
 """
 
 from __future__ import annotations
@@ -292,7 +294,6 @@ class LoopAlgebra:
         self.alg = alg
         self._brackets = {(a, b): alg.bracket_coeffs(a, b)
                           for a in range(alg.dim) for b in range(alg.dim)}
-        self._components: Dict[int, Tuple[Monomial, ...]] = {}
 
     # -- Poisson brackets --------------------------------------------------
 
@@ -332,24 +333,6 @@ class LoopAlgebra:
                 for i in range(j):
                     yield i, j, s, _derive(dps[i], image, Lq)
 
-    def coadjoint_images(self, m: Monomial) -> Dict[Tuple[int, Monomial], Fraction]:
-        """{x_a[0], m}_0 for every basis index a, keyed (a, monomial): each
-        distinct variable x_b[r] of m adds its multiplicity times m without
-        it times [x_a, x_b][r].  The coefficients are sums over the bracket
-        table, so ``int``s where its entries are."""
-        out: Dict[Tuple[int, Monomial], Fraction] = defaultdict(int)
-        for i, v in enumerate(m):
-            if i and m[i - 1] == v:
-                continue
-            k, rest = m.count(v), m[:i] + m[i + 1:]
-            r, b = divmod(ord(v), B)
-            for a in range(self.alg.dim):
-                for d, c in self._brackets[a, b].items():
-                    x = chr(r * B + d)
-                    j = bisect_right(rest, x)
-                    out[a, rest[:j] + x + rest[j:]] += k * c
-        return {key: c for key, c in out.items() if c}
-
     def poisson0(self, p: CommPoly, q: CommPoly) -> CommPoly:
         """{x[n], y[m]}_0 = [x,y][n+m], extended by Leibniz."""
         return next(self.pairwise_brackets((p, q), (0,)))[3]
@@ -386,11 +369,8 @@ class LoopAlgebra:
 
     def component_monomials(self, d: int) -> Tuple[Monomial, ...]:
         """Monomial basis of the deg1 = d component, in the monomial order,
-        which on one deg1 is ``str`` order; built once per d.  A variable
-        x_a[r] has deg1 r + 1, so its t-degree r is below d."""
-        comp = self._components.get(d)
-        if comp is None:
-            vs = [chr(r * B + a) for r in range(d) for a in range(self.alg.dim)]
-            words = weighted_words([ord(v) // B + 1 for v in vs], d, exact=True)
-            comp = self._components[d] = tuple(sorted("".join(vs[i] for i in w) for w in words))
-        return comp
+        which on one deg1 is ``str`` order.  A variable x_a[r] has deg1
+        r + 1, so its t-degree r is below d."""
+        vs = [chr(r * B + a) for r in range(d) for a in range(self.alg.dim)]
+        words = weighted_words([ord(v) // B + 1 for v in vs], d, exact=True)
+        return tuple(sorted("".join(vs[i] for i in w) for w in words))

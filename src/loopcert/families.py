@@ -1,7 +1,8 @@
 """Named commutative families in the commutative settings: the universal
 Gaudin family D^k Phi_i in S(g[t]), shift-of-argument families in S(g),
 classical Bethe coefficients on the congruence-subgroup coordinates, and
-the invariant components of S(g[t]) centralizing a seed.
+the centralizer of a seed in the invariant components of S(g[t]), read on
+weight-zero monomials through ``commpoly.derivation``.
 
 Congruence coordinates gamma_ij^(r), r >= 1 (entries of g(u) = 1 + sum
 g_r u^(-r)) are stored as the CommPoly variables x_(i*n + j)[r - 1], which
@@ -20,11 +21,11 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, monomial,
-                       mono_mul, var_of)
+from .commpoly import (CommPoly, LoopAlgebra, Monomial, ZhPoly, derivation, letter,
+                       monomial, mono_mul, var_of)
 from .errors import RegularityError, ValidationError
 from .liealg import LieAlgebraData, regular_cartan_check
-from .linalg import Subspace, degree_buckets, relations
+from .linalg import degree_buckets, relations
 from .scalars import Series, leibniz_det, mul_into, truncated_join
 
 
@@ -168,27 +169,29 @@ def bethe_component_polys(sigma: Dict[Tuple[int, int], CommPoly | ZhPoly], dmax:
 # -- centralizer components ---------------------------------------------------------------
 
 
-def invariant_component(loop: LoopAlgebra, d: int) -> List[CommPoly]:
-    """Basis of the g-invariant part of the deg1 = d component of S(g[t]).
+def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> List[CommPoly]:
+    """Basis of the kernel of p -> {seed, p}_0 on the g-invariant part of the
+    deg1 = d component of S(g[t]).
 
-    The coadjoint action p -> {x_a[0], p}_0 preserves deg1, so source and
-    target components coincide.
+    A Cartan x_c[0] multiplies a monomial by its weight, the sum of its
+    letters' ``weights`` (every basis vector is a weight vector), so the
+    invariants lie on the weight-zero monomials.  There they are the common
+    kernel of the derivations {x_a[0], .}_0 for a outside the Cartan, whose
+    image of x_b[r] is [x_a, x_b][r]; each preserves deg1.
     """
-    monos = loop.component_monomials(d)
-    if d == 0:
-        return [CommPoly.const(1)]
-    images = [loop.coadjoint_images(m) for m in monos]
-    return [CommPoly({monos[i]: x for i, x in v.items()}) for v in relations(images)]
+    alg = loop.alg
+    monos = [m for m in loop.component_monomials(d)
+             if not any(map(sum, zip(*(alg.weights[var_of(v)[0]] for v in m))))]
 
-
-def centralizer_subalgebra(loop: LoopAlgebra, seed: CommPoly, d: int) -> Subspace:
-    """Kernel of p -> {seed, p}_0 on the g-invariant part of the deg1 = d
-    component, as a canonical subspace."""
-    basis = invariant_component(loop, d)
+    def ad(a):  # x_b[r] -> {x_a[0], x_b[r]}_0 = [x_a, x_b][r]
+        return lambda b, r: CommPoly({letter(e, r): x for e, x in alg.bracket_coeffs(a, b).items()})
+    outside = [a for a in range(alg.dim) if a not in alg.cartan_indices]
+    images = [{(a, n): c for a in outside
+               for n, c in derivation(CommPoly({m: 1}), ad(a)).terms.items()} for m in monos]
+    basis = [CommPoly({monos[i]: x for i, x in v.items()}) for v in relations(images)]
     images = [loop.poisson0(seed, p).terms for p in basis]
-    kernel = [sum((basis[i].scale(ci) for i, ci in c.items()), CommPoly())
-              for c in relations(images)]
-    return Subspace.span_of(kernel, loop.component_monomials(d))
+    return [sum((basis[i].scale(ci) for i, ci in c.items()), CommPoly())
+            for c in relations(images)]
 
 
 def embed_subalgebra_poly(sub: LieAlgebraData, p: CommPoly) -> CommPoly:

@@ -5,10 +5,10 @@ Every algebra, preset or config, is a ``LieAlgebraData``: a basis of
 sparse ``{(i, j): entry}`` matrices E_a and a list of (block of matrix
 indices, invariant degrees).  From the matrices it derives the trace form,
 the dual basis E^a, exact coordinates of a matrix in the basis
-(``coordinates``), the bracket table from commutators, the weights of the
-basis vectors that the Cartan elements act on by scalars (``weights``; the
-roots are the nonzero ones), and, on first use, the invariants tr(X_B^k) of
-the generic matrix X = sum_a x_a E^a restricted to each block B.  Matrix
+(``coordinates``), the bracket table from commutators, the weight of every
+basis vector under the Cartan (``weights``, indexed by basis; the roots are
+the nonzero ones), and, on first use, the invariants tr(X_B^k) of the
+generic matrix X = sum_a x_a E^a restricted to each block B.  Matrix
 entries and bracket coefficients are ``int`` where the denominator is 1,
 and the table holds [x_a, x_b] and [x_b, x_a] both, so
 ``commpoly.LoopAlgebra`` and the PBW contexts of ``envelop`` read it as it
@@ -16,9 +16,11 @@ is.  The paper-level assumption of an orthonormal basis is relaxed to an
 arbitrary nondegenerate invariant form with dual bases, so all arithmetic
 stays rational.  Jacobi and the form's ad-invariance hold by construction;
 ``validate`` checks what outside input can break: closure under the
-commutator, a nondegenerate form, the label count, a positive rank and
-supplied invariants.  ``bracket_coeffs`` is the one way structure constants
-are applied.  No root is typed: ``regular_cartan_check`` reads ``weights``.
+commutator, a nondegenerate form, the label count, a basis of weight
+vectors, a positive rank and supplied invariants.  ``bracket_coeffs`` is
+the one way structure constants are applied.  No root is typed:
+``regular_cartan_check`` and ``families.centralizer_subalgebra`` read
+``weights``.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ class LieAlgebraData:
     def validate(self) -> None:
         """The checks on outside input: the label count, a nondegenerate
         trace form, closure under the commutator (which yields the bracket
-        table and the weights), a positive rank and any supplied invariants.
+        table), a basis of weight vectors of the Cartan (which yields the
+        weights), a positive rank and any supplied invariants.
         Jacobi, antisymmetry and ad-invariance of the form hold by
         construction for commutators of matrices under the trace form."""
         if len(self.labels) != self.dim:
@@ -144,10 +147,16 @@ class LieAlgebraData:
                     coords = self.coordinates(comm, "matrices are not closed under bracket")
                     br = self._brackets[a, b] = {d: _integral(c) for d, c in enumerate(coords) if c}
                     self._brackets[b, a] = {d: -c for d, c in br.items()}
-        # x_b is a weight vector when [x_c, x_b] = alpha_c x_b for every Cartan x_c
-        cols = [[self.bracket_coeffs(c, b) for c in self.cartan_indices] for b in range(self.dim)]
-        self.weights = {b: tuple(br.get(b, 0) for br in col) for b, col in enumerate(cols)
-                        if all(br.keys() <= {b} for br in col)}
+        # x_b is a weight vector when [x_c, x_b] = alpha_c x_b for every Cartan
+        # x_c; each must be one, so the Cartan acts on S(g[t]) by monomial weights
+        self.weights = []
+        for b in range(self.dim):
+            col = [self.bracket_coeffs(c, b) for c in self.cartan_indices]
+            if any(br.keys() - {b} for br in col):
+                raise ValidationError(
+                    f"basis vector {self.labels[b]!r} is not a weight vector of the Cartan: "
+                    "write the basis as root vectors and a Cartan")
+            self.weights.append(tuple(br.get(b, 0) for br in col))
         if self.rank < 1:
             raise ValidationError(f"rank must be positive, got {self.rank}: every family is "
                                   "built from the rank's invariant generators")
@@ -356,6 +365,6 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
 
 def regular_cartan_check(alg: LieAlgebraData, cartan_coords: Sequence[Fraction]) -> None:
     """Raise unless (alpha, chi) != 0 for every root, a nonzero weight."""
-    for alpha in filter(any, alg.weights.values()):
+    for alpha in filter(any, alg.weights):
         if sum(a * c for a, c in zip(alpha, cartan_coords)) == 0:
             raise RegularityError("vector lies on a root hyperplane")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcert import certify, envelop
 from loopcert.cli import main
-from loopcert.commpoly import CommPoly, LoopAlgebra, weighted_words
+from loopcert.commpoly import CommPoly, LoopAlgebra, mono_deg1, var_of, weighted_words
 from loopcert.errors import BoundsError, RegularityError, ValidationError
 from loopcert.families import (bethe_component_polys, classical_bethe, diag_to_basis,
                                embed_subalgebra_poly, gaudin_generators, soa_generators)
@@ -272,6 +272,31 @@ class TestSuites:
         monkeypatch.setattr(certify, "bethe_component_polys", eliminated)
         monkeypatch.setattr(LoopAlgebra, "component_monomials", eliminated)
         assert certify.poincare_bethe(3, C, 4).passed
+
+    def test_centralizer_pass_derives_weight_zero_only(self, monkeypatch):
+        # the invariant elimination of each component is handed its weight-zero
+        # monomials, in gl3 those whose row indices e_ij are their column
+        # indices as multisets: fewer than the component has, so a return to
+        # whole components fails here
+        import loopcert.families as families
+        handed = {}
+        real = families.derivation
+
+        def spy(p, image):
+            (m,) = p.terms
+            handed.setdefault(mono_deg1(m), set()).add(m)
+            return real(p, image)
+
+        monkeypatch.setattr(families, "derivation", spy)
+        assert certify.verify_centralizer("gl3", 4).passed
+        loop = LoopAlgebra(preset("gl3"))
+        for d in range(5):
+            comp = loop.component_monomials(d)
+            labels = [[loop.alg.labels[a] for a, _ in map(var_of, m)] for m in comp]
+            zero = {m for m, ls in zip(comp, labels)
+                    if sorted(x[1] for x in ls) == sorted(x[2] for x in ls)}
+            assert handed[d] == zero
+            assert d == 0 or len(zero) < len(comp)
 
     @pytest.mark.parametrize("name,argv", [
         ("report_gr_theorem_A_gl3_C1_1_2_d4.json",

@@ -354,6 +354,29 @@ def test_sp4_singular_chi_refused_by_derived_roots(capsys):
     assert "error [RegularityError]: vector lies on a root hyperplane" in err
 
 
+SL3_MIXED = str(Path(__file__).parent / "data" / "sl3_mixed.json")
+
+
+def test_mixed_root_space_basis_refused_at_load(capsys):
+    # sl3 with e12 + e21 and e12 - e21 in place of e12 and e21: h1 maps each
+    # to a multiple of the other, so neither is a weight vector
+    assert main(["verify-gaudin", "--algebra", SL3_MIXED, "--kmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert ("error [ValidationError]: basis vector 'e12+e21' is not a weight vector "
+            "of the Cartan") in err
+
+
+def test_mixed_root_space_basis_singular_chi_exit_two(capsys):
+    # diag(1, 1, -2) lies on the hyperplane of e12's root: the sl3 preset
+    # refuses it, and the mixed basis, which has no root there to refuse it
+    # by (verify-soa ran to "rank 4 < 5", exit 1), is refused at load
+    argv = ["verify-soa", "--algebra", "{}", "--chi=1,1,-2"]
+    assert main([a.format("sl3") for a in argv]) == 2
+    assert "vector lies on a root hyperplane" in capsys.readouterr().err
+    assert main([a.format(SL3_MIXED) for a in argv]) == 2
+    assert "'e12+e21' is not a weight vector" in capsys.readouterr().err
+
+
 def test_poincare_gr1_family_exit_two(capsys):
     # gr1 is no family: its monomial count compared two enumerations of the
     # same words and certified nothing about Y(gl_n)

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from loopcert.commpoly import (B, CommPoly, LoopAlgebra, ZhPoly, letter, mono_deg1,
                                mono_deg2, mono_mul, monomial, var_of, weighted_words)
 from loopcert.errors import BoundsError
-from loopcert.families import diag_to_basis, gaudin_generators, soa_generators
+from loopcert.families import (centralizer_subalgebra, diag_to_basis, gaudin_generators,
+                               soa_generators)
 from loopcert.liealg import algebra_from_dict, preset
+from loopcert.linalg import Subspace, relations, support
 
 sl2 = preset("sl2")
 E, H, FF = 0, 1, 2  # basis order e12, h1, e21
@@ -167,23 +169,36 @@ def test_poisson_matches_partial_derivative_formula(name, shift, data):
     assert (loop.poisson0, loop.poisson1)[shift](p, q) == expected
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_coadjoint_images_match_poisson0(name):
-    """{x_a[0], m}_0 for every a from one pass over m equals one poisson0
-    call per basis index, on whole components (Fraction brackets too).  The
-    images are sums over the bracket table, so ``int`` exactly where its
-    entries are: on an integral table every coefficient is an ``int``."""
-    loop = LoopAlgebra(ALGEBRAS[name]())
-    integral = all(type(c) is int for cs in loop._brackets.values() for c in cs.values())
-    for d in range(4):
+def _sp4():
+    return algebra_from_dict(json.loads((Path(__file__).parent / "data" / "sp4.json").read_text()))
+
+
+def _label_rows(space):
+    """A subspace's echelon rows keyed by ambient label."""
+    return [(space.ambient[col], {space.ambient[j]: x for j, x in row.items()})
+            for col, row in space.rows]
+
+
+@pytest.mark.parametrize("name", [*sorted(ALGEBRAS), "sp4"])
+def test_weight_zero_invariants_match_full_component(name):
+    """Oracle of the whole-component path: the invariants of each component
+    are the relations of {x_a[0], m}_0 over every monomial m of it and every
+    basis index a, one poisson0 call each.  Their label-keyed echelon rows
+    equal those of the weight-zero kernel (the zero seed centralizes every
+    invariant), Fraction brackets and sp4 included."""
+    loop = LoopAlgebra(ALGEBRAS.get(name, _sp4)())
+    dims = []
+    for d in range(5):
         comp = loop.component_monomials(d)
-        assert loop.component_monomials(d) is comp
-        for m in comp:
-            expected = {(a, mm): c for a in range(loop.alg.dim)
-                        for mm, c in loop.poisson0(var(a, 0), CommPoly({m: F(1)})).terms.items()}
-            got = loop.coadjoint_images(m)
-            assert got == expected
-            assert {type(c) for c in got.values()} <= ({int} if integral else {int, F})
+        images = [{(a, n): c for a in range(loop.alg.dim)
+                   for n, c in loop.poisson0(var(a, 0), CommPoly({m: F(1)})).terms.items()}
+                  for m in comp]
+        full = [CommPoly({comp[i]: c for i, c in v.items()}) for v in relations(images)]
+        kernel = centralizer_subalgebra(loop, CommPoly(), d)
+        assert _label_rows(Subspace.span_of(kernel, support(kernel))) == \
+            _label_rows(Subspace.span_of(full, comp))
+        dims.append(len(kernel))
+    assert dims[0] == 1 and sum(dims[2:]) > 2  # 1, then omega, D omega, ...
 
 
 def _reference_poisson(alg, p, q, shift):

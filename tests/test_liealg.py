@@ -281,7 +281,7 @@ class TestInvariants:
 
 def _roots(alg):
     """The derived roots: {basis index: alpha} over the nonzero weights."""
-    return {b: alpha for b, alpha in alg.weights.items() if any(alpha)}
+    return {b: alpha for b, alpha in enumerate(alg.weights) if any(alpha)}
 
 
 def _pairing(alpha, cartan_coords):
@@ -337,7 +337,7 @@ class TestRootData:
         # every basis vector is a weight vector, and the nonzero weights are
         # the roots the presets once typed, both signs, at the same indices
         alg = build()
-        assert sorted(alg.weights) == list(range(alg.dim))
+        assert len(alg.weights) == alg.dim
         assert _roots(alg) == typed(alg)
 
     def test_sp4_roots_are_the_typed_ones_in_both_signs(self):
